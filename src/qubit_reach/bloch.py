@@ -225,12 +225,16 @@ def polar_rhs(state, theta, params: SystemParams, rho_min: float = 1e-8):
     rho, phi = np.asarray(state, dtype=float)
     if rho <= rho_min:
         raise SingularityError(f"polar system is singular at rho={rho} <= {rho_min}")
-    ga, w = params.gamma, params.omega
+    return params.omega * np.array(polar_rhs_scaled(rho, phi, theta, params.ratio))
+
+
+def polar_rhs_scaled(rho, phi, theta, g):
+    """Polar velocity in rescaled time tau = omega t (vectorized, unguarded)."""
     sp, cp = np.sin(phi), np.cos(phi)
     st = np.sin(theta)
-    rho_dot = -0.5 * ga * (rho + rho * sp * sp * st * st - 2.0 * sp * st)
-    phi_dot = w * np.cos(theta) + (ga / (2.0 * rho)) * cp * st * (2.0 - rho * sp * st)
-    return np.array([rho_dot, phi_dot])
+    rho_dot = -0.5 * g * (rho + rho * sp * sp * st * st - 2.0 * sp * st)
+    phi_dot = np.cos(theta) + (g / (2.0 * rho)) * cp * st * (2.0 - rho * sp * st)
+    return rho_dot, phi_dot
 
 
 def ball_norm_derivative(r, n: float, params: SystemParams) -> float:

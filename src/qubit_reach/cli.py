@@ -31,11 +31,11 @@ from .schedule import ControlSchedule, simulate
 from .table import UnreachableError
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QUBIT_REACH_THREADS", "1")))
-    except ValueError:
-        return 1
+def _threads(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get("QUBIT_REACH_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        parser.error(f"QUBIT_REACH_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -76,8 +76,8 @@ def _write_rows(out, header, rows):
 def _cmd_simulate(args, parser):
     params = _params(args, parser)
     r0 = np.array([float(v) for v in args.r0.split(",")])
-    if r0.shape != (3,):
-        parser.error("--r0 must be 'rx,ry,rz'")
+    if r0.shape != (3,) or not np.all(np.isfinite(r0)):
+        parser.error("--r0 must be 'rx,ry,rz' with finite components")
     sched = ControlSchedule.from_csv(
         args.schedule, params=params, scaled=args.scaled, duration=args.T,
         u_max=args.u_max,
@@ -114,7 +114,7 @@ def _cmd_reachset(args, parser):
     params = _params(args, parser)
     sweep = ReachSweep(
         params, args.T, n_seeds=args.seeds, raster=args.raster,
-        n_threads=_threads(),
+        n_threads=_threads(parser),
     )
     rset = sweep.reachable_set(args.T)
     if sweep.n_failed:
@@ -135,7 +135,7 @@ def _cmd_movie(args, parser):
     params = _params(args, parser)
     sweep = ReachSweep(
         params, args.T_max, n_seeds=args.seeds, raster=args.raster,
-        n_threads=_threads(),
+        n_threads=_threads(parser),
     )
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -183,29 +183,14 @@ def _cmd_lacuna(args, parser):
 
 
 def _cmd_rank(args, parser):
-    from .liealg import canonical_fields, rank_certificate
+    from .liealg import rank_grid
 
     params = _params(args, parser)
-    fields = canonical_fields(params)
-    axis = np.linspace(-1.0, 1.0, args.grid)
-    rows = []
-    for rx in axis:
-        for ry in axis:
-            for rz in axis:
-                if rx * rx + ry * ry + rz * rz > 1.0 + 1e-12:
-                    continue
-                cert = rank_certificate(np.array([rx, ry, rz]), params, fields=fields)
-                rows.append(
-                    (float(rx), float(ry), float(rz), cert.rank,
-                     "|".join(cert.witness), float(cert.determinant))
-                )
-    out = _open_out(args.out)
-    close = out is not sys.stdout
-    out.write("rx,ry,rz,rank,witness,det\n")
-    for rx, ry, rz, rank, wit, det in rows:
-        out.write(f"{rx!r},{ry!r},{rz!r},{rank},{wit},{det!r}\n")
-    if close:
-        out.close()
+    rows = [
+        (*(float(v) for v in cert.point), cert.rank, "|".join(cert.witness), float(cert.determinant))
+        for cert in rank_grid(params, n=args.grid)
+    ]
+    _write_rows(_open_out(args.out), ["rx", "ry", "rz", "rank", "witness", "det"], rows)
     return 0
 
 
@@ -213,7 +198,7 @@ def _cmd_table_build(args, parser):
     params = _params(args, parser)
     tbl = table_mod.build_table(
         params, n_seeds=args.seeds, T_max_scaled=args.T_max,
-        grid_resolution=args.grid, n_threads=_threads(),
+        grid_resolution=args.grid, n_threads=_threads(parser),
     )
     table_mod.save(tbl, args.out)
     print(f"wrote {int(np.sum(tbl.mask))} nonempty cells to {args.out}")

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SingularityError
-from .ode import IntegrationError, IntegratorConfig, Trajectory, dp45_step
+from .bloch import SingularityError, aux_rhs
+from .ode import IntegrationError, IntegratorConfig, Trajectory, dp45_step, hermite
 from .params import SystemParams
-from .schedule import ControlSchedule
+from .schedule import ControlSchedule, propagate
 
 
 def _unpack(state):
@@ -77,11 +77,8 @@ def hamiltonian_dtheta2(state, params: SystemParams):
 
 def aux_rhs_scaled(z, R, theta, params: SystemParams):
     """Meridian system in rescaled time tau = omega t."""
-    g = params.ratio
-    ct = np.cos(theta)
-    zp = -0.5 * g * z - R * ct
-    rp = z * ct - 0.25 * g * R * (3.0 - np.cos(2.0 * theta)) + g * np.sin(theta)
-    return zp, rp
+    zdot, rdot = aux_rhs(z, R, theta, params)
+    return zdot / params.omega, rdot / params.omega
 
 
 def costate_rhs(state, params: SystemParams):
@@ -371,18 +368,7 @@ def sweep_extremals(
             if j_hi > j_next:
                 idx = np.arange(j_next, j_hi)
                 s = ((tau[idx] - t) / h)[None, None, :]
-                y0 = y[:, :, None]
-                y1 = y_new[:, :, None]
-                f0 = f[:, :, None]
-                f1 = f_new[:, :, None]
-                s2, s3 = s * s, s ** 3
-                vals = (
-                    (2 * s3 - 3 * s2 + 1) * y0
-                    + (s3 - 2 * s2 + s) * h * f0
-                    + (-2 * s3 + 3 * s2) * y1
-                    + (s3 - s2) * h * f1
-                )
-                write(idx, vals)
+                write(idx, hermite(s, h, y[:, :, None], f[:, :, None], y_new[:, :, None], f_new[:, :, None]))
                 j_next = j_hi
             t, y = t_new, y_new
             accepted += 1
@@ -536,54 +522,6 @@ def recover_control(traj: Trajectory, params: SystemParams, r_min: float = 1e-8)
     return ControlSchedule(times[:-1], u_pc, np.zeros(len(u_pc)), T=float(times[-1]))
 
 
-def _bloch_rhs_batch(r, u, params):
-    # n = 0 replay path; r is (nb, 3), u is (nb,)
-    ga, w, k = params.gamma, params.omega, params.kappa
-    rx, ry, rz = r[:, 0], r[:, 1], r[:, 2]
-    return np.stack(
-        [
-            -w * ry - 0.5 * ga * rx,
-            w * rx - 0.5 * ga * ry - 2.0 * k * u * rz,
-            ga - ga * rz + 2.0 * k * u * ry,
-        ],
-        axis=1,
-    )
-
-
-def simulate_piecewise_batch(r0s, edges, u_segments, params, max_angle: float = 0.05):
-    """RK4 replay of piecewise-constant controls for a batch of initial states.
-
-    r0s (nb, 3); edges (m+1,) segment boundaries; u_segments (nb, m).
-    Substeps per segment scale with the largest rotation angle so fast
-    alignment spikes stay accurate.  Returns states at edges, (nb, m+1, 3).
-    """
-    r0s = np.atleast_2d(np.asarray(r0s, dtype=float))
-    edges = np.asarray(edges, dtype=float)
-    u_segments = np.atleast_2d(np.asarray(u_segments, dtype=float))
-    nb, msegs = u_segments.shape
-    if len(edges) != msegs + 1:
-        raise ValueError("edges must have one more entry than control segments")
-    states = np.empty((nb, msegs + 1, 3))
-    states[:, 0] = r0s
-    y = r0s.copy()
-    for k in range(msegs):
-        span = edges[k + 1] - edges[k]
-        u = u_segments[:, k]
-        angle = max(
-            float(np.max(np.abs(2.0 * params.kappa * u))) * span, params.omega * span
-        )
-        n_sub = max(1, int(np.ceil(angle / max_angle)))
-        hh = span / n_sub
-        for _ in range(n_sub):
-            k1 = _bloch_rhs_batch(y, u, params)
-            k2 = _bloch_rhs_batch(y + 0.5 * hh * k1, u, params)
-            k3 = _bloch_rhs_batch(y + 0.5 * hh * k2, u, params)
-            k4 = _bloch_rhs_batch(y + hh * k3, u, params)
-            y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[:, k + 1] = y
-    return states
-
-
 def replay_extremal(
     traj: Trajectory,
     params: SystemParams,
@@ -592,6 +530,9 @@ def replay_extremal(
 ):
     """Drive the Bloch equation with the recovered control of an extremal.
 
+    The piecewise-constant control is replayed with the exact affine
+    propagators of :func:`schedule.propagate`, so the remaining error is
+    that of the piecewise-constant control itself, not of an integrator.
     When starting from the north pole (0,0,1) a short aligning spike
     first rotates the meridian angle from pi/2 to the extremal's theta0;
     its duration is pi/(2 kappa u_max), so pick u_max large enough that
@@ -611,9 +552,7 @@ def replay_extremal(
         u_align = dth / (2.0 * params.kappa * eps)
         edges = np.concatenate([[0.0], eps + times])
         u_segments = np.concatenate([[u_align], sched.u])
-        r0 = np.array([0.0, 0.0, 1.0])
-        states = simulate_piecewise_batch(r0, edges, u_segments, params)
-        return states[0, 1:], sched
-    r0 = np.array([0.0, np.cos(th0), np.sin(th0)])
-    states = simulate_piecewise_batch(r0, times, sched.u, params)
-    return states[0], sched
+        states = propagate([0.0, 0.0, 1.0], edges, u_segments, np.zeros(len(u_segments)), params)
+        return states[1:], sched
+    r0 = [0.0, np.cos(th0), np.sin(th0)]
+    return propagate(r0, times, sched.u, sched.n, params), sched

@@ -4,7 +4,8 @@ Two methods: the classical fixed-step 4th order Runge-Kutta scheme and an
 embedded adaptive Dormand-Prince 5(4) pair.  Dense output between accepted
 nodes is cubic Hermite, which is what the reachable-set rasterisation
 samples.  State vectors may carry trailing batch axes; the right-hand side
-must map arrays of shape ``y0.shape`` to the same shape.
+must map arrays of shape ``y0.shape`` to the same shape.  Affine flows with
+constant coefficients need no stepping: :func:`expm` propagates them exactly.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ class IntegratorConfig:
 class Trajectory:
     """Sampled solution with cubic Hermite dense output.
 
-    ts  strictly increasing times starting at 0, shape (m,)
-    ys  states, shape (m,) + state_shape
-    fs  state derivatives at the nodes, same shape as ys
+    ts       strictly increasing times starting at 0, shape (m,)
+    ys       states, shape (m,) + state_shape
+    fs       state derivatives at the nodes, same shape as ys
+    fs_left  optional left limits of fs, for fields that jump at nodes;
+             the piece on [ts[i], ts[i+1]] then uses fs[i] and fs_left[i+1]
     """
 
     ts: np.ndarray
@@ -78,6 +81,7 @@ class Trajectory:
     fs: np.ndarray
     dense: bool = True
     meta: dict = field(default_factory=dict)
+    fs_left: np.ndarray | None = None
 
     def __post_init__(self):
         if self.ts[0] != 0.0:
@@ -107,16 +111,56 @@ class Trajectory:
         extra = (1,) * (self.ys.ndim - 1)
         s = s.reshape(s.shape + extra)
         h = h.reshape(h.shape + extra)
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        f0, f1 = self.fs[idx], self.fs[idx + 1]
-        s2, s3 = s * s, s * s * s
-        out = (
-            (2 * s3 - 3 * s2 + 1) * y0
-            + (s3 - 2 * s2 + s) * h * f0
-            + (-2 * s3 + 3 * s2) * y1
-            + (s3 - s2) * h * f1
-        )
-        return out
+        f1 = (self.fs if self.fs_left is None else self.fs_left)[idx + 1]
+        return hermite(s, h, self.ys[idx], self.fs[idx], self.ys[idx + 1], f1)
+
+
+def hermite(s, h, y0, f0, y1, f1):
+    """Cubic Hermite interpolant at fraction s of a step of length h."""
+    s2, s3 = s * s, s ** 3
+    return (
+        (2 * s3 - 3 * s2 + 1) * y0
+        + (s3 - 2 * s2 + s) * h * f0
+        + (-2 * s3 + 3 * s2) * y1
+        + (s3 - s2) * h * f1
+    )
+
+
+# Pade-13 coefficients and the 1-norm up to which that approximant needs no
+# scaling (Higham 2005, "The scaling and squaring method for the matrix
+# exponential revisited").
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponentials of a stack of square matrices, shape (m, k, k).
+
+    Pade-13 scaling and squaring: each matrix is halved s times, with its
+    own s, until its 1-norm is at most theta_13, and the approximant is
+    squared back s times.  Powers of two scale exactly, so a zero column
+    of the input comes out as the exact unit column, which keeps the
+    fixed points of affine flows exact.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    s = np.maximum(np.frexp(np.max(np.sum(np.abs(a), axis=-2), axis=-1) / _THETA13)[1], 0)
+    a, b, eye = np.ldexp(a, -s[:, None, None]), _PADE13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
 
 
 def _error_norm(err, y0, y1, abs_tol, rel_tol) -> float:

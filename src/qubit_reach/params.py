@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -12,12 +13,12 @@ class SystemParams:
     Attributes
     ----------
     omega : float
-        Transition frequency (rad/s), strictly positive.
+        Transition frequency (rad/s), finite and strictly positive.
     kappa : float
         Coupling of the coherent control to the transverse axis
-        (dipole moment), strictly positive.
+        (dipole moment), finite and strictly positive.
     gamma : float
-        Decoherence rate (1/s), non-negative.
+        Decoherence rate (1/s), finite and non-negative.
     ratio : float
         Cached dimensionless gamma/omega.
     """
@@ -28,6 +29,9 @@ class SystemParams:
     ratio: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("omega", "kappa", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not self.kappa > 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extremals
-from .bloch import polar_rhs
+from .bloch import polar_rhs, polar_rhs_scaled
 from .extremals import sweep_extremals_parallel
 from .ode import IntegratorConfig
 from .params import SystemParams
@@ -59,8 +59,6 @@ class SpiralRegion:
 
 
 def spiral_region(params: SystemParams) -> SpiralRegion:
-    if params.gamma < 0:
-        raise ValueError("gamma must be non-negative")
     return SpiralRegion(params.ratio)
 
 
@@ -133,15 +131,6 @@ def _edge_sign(edge: str) -> float:
     raise ValueError(f"edge must be 'plus' or 'minus', got {edge!r}")
 
 
-def _polar_rhs_scaled(rho, phi, theta, g):
-    """Polar velocity in rescaled time tau = omega t (vectorized)."""
-    sp, cp = np.sin(phi), np.cos(phi)
-    st = np.sin(theta)
-    rho_dot = -0.5 * g * (rho + rho * sp * sp * st * st - 2.0 * sp * st)
-    phi_dot = np.cos(theta) + (g / (2.0 * rho)) * cp * st * (2.0 - rho * sp * st)
-    return rho_dot, phi_dot
-
-
 def barrier_values(
     tri: BarrierTriangle, edge: str, phi, theta, params: SystemParams, rho=None
 ):
@@ -166,7 +155,7 @@ def barrier_values(
         # delegate the singularity complaint to the scalar polar system
         polar_rhs((float(np.min(rho)), 0.0), 0.0, params)
     g = params.ratio
-    rho_dot, phi_dot = _polar_rhs_scaled(rho, phi, theta, g)
+    rho_dot, phi_dot = polar_rhs_scaled(rho, phi, theta, g)
     out = -rho_dot + s * tri.alpha * g * phi_dot
     return out if np.ndim(out) else float(out)
 
@@ -193,14 +182,9 @@ def barrier_certificate(
         raise ValueError("certificate requires |sin(phi0)| < 1 (phi0 != +-pi/2)")
     tri = BarrierTriangle(phi0, alpha, beta, params.ratio)
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)[None, :]
-    g = params.ratio
     for edge in ("plus", "minus"):
-        s = _edge_sign(edge)
         lo, hi = tri.edge_phi_range(edge)
-        phis = np.linspace(lo, hi, phi_grid)[:, None]
-        rho = tri.edge_rho(edge, phis)
-        rho_dot, phi_dot = _polar_rhs_scaled(rho, phis, thetas, g)
-        G = -rho_dot + s * alpha * g * phi_dot
+        G = barrier_values(tri, edge, np.linspace(lo, hi, phi_grid)[:, None], thetas, params)
         if float(G.min()) <= 0.0:
             return False
     return True

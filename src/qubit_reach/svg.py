@@ -8,8 +8,6 @@ upward.
 
 from __future__ import annotations
 
-import numpy as np
-
 SIZE = 560
 _SPAN = 1.1
 
@@ -69,6 +67,3 @@ def reachset_figure(set2d, spiral=None, label: str | None = None) -> str:
     title = label if label is not None else f"wT = {set2d.T_scaled:g}"
     return figure(boundaries=set2d.boundary, spiral_arcs=arcs, title=title)
 
-
-def trajectory_figure(zr_points: np.ndarray, label: str = "") -> str:
-    return figure(extra_paths=[_path(zr_points, stroke="#b22222", width=1.2)], title=label)

@@ -37,6 +37,10 @@ def test_params_validation():
         SystemParams(kappa=-1.0)
     with pytest.raises(ValueError):
         SystemParams(gamma=-0.1)
+    for name in ("omega", "kappa", "gamma"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SystemParams(**{name: bad})
     p = SystemParams(omega=2.0, kappa=1.0, gamma=0.5)
     assert p.ratio == 0.5 / 2.0
 

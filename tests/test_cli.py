@@ -196,3 +196,39 @@ def test_simulate_schedule_errors(tmp_path, capsys):
     )
     assert code == 1
     assert "header" in err
+    good = tmp_path / "zero.csv"
+    good.write_text("t,u,n\n0,0,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--gamma-ratio", "0.1", "--schedule", str(good), "--T", "1",
+              "--r0", "nan,0,1"])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_schedule(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("t,u,n\n0,0,0\n0.5,nan,0\n")
+    code, _, err = run(
+        capsys, "simulate", "--gamma-ratio", "0.1", "--schedule", str(bad), "--T", "1"
+    )
+    assert code == 1
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_non_finite_params_exit_1(capsys):
+    for flags in (("--gamma-ratio", "nan"), ("--gamma-ratio", "inf"),
+                  ("--omega", "inf", "--kappa", "0.5", "--gamma", "0.1"),
+                  ("--omega", "1", "--kappa", "nan", "--gamma", "0.1")):
+        code, _, err = run(capsys, "lacuna", *flags)
+        assert code == 1
+        assert "finite" in err
+
+
+def test_malformed_thread_cap_is_usage_error(capsys, monkeypatch):
+    for value in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("QUBIT_REACH_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "64",
+                  "--raster", "64"])
+        assert exc.value.code == 2
+        assert "QUBIT_REACH_THREADS" in capsys.readouterr().err

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from qubit_reach import ControlSchedule, SystemParams, simulate
-from qubit_reach.schedule import concat_schedules
+from qubit_reach.ode import expm
+from qubit_reach.schedule import concat_schedules, propagate
 
 P = SystemParams.from_ratio(0.1)
 
@@ -51,6 +52,9 @@ def test_schedule_u_cap(tmp_path):
     path.write_text("t,u,n\n0,1e9,0\n")
     s = ControlSchedule.from_csv(path, params=P, duration=1.0)
     assert np.max(np.abs(s.u)) == P.u_max_default
+    for cap in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="u_max"):
+            ControlSchedule.from_csv(path, params=P, duration=1.0, u_max=cap)
 
 
 def test_simulate_fixed_point():
@@ -67,6 +71,13 @@ def test_simulate_pure_rotation_segment():
     assert abs(np.linalg.norm(traj.final_state) - 1.0) < 1e-9
 
 
+def test_simulate_refuses_an_oversized_dense_output():
+    # 2 kappa u T / MAX_ANGLE = 2e11 nodes: refused before anything is allocated
+    sched = ControlSchedule([0.0], [1e9], [0.0], T=10.0)
+    with pytest.raises(ValueError, match="dense-output nodes"):
+        simulate(np.array([0.0, 0.0, 1.0]), sched, P)
+
+
 def test_concat_schedules():
     a = ControlSchedule([0.0], [1.0], [0.0], T=0.5)
     b = ControlSchedule([0.0, 1.0], [2.0, 3.0], [0.0, 0.0], T=2.0)
@@ -75,3 +86,107 @@ def test_concat_schedules():
     assert c.value(0.25) == (1.0, 0.0)
     assert c.value(0.75) == (2.0, 0.0)
     assert c.value(2.0) == (3.0, 0.0)
+
+
+def test_schedule_rejects_non_finite():
+    for times, u, n, T in (
+        ([0.0, np.nan], [0, 0], [0, 0], 0.0),
+        ([0.0, 1.0], [0, np.nan], [0, 0], 0.0),
+        ([0.0, 1.0], [0, 0], [np.inf, 0], 0.0),
+        ([0.0, 1.0], [0, 0], [0, 0], np.nan),
+        ([0.0, 1.0], [0, 0], [0, 0], np.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            ControlSchedule(times, u, n, T=T)
+
+
+def test_simulate_samples_next_to_a_switch():
+    # the last sub-interval before a switch must interpolate with the
+    # derivative of its own segment, not of the next one
+    sched = ControlSchedule([0.0, 1.0], [0.0, 2.0], [0.0, 0.0], T=2.0)
+    r0 = np.array([0.6, 0.0, 0.8])
+    traj = simulate(r0, sched, P)
+    k = int(np.searchsorted(traj.ts, 1.0))
+    assert traj.ts[k] == 1.0
+    t_mid = 0.5 * (traj.ts[k - 1] + traj.ts[k])
+    ref = propagate(r0, [0.0, t_mid], [0.0], [0.0], P)[-1]
+    npt.assert_allclose(traj.sample(t_mid)[0], ref, rtol=0, atol=1e-7)
+    npt.assert_array_equal(traj.sample(1.0)[0], traj.ys[k])
+
+
+def _rodrigues(r, omega_vec, t):
+    theta = np.linalg.norm(omega_vec) * t
+    k = omega_vec / np.linalg.norm(omega_vec)
+    return r * np.cos(theta) + np.cross(k, r) * np.sin(theta) + k * (k @ r) * (1 - np.cos(theta))
+
+
+def test_propagate_closed_system_is_a_rotation():
+    # gamma = 0: r' = (2 kappa u, 0, omega) x r, a rotation for any n
+    p = SystemParams(omega=1.3, kappa=0.7, gamma=0.0)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        r0 = rng.normal(size=3)
+        u, h = rng.uniform(-5, 5), rng.uniform(0.01, 3.0)
+        got = propagate(r0, [0.0, h], [u], [rng.uniform(0, 2)], p)[-1]
+        want = _rodrigues(r0, np.array([2 * p.kappa * u, 0.0, p.omega]), h)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_propagate_semigroup():
+    p = SystemParams.from_ratio(0.3)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r0 = rng.uniform(-0.5, 0.5, 3)
+        u, n = rng.uniform(-4, 4), rng.uniform(0, 3)
+        h1, h2 = rng.uniform(0.001, 2.0, 2)
+        one = propagate(r0, [0.0, h1 + h2], [u], [n], p)[-1]
+        two = propagate(r0, [0.0, h1, h1 + h2], [u, u], [n, n], p)[-1]
+        npt.assert_allclose(one, two, rtol=0, atol=1e-13)
+
+
+def test_propagate_matches_tight_integration_with_incoherent_control():
+    from qubit_reach.bloch import bloch_rhs
+    from qubit_reach.ode import IntegratorConfig, integrate
+
+    p = SystemParams(omega=1.0, kappa=0.5, gamma=0.2)
+    rng = np.random.default_rng(6)
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.8, 12))])
+    u, n = rng.uniform(-3, 3, 12), rng.uniform(0, 2, 12)
+    got = propagate([0.1, -0.4, 0.7], edges, u, n, p)
+    cfg = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
+    y = np.array([0.1, -0.4, 0.7])
+    for k in range(12):
+        rhs = lambda t, r, k=k: bloch_rhs(r, u[k], n[k], p)
+        y = integrate(rhs, y, edges[k + 1] - edges[k], cfg).final_state
+        npt.assert_allclose(got[k + 1], y, rtol=0, atol=1e-9)
+
+
+def test_propagate_alignment_spike():
+    # the 1e6-scaled spike replay_extremal uses to leave the north pole
+    from qubit_reach.bloch import bloch_rhs
+    from qubit_reach.ode import IntegratorConfig, integrate
+
+    u_max = 1e6 * P.omega / (2 * P.kappa)
+    eps = np.pi / (2 * P.kappa * u_max)
+    u_align = -2.0 / (2 * P.kappa * eps)
+    got = propagate([0.0, 0.0, 1.0], [0.0, eps], [u_align], [0.0], P)[-1]
+    rhs = lambda t, r: bloch_rhs(r, u_align, 0.0, P)
+    want = integrate(rhs, np.array([0.0, 0.0, 1.0]), eps, IntegratorConfig(method="rk4", step=eps / 4000))
+    npt.assert_allclose(got, want.final_state, rtol=0, atol=1e-12)
+    npt.assert_allclose(np.arctan2(got[2], got[1]), np.pi / 2 - 2.0, atol=1e-5)
+
+
+def test_propagate_pole_is_bit_exact_fixed_point():
+    states = propagate([0.0, 0.0, 1.0], np.linspace(0.0, 50.0, 1001), np.zeros(1000), np.zeros(1000), P)
+    assert np.all(states == [0.0, 0.0, 1.0])
+
+
+def test_expm_inverts_on_negated_argument():
+    # rotation generators of norm up to ~100 (several squarings) plus a
+    # small non-normal part, so E(A) stays well conditioned
+    rng = np.random.default_rng(7)
+    k = rng.normal(size=(300, 4, 4)) * np.geomspace(1e-4, 30.0, 300)[:, None, None]
+    a = k - k.transpose(0, 2, 1) + 0.1 * rng.normal(size=(300, 4, 4))
+    npt.assert_allclose(expm(a) @ expm(-a), np.broadcast_to(np.eye(4), a.shape), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(np.full((1, 4, 4), np.nan))
