@@ -62,15 +62,10 @@ def bloch_rhs(r, u: float, n: float, params: SystemParams) -> np.ndarray:
     """Full controlled Bloch equation omega*f0 + 2*kappa*u*f1 + gamma*n*f2."""
     if n < 0:
         raise ValueError(f"incoherent control must be non-negative, got n={n}")
-    rx, ry, rz = np.asarray(r, dtype=float)
-    g, w, k = params.gamma, params.omega, params.kappa
-    gn = g * (1.0 + n)
-    return np.array(
-        [
-            -w * ry - 0.5 * gn * rx,
-            w * rx - 0.5 * gn * ry - 2.0 * k * u * rz,
-            g - gn * rz + 2.0 * k * u * ry,
-        ]
+    return (
+        params.omega * field_f(0, r, params)
+        + 2.0 * params.kappa * u * field_f(1, r, params)
+        + params.gamma * n * field_f(2, r, params)
     )
 
 
@@ -169,13 +164,8 @@ def cylindrical_fields(c, params: SystemParams, r_min: float = 1e-8):
     g = params.ratio
     ct, st = np.cos(theta), np.sin(theta)
     c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    g0 = np.array(
-        [
-            -R * ct - 0.5 * g * z,
-            z * ct - 0.25 * g * R * (3.0 - c2) + g * st,
-            -(z / R) * st - 0.25 * g * s2 + g * ct / R,
-        ]
-    )
+    zp, rp = meridian_rhs_scaled(z, R, theta, g)
+    g0 = np.array([zp, rp, -(z / R) * st - 0.25 * g * s2 + g * ct / R])
     g1 = np.array([0.0, 0.0, 1.0])
     g2 = -np.array([0.5 * z, 0.25 * R * (3.0 - c2), 0.25 * s2])
     return g0, g1, g2
@@ -190,21 +180,24 @@ def cylindrical_rhs(c, u: float, n: float, params: SystemParams, r_min: float = 
 
 
 def aux_rhs(z, R, theta, params: SystemParams):
-    """Meridian-plane system with theta promoted to a control (n = 0).
+    """Meridian-plane system with theta promoted to a control (n = 0), in
+    physical time: omega times :func:`meridian_rhs_scaled`."""
+    zp, rp = meridian_rhs_scaled(z, R, theta, params.ratio)
+    return params.omega * zp, params.omega * rp
 
-    dz/dt = -gamma z / 2 - omega R cos(theta)
-    dR/dt = omega z cos(theta) - gamma R (3 - cos 2theta)/4 + gamma sin(theta)
 
-    Broadcasts over array arguments.
+def meridian_rhs_scaled(z, R, theta, g):
+    """Meridian velocity in rescaled time tau = omega t (vectorized, unguarded).
+
+        dz/dtau = -g z / 2 - R cos(theta)
+        dR/dtau = z cos(theta) - g R (3 - cos 2theta) / 4 + g sin(theta)
+
+    with g = gamma / omega.
     """
-    z = np.asarray(z, dtype=float)
-    R = np.asarray(R, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    ga, w = params.gamma, params.omega
     ct = np.cos(theta)
-    zdot = -0.5 * ga * z - w * R * ct
-    rdot = w * z * ct - 0.25 * ga * R * (3.0 - np.cos(2.0 * theta)) + ga * np.sin(theta)
-    return zdot, rdot
+    zp = -0.5 * g * z - R * ct
+    rp = z * ct - 0.25 * g * R * (3.0 - np.cos(2.0 * theta)) + g * np.sin(theta)
+    return zp, rp
 
 
 def polar_rhs(state, theta, params: SystemParams, rho_min: float = 1e-8):

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, svg, table as table_mod
 from .bloch import SingularityError
 from .extremals import hamiltonian, integrate_extremal, seed as seed_fn
+from .liealg import rank_grid
 from .ode import IntegrationError
 from .params import SystemParams
 from .reachset import (
@@ -26,16 +27,34 @@ from .reachset import (
     barrier_certificate,
     guaranteed_ball_radius,
     lacuna_alpha_bound,
+    revolve_to_3d,
+    spiral_region,
+    write_obj,
 )
 from .schedule import ControlSchedule, simulate
 from .table import UnreachableError
 
 
+def positive_int(text: str) -> int:
+    """argparse type of counts and sizes."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def finite_float(text: str) -> float:
+    """argparse type of times, angles and coordinates."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _threads(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("QUBIT_REACH_THREADS") or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        parser.error(f"QUBIT_REACH_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    try:
+        return positive_int(os.environ.get("QUBIT_REACH_THREADS") or "1")
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"QUBIT_REACH_THREADS: {exc}")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -105,8 +124,6 @@ def _cmd_extremal(args, parser):
 
 
 def _spiral_overlay(args, params):
-    from .reachset import spiral_region
-
     return spiral_region(params) if getattr(args, "overlay_spiral", False) else None
 
 
@@ -124,8 +141,6 @@ def _cmd_reachset(args, parser):
     if args.svg:
         Path(args.svg).write_text(svg.reachset_figure(rset, _spiral_overlay(args, params)))
     if args.obj:
-        from .reachset import revolve_to_3d, write_obj
-
         verts, faces = revolve_to_3d(rset, n_angles=args.obj_angles)
         write_obj(args.obj, verts, faces)
     return 0
@@ -150,8 +165,6 @@ def _cmd_movie(args, parser):
 
 
 def _cmd_spiral(args, parser):
-    from .reachset import spiral_region
-
     params = _params(args, parser)
     region = spiral_region(params)
     arcs = region.arcs(args.samples)
@@ -183,8 +196,6 @@ def _cmd_lacuna(args, parser):
 
 
 def _cmd_rank(args, parser):
-    from .liealg import rank_grid
-
     params = _params(args, parser)
     rows = [
         (*(float(v) for v in cert.point), cert.rank, "|".join(cert.witness), float(cert.determinant))
@@ -225,61 +236,61 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--schedule", required=True, help="CSV with header t,u,n")
     p.add_argument("--r0", default="0,0,1", help="initial Bloch vector 'rx,ry,rz'")
-    p.add_argument("--T", type=float, required=True, help="final time (physical units)")
+    p.add_argument("--T", type=finite_float, required=True, help="final time (physical units)")
     p.add_argument("--scaled", action="store_true", help="schedule times are in units of 1/omega")
     p.add_argument("--u-max", type=float, default=None, help="ingestion cap on |u|")
-    p.add_argument("--samples", type=int, default=401)
+    p.add_argument("--samples", type=positive_int, default=401)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("extremal", help="integrate one time-optimal extremal")
     _add_param_flags(p)
-    p.add_argument("--psi0", type=float, required=True, help="costate angle (rad)")
-    p.add_argument("--T", type=float, required=True, help="duration in units of 1/omega")
+    p.add_argument("--psi0", type=finite_float, required=True, help="costate angle (rad)")
+    p.add_argument("--T", type=finite_float, required=True, help="duration in units of 1/omega")
     p.add_argument("--branch", choices=("max", "min"), default="max")
-    p.add_argument("--samples", type=int, default=2001)
+    p.add_argument("--samples", type=positive_int, default=2001)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("reachset", help="reachable set raster at scaled time T")
     _add_param_flags(p)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--seeds", type=int, default=1024)
-    p.add_argument("--raster", type=int, default=512)
+    p.add_argument("--T", type=finite_float, required=True)
+    p.add_argument("--seeds", type=positive_int, default=1024)
+    p.add_argument("--raster", type=positive_int, default=512)
     p.add_argument("--out", default="-", help="CSV of occupied cell centers")
     p.add_argument("--svg", default=None)
     p.add_argument("--obj", default=None, help="revolved 3D mesh (OBJ)")
-    p.add_argument("--obj-angles", type=int, default=64)
+    p.add_argument("--obj-angles", type=positive_int, default=64)
     p.add_argument("--overlay-spiral", action="store_true")
     p.set_defaults(func=_cmd_reachset)
 
     p = sub.add_parser("movie", help="SVG frames of the growing reachable set")
     _add_param_flags(p)
-    p.add_argument("--T-max", type=float, default=7.0)
-    p.add_argument("--frames", type=int, default=140)
-    p.add_argument("--seeds", type=int, default=1024)
-    p.add_argument("--raster", type=int, default=512)
+    p.add_argument("--T-max", type=finite_float, default=7.0)
+    p.add_argument("--frames", type=positive_int, default=140)
+    p.add_argument("--seeds", type=positive_int, default=1024)
+    p.add_argument("--raster", type=positive_int, default=512)
     p.add_argument("--out-dir", default="frames")
     p.add_argument("--overlay-spiral", action="store_true")
     p.set_defaults(func=_cmd_movie)
 
     p = sub.add_parser("spiral", help="spiral-bounded exactly-reachable region")
     _add_param_flags(p)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=positive_int, default=256)
     p.add_argument("--out", default="-")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_spiral)
 
     p = sub.add_parser("lacuna", help="guaranteed-ball radius, alpha bound, delta, certificates")
     _add_param_flags(p)
-    p.add_argument("--phi0", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--phi0", type=finite_float, default=0.0)
+    p.add_argument("--alpha", type=finite_float, default=None)
+    p.add_argument("--beta", type=finite_float, default=None)
     p.set_defaults(func=_cmd_lacuna)
 
     p = sub.add_parser("rank", help="bracket rank certificates on a Bloch-ball grid")
     _add_param_flags(p)
-    p.add_argument("--grid", type=int, default=5)
+    p.add_argument("--grid", type=positive_int, default=5)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_rank)
 
@@ -287,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_command", required=True)
     pb = tsub.add_parser("build")
     _add_param_flags(pb)
-    pb.add_argument("--seeds", type=int, default=4096)
-    pb.add_argument("--T-max", type=float, default=10.0)
-    pb.add_argument("--grid", type=int, default=256)
+    pb.add_argument("--seeds", type=positive_int, default=4096)
+    pb.add_argument("--T-max", type=finite_float, default=10.0)
+    pb.add_argument("--grid", type=positive_int, default=256)
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_table_build)
     pq = tsub.add_parser("query")
     pq.add_argument("--in", required=True)
-    pq.add_argument("--z", type=float, required=True)
-    pq.add_argument("--R", type=float, required=True)
+    pq.add_argument("--z", type=finite_float, required=True)
+    pq.add_argument("--R", type=finite_float, required=True)
     pq.set_defaults(func=_cmd_table_query)
 
     return parser

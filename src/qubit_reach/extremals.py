@@ -29,8 +29,10 @@ flow, and :func:`integrate_extremal` folds stored samples back to
 R >= 0.  All stationarity and control-recovery formulas used here are
 invariant under that fold.
 
-State arrays use a trailing axis of length 5 in the public functions,
-matching ``Trajectory.ys`` rows.
+The flow is written once, in :func:`extremal_flow`, which takes the five
+components as separate arrays.  The sweep passes the rows of its (5, n)
+block of seeds; the public functions that take a state array (trailing
+axis of length 5, like the rows of ``Trajectory.ys``) pass its columns.
 """
 
 from __future__ import annotations
@@ -39,10 +41,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SingularityError, aux_rhs
-from .ode import IntegrationError, IntegratorConfig, Trajectory, dp45_step, hermite
+from .bloch import SingularityError, meridian_rhs_scaled
+from .ode import IntegrationError, IntegratorConfig, Trajectory, dp45, hermite
 from .params import SystemParams
 from .schedule import ControlSchedule, propagate
+
+DEN_TOL = 1e-10  # |d2H/dtheta2| below which the theta drift is degenerate
+PROJECT_TOL = 1e-11  # stationarity residual the re-projection leaves alone
+MAX_BRANCH_JUMP = 0.3  # total re-projection move taken as an argmax branch jump
+SEED_SCAN = 4096  # sign-change scan intervals of seed() on [0, 2 pi)
+
+
+def extremal_flow(z, R, p, q, th, g):
+    """The extremal vector field in rescaled time, component by component.
+
+    Returns (z', R', p', q', num, den): the meridian velocity, the costate
+    drift (p', q') = (-dH/dz, -dH/dR) and the theta drift theta' =
+    num / den, whose denominator is d^2H/dtheta^2.  Broadcasts; den is
+    not guarded.
+    """
+    st, ct = np.sin(th), np.cos(th)
+    zp, rp = meridian_rhs_scaled(z, R, th, g)
+    pp = 0.5 * g * p - q * ct
+    qp = p * ct + 0.25 * g * q * (3.0 - np.cos(2.0 * th))
+    num = 0.125 * g * ((p * R + q * z) * (5.0 * st + np.sin(3.0 * th)) - 8.0 * p - 4.0 * g * q * ct ** 3)
+    return zp, rp, pp, qp, num, _d2H_dtheta2(z, R, p, q, th, g)
+
+
+def _dH_dtheta(z, R, p, q, th, g):
+    return (p * R - q * z) * np.sin(th) + g * q * (np.cos(th) - 0.5 * R * np.sin(2.0 * th))
+
+
+def _d2H_dtheta2(z, R, p, q, th, g):
+    return (p * R - q * z) * np.cos(th) - g * q * (np.sin(th) + R * np.cos(2.0 * th))
+
+
+def _extremal_rhs(y, g):
+    """Stacked (z', R', p', q', theta') of a (5, ...) state; theta' is 0
+    where the denominator degenerates."""
+    zp, rp, pp, qp, num, den = extremal_flow(*y, g)
+    safe = np.abs(den) >= DEN_TOL
+    return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])
 
 
 def _unpack(state):
@@ -53,58 +92,35 @@ def _unpack(state):
 
 
 def hamiltonian(state, params: SystemParams):
-    z, R, p, q, th = _unpack(state)
-    g = params.ratio
-    ct = np.cos(th)
-    return -p * (0.5 * g * z + R * ct) + q * (
-        z * ct - 0.25 * g * R * (3.0 - np.cos(2.0 * th)) + g * np.sin(th)
-    )
+    """Control Hamiltonian H = p z' + q R' at the state's control angle."""
+    y = _unpack(state)
+    zp, rp = extremal_flow(*y, params.ratio)[:2]
+    return y[2] * zp + y[3] * rp
 
 
 def hamiltonian_dtheta(state, params: SystemParams):
     """dH/dtheta; zero along extremals (stationarity residual)."""
-    z, R, p, q, th = _unpack(state)
-    g = params.ratio
-    return (p * R - q * z) * np.sin(th) + g * q * (np.cos(th) - 0.5 * R * np.sin(2.0 * th))
+    return _dH_dtheta(*_unpack(state), params.ratio)
 
 
 def hamiltonian_dtheta2(state, params: SystemParams):
     """d^2H/dtheta^2; also the denominator of the theta drift."""
-    z, R, p, q, th = _unpack(state)
-    g = params.ratio
-    return (p * R - q * z) * np.cos(th) - g * q * (np.sin(th) + R * np.cos(2.0 * th))
-
-
-def aux_rhs_scaled(z, R, theta, params: SystemParams):
-    """Meridian system in rescaled time tau = omega t."""
-    zdot, rdot = aux_rhs(z, R, theta, params)
-    return zdot / params.omega, rdot / params.omega
+    return _d2H_dtheta2(*_unpack(state), params.ratio)
 
 
 def costate_rhs(state, params: SystemParams):
     """(p', q') = (-dH/dz, -dH/dR) in rescaled time."""
-    z, R, p, q, th = _unpack(state)
-    g = params.ratio
-    ct = np.cos(th)
-    pp = 0.5 * g * p - q * ct
-    qp = p * ct + 0.25 * g * q * (3.0 - np.cos(2.0 * th))
-    return np.stack([pp, qp], axis=-1)
+    return np.stack(extremal_flow(*_unpack(state), params.ratio)[2:4], axis=-1)
 
 
-def theta_rhs(state, params: SystemParams, den_tol: float = 1e-10):
+def theta_rhs(state, params: SystemParams):
     """Drift of the maximizing control angle in rescaled time.
 
     Raises :class:`SingularityError` when the strict-convexity
     denominator degenerates (argmax branch jump).
     """
-    z, R, p, q, th = _unpack(state)
-    g = params.ratio
-    st, ct = np.sin(th), np.cos(th)
-    num = 0.125 * g * (
-        (p * R + q * z) * (5.0 * st + np.sin(3.0 * th)) - 8.0 * p - 4.0 * g * q * ct ** 3
-    )
-    den = (p * R - q * z) * ct - g * q * (st + R * np.cos(2.0 * th))
-    if np.any(np.abs(den) < den_tol):
+    num, den = extremal_flow(*_unpack(state), params.ratio)[4:]
+    if np.any(np.abs(den) < DEN_TOL):
         raise SingularityError("theta dynamics degenerate: |d2H/dtheta2| below tolerance")
     return num / den
 
@@ -155,7 +171,7 @@ def _hamiltonian_at_start(theta, psi0, g):
     return -np.cos(psi0) * np.cos(theta) - 0.5 * g * np.sin(psi0) * (np.sin(theta) - 1.0) ** 2
 
 
-def seed(psi0: float, params: SystemParams, branch: str = "max", n_scan: int = 4096) -> ExtremalSeed:
+def seed(psi0: float, params: SystemParams, branch: str = "max") -> ExtremalSeed:
     """Solve the stationarity equation at the start point and pick a branch.
 
     All roots of dH/dtheta = 0 on [0, 2 pi) are located by a sign-change
@@ -166,7 +182,7 @@ def seed(psi0: float, params: SystemParams, branch: str = "max", n_scan: int = 4
     if branch not in ("max", "min"):
         raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")
     g = params.ratio
-    grid = np.linspace(0.0, 2.0 * np.pi, n_scan + 1)
+    grid = np.linspace(0.0, 2.0 * np.pi, SEED_SCAN + 1)
     vals = _seed_residual(grid, psi0, g)
     # vectorized bisection of every sign-change bracket
     flo, fhi = vals[:-1], vals[1:]
@@ -242,10 +258,6 @@ class ExtremalSweep:
     fail_tau: np.ndarray
     fail_reason: list
 
-    @property
-    def n_seeds(self) -> int:
-        return len(self.seeds)
-
     def states(self) -> np.ndarray:
         """Stacked (n_seeds, m, 5) array; requires a full-component sweep."""
         comps = [self.data[c] for c in ("z", "R", "p", "q", "theta")]
@@ -253,24 +265,6 @@ class ExtremalSweep:
 
 
 _COMP_INDEX = {"z": 0, "R": 1, "p": 2, "q": 3, "theta": 4}
-
-
-def _sweep_rhs(y: np.ndarray, params: SystemParams, den_tol: float) -> np.ndarray:
-    """Vectorized extremal RHS on a (5, n) state block; degenerate columns
-    get theta' = 0 and are dealt with at accept time."""
-    z, R, p, q, th = y
-    g = params.ratio
-    st, ct = np.sin(th), np.cos(th)
-    c2 = np.cos(2.0 * th)
-    zp = -0.5 * g * z - R * ct
-    rp = z * ct - 0.25 * g * R * (3.0 - c2) + g * st
-    pp = 0.5 * g * p - q * ct
-    qp = p * ct + 0.25 * g * q * (3.0 - c2)
-    num = 0.125 * g * ((p * R + q * z) * (5.0 * st + np.sin(3.0 * th)) - 8.0 * p - 4.0 * g * q * ct ** 3)
-    den = (p * R - q * z) * ct - g * q * (st + R * c2)
-    safe = np.abs(den) >= den_tol
-    thp = np.where(safe, num / np.where(safe, den, 1.0), 0.0)
-    return np.stack([zp, rp, pp, qp, thp])
 
 
 def sweep_extremals(
@@ -281,18 +275,16 @@ def sweep_extremals(
     cfg: IntegratorConfig | None = None,
     sample_dt: float | None = None,
     components=("z", "R"),
-    den_tol: float = 1e-10,
-    project_tol: float = 1e-11,
-    max_branch_jump: float = 0.3,
 ) -> ExtremalSweep:
     """Integrate a family of extremals on a shared adaptive time grid.
 
-    seeds may be ExtremalSeed objects or bare psi0 angles.  Samples are
-    written on the uniform grid of spacing sample_dt via cubic Hermite
-    dense output.  After every accepted step the control angle of each
-    seed is re-projected onto the stationarity manifold dH/dtheta = 0
-    (Newton), which pins the stationarity residual near roundoff instead
-    of letting it drift with the integration error.
+    seeds may be ExtremalSeed objects or bare psi0 angles.  The seeds are
+    the columns of one :func:`ode.dp45` run.  Samples are written on the
+    uniform grid of spacing sample_dt via cubic Hermite dense output.
+    After every accepted step the control angle of each seed is
+    re-projected onto the stationarity manifold dH/dtheta = 0 (Newton),
+    which pins the stationarity residual near roundoff instead of letting
+    it drift with the integration error.
     """
     if T <= 0:
         raise ValueError(f"duration must be positive, got T={T}")
@@ -300,112 +292,69 @@ def sweep_extremals(
     n = len(seeds)
     if n == 0:
         raise ValueError("need at least one seed")
-    cfg = cfg or IntegratorConfig()
     if sample_dt is None:
         sample_dt = T / 2048.0
     m = max(2, int(np.ceil(T / sample_dt)) + 1)
     tau = np.linspace(0.0, T, m)
-    components = tuple(components)
     if any(c not in _COMP_INDEX for c in components):
         raise ValueError(f"unknown components in {components}")
     out = {c: np.full((n, m), np.nan) for c in components}
 
+    g = params.ratio
     y = np.stack([s.state0 for s in seeds], axis=1)  # (5, n)
     active = np.ones(n, dtype=bool)
     fail_tau = np.full(n, np.inf)
     fail_reason: list = [None] * n
+    j_next = 1
 
     def rhs(t, yy):
-        del t
-        d = _sweep_rhs(yy, params, den_tol)
-        return d * active  # frozen columns stay put
+        return _extremal_rhs(yy, g) * active  # frozen columns stay put
 
     def fail(cols, t, reason):
+        # cols only holds active seeds
+        active[cols] = False
+        fail_tau[cols] = t
         for c in np.nonzero(cols)[0]:
-            if active[c]:
-                active[c] = False
-                fail_tau[c] = t
-                fail_reason[c] = reason
+            fail_reason[c] = reason
 
     def write(idx, values):
         rows = np.nonzero(active)[0]
-        if rows.size == 0 or len(idx) == 0:
-            return
+        cells = np.ix_(rows, idx)
         for c in components:
-            comp = values[_COMP_INDEX[c]]  # (n, k)
-            out[c][np.ix_(rows, idx)] = comp[rows]
+            out[c][cells] = values[_COMP_INDEX[c]][rows]  # values: (5, n, k)
+
+    def accept(t0, h, y0, f0, t1, y1, f1):
+        nonlocal j_next
+        j_hi = int(np.searchsorted(tau, t1, side="right"))
+        if j_hi > j_next:
+            idx = np.arange(j_next, j_hi)
+            s = ((tau[idx] - t0) / h)[None, None, :]
+            write(idx, hermite(s, h, y0[:, :, None], f0[:, :, None], y1[:, :, None], f1[:, :, None]))
+            j_next = j_hi
+        # keep theta bounded and re-project it onto dH/dtheta = 0
+        y1[4] = np.mod(y1[4] + np.pi, 2.0 * np.pi) - np.pi
+        den = _d2H_dtheta2(*y1, g)
+        fail(active & (np.abs(den) < DEN_TOL), t1, "denominator degeneracy")
+        moved = np.zeros(n)
+        for _ in range(2):
+            res = _dH_dtheta(*y1, g)
+            need = active & (np.abs(res) > PROJECT_TOL) & (np.abs(den) > DEN_TOL)
+            if not np.any(need):
+                break
+            step = np.zeros(n)
+            step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
+            y1[4] -= step
+            moved += np.abs(step)
+            den = _d2H_dtheta2(*y1, g)
+        fail(active & (moved > MAX_BRANCH_JUMP), t1, "argmax branch jump")
+        return rhs(t1, y1)
 
     # seeds starting exactly on a degenerate angle are stationary; keep
     # their single valid sample and freeze them
-    den0 = np.abs(hamiltonian_dtheta2(np.moveaxis(y, 0, -1), params))
     write(np.array([0]), y[:, :, None])
-    fail(den0 < den_tol, 0.0, "degenerate start (stationary extremal)")
-
-    f = rhs(0.0, y)
-    t = 0.0
-    h = min(1e-3, T)
-    j_next = 1
-    accepted = 0
-    rejects = 0
-    while t < T and j_next < m:
-        h = min(h, T - t)
-        if accepted >= cfg.max_steps:
-            raise IntegrationError(f"step budget exceeded at tau={t}")
-        y_new, f_new, err = dp45_step(rhs, t, y, h, f)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_col = np.sqrt(np.mean((err / scale) ** 2, axis=0))
-        bad_col = ~np.isfinite(err_col)
-        if np.any(bad_col & active):
-            # isolate the blowing-up seeds and retry the step without them
-            fail(bad_col, t, "non-finite step")
-            f = rhs(t, y)
-            rejects = 0
-            continue
-        norm = float(np.max(err_col[active])) if np.any(active) else 0.0
-        if norm <= 1.0:
-            t_new = T if (T - t - h) < 1e-15 * T else t + h
-            j_hi = int(np.searchsorted(tau, t_new, side="right"))
-            if j_hi > j_next:
-                idx = np.arange(j_next, j_hi)
-                s = ((tau[idx] - t) / h)[None, None, :]
-                write(idx, hermite(s, h, y[:, :, None], f[:, :, None], y_new[:, :, None], f_new[:, :, None]))
-                j_next = j_hi
-            t, y = t_new, y_new
-            accepted += 1
-            rejects = 0
-            # keep theta bounded and re-project it onto dH/dtheta = 0
-            y[4] = np.mod(y[4] + np.pi, 2.0 * np.pi) - np.pi
-            state_t = np.moveaxis(y, 0, -1)
-            den = hamiltonian_dtheta2(state_t, params)
-            fail(active & (np.abs(den) < den_tol), t, "denominator degeneracy")
-            moved = np.zeros(n)
-            for _ in range(2):
-                res = hamiltonian_dtheta(np.moveaxis(y, 0, -1), params)
-                den = hamiltonian_dtheta2(np.moveaxis(y, 0, -1), params)
-                need = active & (np.abs(res) > project_tol) & (np.abs(den) > den_tol)
-                if not np.any(need):
-                    break
-                step = np.zeros(n)
-                step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
-                y[4] -= step
-                moved += np.abs(step)
-            fail(active & (moved > max_branch_jump), t, "argmax branch jump")
-            f = rhs(t, y)
-            grow = 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2)
-            h *= max(0.2, grow)
-            if not np.any(active):
-                break
-        else:
-            rejects += 1
-            if rejects > 60:
-                worst = int(np.argmax(np.where(active, err_col, -np.inf)))
-                fail(np.arange(n) == worst, t, "step collapse")
-                f = rhs(t, y)
-                rejects = 0
-                continue
-            h *= max(0.2, 0.9 * norm ** -0.2)
-    failed = ~active
-    return ExtremalSweep(tau, seeds, out, failed, fail_tau, fail_reason)
+    fail(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL, 0.0, "degenerate start (stationary extremal)")
+    dp45(rhs, y, T, cfg or IntegratorConfig(), active, accept, fail)
+    return ExtremalSweep(tau, seeds, out, ~active, fail_tau, fail_reason)
 
 
 def sweep_extremals_parallel(
@@ -427,12 +376,6 @@ def sweep_extremals_parallel(
     seed order.
     """
     seeds = [s if isinstance(s, ExtremalSeed) else seed(float(s), params) for s in seeds]
-    if sample_dt is None:
-        sample_dt = T / 2048.0
-    if len(seeds) <= block:
-        return sweep_extremals(
-            seeds, T, params, cfg=cfg, sample_dt=sample_dt, components=components
-        )
     blocks = [seeds[i : i + block] for i in range(0, len(seeds), block)]
 
     def run(batch):
@@ -440,6 +383,8 @@ def sweep_extremals_parallel(
             batch, T, params, cfg=cfg, sample_dt=sample_dt, components=components
         )
 
+    if len(seeds) <= block:
+        return run(seeds)  # nothing to merge, so no copy of the samples
     if n_threads <= 1:
         parts = [run(b) for b in blocks]
     else:
@@ -469,7 +414,6 @@ def integrate_extremal(
     seedv: ExtremalSeed,
     T_scaled: float,
     params: SystemParams,
-    cfg: IntegratorConfig | None = None,
     sample_dt: float | None = None,
 ) -> Trajectory:
     """Integrate one extremal and return a Trajectory of (z,R,p,q,theta).
@@ -479,7 +423,7 @@ def integrate_extremal(
     failure time.
     """
     sweep = sweep_extremals(
-        [seedv], T_scaled, params, cfg=cfg, sample_dt=sample_dt,
+        [seedv], T_scaled, params, sample_dt=sample_dt,
         components=("z", "R", "p", "q", "theta"),
     )
     if sweep.failed[0] and sweep.fail_tau[0] < T_scaled:
@@ -487,8 +431,7 @@ def integrate_extremal(
             f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"
         )
     states = normalize_states(sweep.states()[0])
-    fs = np.moveaxis(_sweep_rhs(np.moveaxis(states, -1, 0), params, den_tol=1e-14), 0, -1)
-    return Trajectory(sweep.tau, states, fs, meta={"seed": seedv, "time": "tau"})
+    return Trajectory(sweep.tau, states, _extremal_rhs(states.T, params.ratio).T)
 
 
 # --- control recovery and replay ------------------------------------------

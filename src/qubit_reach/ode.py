@@ -1,16 +1,20 @@
 """Initial-value-problem integration.
 
-Two methods: the classical fixed-step 4th order Runge-Kutta scheme and an
-embedded adaptive Dormand-Prince 5(4) pair.  Dense output between accepted
-nodes is cubic Hermite, which is what the reachable-set rasterisation
-samples.  State vectors may carry trailing batch axes; the right-hand side
-must map arrays of shape ``y0.shape`` to the same shape.  Affine flows with
-constant coefficients need no stepping: :func:`expm` propagates them exactly.
+One adaptive loop, :func:`dp45`, steps the embedded Dormand-Prince 5(4)
+pair on the columns of a (d, n) state: every column has its own error
+norm, the step follows the worst live column, and two hooks decide what
+an accepted step stores and what becomes of a column that fails.
+:func:`integrate` runs it on a single column and keeps every node; the
+extremal sweep runs it on a block of seeds.  Dense output between
+accepted nodes is cubic Hermite, which is what the reachable-set
+rasterisation samples.  :func:`rk4` is the classical fixed-step scheme,
+kept as a reference.  Affine flows with constant coefficients need no
+stepping: :func:`expm` propagates them exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,27 +44,18 @@ DP_ERR = DP_B5 - DP_B4
 
 @dataclass
 class IntegratorConfig:
-    """Integration method and accuracy knobs.
+    """Tolerances and step budget of :func:`dp45`.
 
-    method     "rk45" (adaptive embedded pair) or "rk4" (fixed step)
-    step       fixed step size, required for "rk4"
-    abs_tol    absolute tolerance of the adaptive pair
-    rel_tol    relative tolerance of the adaptive pair
-    max_steps  hard cap on accepted steps
+    A step is accepted when, in every live column, the RMS of the error
+    estimate over abs_tol + rel_tol * max(|y0|, |y1|) is at most 1;
+    max_steps caps the number of accepted steps.
     """
 
-    method: str = "rk45"
-    step: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_steps: int = 10_000_000
-    max_step: float = np.inf
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "rk4" and (self.step is None or self.step <= 0):
-            raise ValueError("rk4 requires a positive fixed step")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -79,8 +74,6 @@ class Trajectory:
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    dense: bool = True
-    meta: dict = field(default_factory=dict)
     fs_left: np.ndarray | None = None
 
     def __post_init__(self):
@@ -99,8 +92,6 @@ class Trajectory:
 
     def sample(self, t) -> np.ndarray:
         """Cubic Hermite interpolation at times t (scalar or array)."""
-        if not self.dense:
-            raise ValueError("trajectory was stored without dense output")
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < self.ts[0] - 1e-12) or np.any(t > self.ts[-1] + 1e-12):
             raise ValueError("sample time outside the integrated interval")
@@ -163,11 +154,6 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def _error_norm(err, y0, y1, abs_tol, rel_tol) -> float:
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
 def dp45_step(rhs: Callable, t: float, y: np.ndarray, h: float, f0: np.ndarray):
     """One Dormand-Prince step; returns (y_new, f_new, error_estimate)."""
     ks = [f0]
@@ -181,92 +167,101 @@ def dp45_step(rhs: Callable, t: float, y: np.ndarray, h: float, f0: np.ndarray):
     return y_new, ks[6], err
 
 
-def integrate(rhs: Callable, y0, T: float, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate dy/dt = rhs(t, y) from t = 0 to t = T.
+def dp45(
+    rhs: Callable, y: np.ndarray, T: float, cfg: IntegratorConfig, live: np.ndarray,
+    accept: Callable, drop: Callable,
+) -> None:
+    """Adaptive Dormand-Prince 5(4) on the columns of a (d, n) state, t = 0 to T.
 
-    Raises :class:`IntegrationError` if the step budget is exhausted or
-    the right-hand side signals a singularity; the failure time is part
-    of the message.
+    Each column has its own RMS error norm and the step follows the worst
+    column of the boolean mask ``live``.  A live column whose step is not
+    finite, or the worst one after 60 rejections in a row, goes to
+    ``drop(cols, t, reason)`` as a column mask; drop takes it out of
+    ``live`` (or raises), and the step is retried from rhs(t, y).  Every
+    accepted step calls ``accept(t0, h, y0, f0, t1, y1, f1)``, which may
+    edit y1 in place and returns the derivative to continue from.  The
+    loop ends at T or when no column is live; the first trial step is
+    min(1e-3, T).
+    """
+    t = 0.0
+    f = rhs(t, y)
+    h = min(1e-3, T)
+    accepted = rejects = 0
+    while t < T and live.any():
+        h = min(h, T - t)
+        if accepted >= cfg.max_steps:
+            raise IntegrationError(f"step budget exceeded at t={t}")
+        y_new, f_new, err = dp45_step(rhs, t, y, h, f)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_col = np.sqrt(np.mean((err / scale) ** 2, axis=0))
+        bad = live & ~np.isfinite(err_col)
+        if bad.any():
+            drop(bad, t, "non-finite step")
+            f, rejects = rhs(t, y), 0
+            continue
+        norm = float(np.max(err_col[live]))
+        if norm <= 1.0:
+            t_new = T if (T - t - h) < 1e-15 * T else t + h
+            f = accept(t, h, y, f, t_new, y_new, f_new)
+            t, y = t_new, y_new
+            accepted += 1
+            rejects = 0
+            h *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
+        elif rejects == 60:
+            worst = np.argmax(np.where(live, err_col, -np.inf))
+            drop(np.arange(len(live)) == worst, t, "step collapse")
+            f, rejects = rhs(t, y), 0
+        else:
+            rejects += 1
+            h *= max(0.2, 0.9 * norm ** -0.2)
+
+
+def integrate(rhs: Callable, y0, T: float, cfg: IntegratorConfig | None = None) -> Trajectory:
+    """Integrate dy/dt = rhs(t, y) from t = 0 to t = T, keeping every node.
+
+    y0 may have any shape; it is the one column of :func:`dp45`.  Raises
+    :class:`IntegrationError` with the failure time in the message when
+    the step budget is exhausted, a step is not finite, the step size
+    collapses or the right-hand side raises.
     """
     if T <= 0:
         raise ValueError(f"duration must be positive, got T={T}")
-    cfg = cfg or IntegratorConfig()
-    y = np.asarray(y0, dtype=float).copy()
+    y0 = np.asarray(y0, dtype=float)
+    nodes = []
 
-    def wrapped(t, yy):
-        return _call_rhs(rhs, t, yy)
+    def column_rhs(t, y):
+        try:
+            return np.asarray(rhs(t, y.reshape(y0.shape)), dtype=float).reshape(-1, 1)
+        except Exception as exc:
+            raise IntegrationError(f"right-hand side failed at t={t}: {exc}") from exc
 
-    if cfg.method == "rk4":
-        return _integrate_rk4(wrapped, y, T, cfg)
-    return _integrate_rk45(wrapped, y, T, cfg)
+    def accept(t0, h, ya, fa, t1, yb, fb):
+        if not nodes:
+            nodes.append((t0, ya, fa))
+        nodes.append((t1, yb, fb))
+        return fb
+
+    def drop(cols, t, reason):
+        raise IntegrationError(f"{reason} at t={t}")
+
+    dp45(column_rhs, y0.reshape(-1, 1), T, cfg or IntegratorConfig(), np.ones(1, dtype=bool), accept, drop)
+    ts, ys, fs = zip(*nodes)
+    shape = (len(ts),) + y0.shape
+    return Trajectory(np.array(ts), np.reshape(ys, shape), np.reshape(fs, shape))
 
 
-def _call_rhs(rhs, t, y):
-    try:
-        return np.asarray(rhs(t, y), dtype=float)
-    except Exception as exc:
-        raise IntegrationError(f"right-hand side failed at t={t}: {exc}") from exc
-
-
-def _integrate_rk4(rhs, y, T, cfg):
-    n_steps = max(1, int(np.ceil(T / cfg.step - 1e-12)))
+def rk4(rhs: Callable, y0, T: float, step: float) -> np.ndarray:
+    """Final state of classical fixed-step 4th order Runge-Kutta on [0, T],
+    in steps of the largest T / k not above ``step``."""
+    n_steps = max(1, int(np.ceil(T / step - 1e-12)))
     h = T / n_steps
-    if n_steps > cfg.max_steps:
-        raise IntegrationError(f"step budget exceeded at t=0 (needs {n_steps} steps)")
-    ts = [0.0]
-    ys = [y.copy()]
-    fs = [rhs(0.0, y)]
+    y = np.asarray(y0, dtype=float)
     t = 0.0
     for _ in range(n_steps):
-        k1 = fs[-1]
+        k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        ts.append(t)
-        ys.append(y.copy())
-        fs.append(rhs(t, y))
-    ts[-1] = T  # kill accumulated roundoff in the final node
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs))
-
-
-def _initial_step(f0, y, T, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.max(np.abs(y))
-    fmax = np.max(np.abs(f0))
-    h = 0.01 * scale ** 0.2 if fmax == 0 else 0.1 * (scale / fmax) ** 0.2
-    return min(h, T, cfg.max_step)
-
-
-def _integrate_rk45(rhs, y, T, cfg):
-    t = 0.0
-    f = rhs(t, y)
-    h = _initial_step(f, y, T, cfg)
-    ts, ys, fs = [0.0], [y.copy()], [f.copy()]
-    accepted = 0
-    rejects = 0
-    while t < T:
-        h = min(h, T - t, cfg.max_step)
-        if accepted >= cfg.max_steps:
-            raise IntegrationError(f"step budget exceeded at t={t}")
-        y_new, f_new, err = dp45_step(rhs, t, y, h, f)
-        if not np.all(np.isfinite(y_new)):
-            norm = np.inf
-        else:
-            norm = _error_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
-        if norm <= 1.0:
-            t = T if (T - t - h) < 1e-15 * T else t + h
-            y, f = y_new, f_new
-            ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
-            accepted += 1
-            rejects = 0
-            grow = 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2)
-            h *= max(0.2, grow)
-        else:
-            rejects += 1
-            if rejects > 60:
-                raise IntegrationError(f"step size collapsed at t={t}")
-            h *= max(0.2, 0.9 * norm ** -0.2) if np.isfinite(norm) else 0.1
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs))
+    return y

@@ -19,6 +19,10 @@ from .extremals import sweep_extremals_parallel
 from .ode import IntegratorConfig
 from .params import SystemParams
 
+SWEEP_CFG = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)  # extremal sweeps of rasters and tables
+REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bisection seed
+MAX_REFINE_ROUNDS = 24
+
 
 # --- spiral-bounded exact-reachability region ------------------------------
 
@@ -233,12 +237,12 @@ class ReachSweep:
     construction, which is also what makes movie frames cheap.
 
     Strips are filled in parameter space.  Adjacent-seed pairs whose
-    paths separate by more than ``refine_cells`` cells are bisected with
-    freshly integrated seeds (a straight chord across a wide gap could
-    cut through a genuinely unreachable bay near the poles); remaining
-    narrow gaps are bridged by linear interpolation between neighbouring
-    paths, which stays within a small fraction of a cell of the true
-    swept surface.
+    paths separate by more than REFINE_CELLS cells are bisected with up
+    to 4 n_seeds freshly integrated seeds (a straight chord across a wide
+    gap could cut through a genuinely unreachable bay near the poles);
+    remaining narrow gaps are bridged by linear interpolation between
+    neighbouring paths, which stays within a small fraction of a cell of
+    the true swept surface.
     """
 
     def __init__(
@@ -247,11 +251,6 @@ class ReachSweep:
         T_max: float,
         n_seeds: int = 1024,
         raster: int = 512,
-        cfg: IntegratorConfig | None = None,
-        refine_cells: float = 2.0,
-        max_extra_seeds: int | None = None,
-        sample_dt: float | None = None,
-        max_refine_rounds: int = 24,
         n_threads: int = 1,
     ):
         if n_seeds < 64:
@@ -262,18 +261,13 @@ class ReachSweep:
         self.T_max = float(T_max)
         self.n = int(raster)
         self.cell = 2.0 / self.n
-        cfg = cfg or IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
-        if sample_dt is None:
-            # successive samples at most ~0.45 cell apart (speed <= ~1.3)
-            sample_dt = min(0.35 * self.cell, T_max / 64.0)
-        self.sample_dt = float(sample_dt)
+        # successive samples at most ~0.45 cell apart (speed <= ~1.3)
+        self.sample_dt = min(0.35 * self.cell, T_max / 64.0)
         self.n_threads = max(1, int(n_threads))
-        if max_extra_seeds is None:
-            max_extra_seeds = 4 * n_seeds
 
         def run(batch):
             sweep = sweep_extremals_parallel(
-                batch, T_max, params, n_threads=self.n_threads, cfg=cfg,
+                batch, T_max, params, n_threads=self.n_threads, cfg=SWEEP_CFG,
                 sample_dt=self.sample_dt, components=("z", "R"),
             )
             # paths frozen at tau = 0 (stationary extremals) carry no arc;
@@ -290,11 +284,11 @@ class ReachSweep:
         seeds = [s for s, ok in zip(seeds, live) if ok]
         n_failed = int(np.sum(sweep.failed))
 
-        budget = max_extra_seeds
-        for _ in range(max_refine_rounds):
+        budget = 4 * n_seeds
+        for _ in range(MAX_REFINE_ROUNDS):
             order = np.argsort(psis)
             gaps = self._pair_gaps(z[order], r[order])
-            wide = np.nonzero(gaps > refine_cells * self.cell)[0]
+            wide = np.nonzero(gaps > REFINE_CELLS * self.cell)[0]
             if len(wide) == 0 or budget <= 0:
                 break
             take = wide[: max(budget, 0)]
@@ -329,7 +323,7 @@ class ReachSweep:
         self.seeds = [seeds[i] for i in order]
         self.n_failed = n_failed
         self.unfilled_pairs: list[int] = []
-        self.tau_min = self._rasterize(z[order], r[order], refine_cells)
+        self.tau_min = self._rasterize(z[order], r[order])
 
     @staticmethod
     def _pair_gaps(z, r):
@@ -345,7 +339,7 @@ class ReachSweep:
             np.maximum(out, dist.max(axis=1), out=out)
         return out
 
-    def _rasterize(self, z, r, refine_cells):
+    def _rasterize(self, z, r):
         ns, m = z.shape
         n = self.n
         inv = 1.0 / self.cell
@@ -355,18 +349,13 @@ class ReachSweep:
         # strips are bridged by chords only where the two paths run close
         # together; a chord across a wide gap could cut through a genuinely
         # unreachable bay, so wide moments stay unbridged (and recorded)
-        fill_limit = 2.0 * refine_cells * self.cell
+        fill_limit = 2.0 * REFINE_CELLS * self.cell
         self.unfilled_pairs = list(np.nonzero(gaps > fill_limit)[0])
         n_sub = np.ceil(np.minimum(gaps, fill_limit) * inv / 0.45).astype(int)
         pair_ids = np.nonzero(n_sub > 1)[0]
-        lam_list = [np.arange(1, n_sub[k]) / n_sub[k] for k in pair_ids]
-        if pair_ids.size:
-            rep_a = np.concatenate([np.full(len(l), k) for k, l in zip(pair_ids, lam_list)])
-            rep_b = nxt[rep_a]
-            lam = np.concatenate(lam_list)
-        else:
-            rep_a = rep_b = np.zeros(0, dtype=int)
-            lam = np.zeros(0)
+        rep_a = np.repeat(pair_ids, n_sub[pair_ids] - 1)
+        rep_b = nxt[rep_a]
+        lam = np.concatenate([np.zeros(0)] + [np.arange(1, n_sub[k]) / n_sub[k] for k in pair_ids])
 
         for j in range(m):
             zj, rj = z[:, j], r[:, j]
@@ -406,10 +395,9 @@ def compute_reachable_set(
     n_seeds: int,
     raster: int,
     params: SystemParams,
-    cfg: IntegratorConfig | None = None,
 ) -> ReachableSet2D:
     """One-shot reachable set at scaled time T (time <= T semantics)."""
-    sweep = ReachSweep(params, T_scaled, n_seeds=n_seeds, raster=raster, cfg=cfg)
+    sweep = ReachSweep(params, T_scaled, n_seeds=n_seeds, raster=raster)
     return sweep.reachable_set(T_scaled)
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extremals import ExtremalSeed, seed_grid, sweep_extremals_parallel
-from .ode import IntegratorConfig
 from .params import SystemParams
+from .reachset import SWEEP_CFG
 
 MAGIC = "#qubit-reach-table v1"
 
@@ -81,8 +81,6 @@ def build_table(
     n_seeds: int = 4096,
     T_max_scaled: float = 10.0,
     grid_resolution: int = 256,
-    cfg: IntegratorConfig | None = None,
-    sample_dt: float | None = None,
     n_threads: int = 1,
 ) -> LookupTable:
     """Sweep extremals and record the first passage through every cell.
@@ -97,13 +95,10 @@ def build_table(
     if grid_resolution < 2 or grid_resolution % 2:
         raise ValueError("grid resolution must be even and >= 2")
     table = LookupTable(params.ratio, grid_resolution)
-    cfg = cfg or IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
-    if sample_dt is None:
-        sample_dt = min(0.35 * table.cell, T_max_scaled / 64.0)
     seeds = seed_grid(n_seeds, params)
     sweep = sweep_extremals_parallel(
-        seeds, T_max_scaled, params, n_threads=n_threads, cfg=cfg,
-        sample_dt=sample_dt, components=("z", "R"),
+        seeds, T_max_scaled, params, n_threads=n_threads, cfg=SWEEP_CFG,
+        sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0), components=("z", "R"),
     )
     z = sweep.data["z"]
     r = np.abs(sweep.data["R"])
@@ -199,7 +194,10 @@ def load(path) -> LookupTable:
         raise ValueError(f"{path}: unsupported table version {m.group('version')}")
     if len(lines) < 2 or lines[1] != "i,j,psi0,theta0,Tmin":
         raise ValueError(f"{path}: missing column header")
-    table = LookupTable(float(m.group("ratio")), int(m.group("grid")))
+    ratio, grid = float(m.group("ratio")), int(m.group("grid"))
+    if not (np.isfinite(ratio) and ratio >= 0.0) or grid < 2 or grid % 2:
+        raise ValueError(f"{path}: header needs a finite gamma_ratio >= 0 and an even grid >= 2")
+    table = LookupTable(ratio, grid)
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -207,8 +205,11 @@ def load(path) -> LookupTable:
         if len(parts) != 5:
             raise ValueError(f"{path}:{ln}: truncated row {line!r}")
         i, j = int(parts[0]), int(parts[1])
-        table.psi0[i, j] = float(parts[2])
-        table.theta0[i, j] = float(parts[3])
-        table.tmin[i, j] = float(parts[4])
+        psi0, theta0, tmin = (float(v) for v in parts[2:])
+        if not (0 <= i < grid and 0 <= j < grid // 2):
+            raise ValueError(f"{path}:{ln}: cell ({i}, {j}) outside the {grid} x {grid // 2} grid")
+        if not (np.isfinite([psi0, theta0, tmin]).all() and tmin >= 0.0):
+            raise ValueError(f"{path}:{ln}: psi0, theta0 and Tmin must be finite, Tmin >= 0")
+        table.psi0[i, j], table.theta0[i, j], table.tmin[i, j] = psi0, theta0, tmin
         table.mask[i, j] = True
     return table

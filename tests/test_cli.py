@@ -232,3 +232,41 @@ def test_malformed_thread_cap_is_usage_error(capsys, monkeypatch):
                   "--raster", "64"])
         assert exc.value.code == 2
         assert "QUBIT_REACH_THREADS" in capsys.readouterr().err
+
+
+# each numeric flag, with a valid command line of its subcommand
+FLAG_COMMANDS = {
+    "simulate": ["simulate", "--gamma-ratio", "0.1", "--schedule", "s.csv", "--T", "1"],
+    "extremal": ["extremal", "--gamma-ratio", "0.1", "--psi0", "1", "--T", "1"],
+    "reachset": ["reachset", "--gamma-ratio", "0.1", "--T", "1"],
+    "movie": ["movie", "--gamma-ratio", "0.1"],
+    "spiral": ["spiral", "--gamma-ratio", "0.1"],
+    "lacuna": ["lacuna", "--gamma-ratio", "0.1"],
+    "rank": ["rank", "--gamma-ratio", "0.1"],
+    "build": ["table", "build", "--gamma-ratio", "0.1", "--out", "t.csv"],
+    "query": ["table", "query", "--in", "t.csv", "--z", "0", "--R", "0.5"],
+}
+POSITIVE_INT_FLAGS = [
+    ("simulate", "--samples"), ("extremal", "--samples"), ("spiral", "--samples"),
+    ("reachset", "--seeds"), ("reachset", "--raster"), ("reachset", "--obj-angles"),
+    ("movie", "--seeds"), ("movie", "--raster"), ("movie", "--frames"),
+    ("rank", "--grid"), ("build", "--seeds"), ("build", "--grid"),
+]
+FINITE_FLOAT_FLAGS = [
+    ("simulate", "--T"), ("extremal", "--T"), ("extremal", "--psi0"), ("reachset", "--T"),
+    ("movie", "--T-max"), ("build", "--T-max"), ("lacuna", "--phi0"), ("lacuna", "--alpha"),
+    ("lacuna", "--beta"), ("query", "--z"), ("query", "--R"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for c, f in POSITIVE_INT_FLAGS for v in ("0", "-2", "1.5")]
+    + [(c, f, v) for c, f in FINITE_FLOAT_FLAGS for v in ("nan", "inf", "-inf")],
+)
+def test_bad_numeric_flag_is_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(FLAG_COMMANDS[command] + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err

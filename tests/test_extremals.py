@@ -100,14 +100,14 @@ def test_convexity_margin_is_velocity_curvature():
     # differences on the velocity curve itself
     rng = np.random.default_rng(3)
     h = 1e-5
-    from qubit_reach.extremals import aux_rhs_scaled
+    from qubit_reach.bloch import aux_rhs
 
     for _ in range(40):
         z, R = rng.uniform(-0.7, 0.7), rng.uniform(0, 1)
         th = rng.uniform(0, 2 * np.pi)
 
         def vel(t):
-            return np.array(aux_rhs_scaled(z, R, t, P))
+            return np.array(aux_rhs(z, R, t, P)) / P.omega
 
         xi = (vel(th + h) - vel(th - h)) / (2 * h)
         xi_p = (vel(th + h) - 2 * vel(th) + vel(th - h)) / h ** 2

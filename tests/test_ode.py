@@ -4,7 +4,9 @@ import pytest
 
 from qubit_reach import SystemParams, bloch_rhs
 from qubit_reach.bloch import aux_rhs
-from qubit_reach.ode import IntegrationError, IntegratorConfig, Trajectory, integrate
+from qubit_reach.ode import (
+    IntegrationError, IntegratorConfig, Trajectory, dp45, dp45_step, integrate, rk4,
+)
 
 
 def test_exponential_decay():
@@ -48,8 +50,7 @@ def test_rk4_fourth_order_convergence():
     exact = 1j * np.exp((-p.gamma / 2 + 1j * p.omega) * T)
 
     def err(step):
-        cfg = IntegratorConfig(method="rk4", step=step)
-        y = integrate(aux_spiral_rhs(p), np.array([0.0, 1.0]), T, cfg).final_state
+        y = rk4(aux_spiral_rhs(p), np.array([0.0, 1.0]), T, step)
         return abs(y[0] + 1j * y[1] - exact)
 
     assert err(0.02) / err(0.01) >= 14.0
@@ -59,19 +60,18 @@ def test_adaptive_vs_fixed_agreement():
     p = SystemParams.from_ratio(0.1)
     tol = 1e-10
     cfg_a = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-    cfg_f = IntegratorConfig(method="rk4", step=1e-3)
     for rhs, y0, T in [
         (aux_spiral_rhs(p), np.array([0.0, 1.0]), 2.0),
         (lambda t, y: -y, np.array([1.0]), 1.0),
     ]:
         ya = integrate(rhs, y0, T, cfg_a).final_state
-        yf = integrate(rhs, y0, T, cfg_f).final_state
+        yf = rk4(rhs, y0, T, 1e-3)
         assert np.max(np.abs(ya - yf)) < 10 * max(tol, 1e-10 * 100)
 
 
 def test_max_steps_exceeded():
-    cfg = IntegratorConfig(method="rk4", step=1e-5, max_steps=10)
-    with pytest.raises(IntegrationError):
+    cfg = IntegratorConfig(max_steps=10)
+    with pytest.raises(IntegrationError, match="step budget"):
         integrate(lambda t, y: -y, np.array([1.0]), 1.0, cfg)
 
 
@@ -106,10 +106,6 @@ def test_trajectory_validation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="rk4")
-    with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=0.0)
 
 
@@ -118,3 +114,50 @@ def test_batched_state_integration():
     y0 = np.array([[1.0, 2.0, 3.0]])
     traj = integrate(lambda t, y: -y, y0, 1.0)
     npt.assert_allclose(traj.final_state, y0 * np.exp(-1.0), atol=1e-8)
+
+
+def run_columns(square, T=2.0):
+    """dp45 on columns y' = -y (square False) and y' = y^2 (True), all from 1."""
+    y = np.ones((1, len(square)))
+    live = np.ones(len(square), dtype=bool)
+    steps, dropped = [], []
+
+    def accept(t0, h, ya, fa, t1, yb, fb):
+        steps.append((t0, h, t1, yb.copy()))
+        return fb
+
+    def drop(cols, t, reason):
+        live[cols] = False
+        dropped.append((np.nonzero(cols)[0].tolist(), t, reason))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp45(lambda t, y: np.where(square, y * y, -y), y, T, IntegratorConfig(), live, accept, drop)
+    return steps, dropped
+
+
+def test_dp45_drops_a_blowing_up_column_and_keeps_the_others():
+    # y' = y^2 from 1 blows up at t = 1; the two decaying columns go on to T
+    steps, dropped = run_columns(np.array([False, False, True]))
+    assert len(dropped) == 1
+    cols, t_drop, reason = dropped[0]
+    assert cols == [2] and reason == "non-finite step" and abs(t_drop - 1.0) < 1e-9
+    assert steps[-1][2] == 2.0
+    y_end = steps[-1][3][0, :2]
+    # the blow-up leaks nothing into the live columns: replaying them alone
+    # along the same accepted steps gives the same bits
+    y, f = np.ones((1, 2)), -np.ones((1, 2))
+    for t0, h, _, _ in steps:
+        y, f, _ = dp45_step(lambda t, yy: -yy, t0, y, h, f)
+    npt.assert_array_equal(y[0], y_end)
+    # a run without the bad column takes its own steps (the bad column set
+    # the shared step while it was live), so it agrees to the tolerance
+    ref_steps, ref_dropped = run_columns(np.array([False, False]))
+    assert ref_dropped == [] and ref_steps[-1][2] == 2.0
+    npt.assert_allclose(y_end, ref_steps[-1][3][0], rtol=1e-9)
+    npt.assert_allclose(y_end, np.exp(-2.0), rtol=1e-9)
+
+
+def test_integrate_blow_up_raises_with_time():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="non-finite step at t=0.99"):
+            integrate(lambda t, y: y * y, np.array([1.0]), 2.0)

@@ -164,15 +164,15 @@ def test_propagate_matches_tight_integration_with_incoherent_control():
 def test_propagate_alignment_spike():
     # the 1e6-scaled spike replay_extremal uses to leave the north pole
     from qubit_reach.bloch import bloch_rhs
-    from qubit_reach.ode import IntegratorConfig, integrate
+    from qubit_reach.ode import rk4
 
     u_max = 1e6 * P.omega / (2 * P.kappa)
     eps = np.pi / (2 * P.kappa * u_max)
     u_align = -2.0 / (2 * P.kappa * eps)
     got = propagate([0.0, 0.0, 1.0], [0.0, eps], [u_align], [0.0], P)[-1]
     rhs = lambda t, r: bloch_rhs(r, u_align, 0.0, P)
-    want = integrate(rhs, np.array([0.0, 0.0, 1.0]), eps, IntegratorConfig(method="rk4", step=eps / 4000))
-    npt.assert_allclose(got, want.final_state, rtol=0, atol=1e-12)
+    want = rk4(rhs, np.array([0.0, 0.0, 1.0]), eps, eps / 4000)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
     npt.assert_allclose(np.arctan2(got[2], got[1]), np.pi / 2 - 2.0, atol=1e-5)
 
 

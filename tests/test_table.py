@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal
+from qubit_reach.cli import main
 from qubit_reach.extremals import hamiltonian_dtheta
 from qubit_reach.table import (
     LookupTable,
@@ -142,6 +143,36 @@ def test_load_rejects_truncated_row(tmp_path):
     )
     with pytest.raises(ValueError, match="truncated"):
         load(p)
+
+
+GOOD_HEADER = "#qubit-reach-table v1 gamma_ratio=0.1 grid=8"
+
+
+@pytest.mark.parametrize(
+    "header, row",
+    [
+        (GOOD_HEADER, "-1,0,0.5,1.0,0.25"),  # would wrap to the last z row
+        (GOOD_HEADER, "0,-1,0.5,1.0,0.25"),
+        (GOOD_HEADER, "99,0,0.5,1.0,0.25"),
+        (GOOD_HEADER, "0,4,0.5,1.0,0.25"),  # R rows are 0 .. grid/2 - 1
+        (GOOD_HEADER, "0,0,nan,1.0,0.25"),
+        (GOOD_HEADER, "0,0,0.5,inf,0.25"),
+        (GOOD_HEADER, "0,0,0.5,1.0,-inf"),
+        (GOOD_HEADER, "0,0,0.5,1.0,-0.25"),
+        ("#qubit-reach-table v1 gamma_ratio=nan grid=8", "0,0,0.5,1.0,0.25"),
+        ("#qubit-reach-table v1 gamma_ratio=-0.1 grid=8", "0,0,0.5,1.0,0.25"),
+        ("#qubit-reach-table v1 gamma_ratio=0.1 grid=0", ""),
+        ("#qubit-reach-table v1 gamma_ratio=0.1 grid=1", ""),
+        ("#qubit-reach-table v1 gamma_ratio=0.1 grid=7", "0,0,0.5,1.0,0.25"),
+    ],
+)
+def test_load_rejects_out_of_range_tables(tmp_path, capsys, header, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"{header}\ni,j,psi0,theta0,Tmin\n{row}\n")
+    with pytest.raises(ValueError):
+        load(p)
+    assert main(["table", "query", "--in", str(p), "--z", "0.9", "--R", "0.1"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_empty_table_round_trip(tmp_path):
