@@ -450,3 +450,52 @@ def test_criterion_10_table_replay(lookup_table):
         f"\nACCEPTANCE 10: PASS  ({len(recs)} cells, {100 * frac:.2f}% replay "
         f"within 2 cell widths, worst {np.nanmax(dist) / tbl.cell:.2f} cells)"
     )
+
+
+# --- bit identity with the scalar seeder and the full-recompute sweep ---------
+
+# sha256 of output bytes recorded before the sweep pipeline was batched
+# (scalar seed(), full pair-gap recompute each refinement round, lexsort
+# table binning); the batched pipeline must reproduce every bit.
+PINNED = {
+    "seed_grid_4096_theta0":
+        "20ad19e766da0ce3cc5ed4551f5a59565c0774036a465dc8af6a2f9aa48fefcd",
+    "seed_min_256_theta0":
+        "af09ddc2723ba38b4bf0c73b5f85a49e07c4918142e4fc15b6c52c962dd24d01",
+    "big_sweep_tau_min":
+        "c007b8f0fadfafbff9d6c02131227ab1188b6988d39015fa02752d1356fcda58",
+    "lookup_table_csv":
+        "001a54d3bee76490c680d712bb5d841ae93eb7c9c3c6c6be1f11b40f8ee486c6",
+}
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def pinned_min_psis():
+    """256 fixed costate angles: a seeded uniform draw plus the axes."""
+    psis = np.random.default_rng(20211).uniform(0.0, 2.0 * np.pi, 252)
+    return np.concatenate([psis, 0.5 * np.pi * np.arange(4)])
+
+
+def test_seed_grid_bits_pinned():
+    theta0 = np.array([s.theta0 for s in seed_grid(4096, P)])
+    assert _sha256(theta0.tobytes()) == PINNED["seed_grid_4096_theta0"]
+
+
+def test_seed_min_branch_bits_pinned():
+    theta0 = np.array([seed(float(psi), P, branch="min").theta0 for psi in pinned_min_psis()])
+    assert _sha256(theta0.tobytes()) == PINNED["seed_min_256_theta0"]
+
+
+def test_big_sweep_bits_pinned(big_sweep):
+    assert _sha256(big_sweep.tau_min.tobytes()) == PINNED["big_sweep_tau_min"]
+
+
+def test_lookup_table_bits_pinned(lookup_table, tmp_path):
+    path = tmp_path / "table.csv"
+    table_mod.save(lookup_table, path)
+    assert _sha256(path.read_bytes()) == PINNED["lookup_table_csv"]
