@@ -38,6 +38,7 @@ from .extremals import (
     recover_control,
     replay_extremal,
     seed,
+    seed_batch,
     seed_grid,
     sweep_extremals,
     theta_rhs,

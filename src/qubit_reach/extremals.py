@@ -157,74 +157,109 @@ class ExtremalSeed:
         return np.array([0.0, 1.0, np.cos(self.psi0), np.sin(self.psi0), self.theta0])
 
 
-def _seed_residual(theta, psi0, g):
-    return np.cos(psi0) * np.sin(theta) - g * np.sin(psi0) * np.cos(theta) * (np.sin(theta) - 1.0)
+def _seed_residual(st, ct, cpsi, gspsi):
+    # dH/dtheta at (z, R) = (0, 1) from sin/cos of theta and the costate terms
+    return cpsi * st - gspsi * ct * (st - 1.0)
 
 
-def _seed_residual_prime(theta, psi0, g):
-    st, ct = np.sin(theta), np.cos(theta)
-    return np.cos(psi0) * ct + g * np.sin(psi0) * (st * (st - 1.0) - ct * ct)
+def _seed_residual_prime(st, ct, cpsi, gspsi):
+    return cpsi * ct + gspsi * (st * (st - 1.0) - ct * ct)
 
 
-def _hamiltonian_at_start(theta, psi0, g):
+def _hamiltonian_at_start(st, ct, cpsi, spsi, g):
     # H at (z, R) = (0, 1): -cos(psi0) cos(th) - (g/2) sin(psi0) (sin(th)-1)^2
-    return -np.cos(psi0) * np.cos(theta) - 0.5 * g * np.sin(psi0) * (np.sin(theta) - 1.0) ** 2
+    return -cpsi * ct - 0.5 * g * spsi * (st - 1.0) ** 2
 
 
-def seed(psi0: float, params: SystemParams, branch: str = "max") -> ExtremalSeed:
-    """Solve the stationarity equation at the start point and pick a branch.
+SEED_BLOCK = 256  # psi0 per scan block: bounds the (block, SEED_SCAN) temporaries
+
+
+def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[ExtremalSeed]:
+    """Solve the stationarity equation at the start point for every psi0.
 
     All roots of dH/dtheta = 0 on [0, 2 pi) are located by a sign-change
-    scan plus bisection, Newton-polished to ~1e-15; the returned root
-    maximizes (or minimizes) H over the root set.  A dense argmax of H
-    is always added as a candidate so tangential roots cannot be missed.
+    scan plus 60 bisection steps, Newton-polished to ~1e-15; the returned
+    root maximizes (or minimizes) H over the root set.  A dense argmax
+    and argmin of H are always added as candidates so tangential roots
+    cannot be missed.  Every step is elementwise over all brackets of all
+    psi0 at once, so each seed is the same whatever batch it comes in.
     """
     if branch not in ("max", "min"):
         raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")
-    g = params.ratio
+    psi0s = np.asarray(psi0s, dtype=float).reshape(-1)
+    theta0 = np.concatenate(
+        [_seed_angles(psi0s[k : k + SEED_BLOCK], params.ratio, branch)
+         for k in range(0, len(psi0s), SEED_BLOCK)] or [np.zeros(0)]
+    )
+    return [ExtremalSeed(float(p), float(t), branch) for p, t in zip(psi0s, theta0)]
+
+
+def _seed_angles(psi0, g, branch):
     grid = np.linspace(0.0, 2.0 * np.pi, SEED_SCAN + 1)
-    vals = _seed_residual(grid, psi0, g)
-    # vectorized bisection of every sign-change bracket
-    flo, fhi = vals[:-1], vals[1:]
-    bracketed = flo * fhi < 0.0
-    lo = grid[:-1][bracketed]
-    hi = grid[1:][bracketed]
-    fl = flo[bracketed]
+    cpsi, spsi = np.cos(psi0)[:, None], np.sin(psi0)[:, None]
+    gspsi = g * spsi
+    st, ct = np.sin(grid), np.cos(grid)
+    vals = _seed_residual(st, ct, cpsi, gspsi)  # (n, SEED_SCAN + 1)
+    flo, fhi = vals[:, :-1], vals[:, 1:]
+    # bisection of every sign-change bracket of every psi0
+    own, at = np.nonzero(flo * fhi < 0.0)
+    lo, hi, fl = grid[at], grid[at + 1], flo[own, at]
+    c, gs = cpsi[own, 0], gspsi[own, 0]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fm = _seed_residual(mid, psi0, g)
+        fm = _seed_residual(np.sin(mid), np.cos(mid), c, gs)
         to_hi = fl * fm <= 0.0
         hi = np.where(to_hi, mid, hi)
         lo = np.where(to_hi, lo, mid)
         fl = np.where(to_hi, fl, fm)
-    roots = list(0.5 * (lo + hi)) + list(grid[:-1][flo == 0.0])
-    # argmax of H as a safety candidate (catches non-crossing roots)
-    h_grid = _hamiltonian_at_start(grid[:-1], psi0, g)
-    roots.append(grid[int(np.argmax(h_grid))])
-    roots.append(grid[int(np.argmin(h_grid))])
-    polished = []
-    for th in roots:
-        for _ in range(8):
-            f = _seed_residual(th, psi0, g)
-            fp = _seed_residual_prime(th, psi0, g)
-            if abs(fp) < 1e-14:
-                break
-            step = f / fp
-            if abs(step) > 0.2:
-                break
-            th -= step
-        if abs(_seed_residual(th, psi0, g)) <= 1e-12:
-            polished.append(th % (2.0 * np.pi))
-    if not polished:
-        raise RuntimeError(f"no stationary control angle found for psi0={psi0}")
-    polished = sorted(polished)
-    unique = [polished[0]]
-    for th in polished[1:]:
-        if min(abs(th - unique[-1]), abs(th - unique[-1] - 2 * np.pi)) > 1e-9:
-            unique.append(th)
-    hs = [_hamiltonian_at_start(th, psi0, g) for th in unique]
-    pick = int(np.argmax(hs)) if branch == "max" else int(np.argmin(hs))
-    return ExtremalSeed(float(psi0), float(unique[pick]), branch)
+    # exact zeros on the scan and the dense argmax/argmin of H are
+    # candidates too (the latter catch non-crossing roots)
+    zero_own, zero_at = np.nonzero(flo == 0.0)
+    h_grid = _hamiltonian_at_start(st[:-1], ct[:-1], cpsi, spsi, g)
+    rows = np.arange(len(psi0))
+    own = np.concatenate([own, zero_own, rows, rows])
+    th = np.concatenate([0.5 * (lo + hi), grid[zero_at],
+                         grid[np.argmax(h_grid, axis=1)], grid[np.argmin(h_grid, axis=1)]])
+    # masked Newton polish: a candidate stops where the scalar iteration breaks
+    c, gs = cpsi[own, 0], gspsi[own, 0]
+    going = np.ones(len(th), dtype=bool)
+    for _ in range(8):
+        sth, cth = np.sin(th), np.cos(th)
+        fp = _seed_residual_prime(sth, cth, c, gs)
+        going &= ~(np.abs(fp) < 1e-14)
+        step = _seed_residual(sth, cth, c, gs) / np.where(going, fp, 1.0)
+        going &= ~(np.abs(step) > 0.2)
+        th = np.where(going, th - step, th)
+    ok = np.abs(_seed_residual(np.sin(th), np.cos(th), c, gs)) <= 1e-12
+    found = np.bincount(own[ok], minlength=len(psi0)) > 0
+    if not found.all():
+        raise RuntimeError(f"no stationary control angle found for psi0={psi0[np.argmin(found)]}")
+    # per psi0: sorted roots, 1e-9 duplicates dropped against the last kept one
+    own, th = own[ok], th[ok] % (2.0 * np.pi)
+    order = np.lexsort((th, own))
+    own, th = own[order], th[order]
+    col = np.arange(len(own)) - np.searchsorted(own, own)
+    roots = np.full((len(psi0), int(col.max()) + 1), np.nan)
+    roots[own, col] = th
+    keep = np.zeros(roots.shape, dtype=bool)
+    keep[:, 0] = True
+    last = roots[:, 0].copy()
+    for k in range(1, roots.shape[1]):
+        cand = roots[:, k]
+        new = np.minimum(np.abs(cand - last), np.abs(cand - last - 2.0 * np.pi)) > 1e-9
+        keep[:, k] = new
+        last = np.where(new, cand, last)
+    h = _hamiltonian_at_start(np.sin(roots), np.cos(roots), cpsi, spsi, g)
+    if branch == "max":
+        pick = np.argmax(np.where(keep, h, -np.inf), axis=1)
+    else:
+        pick = np.argmin(np.where(keep, h, np.inf), axis=1)
+    return roots[rows, pick]
+
+
+def seed(psi0: float, params: SystemParams, branch: str = "max") -> ExtremalSeed:
+    """The seed of one costate angle; see :func:`seed_batch`."""
+    return seed_batch([psi0], params, branch)[0]
 
 
 def seed_grid(n_seeds: int, params: SystemParams, branch: str = "max") -> list[ExtremalSeed]:
@@ -235,7 +270,7 @@ def seed_grid(n_seeds: int, params: SystemParams, branch: str = "max") -> list[E
     drift is 0/0.
     """
     psis = 2.0 * np.pi * (np.arange(n_seeds) + 0.5) / n_seeds
-    return [seed(psi, params, branch=branch) for psi in psis]
+    return seed_batch(psis, params, branch=branch)
 
 
 # --- batched integration --------------------------------------------------
@@ -267,6 +302,15 @@ class ExtremalSweep:
 _COMP_INDEX = {"z": 0, "R": 1, "p": 2, "q": 3, "theta": 4}
 
 
+def _as_seeds(seeds, params):
+    """ExtremalSeed objects kept, bare psi0 angles seeded in one batch."""
+    seeds = list(seeds)
+    bare = [k for k, s in enumerate(seeds) if not isinstance(s, ExtremalSeed)]
+    for k, s in zip(bare, seed_batch([float(seeds[k]) for k in bare], params)):
+        seeds[k] = s
+    return seeds
+
+
 def sweep_extremals(
     seeds,
     T: float,
@@ -288,7 +332,7 @@ def sweep_extremals(
     """
     if T <= 0:
         raise ValueError(f"duration must be positive, got T={T}")
-    seeds = [s if isinstance(s, ExtremalSeed) else seed(float(s), params) for s in seeds]
+    seeds = _as_seeds(seeds, params)
     n = len(seeds)
     if n == 0:
         raise ValueError("need at least one seed")
@@ -375,7 +419,7 @@ def sweep_extremals_parallel(
     worker threads only distribute blocks.  Blocks are merged back in
     seed order.
     """
-    seeds = [s if isinstance(s, ExtremalSeed) else seed(float(s), params) for s in seeds]
+    seeds = _as_seeds(seeds, params)
     blocks = [seeds[i : i + block] for i in range(0, len(seeds), block)]
 
     def run(batch):

@@ -22,6 +22,23 @@ from .params import SystemParams
 SWEEP_CFG = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)  # extremal sweeps of rasters and tables
 REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bisection seed
 MAX_REFINE_ROUNDS = 24
+BIN_BLOCK = 16  # sample columns per block of the first-passage binning
+NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
+
+
+def first_passage(n_cells: int, blocks) -> np.ndarray:
+    """Per-cell minimum of packed integer keys.
+
+    blocks yields (flat cell index, key) array pairs, one block of sample
+    columns at a time.  With the sample index in the leading digits of the
+    key the minimum is the earliest passage; a seed index in the trailing
+    digits breaks ties toward the lowest seed.  Cells nothing enters keep
+    NO_PASSAGE.
+    """
+    first = np.full(n_cells, NO_PASSAGE, dtype=np.int64)
+    for cells, keys in blocks:
+        np.minimum.at(first, cells, keys)
+    return first
 
 
 # --- spiral-bounded exact-reachability region ------------------------------
@@ -243,6 +260,10 @@ class ReachSweep:
     remaining narrow gaps are bridged by linear interpolation between
     neighbouring paths, which stays within a small fraction of a cell of
     the true swept surface.
+
+    The refinement outcome is kept: ``refine_rounds`` and ``seeds_added``
+    count the bisection sweeps and their seeds, and ``budget_exhausted``
+    is True when wide pairs were left as the budget ran out.
     """
 
     def __init__(
@@ -275,23 +296,41 @@ class ReachSweep:
             live = sweep.fail_tau > 0.0
             return sweep, live
 
-        seeds = extremals.seed_grid(n_seeds, params)
-        tried = {round(s.psi0, 12) for s in seeds}
-        sweep, live = run(seeds)
-        self.tau = sweep.tau
-        psis = np.array([s.psi0 for s in seeds])[live]
-        z, r = sweep.data["z"][live], sweep.data["R"][live]
-        seeds = [s for s, ok in zip(seeds, live) if ok]
-        n_failed = int(np.sum(sweep.failed))
-
+        # path storage for the whole refinement budget, filled row by row;
+        # rows the refinement never reaches are never written, so their
+        # pages are never mapped
         budget = 4 * n_seeds
+        sweep, live = run(extremals.seed_grid(n_seeds, params))
+        tried = {round(s.psi0, 12) for s in sweep.seeds}
+        self.tau = sweep.tau
+        z = np.empty((n_seeds + budget, len(self.tau)))
+        r = np.empty_like(z)
+        psis = np.empty(len(z))
+        kept: list = []  # live seeds by storage row
+        n_failed = 0
+
+        def store(sweep, live):
+            """Copy the live paths into storage; returns their rows."""
+            nonlocal n_failed
+            n_failed += int(np.sum(sweep.failed))
+            rows = slice(len(kept), len(kept) + int(np.sum(live)))
+            np.compress(live, sweep.data["z"], axis=0, out=z[rows])
+            np.compress(live, sweep.data["R"], axis=0, out=r[rows])
+            kept.extend(s for s, ok in zip(sweep.seeds, live) if ok)
+            psis[rows] = [s.psi0 for s in kept[rows]]
+            return np.arange(rows.start, rows.stop)
+
+        # order: storage rows by psi0; gaps[k]: pair (order[k], order[k + 1])
+        order = store(sweep, live)
+        del sweep, live  # its paths now live in storage
+        order = order[np.argsort(psis[order])]
+        gaps = self._pair_gaps(z, r, order, np.roll(order, -1))
+        self.refine_rounds = 0
         for _ in range(MAX_REFINE_ROUNDS):
-            order = np.argsort(psis)
-            gaps = self._pair_gaps(z[order], r[order])
             wide = np.nonzero(gaps > REFINE_CELLS * self.cell)[0]
             if len(wide) == 0 or budget <= 0:
                 break
-            take = wide[: max(budget, 0)]
+            take = wide[:budget]
             psi_sorted = psis[order]
             new_psis = []
             for k in take:
@@ -310,42 +349,43 @@ class ReachSweep:
             if not new_psis:
                 break
             budget -= len(new_psis)
-            new_seeds = [extremals.seed(p, params) for p in new_psis]
-            new_sweep, live = run(new_seeds)
-            n_failed += int(np.sum(new_sweep.failed))
-            psis = np.concatenate([psis, np.asarray(new_psis)[live]])
-            z = np.vstack([z, new_sweep.data["z"][live]])
-            r = np.vstack([r, new_sweep.data["R"][live]])
-            seeds = seeds + [s for s, ok in zip(new_seeds, live) if ok]
+            self.refine_rounds += 1
+            rows = store(*run(new_psis))  # the sweep seeds the bare angles
+            # at most one new seed per pair: only the pairs on either side
+            # of a new seed change, and only their gaps are computed
+            rows = rows[np.argsort(psis[rows])]
+            at = np.searchsorted(psi_sorted, psis[rows])
+            order = np.insert(order, at, rows)
+            gaps = np.insert(gaps, at, 0.0)
+            at += np.arange(len(at))
+            touched = np.unique(np.concatenate([at - 1, at]) % len(order))
+            gaps[touched] = self._pair_gaps(z, r, order[touched], order[(touched + 1) % len(order)])
+        self.seeds_added = 4 * n_seeds - budget
+        self.budget_exhausted = budget <= 0 and bool(np.any(gaps > REFINE_CELLS * self.cell))
 
-        order = np.argsort(psis)
         self.psis = psis[order]
-        self.seeds = [seeds[i] for i in order]
+        self.seeds = [kept[i] for i in order]
         self.n_failed = n_failed
-        self.unfilled_pairs: list[int] = []
-        self.tau_min = self._rasterize(z[order], r[order])
+        self.tau_min = self._rasterize(z, r, order, gaps)
 
     @staticmethod
-    def _pair_gaps(z, r):
-        """Max over time of the distance between angularly adjacent paths."""
-        ns, m = z.shape
-        nxt = np.roll(np.arange(ns), -1)
-        out = np.zeros(ns)
+    def _pair_gaps(z, r, a, b):
+        """Max over time of the distance between paths a[k] and b[k]."""
+        out = np.zeros(len(a))
         # column blocks keep the temporaries small
-        for j0 in range(0, m, 1024):
-            blk = slice(j0, min(m, j0 + 1024))
-            dist = np.hypot(z[:, blk] - z[nxt, blk], r[:, blk] - r[nxt, blk])
+        for j0 in range(0, z.shape[1], 1024):
+            blk = slice(j0, j0 + 1024)
+            dist = np.hypot(z[a, blk] - z[b, blk], r[a, blk] - r[b, blk])
             np.nan_to_num(dist, copy=False, nan=0.0)
             np.maximum(out, dist.max(axis=1), out=out)
         return out
 
-    def _rasterize(self, z, r):
-        ns, m = z.shape
+    def _rasterize(self, z, r, order, gaps):
+        """First-passage times of the paths in order and the strips between
+        neighbours; gaps[k] is the gap of pair (order[k], order[k + 1])."""
+        m = len(self.tau)
         n = self.n
         inv = 1.0 / self.cell
-        tau_min = np.full(n * n, np.inf)
-        nxt = np.roll(np.arange(ns), -1)
-        gaps = self._pair_gaps(z, r)
         # strips are bridged by chords only where the two paths run close
         # together; a chord across a wide gap could cut through a genuinely
         # unreachable bay, so wide moments stay unbridged (and recorded)
@@ -353,31 +393,39 @@ class ReachSweep:
         self.unfilled_pairs = list(np.nonzero(gaps > fill_limit)[0])
         n_sub = np.ceil(np.minimum(gaps, fill_limit) * inv / 0.45).astype(int)
         pair_ids = np.nonzero(n_sub > 1)[0]
-        rep_a = np.repeat(pair_ids, n_sub[pair_ids] - 1)
-        rep_b = nxt[rep_a]
+        pa, pb = order[pair_ids], order[(pair_ids + 1) % len(order)]
+        # strip point -> its pair, and its chord parameter lam in (0, 1)
+        rep = np.repeat(np.arange(len(pair_ids)), n_sub[pair_ids] - 1)
         lam = np.concatenate([np.zeros(0)] + [np.arange(1, n_sub[k]) / n_sub[k] for k in pair_ids])
+        lam = lam[:, None]
 
-        for j in range(m):
-            zj, rj = z[:, j], r[:, j]
-            ok = np.isfinite(zj)
-            pz, pr = zj[ok], rj[ok]
-            if rep_a.size:
-                za, zb = zj[rep_a], zj[rep_b]
-                ra, rb = rj[rep_a], rj[rep_b]
-                good = np.isfinite(za) & np.isfinite(zb)
-                good &= np.hypot(za - zb, ra - rb) <= fill_limit
-                iz_ = lam[good] * za[good] + (1 - lam[good]) * zb[good]
-                ir_ = lam[good] * ra[good] + (1 - lam[good]) * rb[good]
-                pz = np.concatenate([pz, iz_])
-                pr = np.concatenate([pr, ir_])
-            if pz.size == 0:
-                continue
-            iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
-            for sign in (1.0, -1.0):
-                ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
-                flat = iz * n + ir
-                fresh = np.isinf(tau_min[flat])
-                tau_min[flat[fresh]] = self.tau[j]
+        def cells():
+            for j0 in range(0, m, BIN_BLOCK):
+                blk = slice(j0, j0 + BIN_BLOCK)
+                sample = np.arange(j0, min(m, j0 + BIN_BLOCK))
+                zj, rj = z[: len(order), blk], r[: len(order), blk]
+                ok = np.isfinite(zj)
+                za, zb = z[pa, blk], z[pb, blk]
+                ra, rb = r[pa, blk], r[pb, blk]
+                # NaN tails compare False, so the chord needs both ends live
+                good = (np.hypot(za - zb, ra - rb) <= fill_limit)[rep]
+                lg = np.broadcast_to(lam, good.shape)[good]
+                za, zb, ra, rb = (v[rep][good] for v in (za, zb, ra, rb))
+                pz = np.concatenate([zj[ok], lg * za + (1 - lg) * zb])
+                pr = np.concatenate([rj[ok], lg * ra + (1 - lg) * rb])
+                key = np.concatenate([np.broadcast_to(sample, ok.shape)[ok],
+                                      np.broadcast_to(sample, good.shape)[good]])
+                iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
+                iz *= n
+                for sign in (1.0, -1.0):
+                    ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
+                    ir += iz
+                    yield ir, key
+
+        first = first_passage(n * n, cells())
+        reached = first != NO_PASSAGE
+        tau_min = np.full(n * n, np.inf)
+        tau_min[reached] = self.tau[first[reached]]
         return tau_min.reshape(n, n)
 
     def occupancy(self, T: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .extremals import ExtremalSeed, seed_grid, sweep_extremals_parallel
 from .params import SystemParams
-from .reachset import SWEEP_CFG
+from .reachset import BIN_BLOCK, NO_PASSAGE, SWEEP_CFG, first_passage
 
 MAGIC = "#qubit-reach-table v1"
 
@@ -100,30 +100,30 @@ def build_table(
         seeds, T_max_scaled, params, n_threads=n_threads, cfg=SWEEP_CFG,
         sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0), components=("z", "R"),
     )
-    z = sweep.data["z"]
-    r = np.abs(sweep.data["R"])
+    z, R = sweep.data["z"], sweep.data["R"]
     ns, m = z.shape
-    ok = np.isfinite(z)
-    iz = np.clip(((z + 1.0) / table.cell).astype(int), 0, grid_resolution - 1)
-    ir = np.clip((r / table.cell).astype(int), 0, grid_resolution // 2 - 1)
-    flat = (iz * (grid_resolution // 2) + ir)[ok]
-    tau_idx = np.broadcast_to(np.arange(m), (ns, m))[ok]
-    seed_idx = np.broadcast_to(np.arange(ns)[:, None], (ns, m))[ok]
-    # sort by (tau, seed) descending and let later writes win: the final
-    # value per cell is the earliest passage, lowest seed on ties
-    order = np.lexsort((seed_idx, tau_idx))[::-1]
     nz, nr = grid_resolution, grid_resolution // 2
+    seed_idx = np.arange(ns)[:, None]
+
+    def cells():
+        # key = sample * ns + seed: the earliest passage, lowest seed on ties
+        for j0 in range(0, m, BIN_BLOCK):
+            blk = slice(j0, j0 + BIN_BLOCK)
+            zb = z[:, blk]
+            ok = np.isfinite(zb)
+            iz = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
+            ir = np.clip((np.abs(R[:, blk][ok]) / table.cell).astype(int), 0, nr - 1)
+            yield iz * nr + ir, (np.arange(j0, j0 + zb.shape[1]) * ns + seed_idx)[ok]
+
+    first = first_passage(nz * nr, cells())
+    mask_flat = first != NO_PASSAGE
+    tau_idx, seed_of = np.divmod(first[mask_flat], ns)
     tmin_flat = np.full(nz * nr, np.inf)
     psi_flat = np.zeros(nz * nr)
     th_flat = np.zeros(nz * nr)
-    mask_flat = np.zeros(nz * nr, dtype=bool)
-    psis = np.array([s.psi0 for s in seeds])
-    th0s = np.array([s.theta0 for s in seeds])
-    f = flat[order]
-    tmin_flat[f] = sweep.tau[tau_idx[order]]
-    psi_flat[f] = psis[seed_idx[order]]
-    th_flat[f] = th0s[seed_idx[order]]
-    mask_flat[f] = True
+    tmin_flat[mask_flat] = sweep.tau[tau_idx]
+    psi_flat[mask_flat] = np.array([s.psi0 for s in seeds])[seed_of]
+    th_flat[mask_flat] = np.array([s.theta0 for s in seeds])[seed_of]
     table.tmin = tmin_flat.reshape(nz, nr)
     table.psi0 = psi_flat.reshape(nz, nr)
     table.theta0 = th_flat.reshape(nz, nr)
@@ -208,6 +208,8 @@ def load(path) -> LookupTable:
         psi0, theta0, tmin = (float(v) for v in parts[2:])
         if not (0 <= i < grid and 0 <= j < grid // 2):
             raise ValueError(f"{path}:{ln}: cell ({i}, {j}) outside the {grid} x {grid // 2} grid")
+        if table.mask[i, j]:
+            raise ValueError(f"{path}:{ln}: cell ({i}, {j}) given twice")
         if not (np.isfinite([psi0, theta0, tmin]).all() and tmin >= 0.0):
             raise ValueError(f"{path}:{ln}: psi0, theta0 and Tmin must be finite, Tmin >= 0")
         table.psi0[i, j], table.theta0[i, j], table.tmin[i, j] = psi0, theta0, tmin

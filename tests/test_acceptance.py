@@ -495,6 +495,16 @@ def test_big_sweep_bits_pinned(big_sweep):
     assert _sha256(big_sweep.tau_min.tobytes()) == PINNED["big_sweep_tau_min"]
 
 
+def test_big_sweep_refinement_outcome(big_sweep):
+    # the 4 n_seeds budget runs out with wide pairs left (a 12,288-seed
+    # budget converges at 6,341 seeds to the same raster)
+    assert big_sweep.refine_rounds == 13
+    assert big_sweep.seeds_added == 4096
+    assert big_sweep.budget_exhausted is True
+    assert len(big_sweep.seeds) == 5119
+    assert len(big_sweep.unfilled_pairs) == 90
+
+
 def test_lookup_table_bits_pinned(lookup_table, tmp_path):
     path = tmp_path / "table.csv"
     table_mod.save(lookup_table, path)

@@ -188,6 +188,21 @@ def test_thread_cap_does_not_change_output(tmp_path, capsys, monkeypatch):
     assert results[0] == results[1]
 
 
+def test_thread_cap_does_not_change_table(tmp_path, capsys, monkeypatch):
+    # four 128-seed blocks, binned after the merge
+    results = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("QUBIT_REACH_THREADS", threads)
+        csv_path = tmp_path / f"table_t{threads}.csv"
+        code, _, _ = run(
+            capsys, "table", "build", "--gamma-ratio", "0.1", "--seeds", "512",
+            "--T-max", "1", "--grid", "64", "--out", str(csv_path),
+        )
+        assert code == 0
+        results.append(csv_path.read_bytes())
+    assert results[0] == results[1]
+
+
 def test_simulate_schedule_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,u,n\n0,0,0\n")

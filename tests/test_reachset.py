@@ -4,12 +4,16 @@ import pytest
 
 from qubit_reach import SystemParams
 from qubit_reach.reachset import (
+    MAX_REFINE_ROUNDS,
+    NO_PASSAGE,
+    REFINE_CELLS,
     BarrierTriangle,
     ReachableSet2D,
     ReachSweep,
     barrier_certificate,
     barrier_values,
     compute_reachable_set,
+    first_passage,
     guaranteed_ball_radius,
     lacuna_alpha_bound,
     marching_squares,
@@ -246,3 +250,56 @@ def test_revolve_rejects_open_polyline():
     rset = ReachableSet2D(occ, 1.0, boundary=[np.array([[0.0, 0.0], [0.5, 0.5]])])
     with pytest.raises(ValueError, match="closed"):
         revolve_to_3d(rset)
+
+
+# --- refinement bookkeeping and the first-passage kernel -------------------------
+
+
+def test_incremental_gaps_match_full_recompute(monkeypatch):
+    # the gap array the raster receives was built round by round; it must
+    # equal a fresh computation over the final family
+    seen = {}
+    rasterize = ReachSweep._rasterize
+
+    def capture(self, z, r, order, gaps):
+        seen.update(z=z, r=r, order=order, gaps=gaps.copy())
+        return rasterize(self, z, r, order, gaps)
+
+    monkeypatch.setattr(ReachSweep, "_rasterize", capture)
+    sweep = ReachSweep(P, 2.0, n_seeds=128, raster=128)
+    order = seen["order"]
+    assert sweep.refine_rounds > 1
+    assert np.all(np.diff(sweep.psis) > 0.0)
+    npt.assert_array_equal(sweep.psis, sorted(s.psi0 for s in sweep.seeds))
+    full = ReachSweep._pair_gaps(seen["z"], seen["r"], order, np.roll(order, -1))
+    npt.assert_array_equal(seen["gaps"], full)
+    # refinement stopped because no wide pair was left, not for lack of budget
+    assert not np.any(full > REFINE_CELLS * sweep.cell)
+    assert sweep.budget_exhausted is False
+    assert 0 < sweep.seeds_added < 4 * 128
+    assert sweep.refine_rounds < MAX_REFINE_ROUNDS
+
+
+def test_refinement_budget_exhaustion_is_reported():
+    sweep = ReachSweep(P, 7.0, n_seeds=64, raster=64)
+    assert sweep.budget_exhausted is True
+    assert sweep.seeds_added == 4 * 64
+
+
+def naive_first_passage(n_cells, cells, keys):
+    """Reference: visit entries in key order and keep the first per cell."""
+    first = np.full(n_cells, NO_PASSAGE, dtype=np.int64)
+    for k in np.argsort(keys, kind="stable"):
+        if first[cells[k]] == NO_PASSAGE:
+            first[cells[k]] = keys[k]
+    return first
+
+
+def test_first_passage_matches_naive_loop():
+    rng = np.random.default_rng(4)
+    cells = rng.integers(0, 20, 500)  # 25 cells, five never entered
+    keys = rng.integers(0, 40, 500)  # many repeated cells and tied keys
+    blocks = [(cells[k : k + 64], keys[k : k + 64]) for k in range(0, 500, 64)]
+    got = first_passage(25, iter(blocks))
+    npt.assert_array_equal(got, naive_first_passage(25, cells, keys))
+    assert np.all(got[20:] == NO_PASSAGE)

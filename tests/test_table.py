@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal
+from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal, seed_grid
+from qubit_reach import table as table_mod
 from qubit_reach.cli import main
-from qubit_reach.extremals import hamiltonian_dtheta
+from qubit_reach.extremals import ExtremalSweep, hamiltonian_dtheta
 from qubit_reach.table import (
     LookupTable,
     UnreachableError,
@@ -187,3 +188,48 @@ def test_empty_table_round_trip(tmp_path):
 def test_query_seed_helper(table):
     sd = query_seed(table, 0.2, 0.6)
     assert isinstance(sd, ExtremalSeed)
+
+
+def test_load_rejects_repeated_cell(tmp_path, capsys):
+    p = tmp_path / "twice.csv"
+    p.write_text(f"{GOOD_HEADER}\ni,j,psi0,theta0,Tmin\n4,3,0.5,1.0,0.25\n4,3,0.7,1.2,0.5\n")
+    with pytest.raises(ValueError, match=r"twice.csv:4: cell \(4, 3\) given twice"):
+        load(p)
+    assert main(["table", "query", "--in", str(p), "--z", "0.1", "--R", "0.9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "twice.csv:4:" in err and "Traceback" not in err
+
+
+def test_binning_matches_naive_loop(monkeypatch):
+    # a tiny fake family on a 4 x 2 grid: NaN tails, many seeds per cell
+    # and many entering at the same sample; the table keeps the earliest
+    # sample and, among those, the lowest seed
+    seeds = seed_grid(256, P)
+    ns, m = len(seeds), 7
+    rng = np.random.default_rng(11)
+    z = rng.choice([-0.75, -0.25, 0.25, 0.75], (ns, m))
+    R = rng.choice([-0.75, -0.25, 0.25, 0.75], (ns, m))
+    z[:, 0], R[:, 0] = 0.25, 0.75  # every seed starts in one cell
+    for s, tail in enumerate(rng.integers(1, m + 1, ns)):
+        z[s, tail:] = R[s, tail:] = np.nan
+    tau = np.linspace(0.0, 1.5, m)
+    fake = ExtremalSweep(tau, seeds, {"z": z, "R": R}, np.zeros(ns, bool), np.full(ns, np.inf),
+                         [None] * ns)
+    monkeypatch.setattr(table_mod, "sweep_extremals_parallel", lambda *a, **k: fake)
+    got = build_table(P, n_seeds=ns, T_max_scaled=1.5, grid_resolution=4)
+
+    want = LookupTable(P.ratio, 4)
+    for j in range(m):
+        for s in range(ns):
+            if not np.isfinite(z[s, j]):
+                continue
+            i = int(np.clip((z[s, j] + 1.0) / 0.5, 0, 3))
+            k = int(np.clip(abs(R[s, j]) / 0.5, 0, 1))
+            if not want.mask[i, k]:
+                want.mask[i, k] = True
+                want.tmin[i, k] = tau[j]
+                want.psi0[i, k], want.theta0[i, k] = seeds[s].psi0, seeds[s].theta0
+    assert want.mask.sum() == 8 and want.psi0[2, 1] == seeds[0].psi0
+    for name in ("mask", "tmin", "psi0", "theta0"):
+        npt.assert_array_equal(getattr(got, name), getattr(want, name))
