@@ -466,6 +466,10 @@ PINNED = {
         "c007b8f0fadfafbff9d6c02131227ab1188b6988d39015fa02752d1356fcda58",
     "lookup_table_csv":
         "001a54d3bee76490c680d712bb5d841ae93eb7c9c3c6c6be1f11b40f8ee486c6",
+    "replay_psi1_states":
+        "bbe552271aca677aa6c755fec7c98d25235e9cf08a8a1a680af6493899c8f2f5",
+    "replay_psi1_u":
+        "3a6007cf3f63d1c5f005d03c90eafd2f9ccfd01011bee5b20ee09af7cf41b24c",
 }
 
 
@@ -503,6 +507,14 @@ def test_big_sweep_refinement_outcome(big_sweep):
     assert big_sweep.budget_exhausted is True
     assert len(big_sweep.seeds) == 5119
     assert len(big_sweep.unfilled_pairs) == 90
+
+
+def test_replay_bits_pinned():
+    # the aligning spike from the north pole and the recovered control
+    traj = integrate_extremal(seed(1.0, P), 7.0, P, sample_dt=1e-3)
+    states, sched = replay_extremal(traj, P)
+    assert _sha256(states.tobytes()) == PINNED["replay_psi1_states"]
+    assert _sha256(sched.u.tobytes()) == PINNED["replay_psi1_u"]
 
 
 def test_lookup_table_bits_pinned(lookup_table, tmp_path):

@@ -25,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> command line; {d} is the output directory, {g} the golden one
 CASES = {
     "extremal": "extremal --psi0 1.0 --T 3 --samples 201 --out {d}/extremal.csv",
+    "movie": "movie --T-max 2 --frames 2 --seeds 128 --raster 64 --overlay-spiral --out-dir {d}",
     "reachset": "reachset --T 2 --seeds 128 --raster 64 --out {d}/reachset.csv --svg {d}/reachset.svg",
     "table": "table build --seeds 256 --T-max 2 --grid 64 --out {d}/table.csv",
     "simulate": "simulate --schedule {g}/zero.csv --r0 0,0,1 --T 10 --out {d}/simulate.csv",
