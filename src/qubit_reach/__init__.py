@@ -26,7 +26,7 @@ from .bloch import (
     to_cylindrical,
 )
 from .liealg import AffineField, bracket, canonical_fields, rank_certificate
-from .ode import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .ode import IntegrationError, Trajectory, integrate
 from .schedule import ControlSchedule, simulate
 from .extremals import (
     ExtremalSeed,

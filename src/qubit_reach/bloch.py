@@ -39,6 +39,11 @@ IDENTITY2 = np.eye(2, dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
+HERM_TOL = 1e-9  # largest |rho - rho^H| entry a density matrix may carry
+TRACE_TOL = 1e-9  # largest |tr rho - 1| a density matrix may carry
+R_MIN = 1e-8  # distance to the rx axis at or below which 1/R terms are rejected
+RHO_MIN = 1e-8  # meridian radius at or below which the polar system is rejected
+
 
 def field_f(index: int, r, params: SystemParams) -> np.ndarray:
     """Evaluate the Bloch vector field f0, f1 or f2 at ``r``.
@@ -69,7 +74,7 @@ def bloch_rhs(r, u: float, n: float, params: SystemParams) -> np.ndarray:
     )
 
 
-def lindblad_rhs(rho, u: float, n: float, params: SystemParams, herm_tol: float = 1e-9) -> np.ndarray:
+def lindblad_rhs(rho, u: float, n: float, params: SystemParams) -> np.ndarray:
     """Master-equation right-hand side on 2x2 density matrices.
 
     The Hamiltonian is ``(omega/2) sigma_z + kappa u sigma_x`` and the
@@ -86,7 +91,7 @@ def lindblad_rhs(rho, u: float, n: float, params: SystemParams, herm_tol: float 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
 
     h = 0.5 * params.omega * SIGMA_Z + params.kappa * u * SIGMA_X
@@ -107,10 +112,10 @@ def bloch_to_density(r) -> np.ndarray:
     return 0.5 * (IDENTITY2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 
 
-def density_to_bloch(rho, trace_tol: float = 1e-9) -> np.ndarray:
+def density_to_bloch(rho) -> np.ndarray:
     """Inverse of :func:`bloch_to_density`; rejects non-unit trace."""
     rho = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
     return pauli_components(rho)
 
@@ -153,14 +158,14 @@ def from_cylindrical(c) -> np.ndarray:
     return np.array([z, R * np.cos(theta), R * np.sin(theta)])
 
 
-def cylindrical_fields(c, params: SystemParams, r_min: float = 1e-8):
+def cylindrical_fields(c, params: SystemParams):
     """Drift, control and incoherent fields (g0, g1, g2) in (z, R, theta).
 
-    The 1/R terms of g0 blow up on the axis, so R <= r_min is rejected.
+    The 1/R terms of g0 blow up on the axis, so R <= R_MIN is rejected.
     """
     z, R, theta = np.asarray(c, dtype=float)
-    if R <= r_min:
-        raise SingularityError(f"cylindrical fields are singular at R={R} <= {r_min}")
+    if R <= R_MIN:
+        raise SingularityError(f"cylindrical fields are singular at R={R} <= {R_MIN}")
     g = params.ratio
     ct, st = np.cos(theta), np.sin(theta)
     c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
@@ -171,11 +176,11 @@ def cylindrical_fields(c, params: SystemParams, r_min: float = 1e-8):
     return g0, g1, g2
 
 
-def cylindrical_rhs(c, u: float, n: float, params: SystemParams, r_min: float = 1e-8) -> np.ndarray:
+def cylindrical_rhs(c, u: float, n: float, params: SystemParams) -> np.ndarray:
     """Controlled system in cylindrical coordinates (physical time)."""
     if n < 0:
         raise ValueError(f"incoherent control must be non-negative, got n={n}")
-    g0, g1, g2 = cylindrical_fields(c, params, r_min=r_min)
+    g0, g1, g2 = cylindrical_fields(c, params)
     return params.omega * g0 + 2.0 * params.kappa * u * g1 + params.gamma * n * g2
 
 
@@ -200,7 +205,7 @@ def meridian_rhs_scaled(z, R, theta, g):
     return zp, rp
 
 
-def polar_rhs(state, theta, params: SystemParams, rho_min: float = 1e-8):
+def polar_rhs(state, theta, params: SystemParams):
     """Meridian system in polar coordinates (rho, phi), physical time.
 
     Obtained by pushing :func:`aux_rhs` through z = rho cos(phi),
@@ -216,8 +221,8 @@ def polar_rhs(state, theta, params: SystemParams, rho_min: float = 1e-8):
     pair against :func:`aux_rhs` pointwise.
     """
     rho, phi = np.asarray(state, dtype=float)
-    if rho <= rho_min:
-        raise SingularityError(f"polar system is singular at rho={rho} <= {rho_min}")
+    if rho <= RHO_MIN:
+        raise SingularityError(f"polar system is singular at rho={rho} <= {RHO_MIN}")
     return params.omega * np.array(polar_rhs_scaled(rho, phi, theta, params.ratio))
 
 

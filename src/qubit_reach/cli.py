@@ -31,7 +31,7 @@ from .reachset import (
     spiral_region,
     write_obj,
 )
-from .schedule import ControlSchedule, simulate
+from .schedule import ControlSchedule, propagate
 from .table import UnreachableError
 
 
@@ -101,9 +101,11 @@ def _cmd_simulate(args, parser):
         args.schedule, params=params, scaled=args.scaled, duration=args.T,
         u_max=args.u_max,
     )
-    traj = simulate(r0, sched, params)
-    ts = np.linspace(0.0, traj.final_time, args.samples)
-    states = traj.sample(ts)
+    # exact states: propagate across the breakpoints and keep the sample rows
+    ts = np.linspace(0.0, sched.T, args.samples)
+    edges = np.union1d(ts, sched.times[sched.times < sched.T])
+    seg = np.searchsorted(sched.times, edges[:-1], side="right") - 1
+    states = propagate(r0, edges, sched.u[seg], sched.n[seg], params)[np.searchsorted(edges, ts)]
     rows = [(float(t), float(s[0]), float(s[1]), float(s[2])) for t, s in zip(ts, states)]
     _write_rows(_open_out(args.out), ["t", "rx", "ry", "rz"], rows)
     return 0

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SingularityError, meridian_rhs_scaled
-from .ode import IntegrationError, IntegratorConfig, Trajectory, dp45, hermite
+from .bloch import R_MIN, SingularityError, meridian_rhs_scaled
+from .ode import IntegrationError, Trajectory, dp45, hermite
 from .params import SystemParams
 from .schedule import ControlSchedule, propagate
 
@@ -50,6 +50,11 @@ DEN_TOL = 1e-10  # |d2H/dtheta2| below which the theta drift is degenerate
 PROJECT_TOL = 1e-11  # stationarity residual the re-projection leaves alone
 MAX_BRANCH_JUMP = 0.3  # total re-projection move taken as an argmax branch jump
 SEED_SCAN = 4096  # sign-change scan intervals of seed() on [0, 2 pi)
+SWEEP_BLOCK = 128  # seeds per sweep_extremals_parallel block; fixes the adaptive grids
+# |u| of the aligning spike of replay_extremal, in units of omega / (2 kappa):
+# the spike lasts pi / (SPIKE_STRENGTH omega), so omega times its duration
+# must be far below the comparison tolerance
+SPIKE_STRENGTH = 1e6
 
 
 def extremal_flow(z, R, p, q, th, g):
@@ -316,15 +321,16 @@ def sweep_extremals(
     T: float,
     params: SystemParams,
     *,
-    cfg: IntegratorConfig | None = None,
+    tol: float = 1e-10,
     sample_dt: float | None = None,
     components=("z", "R"),
 ) -> ExtremalSweep:
     """Integrate a family of extremals on a shared adaptive time grid.
 
     seeds may be ExtremalSeed objects or bare psi0 angles.  The seeds are
-    the columns of one :func:`ode.dp45` run.  Samples are written on the
-    uniform grid of spacing sample_dt via cubic Hermite dense output.
+    the columns of one :func:`ode.dp45` run at tolerance tol.  Samples are
+    written on the uniform grid of spacing sample_dt via cubic Hermite
+    dense output.
     After every accepted step the control angle of each seed is
     re-projected onto the stationarity manifold dH/dtheta = 0 (Newton),
     which pins the stationarity residual near roundoff instead of letting
@@ -397,7 +403,7 @@ def sweep_extremals(
     # their single valid sample and freeze them
     write(np.array([0]), y[:, :, None])
     fail(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL, 0.0, "degenerate start (stationary extremal)")
-    dp45(rhs, y, T, cfg or IntegratorConfig(), active, accept, fail)
+    dp45(rhs, y, T, tol, active, accept, fail)
     return ExtremalSweep(tau, seeds, out, ~active, fail_tau, fail_reason)
 
 
@@ -407,12 +413,11 @@ def sweep_extremals_parallel(
     params: SystemParams,
     *,
     n_threads: int = 1,
-    cfg: IntegratorConfig | None = None,
+    tol: float = 1e-10,
     sample_dt: float | None = None,
     components=("z", "R"),
-    block: int = 128,
 ) -> ExtremalSweep:
-    """Sweep in fixed-size seed blocks, optionally spread over threads.
+    """Sweep in blocks of SWEEP_BLOCK seeds, optionally spread over threads.
 
     The block decomposition (not the thread count) decides the shared
     adaptive grids, so the merged result is identical for any n_threads;
@@ -420,14 +425,14 @@ def sweep_extremals_parallel(
     seed order.
     """
     seeds = _as_seeds(seeds, params)
-    blocks = [seeds[i : i + block] for i in range(0, len(seeds), block)]
+    blocks = [seeds[i : i + SWEEP_BLOCK] for i in range(0, len(seeds), SWEEP_BLOCK)]
 
     def run(batch):
         return sweep_extremals(
-            batch, T, params, cfg=cfg, sample_dt=sample_dt, components=components
+            batch, T, params, tol=tol, sample_dt=sample_dt, components=components
         )
 
-    if len(seeds) <= block:
+    if len(seeds) <= SWEEP_BLOCK:
         return run(seeds)  # nothing to merge, so no copy of the samples
     if n_threads <= 1:
         parts = [run(b) for b in blocks]
@@ -481,7 +486,7 @@ def integrate_extremal(
 # --- control recovery and replay ------------------------------------------
 
 
-def recover_control(traj: Trajectory, params: SystemParams, r_min: float = 1e-8) -> ControlSchedule:
+def recover_control(traj: Trajectory, params: SystemParams) -> ControlSchedule:
     """Reconstruct the physical coherent control u(t) along an extremal.
 
     Balancing the theta equation of the cylindrical system against the
@@ -497,8 +502,8 @@ def recover_control(traj: Trajectory, params: SystemParams, r_min: float = 1e-8)
     """
     states = np.asarray(traj.ys, dtype=float)
     z, R, th = states[:, 0], states[:, 1], states[:, 4]
-    if np.min(R) <= r_min:
-        raise SingularityError(f"control recovery needs R > {r_min} along the path")
+    if np.min(R) <= R_MIN:
+        raise SingularityError(f"control recovery needs R > {R_MIN} along the path")
     g = params.ratio
     thp = theta_rhs(states, params)
     u_tau = params.omega * (
@@ -509,37 +514,25 @@ def recover_control(traj: Trajectory, params: SystemParams, r_min: float = 1e-8)
     return ControlSchedule(times[:-1], u_pc, np.zeros(len(u_pc)), T=float(times[-1]))
 
 
-def replay_extremal(
-    traj: Trajectory,
-    params: SystemParams,
-    u_max: float | None = None,
-    from_north: bool = True,
-):
+def replay_extremal(traj: Trajectory, params: SystemParams):
     """Drive the Bloch equation with the recovered control of an extremal.
 
     The piecewise-constant control is replayed with the exact affine
     propagators of :func:`schedule.propagate`, so the remaining error is
     that of the piecewise-constant control itself, not of an integrator.
-    When starting from the north pole (0,0,1) a short aligning spike
-    first rotates the meridian angle from pi/2 to the extremal's theta0;
-    its duration is pi/(2 kappa u_max), so pick u_max large enough that
-    omega * duration is far below the comparison tolerance.
+    The replay starts at the north pole (0,0,1): a short aligning spike of
+    strength SPIKE_STRENGTH first rotates the meridian angle from pi/2 to
+    the extremal's theta0.
 
     Returns (r_states, schedule): Bloch states at the extremal's sample
     times, shape (m, 3).
     """
-    if u_max is None:
-        u_max = 1e6 * params.omega / (2.0 * params.kappa)
+    u_max = SPIKE_STRENGTH * params.omega / (2.0 * params.kappa)
     sched = recover_control(traj, params)
-    th0 = float(traj.ys[0, 4])
-    times = np.concatenate([sched.times, [sched.T]])
-    if from_north:
-        dth = (th0 - 0.5 * np.pi + np.pi) % (2.0 * np.pi) - np.pi
-        eps = np.pi / (2.0 * params.kappa * u_max)
-        u_align = dth / (2.0 * params.kappa * eps)
-        edges = np.concatenate([[0.0], eps + times])
-        u_segments = np.concatenate([[u_align], sched.u])
-        states = propagate([0.0, 0.0, 1.0], edges, u_segments, np.zeros(len(u_segments)), params)
-        return states[1:], sched
-    r0 = [0.0, np.cos(th0), np.sin(th0)]
-    return propagate(r0, times, sched.u, sched.n, params), sched
+    dth = (float(traj.ys[0, 4]) - 0.5 * np.pi + np.pi) % (2.0 * np.pi) - np.pi
+    eps = np.pi / (2.0 * params.kappa * u_max)
+    u_align = dth / (2.0 * params.kappa * eps)
+    edges = np.concatenate([[0.0], eps + np.concatenate([sched.times, [sched.T]])])
+    u_segments = np.concatenate([[u_align], sched.u])
+    states = propagate([0.0, 0.0, 1.0], edges, u_segments, np.zeros(len(u_segments)), params)
+    return states[1:], sched

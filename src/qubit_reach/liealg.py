@@ -14,7 +14,7 @@ polynomials uniquely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +95,7 @@ WITNESS_TRIPLES = (
 )
 
 _BRACKET_FAMILY = ("f0", "f1", "f3", "f4", "f5", "f6", "f7")
+DET_TOL = 1e-12  # |det| of a witness triple above which it certifies rank 3
 
 
 @dataclass
@@ -102,12 +103,10 @@ class RankCertificate:
     rank: int
     witness: tuple[str, str, str]
     determinant: float
-    point: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
+    point: np.ndarray
 
 
-def rank_certificate(
-    r, params: SystemParams, det_tol: float = 1e-12, fields: dict | None = None
-) -> RankCertificate:
+def rank_certificate(r, params: SystemParams, fields: dict | None = None) -> RankCertificate:
     """Certify the rank of the bracket distribution of (f0, f1) at ``r``.
 
     Tries the standard witness triples first; when all of them degenerate
@@ -122,7 +121,7 @@ def rank_certificate(
     fields = fields or canonical_fields(params)
     for names in WITNESS_TRIPLES:
         det = det_triple(fields, names, r)
-        if abs(det) > det_tol:
+        if abs(det) > DET_TOL:
             return RankCertificate(3, names, det, point=r)
     # Span fallback over the full bracket family.
     values = np.stack([fields[name](r) for name in _BRACKET_FAMILY])
@@ -136,7 +135,7 @@ def rank_certificate(
     return RankCertificate(rank, tuple(best_names), best_det, point=r)
 
 
-def rank_grid(params: SystemParams, n: int = 21, det_tol: float = 1e-12):
+def rank_grid(params: SystemParams, n: int = 21):
     """Rank certificates on an n^3 grid over the Bloch ball.
 
     Yields RankCertificate objects for every grid point with |r| <= 1.
@@ -148,6 +147,4 @@ def rank_grid(params: SystemParams, n: int = 21, det_tol: float = 1e-12):
             for rz in axis:
                 if rx * rx + ry * ry + rz * rz > 1.0 + 1e-12:
                     continue
-                yield rank_certificate(
-                    np.array([rx, ry, rz]), params, det_tol=det_tol, fields=fields
-                )
+                yield rank_certificate(np.array([rx, ry, rz]), params, fields=fields)

@@ -40,24 +40,7 @@ DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 DP_ERR = DP_B5 - DP_B4
-
-
-@dataclass
-class IntegratorConfig:
-    """Tolerances and step budget of :func:`dp45`.
-
-    A step is accepted when, in every live column, the RMS of the error
-    estimate over abs_tol + rel_tol * max(|y0|, |y1|) is at most 1;
-    max_steps caps the number of accepted steps.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_steps: int = 10_000_000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+MAX_STEPS = 10_000_000  # accepted steps of one dp45 run
 
 
 @dataclass
@@ -168,31 +151,36 @@ def dp45_step(rhs: Callable, t: float, y: np.ndarray, h: float, f0: np.ndarray):
 
 
 def dp45(
-    rhs: Callable, y: np.ndarray, T: float, cfg: IntegratorConfig, live: np.ndarray,
+    rhs: Callable, y: np.ndarray, T: float, tol: float, live: np.ndarray,
     accept: Callable, drop: Callable,
 ) -> None:
     """Adaptive Dormand-Prince 5(4) on the columns of a (d, n) state, t = 0 to T.
 
-    Each column has its own RMS error norm and the step follows the worst
-    column of the boolean mask ``live``.  A live column whose step is not
-    finite, or the worst one after 60 rejections in a row, goes to
-    ``drop(cols, t, reason)`` as a column mask; drop takes it out of
-    ``live`` (or raises), and the step is retried from rhs(t, y).  Every
-    accepted step calls ``accept(t0, h, y0, f0, t1, y1, f1)``, which may
-    edit y1 in place and returns the derivative to continue from.  The
+    A step is accepted when, in every column of the boolean mask ``live``,
+    the RMS of the error estimate over tol + tol * max(|y0|, |y1|) is at
+    most 1; the step follows the worst live column.  A run that needs more
+    than MAX_STEPS accepted steps raises :class:`IntegrationError`, and a
+    tol that is not finite and positive raises ValueError.  A live column
+    whose step is not finite, or the worst one after 60 rejections in a
+    row, goes to ``drop(cols, t, reason)`` as a column mask; drop takes it
+    out of ``live`` (or raises), and the step is retried from rhs(t, y).
+    Every accepted step calls ``accept(t0, h, y0, f0, t1, y1, f1)``, which
+    may edit y1 in place and returns the derivative to continue from.  The
     loop ends at T or when no column is live; the first trial step is
     min(1e-3, T).
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     t = 0.0
     f = rhs(t, y)
     h = min(1e-3, T)
     accepted = rejects = 0
     while t < T and live.any():
         h = min(h, T - t)
-        if accepted >= cfg.max_steps:
+        if accepted >= MAX_STEPS:
             raise IntegrationError(f"step budget exceeded at t={t}")
         y_new, f_new, err = dp45_step(rhs, t, y, h, f)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err_col = np.sqrt(np.mean((err / scale) ** 2, axis=0))
         bad = live & ~np.isfinite(err_col)
         if bad.any():
@@ -216,10 +204,11 @@ def dp45(
             h *= max(0.2, 0.9 * norm ** -0.2)
 
 
-def integrate(rhs: Callable, y0, T: float, cfg: IntegratorConfig | None = None) -> Trajectory:
+def integrate(rhs: Callable, y0, T: float, tol: float = 1e-10) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from t = 0 to t = T, keeping every node.
 
-    y0 may have any shape; it is the one column of :func:`dp45`.  Raises
+    y0 may have any shape; it is the one column of :func:`dp45`, run at
+    tolerance tol.  Raises
     :class:`IntegrationError` with the failure time in the message when
     the step budget is exhausted, a step is not finite, the step size
     collapses or the right-hand side raises.
@@ -244,7 +233,7 @@ def integrate(rhs: Callable, y0, T: float, cfg: IntegratorConfig | None = None) 
     def drop(cols, t, reason):
         raise IntegrationError(f"{reason} at t={t}")
 
-    dp45(column_rhs, y0.reshape(-1, 1), T, cfg or IntegratorConfig(), np.ones(1, dtype=bool), accept, drop)
+    dp45(column_rhs, y0.reshape(-1, 1), T, tol, np.ones(1, dtype=bool), accept, drop)
     ts, ys, fs = zip(*nodes)
     shape = (len(ts),) + y0.shape
     return Trajectory(np.array(ts), np.reshape(ys, shape), np.reshape(fs, shape))

@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extremals
-from .bloch import polar_rhs, polar_rhs_scaled
+from .bloch import RHO_MIN, polar_rhs, polar_rhs_scaled
 from .extremals import sweep_extremals_parallel
-from .ode import IntegratorConfig
 from .params import SystemParams
 
-SWEEP_CFG = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)  # extremal sweeps of rasters and tables
+SWEEP_TOL = 1e-8  # dp45 tolerance of the extremal sweeps of rasters and tables
 REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bisection seed
 MAX_REFINE_ROUNDS = 24
 BIN_BLOCK = 16  # sample columns per block of the first-passage binning
 NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
+SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
+BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
+BARRIER_THETA_GRID = 720  # control angles of the barrier-certificate grid check
 
 
 def first_passage(n_cells: int, blocks) -> np.ndarray:
@@ -68,7 +70,7 @@ class SpiralRegion:
                 out.append(np.column_stack([sz * rad * np.sin(s), sr * rad * np.cos(s)]))
         return out
 
-    def contains(self, z, R, tol: float = 1e-12):
+    def contains(self, z, R):
         """Vectorized membership test of meridian points (z, R)."""
         z = np.asarray(z, dtype=float)
         R = np.asarray(R, dtype=float)
@@ -76,7 +78,7 @@ class SpiralRegion:
         safe_rho = np.where(rho > 0.0, rho, 1.0)
         a = np.arccos(np.clip(np.abs(R) / safe_rho, -1.0, 1.0))
         bound = np.exp(-0.5 * self.gamma_ratio * a)
-        return (rho <= tol) | (rho <= bound + tol)
+        return (rho <= SPIRAL_TOL) | (rho <= bound + SPIRAL_TOL)
 
 
 def spiral_region(params: SystemParams) -> SpiralRegion:
@@ -172,7 +174,7 @@ def barrier_values(
         raise ValueError(f"phi outside the {edge} edge range [{lo}, {hi}]")
     s = _edge_sign(edge)
     rho = tri.edge_rho(edge, phi) if rho is None else np.asarray(rho, dtype=float)
-    if np.any(rho <= 1e-8):
+    if np.any(rho <= RHO_MIN):
         # delegate the singularity complaint to the scalar polar system
         polar_rhs((float(np.min(rho)), 0.0), 0.0, params)
     g = params.ratio
@@ -186,8 +188,6 @@ def barrier_certificate(
     alpha: float,
     beta: float,
     params: SystemParams,
-    phi_grid: int = 2048,
-    theta_grid: int = 720,
 ) -> bool:
     """Grid check that the triangle (phi0, alpha, beta) repels all velocities.
 
@@ -202,10 +202,10 @@ def barrier_certificate(
     if abs(np.sin(phi0)) >= 1.0 - 1e-12:
         raise ValueError("certificate requires |sin(phi0)| < 1 (phi0 != +-pi/2)")
     tri = BarrierTriangle(phi0, alpha, beta, params.ratio)
-    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)[None, :]
+    thetas = np.linspace(0.0, 2.0 * np.pi, BARRIER_THETA_GRID, endpoint=False)[None, :]
     for edge in ("plus", "minus"):
         lo, hi = tri.edge_phi_range(edge)
-        G = barrier_values(tri, edge, np.linspace(lo, hi, phi_grid)[:, None], thetas, params)
+        G = barrier_values(tri, edge, np.linspace(lo, hi, BARRIER_PHI_GRID)[:, None], thetas, params)
         if float(G.min()) <= 0.0:
             return False
     return True
@@ -288,7 +288,7 @@ class ReachSweep:
 
         def run(batch):
             sweep = sweep_extremals_parallel(
-                batch, T_max, params, n_threads=self.n_threads, cfg=SWEEP_CFG,
+                batch, T_max, params, n_threads=self.n_threads, tol=SWEEP_TOL,
                 sample_dt=self.sample_dt, components=("z", "R"),
             )
             # paths frozen at tau = 0 (stationary extremals) carry no arc;

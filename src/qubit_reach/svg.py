@@ -24,22 +24,17 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _path(points, stroke: str, width: float = 1.5, fill: str = "none") -> str:
+def _path(points, stroke: str, width: float = 1.5) -> str:
     cmds = []
     for k, (z, r) in enumerate(points):
         cmds.append(f"{'M' if k == 0 else 'L'} {_fmt(_x(z))} {_fmt(_y(r))}")
     return (
-        f'<path d="{" ".join(cmds)}" fill="{fill}" stroke="{stroke}" '
+        f'<path d="{" ".join(cmds)}" fill="none" stroke="{stroke}" '
         f'stroke-width="{width}" />'
     )
 
 
-def figure(
-    boundaries=(),
-    spiral_arcs=(),
-    title: str = "",
-    extra_paths=(),
-) -> str:
+def figure(boundaries=(), spiral_arcs=(), title: str = "") -> str:
     """Unit circle plus boundary polylines plus optional spiral overlay."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
@@ -53,7 +48,6 @@ def figure(
         parts.append(_path(arc, stroke="#2e8b57", width=1.0))
     for loop in boundaries:
         parts.append(_path(loop, stroke="#000000", width=1.5))
-    parts.extend(extra_paths)
     if title:
         parts.append(
             f'<text x="8" y="18" font-family="monospace" font-size="14">{title}</text>'

@@ -24,9 +24,11 @@ import numpy as np
 
 from .extremals import ExtremalSeed, seed_grid, sweep_extremals_parallel
 from .params import SystemParams
-from .reachset import BIN_BLOCK, NO_PASSAGE, SWEEP_CFG, first_passage
+from .reachset import BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage
 
 MAGIC = "#qubit-reach-table v1"
+MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210 MB
+SEARCH_CELLS = 2  # Chebyshev radius of the nearest-cell fallback of query
 
 
 class UnreachableError(ValueError):
@@ -38,23 +40,22 @@ class LookupTable:
     """Grid over the half-disc [-1,1] x [0,1] with square cells 2/grid_n.
 
     Arrays are indexed [i, j] with i the z cell and j the R cell; mask
-    marks nonempty cells.
+    marks nonempty cells.  A new table has every cell empty.
     """
 
     gamma_ratio: float
     grid_n: int
-    psi0: np.ndarray = field(default=None)
-    theta0: np.ndarray = field(default=None)
-    tmin: np.ndarray = field(default=None)
-    mask: np.ndarray = field(default=None)
+    psi0: np.ndarray = field(init=False)
+    theta0: np.ndarray = field(init=False)
+    tmin: np.ndarray = field(init=False)
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nz, nr = self.grid_n, self.grid_n // 2
-        if self.psi0 is None:
-            self.psi0 = np.zeros((nz, nr))
-            self.theta0 = np.zeros((nz, nr))
-            self.tmin = np.full((nz, nr), np.inf)
-            self.mask = np.zeros((nz, nr), dtype=bool)
+        self.psi0 = np.zeros((nz, nr))
+        self.theta0 = np.zeros((nz, nr))
+        self.tmin = np.full((nz, nr), np.inf)
+        self.mask = np.zeros((nz, nr), dtype=bool)
 
     @property
     def cell(self) -> float:
@@ -92,12 +93,12 @@ def build_table(
     """
     if n_seeds < 256:
         raise ValueError(f"need at least 256 seeds, got {n_seeds}")
-    if grid_resolution < 2 or grid_resolution % 2:
-        raise ValueError("grid resolution must be even and >= 2")
+    if grid_resolution < 2 or grid_resolution % 2 or grid_resolution > MAX_GRID:
+        raise ValueError(f"grid resolution must be even, >= 2 and <= {MAX_GRID}")
     table = LookupTable(params.ratio, grid_resolution)
     seeds = seed_grid(n_seeds, params)
     sweep = sweep_extremals_parallel(
-        seeds, T_max_scaled, params, n_threads=n_threads, cfg=SWEEP_CFG,
+        seeds, T_max_scaled, params, n_threads=n_threads, tol=SWEEP_TOL,
         sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0), components=("z", "R"),
     )
     z, R = sweep.data["z"], sweep.data["R"]
@@ -131,10 +132,10 @@ def build_table(
     return table
 
 
-def query(table: LookupTable, z1: float, R1: float, search_cells: int = 2):
+def query(table: LookupTable, z1: float, R1: float):
     """Seed and first-passage time of the cell containing (z1, R1).
 
-    Falls back to the nearest nonempty cell within ``search_cells``
+    Falls back to the nearest nonempty cell within SEARCH_CELLS
     (Chebyshev) when the exact cell is empty; beyond that the target is
     reported unreachable.  The target must lie in the closed unit
     half-disc R1 >= 0.
@@ -147,8 +148,8 @@ def query(table: LookupTable, z1: float, R1: float, search_cells: int = 2):
     if table.mask[i0, j0]:
         return table.psi0[i0, j0], table.theta0[i0, j0], table.tmin[i0, j0]
     best = None
-    for i in range(max(0, i0 - search_cells), min(table.grid_n, i0 + search_cells + 1)):
-        for j in range(max(0, j0 - search_cells), min(table.grid_n // 2, j0 + search_cells + 1)):
+    for i in range(max(0, i0 - SEARCH_CELLS), min(table.grid_n, i0 + SEARCH_CELLS + 1)):
+        for j in range(max(0, j0 - SEARCH_CELLS), min(table.grid_n // 2, j0 + SEARCH_CELLS + 1)):
             if not table.mask[i, j]:
                 continue
             zc, rc = table.cell_center(i, j)
@@ -158,14 +159,14 @@ def query(table: LookupTable, z1: float, R1: float, search_cells: int = 2):
                 best = cand
     if best is None:
         raise UnreachableError(
-            f"no recorded extremal within {search_cells} cells of ({z1}, {R1})"
+            f"no recorded extremal within {SEARCH_CELLS} cells of ({z1}, {R1})"
         )
     _, i, j = best
     return table.psi0[i, j], table.theta0[i, j], table.tmin[i, j]
 
 
-def query_seed(table: LookupTable, z1: float, R1: float, search_cells: int = 2) -> ExtremalSeed:
-    psi0, theta0, _ = query(table, z1, R1, search_cells)
+def query_seed(table: LookupTable, z1: float, R1: float) -> ExtremalSeed:
+    psi0, theta0, _ = query(table, z1, R1)
     return ExtremalSeed(float(psi0), float(theta0))
 
 
@@ -195,8 +196,10 @@ def load(path) -> LookupTable:
     if len(lines) < 2 or lines[1] != "i,j,psi0,theta0,Tmin":
         raise ValueError(f"{path}: missing column header")
     ratio, grid = float(m.group("ratio")), int(m.group("grid"))
-    if not (np.isfinite(ratio) and ratio >= 0.0) or grid < 2 or grid % 2:
-        raise ValueError(f"{path}: header needs a finite gamma_ratio >= 0 and an even grid >= 2")
+    if not (np.isfinite(ratio) and ratio >= 0.0) or grid < 2 or grid % 2 or grid > MAX_GRID:
+        raise ValueError(
+            f"{path}: header needs a finite gamma_ratio >= 0 and an even grid from 2 to {MAX_GRID}"
+        )
     table = LookupTable(ratio, grid)
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():

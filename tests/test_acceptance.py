@@ -35,7 +35,7 @@ from qubit_reach.extremals import (
     theta_rhs,
 )
 from qubit_reach.liealg import canonical_fields, rank_certificate
-from qubit_reach.ode import IntegratorConfig, integrate
+from qubit_reach.ode import integrate
 from qubit_reach.reachset import (
     BarrierTriangle,
     ReachSweep,
@@ -65,10 +65,9 @@ def health_sweep():
     """256 extremals to wT = 7 at tight tolerance (criterion 7)."""
     return sweep_extremals_parallel(
         seed_grid(256, P), 7.0, P,
-        cfg=IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12),
+        tol=1e-12,
         sample_dt=7.0 / 700,
         components=("z", "R", "p", "q", "theta"),
-        block=128,
     )
 
 
@@ -434,7 +433,7 @@ def test_criterion_10_table_replay(lookup_table):
     # one batched replay to the horizon, sampled on the build grid
     sample_dt = min(0.35 * tbl.cell, 7.0 / 64.0)
     sweep = sweep_extremals_parallel(
-        seeds, 7.0, P, sample_dt=sample_dt, components=("z", "R"), block=128
+        seeds, 7.0, P, sample_dt=sample_dt, components=("z", "R")
     )
     j_idx = np.clip(np.round(tmins / (sweep.tau[1] - sweep.tau[0])).astype(int),
                     0, len(sweep.tau) - 1)
@@ -466,6 +465,7 @@ PINNED = {
         "c007b8f0fadfafbff9d6c02131227ab1188b6988d39015fa02752d1356fcda58",
     "lookup_table_csv":
         "001a54d3bee76490c680d712bb5d841ae93eb7c9c3c6c6be1f11b40f8ee486c6",
+    # one north-pole replay: the aligning spike and the recovered control
     "replay_psi1_states":
         "bbe552271aca677aa6c755fec7c98d25235e9cf08a8a1a680af6493899c8f2f5",
     "replay_psi1_u":

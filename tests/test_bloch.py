@@ -18,7 +18,7 @@ from qubit_reach import (
     to_cylindrical,
 )
 from qubit_reach.bloch import bloch_velocity_to_matrix, cylindrical_fields
-from qubit_reach.ode import IntegratorConfig, integrate
+from qubit_reach.ode import integrate
 
 
 P01 = SystemParams.from_ratio(0.1)
@@ -250,7 +250,7 @@ def test_ball_norm_derivative_finite_difference():
         lambda t, r: bloch_rhs(r, u, n, p),
         np.array([0.4, 0.2, 0.5]),
         3.0,
-        IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12),
+        tol=1e-12,
     )
     ts = np.linspace(0.1, 2.9, 40)
     h = 1e-5
@@ -270,8 +270,7 @@ def test_forward_invariance_under_random_controls():
         r = np.array([0.0, 0.0, 1.0])
         for u, n in zip(us, ns):
             traj = integrate(
-                lambda t, rr: bloch_rhs(rr, u, n, p), r, 0.5,
-                IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10),
+                lambda t, rr: bloch_rhs(rr, u, n, p), r, 0.5, tol=1e-10,
             )
             r = traj.final_state
             assert np.max(np.sum(traj.ys ** 2, axis=1)) <= 1.0 + 1e-9

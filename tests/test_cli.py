@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qubit_reach import SystemParams
 from qubit_reach.cli import main
+from qubit_reach.schedule import propagate
 
 
 def run(capsys, *argv):
@@ -42,6 +44,30 @@ def test_simulate_fixed_point(tmp_path, capsys):
     for line in lines[1:]:
         t, rx, ry, rz = (float(v) for v in line.split(","))
         assert (rx, ry, rz) == (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "times, u, r0",
+    [([0.0], [0.0], "0.6,0,0.8"), ([0.0, 3.31], [0.0, 2.0], "0,0,1")],
+    ids=["zero-off-pole", "switch"],
+)
+def test_simulate_rows_are_exact(tmp_path, capsys, times, u, r0):
+    # every row is the exact propagation to its sample time, including
+    # rows inside the segment that holds a control switch
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t,u,n\n" + "".join(f"{t},{v},0\n" for t, v in zip(times, u)))
+    code, out, _ = run(
+        capsys, "simulate", "--gamma-ratio", "0.1", "--schedule", str(sched),
+        "--r0", r0, "--T", "10",
+    )
+    assert code == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    start = [float(v) for v in r0.split(",")]
+    times, u, params = np.array(times), np.array(u), SystemParams.from_ratio(0.1)
+    for t, *state in rows:
+        k = int(np.sum(times < t))
+        want = propagate(start, np.append(times[:k], t), u[:k], np.zeros(k), params)[-1]
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
 
 def test_lacuna_prints_certificates(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qubit_reach import extremals
 from qubit_reach import (
     SystemParams,
     convexity_margin,
@@ -195,13 +196,20 @@ def test_sweep_disc_invariance():
     assert np.nanmax(rad) <= 1 + 1e-9
 
 
-def test_sweep_parallel_merge_identical():
+def test_sweep_parallel_merge_identical(monkeypatch):
     # block decomposition, not thread count, decides the numerics
+    monkeypatch.setattr(extremals, "SWEEP_BLOCK", 8)
     seeds = seed_grid(32, P)
-    a = sweep_extremals_parallel(seeds, 2.0, P, n_threads=1, sample_dt=2 / 256, block=8)
-    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256, block=8)
+    a = sweep_extremals_parallel(seeds, 2.0, P, n_threads=1, sample_dt=2 / 256)
+    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256)
     npt.assert_array_equal(a.data["z"], b.data["z"])
     npt.assert_array_equal(a.data["R"], b.data["R"])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_sweep_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        sweep_extremals_parallel(seed_grid(4, P), 1.0, P, tol=tol)
 
 
 def test_normalize_states_is_involution_fixed():

@@ -4,13 +4,12 @@ import pytest
 
 from qubit_reach import SystemParams, bloch_rhs
 from qubit_reach.bloch import aux_rhs
-from qubit_reach.ode import (
-    IntegrationError, IntegratorConfig, Trajectory, dp45, dp45_step, integrate, rk4,
-)
+from qubit_reach import ode
+from qubit_reach.ode import IntegrationError, Trajectory, dp45, dp45_step, integrate, rk4
 
 
 def test_exponential_decay():
-    traj = integrate(lambda t, y: -y, np.array([1.0]), 1.0, IntegratorConfig())
+    traj = integrate(lambda t, y: -y, np.array([1.0]), 1.0)
     assert abs(traj.final_state[0] - np.exp(-1.0)) < 1e-8
 
 
@@ -59,20 +58,19 @@ def test_rk4_fourth_order_convergence():
 def test_adaptive_vs_fixed_agreement():
     p = SystemParams.from_ratio(0.1)
     tol = 1e-10
-    cfg_a = IntegratorConfig(abs_tol=tol, rel_tol=tol)
     for rhs, y0, T in [
         (aux_spiral_rhs(p), np.array([0.0, 1.0]), 2.0),
         (lambda t, y: -y, np.array([1.0]), 1.0),
     ]:
-        ya = integrate(rhs, y0, T, cfg_a).final_state
+        ya = integrate(rhs, y0, T, tol=tol).final_state
         yf = rk4(rhs, y0, T, 1e-3)
         assert np.max(np.abs(ya - yf)) < 10 * max(tol, 1e-10 * 100)
 
 
-def test_max_steps_exceeded():
-    cfg = IntegratorConfig(max_steps=10)
+def test_max_steps_exceeded(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
     with pytest.raises(IntegrationError, match="step budget"):
-        integrate(lambda t, y: -y, np.array([1.0]), 1.0, cfg)
+        integrate(lambda t, y: -y, np.array([1.0]), 1.0)
 
 
 def test_rhs_failure_carries_time():
@@ -104,9 +102,12 @@ def test_trajectory_validation():
         Trajectory(np.array([0.5, 1.0]), np.zeros((2, 1)), np.zeros((2, 1)))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tol_validation(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        integrate(lambda t, y: -y, np.array([1.0]), 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        dp45(lambda t, y: -y, np.ones((1, 1)), 1.0, tol, np.ones(1, dtype=bool), None, None)
 
 
 def test_batched_state_integration():
@@ -131,7 +132,7 @@ def run_columns(square, T=2.0):
         dropped.append((np.nonzero(cols)[0].tolist(), t, reason))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        dp45(lambda t, y: np.where(square, y * y, -y), y, T, IntegratorConfig(), live, accept, drop)
+        dp45(lambda t, y: np.where(square, y * y, -y), y, T, 1e-10, live, accept, drop)
     return steps, dropped
 
 

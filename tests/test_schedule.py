@@ -146,18 +146,17 @@ def test_propagate_semigroup():
 
 def test_propagate_matches_tight_integration_with_incoherent_control():
     from qubit_reach.bloch import bloch_rhs
-    from qubit_reach.ode import IntegratorConfig, integrate
+    from qubit_reach.ode import integrate
 
     p = SystemParams(omega=1.0, kappa=0.5, gamma=0.2)
     rng = np.random.default_rng(6)
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.8, 12))])
     u, n = rng.uniform(-3, 3, 12), rng.uniform(0, 2, 12)
     got = propagate([0.1, -0.4, 0.7], edges, u, n, p)
-    cfg = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
     y = np.array([0.1, -0.4, 0.7])
     for k in range(12):
         rhs = lambda t, r, k=k: bloch_rhs(r, u[k], n[k], p)
-        y = integrate(rhs, y, edges[k + 1] - edges[k], cfg).final_state
+        y = integrate(rhs, y, edges[k + 1] - edges[k], tol=1e-13).final_state
         npt.assert_allclose(got[k + 1], y, rtol=0, atol=1e-9)
 
 

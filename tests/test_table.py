@@ -29,6 +29,8 @@ def test_build_validation():
         build_table(P, n_seeds=100)
     with pytest.raises(ValueError):
         build_table(P, n_seeds=256, grid_resolution=33)
+    with pytest.raises(ValueError, match=f"<= {table_mod.MAX_GRID}"):
+        build_table(P, n_seeds=256, grid_resolution=table_mod.MAX_GRID + 2)
 
 
 def test_start_cell_has_zero_time(table):
@@ -165,6 +167,8 @@ GOOD_HEADER = "#qubit-reach-table v1 gamma_ratio=0.1 grid=8"
         ("#qubit-reach-table v1 gamma_ratio=0.1 grid=0", ""),
         ("#qubit-reach-table v1 gamma_ratio=0.1 grid=1", ""),
         ("#qubit-reach-table v1 gamma_ratio=0.1 grid=7", "0,0,0.5,1.0,0.25"),
+        ("#qubit-reach-table v1 gamma_ratio=0.1 grid=4098", ""),
+        ("#qubit-reach-table v1 gamma_ratio=0.1 grid=1000000000", ""),
     ],
 )
 def test_load_rejects_out_of_range_tables(tmp_path, capsys, header, row):
@@ -174,6 +178,21 @@ def test_load_rejects_out_of_range_tables(tmp_path, capsys, header, row):
         load(p)
     assert main(["table", "query", "--in", str(p), "--z", "0.9", "--R", "0.1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_load_bounds_the_header_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(table_mod, "MAX_GRID", 8)
+    p = tmp_path / "bound.csv"
+    p.write_text(f"{GOOD_HEADER}\ni,j,psi0,theta0,Tmin\n0,0,0.5,1.0,0.25\n")
+    assert load(p).grid_n == 8
+    p.write_text("#qubit-reach-table v1 gamma_ratio=0.1 grid=10\ni,j,psi0,theta0,Tmin\n")
+    with pytest.raises(ValueError, match="from 2 to 8"):
+        load(p)
+    assert main(["table", "query", "--in", str(p), "--z", "0.0", "--R", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "from 2 to 8" in err
+    assert "Traceback" not in err
 
 
 def test_empty_table_round_trip(tmp_path):
