@@ -41,7 +41,10 @@ from qubit_reach.reachset import (
     ReachSweep,
     barrier_certificate,
     guaranteed_ball_radius,
+    marching_squares,
+    revolve_to_3d,
     spiral_region,
+    write_obj,
 )
 from qubit_reach import svg as svg_mod
 from qubit_reach import table as table_mod
@@ -470,6 +473,17 @@ PINNED = {
         "bbe552271aca677aa6c755fec7c98d25235e9cf08a8a1a680af6493899c8f2f5",
     "replay_psi1_u":
         "3a6007cf3f63d1c5f005d03c90eafd2f9ccfd01011bee5b20ee09af7cf41b24c",
+    # the readout of big_sweep: boundary loops and SVG frames at every
+    # FIG_TIMES value, and the revolved wT = 7 mesh
+    "big_sweep_fig_loops":
+        "58f3cdebb7aad7936028e71686f8edc442991f1628e205d1bdeac00a1caa1566",
+    "big_sweep_fig_svg":
+        "534fac737930fa6ed1b0fbb9f5c070d32d5e9652c3a7c533e4c257038ff5fa8c",
+    "big_sweep_obj_7":
+        "4f35d9ecb095e70c782a6209aca3b815ded17c30e31897a010eae7acb0900aee",
+    # a 64^2 raster with density 0.5: saddles, holes and many small loops
+    "random_raster_loops":
+        "2cbfc659e1efb5b501c3f99cb42e5735325ce72c8d5706efa8e0e431c36c3e91",
 }
 
 
@@ -477,6 +491,12 @@ def _sha256(data: bytes) -> str:
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
+
+
+def loop_bytes(loops) -> bytes:
+    """Loop lengths, then each loop's coordinates, in order."""
+    lengths = np.array([len(loop) for loop in loops], dtype=np.int64)
+    return lengths.tobytes() + b"".join(loop.tobytes() for loop in loops)
 
 
 def pinned_min_psis():
@@ -521,3 +541,23 @@ def test_lookup_table_bits_pinned(lookup_table, tmp_path):
     path = tmp_path / "table.csv"
     table_mod.save(lookup_table, path)
     assert _sha256(path.read_bytes()) == PINNED["lookup_table_csv"]
+
+
+def test_readout_bits_pinned(big_sweep):
+    reg = spiral_region(P)
+    rsets = [big_sweep.reachable_set(T) for T in FIG_TIMES]
+    loops = b"".join(loop_bytes(marching_squares(rset.raster)) for rset in rsets)
+    frames = "".join(svg_mod.reachset_figure(rset, reg) for rset in rsets)
+    assert _sha256(loops) == PINNED["big_sweep_fig_loops"]
+    assert _sha256(frames.encode()) == PINNED["big_sweep_fig_svg"]
+
+
+def test_random_raster_loops_pinned():
+    occ = np.random.default_rng(0).random((64, 64)) < 0.5
+    assert _sha256(loop_bytes(marching_squares(occ))) == PINNED["random_raster_loops"]
+
+
+def test_obj_bits_pinned(big_sweep, tmp_path):
+    path = tmp_path / "reach.obj"
+    write_obj(path, *revolve_to_3d(big_sweep.reachable_set(7.0), 64))
+    assert _sha256(path.read_bytes()) == PINNED["big_sweep_obj_7"]

@@ -231,6 +231,56 @@ def test_marching_squares_with_hole():
     assert len(loops) == 2
 
 
+def random_raster(seed, n=64, density=0.5):
+    return np.random.default_rng(seed).random((n, n)) < density
+
+
+def enclosed_empty_cells(pad):
+    """Empty cells that no 8-connected empty path joins to the outer ring."""
+    empty = pad == 0
+    outside = np.zeros(pad.shape, dtype=bool)
+    outside[[0, -1]] = outside[:, [0, -1]] = True
+    while True:
+        ring = np.pad(outside, 1)
+        near = np.zeros_like(outside)
+        for di in range(3):
+            for dj in range(3):
+                near |= ring[di : di + pad.shape[0], dj : dj + pad.shape[1]]
+        grown = empty & near
+        if np.array_equal(grown, outside):
+            return empty & ~outside
+        outside = grown
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_marching_squares_random_raster(seed):
+    occ = random_raster(seed)
+    cell = 2.0 / len(occ)
+    pad = np.pad(occ, 1).astype(np.int8)
+    case = pad[:-1, :-1] | pad[1:, :-1] << 1 | pad[1:, 1:] << 2 | pad[:-1, 1:] << 3
+    # the raster exercises both saddles and has holes
+    assert np.any(case == 5) and np.any(case == 10)
+    assert enclosed_empty_cells(pad).any()
+    n_segments = np.count_nonzero((case > 0) & (case < 15)) + np.count_nonzero(
+        (case == 5) | (case == 10)
+    )
+    loops = marching_squares(occ)
+    assert all(np.array_equal(loop[0], loop[-1]) for loop in loops)
+    # vertices back on the doubled padded lattice; consecutive ones share a cell
+    keys = [np.rint(2.0 * (loop + 1.0) / cell + 1.0).astype(int) for loop in loops]
+    for k in keys:
+        steps = {tuple(d) for d in np.abs(np.diff(k, axis=0)).tolist()}
+        assert steps <= {(1, 1), (2, 0), (0, 2)}
+    verts = [tuple(v) for k in keys for v in k[:-1].tolist()]
+    assert len(verts) == n_segments
+    assert len(set(verts)) == len(verts)
+    i, j = np.nonzero(pad[:-1] != pad[1:])
+    k, l = np.nonzero(pad[:, :-1] != pad[:, 1:])
+    midpoints = {(2 * a + 1, 2 * b) for a, b in zip(i.tolist(), j.tolist())}
+    midpoints |= {(2 * a, 2 * b + 1) for a, b in zip(k.tolist(), l.tolist())}
+    assert set(verts) == midpoints
+
+
 def test_revolve_sphere():
     n = 128
     occ = disc_raster(n, 1 - 4 / n)
