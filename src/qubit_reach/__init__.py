@@ -50,7 +50,6 @@ from .reachset import (
     SpiralRegion,
     barrier_certificate,
     barrier_values,
-    compute_reachable_set,
     guaranteed_ball_radius,
     lacuna_alpha_bound,
     marching_squares,

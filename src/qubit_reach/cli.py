@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,28 @@ from .schedule import ControlSchedule, propagate
 from .table import UnreachableError
 
 
+# upper bounds of the count flags: each scales the memory a run asks for,
+# so a larger value is refused as a usage error before anything is allocated
+MAX_SEEDS = 16384
+MAX_RASTER = 4096  # as table.MAX_GRID
+MAX_FRAMES = 10000
+MAX_OBJ_ANGLES = 4096
+MAX_SAMPLES = 100_000
+
+
 def positive_int(text: str) -> int:
     """argparse type of counts and sizes."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def count_up_to(bound: int, text: str) -> int:
+    """argparse type of a count flag, given its bound by functools.partial."""
+    value = positive_int(text)
+    if value > bound:
+        raise argparse.ArgumentTypeError(f"expected at most {bound}, got {text!r}")
+    return value
 
 
 def finite_float(text: str) -> float:
@@ -241,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=finite_float, required=True, help="final time (physical units)")
     p.add_argument("--scaled", action="store_true", help="schedule times are in units of 1/omega")
     p.add_argument("--u-max", type=float, default=None, help="ingestion cap on |u|")
-    p.add_argument("--samples", type=positive_int, default=401)
+    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=401)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 
@@ -250,35 +268,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi0", type=finite_float, required=True, help="costate angle (rad)")
     p.add_argument("--T", type=finite_float, required=True, help="duration in units of 1/omega")
     p.add_argument("--branch", choices=("max", "min"), default="max")
-    p.add_argument("--samples", type=positive_int, default=2001)
+    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=2001)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("reachset", help="reachable set raster at scaled time T")
     _add_param_flags(p)
     p.add_argument("--T", type=finite_float, required=True)
-    p.add_argument("--seeds", type=positive_int, default=1024)
-    p.add_argument("--raster", type=positive_int, default=512)
+    p.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=1024)
+    p.add_argument("--raster", type=partial(count_up_to, MAX_RASTER), default=512)
     p.add_argument("--out", default="-", help="CSV of occupied cell centers")
     p.add_argument("--svg", default=None)
     p.add_argument("--obj", default=None, help="revolved 3D mesh (OBJ)")
-    p.add_argument("--obj-angles", type=positive_int, default=64)
+    p.add_argument("--obj-angles", type=partial(count_up_to, MAX_OBJ_ANGLES), default=64)
     p.add_argument("--overlay-spiral", action="store_true")
     p.set_defaults(func=_cmd_reachset)
 
     p = sub.add_parser("movie", help="SVG frames of the growing reachable set")
     _add_param_flags(p)
     p.add_argument("--T-max", type=finite_float, default=7.0)
-    p.add_argument("--frames", type=positive_int, default=140)
-    p.add_argument("--seeds", type=positive_int, default=1024)
-    p.add_argument("--raster", type=positive_int, default=512)
+    p.add_argument("--frames", type=partial(count_up_to, MAX_FRAMES), default=140)
+    p.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=1024)
+    p.add_argument("--raster", type=partial(count_up_to, MAX_RASTER), default=512)
     p.add_argument("--out-dir", default="frames")
     p.add_argument("--overlay-spiral", action="store_true")
     p.set_defaults(func=_cmd_movie)
 
     p = sub.add_parser("spiral", help="spiral-bounded exactly-reachable region")
     _add_param_flags(p)
-    p.add_argument("--samples", type=positive_int, default=256)
+    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=256)
     p.add_argument("--out", default="-")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_spiral)
@@ -300,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_command", required=True)
     pb = tsub.add_parser("build")
     _add_param_flags(pb)
-    pb.add_argument("--seeds", type=positive_int, default=4096)
+    pb.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=4096)
     pb.add_argument("--T-max", type=finite_float, default=10.0)
     pb.add_argument("--grid", type=positive_int, default=256)
     pb.add_argument("--out", required=True)

@@ -438,55 +438,51 @@ class ReachSweep:
         return ReachableSet2D(occ, T, boundary=marching_squares(occ))
 
 
-def compute_reachable_set(
-    T_scaled: float,
-    n_seeds: int,
-    raster: int,
-    params: SystemParams,
-) -> ReachableSet2D:
-    """One-shot reachable set at scaled time T (time <= T semantics)."""
-    sweep = ReachSweep(params, T_scaled, n_seeds=n_seeds, raster=raster)
-    return sweep.reachable_set(T_scaled)
-
-
 # --- marching squares and revolution ----------------------------------------
 
-# segment table: case index is v00 | v10 << 1 | v11 << 2 | v01 << 3 where
-# vXY is the occupancy of corner (x + X, y + Y); entries are pairs of edge
-# names.  The saddles 5 and 10 take the disconnected resolution (each
-# inside corner is cut off separately).
-_EDGE_MID = {
-    "bottom": (0.5, 0.0),
-    "top": (0.5, 1.0),
-    "left": (0.0, 0.5),
-    "right": (1.0, 0.5),
-}
-_MS_TABLE = {
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("top", "right")],
-    5: [("left", "bottom"), ("top", "right")],
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("left", "top")],
-    9: [("bottom", "top")],
-    10: [("bottom", "right"), ("left", "top")],
-    11: [("top", "right")],
-    12: [("left", "right")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
-}
+# segment table, indexed by case v00 | v10 << 1 | v11 << 2 | v01 << 3 where
+# vXY is the occupancy of corner (x + X, y + Y): each segment joins two edge
+# midpoints, given in doubled cell units.  The saddles 5 and 10 take the
+# disconnected resolution (each inside corner is cut off separately).
+_B, _T, _L, _R = (1, 0), (1, 2), (0, 1), (2, 1)  # bottom, top, left, right
+_MS_TABLE = [
+    [],
+    [(_L, _B)],
+    [(_B, _R)],
+    [(_L, _R)],
+    [(_T, _R)],
+    [(_L, _B), (_T, _R)],
+    [(_B, _T)],
+    [(_L, _T)],
+    [(_L, _T)],
+    [(_B, _T)],
+    [(_B, _R), (_L, _T)],
+    [(_T, _R)],
+    [(_L, _R)],
+    [(_B, _R)],
+    [(_L, _B)],
+    [],
+]
+# as arrays: segments per case, and (case, slot, end, axis) offsets with
+# unused slots filled
+_MS_COUNT = np.array([len(segs) for segs in _MS_TABLE])
+_MS_OFFSET = np.array([segs + [(_L, _L)] * (2 - len(segs)) for segs in _MS_TABLE])
 
 
 def marching_squares(raster: np.ndarray) -> list[np.ndarray]:
     """Closed boundary polylines of a boolean raster over [-1, 1]^2.
 
     The raster is padded with an empty ring so every contour closes;
-    vertices sit midway between adjacent cell centres.  On a binary grid
-    every contour vertex has exactly two incident segments, so loops are
-    recovered by walking the unused segment at each vertex.  Returns a
-    list of (k, 2) arrays whose last vertex repeats the first.
+    vertices sit midway between adjacent cell centres.  Segments are
+    numbered in np.nonzero order of the boundary cells, and within a cell
+    in table slot order; each runs from its first table edge ka to its
+    second kb.  On a binary grid every contour vertex has exactly two
+    incident segments, so each vertex has one partner segment.  A loop
+    starts at the lowest-numbered segment no earlier loop used, runs
+    ka -> kb, then from each vertex takes the partner segment of the one
+    it arrived by, and stops on returning to its start vertex.  Returns
+    the loops in order of their start segments as (k, 2) arrays whose
+    last vertex repeats the first.
     """
     n = raster.shape[0]
     cell = 2.0 / n
@@ -499,45 +495,39 @@ def marching_squares(raster: np.ndarray) -> list[np.ndarray]:
         | (pad[:-1, 1:] << 3)
     )
     xs, ys = np.nonzero((case > 0) & (case < 15))
-    # edge midpoints live on the half-integer lattice; key by doubled index
-    segs = []
-    for i, j in zip(xs, ys):
-        for ea, eb in _MS_TABLE[int(case[i, j])]:
-            ax, ay = _EDGE_MID[ea]
-            bx, by = _EDGE_MID[eb]
-            ka = (2 * i + int(2 * ax), 2 * j + int(2 * ay))
-            kb = (2 * i + int(2 * bx), 2 * j + int(2 * by))
-            segs.append((ka, kb))
-    adj: dict[tuple, list] = {}
-    for sid, (ka, kb) in enumerate(segs):
-        adj.setdefault(ka, []).append((sid, kb))
-        adj.setdefault(kb, []).append((sid, ka))
-
-    def coords(k):
-        # doubled padded index -> meridian coordinates
-        return (-1.0 + (0.5 * k[0] - 0.5) * cell, -1.0 + (0.5 * k[1] - 0.5) * cell)
-
-    used = [False] * len(segs)
-    loops = []
-    for sid0, (ka, kb) in enumerate(segs):
-        if used[sid0]:
-            continue
-        used[sid0] = True
-        keys = [ka, kb]
-        cur = kb
-        while cur != keys[0]:
-            step = None
-            for sid, other in adj[cur]:
-                if not used[sid]:
-                    step = (sid, other)
-                    break
-            if step is None:
-                break
-            used[step[0]] = True
-            keys.append(step[1])
-            cur = step[1]
-        loops.append(np.array([coords(k) for k in keys]))
-    return loops
+    cases = case[xs, ys]
+    cid, slot = np.nonzero(np.arange(2) < _MS_COUNT[cases][:, None])
+    n_seg = len(cid)
+    if n_seg == 0:
+        return []
+    # ends of segment s: row s is ka, row n_seg + s is kb, each a doubled
+    # padded lattice index (kx, ky), sorted by the id kx * (2n + 3) + ky
+    corner = 2 * np.stack([xs[cid], ys[cid]], axis=1)
+    off = _MS_OFFSET[cases[cid], slot]
+    ends = np.concatenate([corner + off[:, 0], corner + off[:, 1]])
+    # the two ends at each vertex sit at sorted positions 2i and 2i + 1;
+    # arriving by end e, the walk leaves by the far end of its partner's segment
+    order = np.argsort(ends[:, 0] * (2 * n + 3) + ends[:, 1], kind="stable")
+    partner = order[np.argsort(order) ^ 1]
+    step = ((partner + n_seg) % (2 * n_seg)).tolist()
+    stop = partner[:n_seg].tolist()  # the end by which a walk returns to its ka
+    # marked through an array view, searched as bytes for the next start
+    used = bytearray(n_seg)
+    mark = np.frombuffer(used, dtype=np.uint8)
+    walk, lengths = [], []
+    s0 = 0
+    while s0 >= 0:
+        e = n_seg + s0
+        path = [s0, e]
+        while e != stop[s0]:
+            e = step[e]
+            path.append(e)
+        mark[np.array(path[1:]) % n_seg] = 1
+        walk += path
+        lengths.append(len(path))
+        s0 = used.find(0, s0)
+    pts = -1.0 + (0.5 * ends[walk] - 0.5) * cell
+    return np.split(pts, np.cumsum(lengths[:-1]))
 
 
 def revolve_to_3d(set2d: ReachableSet2D, n_angles: int = 64):
@@ -556,46 +546,35 @@ def revolve_to_3d(set2d: ReachableSet2D, n_angles: int = 64):
     loop = max(loops, key=lambda l: int(np.sum(l[:, 1] >= 0.0)))
     if not np.allclose(loop[0], loop[-1], atol=1e-12):
         raise ValueError("boundary polyline is not closed")
-    pts = loop[:-1]
-    k = len(pts)
     # walk the cyclic loop, keeping the R >= 0 chain with interpolated
-    # axis crossings
-    profile = []
-    for i in range(k):
-        a = pts[i]
-        b = pts[(i + 1) % k]
-        if a[1] >= 0.0:
-            profile.append(a)
-        if (a[1] < 0.0) != (b[1] < 0.0):
-            t = a[1] / (a[1] - b[1])
-            profile.append((1 - t) * a + t * b)
-    if not profile:
+    # axis crossings: each point if R >= 0, then the crossing after it
+    a = loop[:-1]
+    b = np.roll(a, -1, axis=0)
+    cross = (a[:, 1] < 0.0) != (b[:, 1] < 0.0)
+    t = (a[cross, 1] / (a[cross, 1] - b[cross, 1]))[:, None]
+    chain = np.empty((len(a), 2, 2))
+    chain[:, 0] = a
+    chain[cross, 1] = (1 - t) * a[cross] + t * b[cross]
+    profile = chain[np.stack([a[:, 1] >= 0.0, cross], axis=1)]
+    if not len(profile):
         raise ValueError("boundary has no R >= 0 portion")
-    profile = np.array(profile)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     ca, sa = np.cos(angles), np.sin(angles)
-    verts = np.empty((len(profile) * n_angles, 3))
-    for i, (z, R) in enumerate(profile):
-        base = i * n_angles
-        verts[base : base + n_angles, 0] = z
-        verts[base : base + n_angles, 1] = R * ca
-        verts[base : base + n_angles, 2] = R * sa
-    faces = []
-    for i in range(len(profile) - 1):
-        for kk in range(n_angles):
-            a = i * n_angles + kk
-            b = i * n_angles + (kk + 1) % n_angles
-            c = (i + 1) * n_angles + (kk + 1) % n_angles
-            d = (i + 1) * n_angles + kk
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return verts, np.array(faces, dtype=int)
+    z, R = profile[:, :1], profile[:, 1:]
+    verts = np.stack(np.broadcast_arrays(z, R * ca, R * sa), axis=-1)
+    # two triangles per quad between profile points i and i + 1
+    row = np.arange(len(profile) - 1)[:, None] * n_angles
+    kk = np.arange(n_angles)
+    v0, v1 = row + kk, row + (kk + 1) % n_angles
+    v2, v3 = v1 + n_angles, v0 + n_angles
+    faces = np.stack([v0, v1, v2, v0, v2, v3], axis=-1).reshape(-1, 3)
+    return verts.reshape(-1, 3), faces
 
 
 def write_obj(path, vertices, faces) -> None:
     """Minimal OBJ export of a triangle mesh."""
+    v = np.asarray(vertices, dtype=float).ravel().tolist()
+    f = (np.asarray(faces, dtype=int) + 1).ravel().tolist()
     with open(path, "w") as fh:
-        for v in vertices:
-            fh.write(f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}\n")
-        for f in faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write(("v %.9f %.9f %.9f\n" * (len(v) // 3)) % tuple(v))
+        fh.write(("f %d %d %d\n" * (len(f) // 3)) % tuple(f))

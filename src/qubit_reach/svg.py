@@ -8,6 +8,8 @@ upward.
 
 from __future__ import annotations
 
+import numpy as np
+
 SIZE = 560
 _SPAN = 1.1
 
@@ -25,11 +27,11 @@ def _fmt(v: float) -> str:
 
 
 def _path(points, stroke: str, width: float = 1.5) -> str:
-    cmds = []
-    for k, (z, r) in enumerate(points):
-        cmds.append(f"{'M' if k == 0 else 'L'} {_fmt(_x(z))} {_fmt(_y(r))}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    xy = np.stack([_x(pts[:, 0]), _y(pts[:, 1])], axis=1)
+    d = " L ".join(["%.3f %.3f"] * len(xy)) % tuple(xy.ravel().tolist())
     return (
-        f'<path d="{" ".join(cmds)}" fill="none" stroke="{stroke}" '
+        f'<path d="{"M " + d if d else ""}" fill="none" stroke="{stroke}" '
         f'stroke-width="{width}" />'
     )
 

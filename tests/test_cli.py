@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qubit_reach import SystemParams
+from qubit_reach import cli
 from qubit_reach.cli import main
 from qubit_reach.schedule import propagate
 
@@ -23,6 +24,31 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["reachset"])  # missing --T and params
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["reachset", "--T", "1", "--seeds"], cli.MAX_SEEDS),
+        (["reachset", "--T", "1", "--raster"], cli.MAX_RASTER),
+        (["reachset", "--T", "1", "--obj-angles"], cli.MAX_OBJ_ANGLES),
+        (["movie", "--frames"], cli.MAX_FRAMES),
+        (["movie", "--seeds"], cli.MAX_SEEDS),
+        (["movie", "--raster"], cli.MAX_RASTER),
+        (["table", "build", "--out", "t.csv", "--seeds"], cli.MAX_SEEDS),
+        (["simulate", "--schedule", "s.csv", "--T", "1", "--samples"], cli.MAX_SAMPLES),
+        (["extremal", "--psi0", "0", "--T", "1", "--samples"], cli.MAX_SAMPLES),
+        (["spiral", "--samples"], cli.MAX_SAMPLES),
+    ],
+)
+def test_count_flags_are_bounded(capsys, argv, bound):
+    # only argument parsing runs, so no bound is ever allocated
+    args = cli.build_parser().parse_args([*argv, str(bound)])
+    assert getattr(args, argv[-1][2:].replace("-", "_")) == bound
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(bound + 1)])
+    assert exc.value.code == 2
+    assert f"expected at most {bound}, got '{bound + 1}'" in capsys.readouterr().err
 
 
 def test_param_flag_conflicts():

@@ -7,12 +7,12 @@ from qubit_reach.reachset import (
     MAX_REFINE_ROUNDS,
     NO_PASSAGE,
     REFINE_CELLS,
+    _MS_TABLE,
     BarrierTriangle,
     ReachableSet2D,
     ReachSweep,
     barrier_certificate,
     barrier_values,
-    compute_reachable_set,
     first_passage,
     guaranteed_ball_radius,
     lacuna_alpha_bound,
@@ -190,19 +190,12 @@ def test_reachable_set_object(small_sweep):
     assert len(centers) == rset.raster.sum()
 
 
-def test_compute_reachable_set_entry_point():
-    rset = compute_reachable_set(0.5, 64, 64, P)
-    assert rset.T_scaled == 0.5
-    assert rset.raster.any()
-
-
 def test_sweep_input_validation():
     with pytest.raises(ValueError):
         ReachSweep(P, 1.0, n_seeds=32)
     with pytest.raises(ValueError):
         ReachSweep(P, -1.0)
     with pytest.raises(ValueError):
-        compute_reachable_set(2.0, 64, 64, P).raster  # fine
         ReachSweep(P, 1.0, n_seeds=64).occupancy(2.0)
 
 
@@ -279,6 +272,46 @@ def test_marching_squares_random_raster(seed):
     midpoints = {(2 * a + 1, 2 * b) for a, b in zip(i.tolist(), j.tolist())}
     midpoints |= {(2 * a, 2 * b + 1) for a, b in zip(k.tolist(), l.tolist())}
     assert set(verts) == midpoints
+
+
+def loop_marching_squares(raster):
+    """Reference: segment by segment from the table, loops by a dict walk."""
+    n = raster.shape[0]
+    cell = 2.0 / n
+    pad = np.pad(raster, 1).astype(np.int8)
+    case = pad[:-1, :-1] | pad[1:, :-1] << 1 | pad[1:, 1:] << 2 | pad[:-1, 1:] << 3
+    segs = []
+    for i, j in zip(*np.nonzero((case > 0) & (case < 15))):
+        for (ax, ay), (bx, by) in _MS_TABLE[int(case[i, j])]:
+            segs.append(((2 * i + ax, 2 * j + ay), (2 * i + bx, 2 * j + by)))
+    adj = {}
+    for sid, (ka, kb) in enumerate(segs):
+        adj.setdefault(ka, []).append((sid, kb))
+        adj.setdefault(kb, []).append((sid, ka))
+    used = [False] * len(segs)
+    loops = []
+    for sid0, (ka, kb) in enumerate(segs):
+        if used[sid0]:
+            continue
+        used[sid0] = True
+        keys = [ka, kb]
+        while keys[-1] != ka:
+            sid, other = next((sid, o) for sid, o in adj[keys[-1]] if not used[sid])
+            used[sid] = True
+            keys.append(other)
+        loops.append(np.array([[-1.0 + (0.5 * k - 0.5) * cell for k in key] for key in keys]))
+    return loops
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.5, 0.8, 1.0])
+def test_marching_squares_matches_loop_reference(n, density):
+    occ = random_raster(n, n, density)
+    got, want = marching_squares(occ), loop_marching_squares(occ)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_revolve_sphere():
