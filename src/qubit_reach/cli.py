@@ -43,6 +43,7 @@ MAX_RASTER = 4096  # as table.MAX_GRID
 MAX_FRAMES = 10000
 MAX_OBJ_ANGLES = 4096
 MAX_SAMPLES = 100_000
+MAX_RANK_GRID = 101  # 523,305 certificates in the ball, one output row each
 
 
 def positive_int(text: str) -> int:
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="bracket rank certificates on a Bloch-ball grid")
     _add_param_flags(p)
-    p.add_argument("--grid", type=positive_int, default=5)
+    p.add_argument("--grid", type=partial(count_up_to, MAX_RANK_GRID), default=5)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_rank)
 

@@ -307,9 +307,19 @@ class ExtremalSweep:
 _COMP_INDEX = {"z": 0, "R": 1, "p": 2, "q": 3, "theta": 4}
 
 
+def sample_times(T: float, sample_dt) -> np.ndarray:
+    """The sample grid of a sweep to T, spaced about sample_dt (T / 2048 if None)."""
+    if T <= 0:
+        raise ValueError(f"duration must be positive, got T={T}")
+    dt = T / 2048.0 if sample_dt is None else sample_dt
+    return np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
+
+
 def _as_seeds(seeds, params):
     """ExtremalSeed objects kept, bare psi0 angles seeded in one batch."""
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     bare = [k for k, s in enumerate(seeds) if not isinstance(s, ExtremalSeed)]
     for k, s in zip(bare, seed_batch([float(seeds[k]) for k in bare], params)):
         seeds[k] = s
@@ -323,32 +333,32 @@ def sweep_extremals(
     *,
     tol: float = 1e-10,
     sample_dt: float | None = None,
-    components=("z", "R"),
+    out: dict | None = None,
 ) -> ExtremalSweep:
     """Integrate a family of extremals on a shared adaptive time grid.
 
     seeds may be ExtremalSeed objects or bare psi0 angles.  The seeds are
     the columns of one :func:`ode.dp45` run at tolerance tol.  Samples are
-    written on the uniform grid of spacing sample_dt via cubic Hermite
-    dense output.
+    written on the grid :func:`sample_times` (T, sample_dt) via cubic
+    Hermite dense output.
     After every accepted step the control angle of each seed is
     re-projected onto the stationarity manifold dH/dtheta = 0 (Newton),
     which pins the stationarity residual near roundoff instead of letting
     it drift with the integration error.
+
+    out maps component names (z, R, p, q, theta) to (n_seeds, m) arrays,
+    the result's data: row k is written in place with seed k's samples,
+    NaN after its failure time.  Without out, z and R are allocated.
     """
-    if T <= 0:
-        raise ValueError(f"duration must be positive, got T={T}")
+    tau = sample_times(T, sample_dt)
     seeds = _as_seeds(seeds, params)
     n = len(seeds)
-    if n == 0:
-        raise ValueError("need at least one seed")
-    if sample_dt is None:
-        sample_dt = T / 2048.0
-    m = max(2, int(np.ceil(T / sample_dt)) + 1)
-    tau = np.linspace(0.0, T, m)
-    if any(c not in _COMP_INDEX for c in components):
-        raise ValueError(f"unknown components in {components}")
-    out = {c: np.full((n, m), np.nan) for c in components}
+    if out is None:
+        out = {c: np.empty((n, len(tau))) for c in ("z", "R")}
+    if any(c not in _COMP_INDEX or a.shape != (n, len(tau)) for c, a in out.items()):
+        raise ValueError(f"destination needs component arrays of shape {(n, len(tau))}")
+    for a in out.values():
+        a.fill(np.nan)
 
     g = params.ratio
     y = np.stack([s.state0 for s in seeds], axis=1)  # (5, n)
@@ -370,8 +380,8 @@ def sweep_extremals(
     def write(idx, values):
         rows = np.nonzero(active)[0]
         cells = np.ix_(rows, idx)
-        for c in components:
-            out[c][cells] = values[_COMP_INDEX[c]][rows]  # values: (5, n, k)
+        for c, a in out.items():
+            a[cells] = values[_COMP_INDEX[c]][rows]  # values: (5, n, k)
 
     def accept(t0, h, y0, f0, t1, y1, f1):
         nonlocal j_next
@@ -415,25 +425,27 @@ def sweep_extremals_parallel(
     n_threads: int = 1,
     tol: float = 1e-10,
     sample_dt: float | None = None,
-    components=("z", "R"),
+    out: dict | None = None,
 ) -> ExtremalSweep:
     """Sweep in blocks of SWEEP_BLOCK seeds, optionally spread over threads.
 
     The block decomposition (not the thread count) decides the shared
-    adaptive grids, so the merged result is identical for any n_threads;
-    worker threads only distribute blocks.  Blocks are merged back in
-    seed order.
+    adaptive grids, so the result is identical for any n_threads; worker
+    threads only distribute blocks.  Each block writes its rows of out in
+    place, as :func:`sweep_extremals` does (NaN after a seed's failure).
     """
     seeds = _as_seeds(seeds, params)
-    blocks = [seeds[i : i + SWEEP_BLOCK] for i in range(0, len(seeds), SWEEP_BLOCK)]
+    tau = sample_times(T, sample_dt)
+    if out is None:
+        out = {c: np.empty((len(seeds), len(tau))) for c in ("z", "R")}
 
-    def run(batch):
+    def run(rows):
         return sweep_extremals(
-            batch, T, params, tol=tol, sample_dt=sample_dt, components=components
+            seeds[rows], T, params, tol=tol, sample_dt=sample_dt,
+            out={c: a[rows] for c, a in out.items()},
         )
 
-    if len(seeds) <= SWEEP_BLOCK:
-        return run(seeds)  # nothing to merge, so no copy of the samples
+    blocks = [slice(i, i + SWEEP_BLOCK) for i in range(0, len(seeds), SWEEP_BLOCK)]
     if n_threads <= 1:
         parts = [run(b) for b in blocks]
     else:
@@ -441,11 +453,10 @@ def sweep_extremals_parallel(
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             parts = list(pool.map(run, blocks))
-    data = {c: np.vstack([p.data[c] for p in parts]) for c in parts[0].data}
     failed = np.concatenate([p.failed for p in parts])
     fail_tau = np.concatenate([p.fail_tau for p in parts])
     fail_reason = [r for p in parts for r in p.fail_reason]
-    return ExtremalSweep(parts[0].tau, seeds, data, failed, fail_tau, fail_reason)
+    return ExtremalSweep(tau, seeds, out, failed, fail_tau, fail_reason)
 
 
 def normalize_states(states: np.ndarray) -> np.ndarray:
@@ -471,10 +482,8 @@ def integrate_extremal(
     (degenerate denominator, branch jump) raise IntegrationError with the
     failure time.
     """
-    sweep = sweep_extremals(
-        [seedv], T_scaled, params, sample_dt=sample_dt,
-        components=("z", "R", "p", "q", "theta"),
-    )
+    out = {c: np.empty((1, len(sample_times(T_scaled, sample_dt)))) for c in _COMP_INDEX}
+    sweep = sweep_extremals([seedv], T_scaled, params, sample_dt=sample_dt, out=out)
     if sweep.failed[0] and sweep.fail_tau[0] < T_scaled:
         raise IntegrationError(
             f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"

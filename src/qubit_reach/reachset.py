@@ -286,44 +286,36 @@ class ReachSweep:
         self.sample_dt = min(0.35 * self.cell, T_max / 64.0)
         self.n_threads = max(1, int(n_threads))
 
-        def run(batch):
-            sweep = sweep_extremals_parallel(
-                batch, T_max, params, n_threads=self.n_threads, tol=SWEEP_TOL,
-                sample_dt=self.sample_dt, components=("z", "R"),
-            )
-            # paths frozen at tau = 0 (stationary extremals) carry no arc;
-            # drop them from the family so gap refinement sees live pairs
-            live = sweep.fail_tau > 0.0
-            return sweep, live
-
-        # path storage for the whole refinement budget, filled row by row;
-        # rows the refinement never reaches are never written, so their
-        # pages are never mapped
+        # path storage for the whole refinement budget; each sweep writes
+        # its paths into the next rows, and rows the refinement never
+        # reaches are never written, so their pages are never mapped
         budget = 4 * n_seeds
-        sweep, live = run(extremals.seed_grid(n_seeds, params))
-        tried = {round(s.psi0, 12) for s in sweep.seeds}
-        self.tau = sweep.tau
+        self.tau = extremals.sample_times(T_max, self.sample_dt)
         z = np.empty((n_seeds + budget, len(self.tau)))
         r = np.empty_like(z)
         psis = np.empty(len(z))
-        kept: list = []  # live seeds by storage row
+        row_seeds: list = []  # seeds by storage row
         n_failed = 0
 
-        def store(sweep, live):
-            """Copy the live paths into storage; returns their rows."""
+        def run(batch):
+            """Sweep into the next storage rows; returns the live ones by psi0."""
             nonlocal n_failed
+            rows = slice(len(row_seeds), len(row_seeds) + len(batch))
+            sweep = sweep_extremals_parallel(
+                batch, T_max, params, n_threads=self.n_threads, tol=SWEEP_TOL,
+                sample_dt=self.sample_dt, out={"z": z[rows], "R": r[rows]},
+            )
             n_failed += int(np.sum(sweep.failed))
-            rows = slice(len(kept), len(kept) + int(np.sum(live)))
-            np.compress(live, sweep.data["z"], axis=0, out=z[rows])
-            np.compress(live, sweep.data["R"], axis=0, out=r[rows])
-            kept.extend(s for s, ok in zip(sweep.seeds, live) if ok)
-            psis[rows] = [s.psi0 for s in kept[rows]]
-            return np.arange(rows.start, rows.stop)
+            row_seeds.extend(sweep.seeds)
+            psis[rows] = [s.psi0 for s in sweep.seeds]
+            # a path frozen at tau = 0 (stationary extremal) keeps its row,
+            # whose one sample (0, 1) every path has, but not a gap pair
+            live = np.arange(rows.start, rows.stop)[sweep.fail_tau > 0.0]
+            return live[np.argsort(psis[live])]
 
         # order: storage rows by psi0; gaps[k]: pair (order[k], order[k + 1])
-        order = store(sweep, live)
-        del sweep, live  # its paths now live in storage
-        order = order[np.argsort(psis[order])]
+        order = run(extremals.seed_grid(n_seeds, params))
+        tried = {round(s.psi0, 12) for s in row_seeds}
         gaps = self._pair_gaps(z, r, order, np.roll(order, -1))
         self.refine_rounds = 0
         for _ in range(MAX_REFINE_ROUNDS):
@@ -350,10 +342,9 @@ class ReachSweep:
                 break
             budget -= len(new_psis)
             self.refine_rounds += 1
-            rows = store(*run(new_psis))  # the sweep seeds the bare angles
+            rows = run(new_psis)  # the sweep seeds the bare angles
             # at most one new seed per pair: only the pairs on either side
             # of a new seed change, and only their gaps are computed
-            rows = rows[np.argsort(psis[rows])]
             at = np.searchsorted(psi_sorted, psis[rows])
             order = np.insert(order, at, rows)
             gaps = np.insert(gaps, at, 0.0)
@@ -364,9 +355,9 @@ class ReachSweep:
         self.budget_exhausted = budget <= 0 and bool(np.any(gaps > REFINE_CELLS * self.cell))
 
         self.psis = psis[order]
-        self.seeds = [kept[i] for i in order]
+        self.seeds = [row_seeds[i] for i in order]
         self.n_failed = n_failed
-        self.tau_min = self._rasterize(z, r, order, gaps)
+        self.tau_min = self._rasterize(z[: len(row_seeds)], r[: len(row_seeds)], order, gaps)
 
     @staticmethod
     def _pair_gaps(z, r, a, b):
@@ -381,8 +372,8 @@ class ReachSweep:
         return out
 
     def _rasterize(self, z, r, order, gaps):
-        """First-passage times of the paths in order and the strips between
-        neighbours; gaps[k] is the gap of pair (order[k], order[k + 1])."""
+        """First-passage times of all rows of z, r and of the strips between
+        neighbours in order; gaps[k] is the gap of pair (order[k], order[k + 1])."""
         m = len(self.tau)
         n = self.n
         inv = 1.0 / self.cell
@@ -403,7 +394,7 @@ class ReachSweep:
             for j0 in range(0, m, BIN_BLOCK):
                 blk = slice(j0, j0 + BIN_BLOCK)
                 sample = np.arange(j0, min(m, j0 + BIN_BLOCK))
-                zj, rj = z[: len(order), blk], r[: len(order), blk]
+                zj, rj = z[:, blk], r[:, blk]
                 ok = np.isfinite(zj)
                 za, zb = z[pa, blk], z[pb, blk]
                 ra, rb = r[pa, blk], r[pb, blk]

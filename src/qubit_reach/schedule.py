@@ -107,14 +107,6 @@ class ControlSchedule:
                 writer.writerow([repr(float(t)), repr(float(u)), repr(float(n))])
 
 
-def concat_schedules(first: ControlSchedule, second: ControlSchedule) -> ControlSchedule:
-    """Play ``first`` on [0, first.T], then ``second`` shifted to start there."""
-    times = np.concatenate([first.times, first.T + second.times])
-    u = np.concatenate([first.u, second.u])
-    n = np.concatenate([first.n, second.n])
-    return ControlSchedule(times, u, n, T=first.T + second.T)
-
-
 def _affine_parts(u, n, params: SystemParams):
     """Weights w (m, 3), matrices A (3, 3, 3) and shifts c (3, 3) such that
     the Bloch field omega f0 + 2 kappa u f1 + gamma n f2 is

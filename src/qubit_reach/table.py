@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extremals import ExtremalSeed, seed_grid, sweep_extremals_parallel
+from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
 from .reachset import BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage
 
@@ -99,7 +99,7 @@ def build_table(
     seeds = seed_grid(n_seeds, params)
     sweep = sweep_extremals_parallel(
         seeds, T_max_scaled, params, n_threads=n_threads, tol=SWEEP_TOL,
-        sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0), components=("z", "R"),
+        sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0),
     )
     z, R = sweep.data["z"], sweep.data["R"]
     ns, m = z.shape
@@ -163,11 +163,6 @@ def query(table: LookupTable, z1: float, R1: float):
         )
     _, i, j = best
     return table.psi0[i, j], table.theta0[i, j], table.tmin[i, j]
-
-
-def query_seed(table: LookupTable, z1: float, R1: float) -> ExtremalSeed:
-    psi0, theta0, _ = query(table, z1, R1)
-    return ExtremalSeed(float(psi0), float(theta0))
 
 
 def save(table: LookupTable, path) -> None:

@@ -31,6 +31,7 @@ from qubit_reach.extremals import (
     hamiltonian_dtheta,
     hamiltonian_dtheta2,
     replay_extremal,
+    sample_times,
     sweep_extremals_parallel,
     theta_rhs,
 )
@@ -66,11 +67,12 @@ def big_sweep():
 @pytest.fixture(scope="module")
 def health_sweep():
     """256 extremals to wT = 7 at tight tolerance (criterion 7)."""
+    m = len(sample_times(7.0, 7.0 / 700))
     return sweep_extremals_parallel(
         seed_grid(256, P), 7.0, P,
         tol=1e-12,
         sample_dt=7.0 / 700,
-        components=("z", "R", "p", "q", "theta"),
+        out={c: np.empty((256, m)) for c in ("z", "R", "p", "q", "theta")},
     )
 
 
@@ -435,9 +437,7 @@ def test_criterion_10_table_replay(lookup_table):
     tmins = recs[:, 4]
     # one batched replay to the horizon, sampled on the build grid
     sample_dt = min(0.35 * tbl.cell, 7.0 / 64.0)
-    sweep = sweep_extremals_parallel(
-        seeds, 7.0, P, sample_dt=sample_dt, components=("z", "R")
-    )
+    sweep = sweep_extremals_parallel(seeds, 7.0, P, sample_dt=sample_dt)
     j_idx = np.clip(np.round(tmins / (sweep.tau[1] - sweep.tau[0])).astype(int),
                     0, len(sweep.tau) - 1)
     rows = np.arange(len(seeds))

@@ -39,6 +39,7 @@ def test_usage_error_is_exit_2():
         (["simulate", "--schedule", "s.csv", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["extremal", "--psi0", "0", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["spiral", "--samples"], cli.MAX_SAMPLES),
+        (["rank", "--grid"], cli.MAX_RANK_GRID),
     ],
 )
 def test_count_flags_are_bounded(capsys, argv, bound):

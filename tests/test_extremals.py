@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,6 +24,7 @@ from qubit_reach.extremals import (
     ExtremalSeed,
     hamiltonian_dtheta2,
     normalize_states,
+    sample_times,
     sweep_extremals_parallel,
 )
 
@@ -189,8 +192,7 @@ def test_sweep_reports_degenerate_seed():
 
 
 def test_sweep_disc_invariance():
-    sw = sweep_extremals(seed_grid(64, P), 7.0, P, sample_dt=7 / 512,
-                         components=("z", "R"))
+    sw = sweep_extremals(seed_grid(64, P), 7.0, P, sample_dt=7 / 512)
     assert not sw.failed.any()
     rad = sw.data["z"] ** 2 + sw.data["R"] ** 2
     assert np.nanmax(rad) <= 1 + 1e-9
@@ -200,10 +202,40 @@ def test_sweep_parallel_merge_identical(monkeypatch):
     # block decomposition, not thread count, decides the numerics
     monkeypatch.setattr(extremals, "SWEEP_BLOCK", 8)
     seeds = seed_grid(32, P)
+    seeds.insert(19, seed(np.pi / 2, P))  # frozen at tau = 0, in the third block
     a = sweep_extremals_parallel(seeds, 2.0, P, n_threads=1, sample_dt=2 / 256)
-    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256)
+    m = len(sample_times(2.0, 2 / 256))
+    out = {c: np.full((len(seeds), m), 7.0) for c in ("z", "R")}  # stale rows
+    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256, out=out)
     npt.assert_array_equal(a.data["z"], b.data["z"])
     npt.assert_array_equal(a.data["R"], b.data["R"])
+    assert b.data["z"] is out["z"] and b.data["R"] is out["R"]
+    assert a.failed[19] and a.fail_tau[19] == 0.0 and a.failed.sum() == 1
+    assert (out["z"][19, 0], out["R"][19, 0]) == (0.0, 1.0)
+    assert np.isnan(out["z"][19, 1:]).all() and np.isnan(out["R"][19, 1:]).all()
+
+
+def test_sweep_rejects_bad_destination():
+    m = len(sample_times(1.0, 1 / 64))
+    for out in ({"z": np.empty((3, m))}, {"z": np.empty((2, m + 1))}, {"x": np.empty((2, m))}):
+        with pytest.raises(ValueError, match="destination"):
+            sweep_extremals(seed_grid(2, P), 1.0, P, sample_dt=1 / 64, out=out)
+
+
+def test_sweep_parallel_writes_only_into_the_destination():
+    # numpy reports its buffers to tracemalloc: beyond the caller's arrays a
+    # 4-block sweep allocates only per-block temporaries, no merged copy
+    seeds = seed_grid(4 * extremals.SWEEP_BLOCK, P)
+    m = len(sample_times(4.0, 4 / 1024))
+    out = {c: np.empty((len(seeds), m)) for c in ("z", "R")}
+    out_bytes = sum(a.nbytes for a in out.values())
+    tracemalloc.start()
+    try:
+        sweep_extremals_parallel(seeds, 4.0, P, tol=1e-8, sample_dt=4 / 1024, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * out_bytes
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

@@ -4,7 +4,7 @@ import pytest
 
 from qubit_reach import ControlSchedule, SystemParams, simulate
 from qubit_reach.ode import expm
-from qubit_reach.schedule import concat_schedules, propagate
+from qubit_reach.schedule import propagate
 
 P = SystemParams.from_ratio(0.1)
 
@@ -76,16 +76,6 @@ def test_simulate_refuses_an_oversized_dense_output():
     sched = ControlSchedule([0.0], [1e9], [0.0], T=10.0)
     with pytest.raises(ValueError, match="dense-output nodes"):
         simulate(np.array([0.0, 0.0, 1.0]), sched, P)
-
-
-def test_concat_schedules():
-    a = ControlSchedule([0.0], [1.0], [0.0], T=0.5)
-    b = ControlSchedule([0.0, 1.0], [2.0, 3.0], [0.0, 0.0], T=2.0)
-    c = concat_schedules(a, b)
-    assert c.T == 2.5
-    assert c.value(0.25) == (1.0, 0.0)
-    assert c.value(0.75) == (2.0, 0.0)
-    assert c.value(2.0) == (3.0, 0.0)
 
 
 def test_schedule_rejects_non_finite():

@@ -12,7 +12,6 @@ from qubit_reach.table import (
     build_table,
     load,
     query,
-    query_seed,
     save,
 )
 
@@ -202,11 +201,6 @@ def test_empty_table_round_trip(tmp_path):
     assert not back.mask.any()
     with pytest.raises(UnreachableError):
         query(back, 0.0, 0.5)
-
-
-def test_query_seed_helper(table):
-    sd = query_seed(table, 0.2, 0.6)
-    assert isinstance(sd, ExtremalSeed)
 
 
 def test_load_rejects_repeated_cell(tmp_path, capsys):
