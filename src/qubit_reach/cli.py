@@ -32,7 +32,7 @@ from .reachset import (
     spiral_region,
     write_obj,
 )
-from .schedule import ControlSchedule, propagate
+from .schedule import ControlSchedule, simulate
 from .table import UnreachableError
 
 
@@ -67,6 +67,14 @@ def finite_float(text: str) -> float:
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def bloch_vector(text: str) -> np.ndarray:
+    """argparse type of --r0: 'rx,ry,rz', finite and in the Bloch ball."""
+    r = np.array([finite_float(v) for v in text.split(",")])
+    if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-12:
+        raise argparse.ArgumentTypeError(f"expected 'rx,ry,rz' with |r| <= 1, got {text!r}")
+    return r
 
 
 def _threads(parser: argparse.ArgumentParser) -> int:
@@ -113,18 +121,12 @@ def _write_rows(out, header, rows):
 
 def _cmd_simulate(args, parser):
     params = _params(args, parser)
-    r0 = np.array([float(v) for v in args.r0.split(",")])
-    if r0.shape != (3,) or not np.all(np.isfinite(r0)):
-        parser.error("--r0 must be 'rx,ry,rz' with finite components")
     sched = ControlSchedule.from_csv(
         args.schedule, params=params, scaled=args.scaled, duration=args.T,
         u_max=args.u_max,
     )
-    # exact states: propagate across the breakpoints and keep the sample rows
     ts = np.linspace(0.0, sched.T, args.samples)
-    edges = np.union1d(ts, sched.times[sched.times < sched.T])
-    seg = np.searchsorted(sched.times, edges[:-1], side="right") - 1
-    states = propagate(r0, edges, sched.u[seg], sched.n[seg], params)[np.searchsorted(edges, ts)]
+    states = simulate(args.r0, sched, params).sample(ts)
     rows = [(float(t), float(s[0]), float(s[1]), float(s[2])) for t, s in zip(ts, states)]
     _write_rows(_open_out(args.out), ["t", "rx", "ry", "rz"], rows)
     return 0
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the Bloch equation under a u,n schedule")
     _add_param_flags(p)
     p.add_argument("--schedule", required=True, help="CSV with header t,u,n")
-    p.add_argument("--r0", default="0,0,1", help="initial Bloch vector 'rx,ry,rz'")
+    p.add_argument("--r0", type=bloch_vector, default="0,0,1", help="initial Bloch vector 'rx,ry,rz'")
     p.add_argument("--T", type=finite_float, required=True, help="final time (physical units)")
     p.add_argument("--scaled", action="store_true", help="schedule times are in units of 1/omega")
     p.add_argument("--u-max", type=float, default=None, help="ingestion cap on |u|")

@@ -39,9 +39,6 @@ class AffineField:
         r = np.asarray(r, dtype=float)
         return r @ self.A.T + self.b
 
-    def scaled(self, c: float) -> "AffineField":
-        return AffineField(c * self.A, c * self.b, name=self.name)
-
 
 def bracket(f: AffineField, g: AffineField, name: str = "") -> AffineField:
     """Lie bracket [f, g] of two affine fields (exact coefficients)."""

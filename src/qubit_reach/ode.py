@@ -47,17 +47,14 @@ MAX_STEPS = 10_000_000  # accepted steps of one dp45 run
 class Trajectory:
     """Sampled solution with cubic Hermite dense output.
 
-    ts       strictly increasing times starting at 0, shape (m,)
-    ys       states, shape (m,) + state_shape
-    fs       state derivatives at the nodes, same shape as ys
-    fs_left  optional left limits of fs, for fields that jump at nodes;
-             the piece on [ts[i], ts[i+1]] then uses fs[i] and fs_left[i+1]
+    ts  strictly increasing times starting at 0, shape (m,)
+    ys  states, shape (m,) + state_shape
+    fs  state derivatives at the nodes, same shape as ys
     """
 
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    fs_left: np.ndarray | None = None
 
     def __post_init__(self):
         if self.ts[0] != 0.0:
@@ -85,8 +82,7 @@ class Trajectory:
         extra = (1,) * (self.ys.ndim - 1)
         s = s.reshape(s.shape + extra)
         h = h.reshape(h.shape + extra)
-        f1 = (self.fs if self.fs_left is None else self.fs_left)[idx + 1]
-        return hermite(s, h, self.ys[idx], self.fs[idx], self.ys[idx + 1], f1)
+        return hermite(s, h, self.ys[idx], self.fs[idx], self.ys[idx + 1], self.fs[idx + 1])
 
 
 def hermite(s, h, y0, f0, y1, f1):
@@ -118,11 +114,14 @@ def expm(a) -> np.ndarray:
     own s, until its 1-norm is at most theta_13, and the approximant is
     squared back s times.  Powers of two scale exactly, so a zero column
     of the input comes out as the exact unit column, which keeps the
-    fixed points of affine flows exact.
+    fixed points of affine flows exact.  A zero row of the input is set
+    to the exact unit row before squaring, so the LU roundoff in it is
+    not doubled by each squaring: affine flows stay exact over long holds.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite matrix")
+    zero_rows = np.all(a == 0.0, axis=-1)
     s = np.maximum(np.frexp(np.max(np.sum(np.abs(a), axis=-2), axis=-1) / _THETA13)[1], 0)
     a, b, eye = np.ldexp(a, -s[:, None, None]), _PADE13, np.eye(a.shape[-1])
     a2 = a @ a
@@ -131,6 +130,7 @@ def expm(a) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
+    r = np.where(zero_rows[..., None], eye, r)
     for k in range(int(s.max(initial=0))):
         sq = s > k
         r[sq] = r[sq] @ r[sq]

@@ -9,7 +9,7 @@ family the movie frames show.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,7 +225,7 @@ class ReachableSet2D:
 
     raster: np.ndarray
     T_scaled: float
-    boundary: list = field(default_factory=list)
+    boundary: list
 
     @property
     def n(self) -> int:
@@ -530,11 +530,10 @@ def revolve_to_3d(set2d: ReachableSet2D, n_angles: int = 64):
     """
     if n_angles < 3:
         raise ValueError("need at least 3 revolution angles")
-    loops = set2d.boundary or marching_squares(set2d.raster)
-    if not loops:
+    if not set2d.boundary:
         raise ValueError("empty raster has no boundary to revolve")
     # the upper-half profile comes from the loop with the most R >= 0 arc
-    loop = max(loops, key=lambda l: int(np.sum(l[:, 1] >= 0.0)))
+    loop = max(set2d.boundary, key=lambda l: int(np.sum(l[:, 1] >= 0.0)))
     if not np.allclose(loop[0], loop[-1], atol=1e-12):
         raise ValueError("boundary polyline is not closed")
     # walk the cyclic loop, keeping the R >= 0 chain with interpolated

@@ -9,28 +9,27 @@ zero.  With ``scaled=True`` the file's times are in units of 1/omega.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .liealg import canonical_fields
-from .ode import Trajectory, expm
+from .ode import expm
 from .params import SystemParams
 
-MAX_ANGLE = 0.05  # largest turn of the state between two dense-output nodes
-MAX_NODES = 1_000_000  # dense-output nodes of one simulate call
 _BLOCK = 256  # segments per expm batch
 _E_Z = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
 class ControlSchedule:
-    """Piecewise-constant (u, n) on a strictly increasing time grid."""
+    """Piecewise-constant (u, n) on a strictly increasing time grid; T
+    defaults to the last breakpoint."""
 
     times: np.ndarray
     u: np.ndarray
     n: np.ndarray
-    T: float = field(default=0.0)
+    T: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -40,6 +39,8 @@ class ControlSchedule:
             raise ValueError("schedule needs at least one breakpoint")
         if len(self.u) != len(self.times) or len(self.n) != len(self.times):
             raise ValueError("times, u and n must have equal length")
+        if self.T is None:
+            self.T = float(self.times[-1])
         if not all(np.all(np.isfinite(a)) for a in (self.times, self.u, self.n, self.T)):
             raise ValueError("schedule times, u, n and T must be finite")
         if self.times[0] != 0.0:
@@ -48,15 +49,8 @@ class ControlSchedule:
             raise ValueError("schedule times must be strictly increasing")
         if np.any(self.n < 0):
             raise ValueError("incoherent control must be non-negative")
-        if self.T == 0.0:
-            self.T = float(self.times[-1])
         if self.T <= 0:
             raise ValueError("final time must be positive")
-
-    def value(self, t: float) -> tuple[float, float]:
-        """Sample-and-hold lookup of (u, n) at time t."""
-        i = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 1))
-        return float(self.u[i]), float(self.n[i])
 
     def clipped(self, u_max: float) -> "ControlSchedule":
         return ControlSchedule(self.times, np.clip(self.u, -u_max, u_max), self.n, self.T)
@@ -93,7 +87,7 @@ class ControlSchedule:
             if params is None:
                 raise ValueError("scaled times require system parameters")
             times = times / params.omega
-        sched = cls(times, data[:, 1], data[:, 2], T=duration or 0.0)
+        sched = cls(times, data[:, 1], data[:, 2], T=duration)
         cap = u_max if u_max is not None else (params.u_max_default if params else None)
         if cap is not None and not cap > 0:
             raise ValueError(f"u_max must be positive, got {cap}")
@@ -142,7 +136,6 @@ def propagate(r0, edges, u, n, params: SystemParams) -> np.ndarray:
         gen[:, :3, :3] = np.tensordot(wh, A, axes=1)
         gen[:, :3, 3] = wh @ c
         prop = expm(gen)
-        prop[:, 3] = (0.0, 0.0, 0.0, 1.0)
         # prefix products by doubling: prop[k] becomes the map from edges[lo] to edges[lo + k + 1]
         step = 1
         while step < len(prop):
@@ -154,27 +147,26 @@ def propagate(r0, edges, u, n, params: SystemParams) -> np.ndarray:
     return states
 
 
-def simulate(r0, schedule: ControlSchedule, params: SystemParams) -> Trajectory:
-    """Bloch trajectory under a piecewise-constant schedule, with dense output.
+@dataclass(frozen=True)
+class Simulation:
+    """The run of a schedule from r0; :meth:`sample` reads it out exactly."""
 
-    Nodes sit at every breakpoint, and each segment is split into equal
-    steps over which no rate max(omega, 2 kappa |u|, gamma (1 + n)) turns
-    the state by more than MAX_ANGLE.  Node states come from
-    :func:`propagate` and are exact to roundoff; between nodes the
-    trajectory is cubic Hermite, with one-sided derivatives at every node
-    so that sampling next to a control switch stays accurate.
-    """
-    edges = np.append(schedule.times[schedule.times < schedule.T], schedule.T)
-    h = np.diff(edges)
-    u, n = schedule.u[: len(h)], schedule.n[: len(h)]
-    rates = (np.full_like(h, params.omega), 2.0 * params.kappa * np.abs(u), params.gamma * (1.0 + n))
-    steps = np.ceil(np.maximum.reduce(rates) * h / MAX_ANGLE)
-    if steps.sum() > MAX_NODES:
-        raise ValueError(f"schedule needs {steps.sum():.3g} dense-output nodes, more than {MAX_NODES}")
-    seg = np.repeat(np.arange(len(h)), steps.astype(int))
-    offset = np.arange(len(seg)) - np.searchsorted(seg, seg)
-    ts = np.append(edges[seg] + offset * (h / steps)[seg], schedule.T)
-    ys = propagate(r0, ts, u[seg], n[seg], params)
-    w, A, c = _affine_parts(u[seg], n[seg], params)
-    f_start, f_end = (np.einsum("sk,kij,sj->si", w, A, d) + w @ c for d in (ys[:-1] - _E_Z, ys[1:] - _E_Z))
-    return Trajectory(ts, ys, np.vstack([f_start, f_end[-1:]]), fs_left=np.vstack([f_start[:1], f_end]))
+    r0: np.ndarray
+    schedule: ControlSchedule
+    params: SystemParams
+
+    def sample(self, t) -> np.ndarray:
+        """Bloch states at times t in [0, T], shape t.shape + (3,): one
+        :func:`propagate` across t merged with the breakpoints."""
+        t, sched = np.asarray(t, dtype=float), self.schedule
+        if not np.all((t >= 0.0) & (t <= sched.T)):
+            raise ValueError(f"sample times must lie in [0, {sched.T}]")
+        edges = np.union1d(t, sched.times[sched.times < sched.T])
+        seg = np.searchsorted(sched.times, edges[:-1], side="right") - 1
+        states = propagate(self.r0, edges, sched.u[seg], sched.n[seg], self.params)
+        return states[np.searchsorted(edges, t)]
+
+
+def simulate(r0, schedule: ControlSchedule, params: SystemParams) -> Simulation:
+    """The run of ``schedule`` from r0, read out by its ``sample(t)``."""
+    return Simulation(r0, schedule, params)

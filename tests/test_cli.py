@@ -266,11 +266,20 @@ def test_simulate_schedule_errors(tmp_path, capsys):
     assert "header" in err
     good = tmp_path / "zero.csv"
     good.write_text("t,u,n\n0,0,0\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--gamma-ratio", "0.1", "--schedule", str(good), "--T", "1",
-              "--r0", "nan,0,1"])
-    assert exc.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    for r0, msg in (("nan,0,1", "finite"), ("2,0,0", "|r| <= 1"), ("a,b,c", "invalid")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--gamma-ratio", "0.1", "--schedule", str(good), "--T", "1",
+                  "--r0", r0])
+        assert exc.value.code == 2
+        assert msg in capsys.readouterr().err
+    # --T 0 is refused, not read as "run to the last breakpoint"
+    two = tmp_path / "two.csv"
+    two.write_text("t,u,n\n0,0,0\n5,1,0\n")
+    code, out, err = run(
+        capsys, "simulate", "--gamma-ratio", "0.1", "--schedule", str(two), "--T", "0"
+    )
+    assert code == 1
+    assert "final time must be positive" in err and out == ""
 
 
 def test_simulate_rejects_non_finite_schedule(tmp_path, capsys):

@@ -16,10 +16,16 @@ def test_schedule_validation():
         ControlSchedule([0.5, 1.0], [0, 0], [0, 0])
     with pytest.raises(ValueError):
         ControlSchedule([0.0, 1.0], [0, 0], [0, -1])
-    s = ControlSchedule([0.0, 1.0], [2.0, -3.0], [0.0, 0.5])
-    assert s.T == 1.0
-    assert s.value(0.5) == (2.0, 0.0)
-    assert s.value(1.5) == (-3.0, 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        ControlSchedule([0.0, 1.0], [0, 0], [0, 0], T=0.0)
+    assert ControlSchedule([0.0, 1.0], [2.0, -3.0], [0.0, 0.5]).T == 1.0
+
+
+def test_simulate_holds_each_control_until_the_next_breakpoint():
+    s = ControlSchedule([0.0, 1.0], [2.0, -3.0], [0.0, 0.5], T=2.0)
+    r0 = np.array([0.6, 0.0, 0.8])
+    want = propagate(r0, [0.0, 0.5, 1.0, 1.5], [2.0, 2.0, -3.0], [0.0, 0.0, 0.5], P)
+    npt.assert_array_equal(simulate(r0, s, P).sample([0.5, 1.5]), want[[1, 3]])
 
 
 def test_schedule_csv_round_trip(tmp_path):
@@ -59,23 +65,24 @@ def test_schedule_u_cap(tmp_path):
 
 def test_simulate_fixed_point():
     sched = ControlSchedule([0.0], [0.0], [0.0], T=10.0)
-    traj = simulate(np.array([0.0, 0.0, 1.0]), sched, P)
-    npt.assert_allclose(traj.ys, np.tile([0, 0, 1.0], (len(traj.ts), 1)), atol=1e-12)
+    states = simulate(np.array([0.0, 0.0, 1.0]), sched, P).sample(np.linspace(0.0, 10.0, 101))
+    npt.assert_allclose(states, np.tile([0, 0, 1.0], (101, 1)), rtol=0, atol=1e-12)
 
 
 def test_simulate_pure_rotation_segment():
     # constant u with gamma = 0: rotation about rx at rate 2 kappa u + drift
     p = SystemParams(omega=1.0, kappa=0.5, gamma=0.0)
     sched = ControlSchedule([0.0], [np.pi], [0.0], T=1.0)
-    traj = simulate(np.array([0.0, 0.0, 1.0]), sched, p)
-    assert abs(np.linalg.norm(traj.final_state) - 1.0) < 1e-9
+    states = simulate(np.array([0.0, 0.0, 1.0]), sched, p).sample(np.linspace(0.0, 1.0, 11))
+    npt.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_simulate_refuses_an_oversized_dense_output():
-    # 2 kappa u T / MAX_ANGLE = 2e11 nodes: refused before anything is allocated
-    sched = ControlSchedule([0.0], [1e9], [0.0], T=10.0)
-    with pytest.raises(ValueError, match="dense-output nodes"):
-        simulate(np.array([0.0, 0.0, 1.0]), sched, P)
+def test_simulate_refuses_times_outside_the_schedule():
+    sim = simulate(np.array([0.0, 0.0, 1.0]), ControlSchedule([0.0], [1.0], [0.0], T=2.0), P)
+    assert sim.sample([0.0, 2.0]).shape == (2, 3)
+    for t in (-1e-9, 2.0 + 1e-9, np.nan):
+        with pytest.raises(ValueError, match="sample times"):
+            sim.sample([0.0, t])
 
 
 def test_schedule_rejects_non_finite():
@@ -91,17 +98,16 @@ def test_schedule_rejects_non_finite():
 
 
 def test_simulate_samples_next_to_a_switch():
-    # the last sub-interval before a switch must interpolate with the
-    # derivative of its own segment, not of the next one
+    # samples just before, at and just after a switch follow their own segment
     sched = ControlSchedule([0.0, 1.0], [0.0, 2.0], [0.0, 0.0], T=2.0)
     r0 = np.array([0.6, 0.0, 0.8])
-    traj = simulate(r0, sched, P)
-    k = int(np.searchsorted(traj.ts, 1.0))
-    assert traj.ts[k] == 1.0
-    t_mid = 0.5 * (traj.ts[k - 1] + traj.ts[k])
-    ref = propagate(r0, [0.0, t_mid], [0.0], [0.0], P)[-1]
-    npt.assert_allclose(traj.sample(t_mid)[0], ref, rtol=0, atol=1e-7)
-    npt.assert_array_equal(traj.sample(1.0)[0], traj.ys[k])
+    got = simulate(r0, sched, P).sample([1.0 - 1e-3, 1.0, 1.0 + 1e-3])
+    want = [
+        propagate(r0, [0.0, 1.0 - 1e-3], [0.0], [0.0], P)[-1],
+        propagate(r0, [0.0, 1.0], [0.0], [0.0], P)[-1],
+        propagate(r0, [0.0, 1.0, 1.0 + 1e-3], [0.0, 2.0], [0.0, 0.0], P)[-1],
+    ]
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _rodrigues(r, omega_vec, t):
@@ -168,6 +174,19 @@ def test_propagate_alignment_spike():
 def test_propagate_pole_is_bit_exact_fixed_point():
     states = propagate([0.0, 0.0, 1.0], np.linspace(0.0, 50.0, 1001), np.zeros(1000), np.zeros(1000), P)
     assert np.all(states == [0.0, 0.0, 1.0])
+
+
+def test_propagate_long_hold_reaches_the_steady_state():
+    # the zero last row of the augmented generator must stay the exact unit
+    # row through every squaring, or a long hold drifts back to its start
+    from qubit_reach.bloch import bloch_rhs
+
+    b = bloch_rhs(np.zeros(3), 1.0, 0.0, P)
+    M = np.stack([bloch_rhs(e, 1.0, 0.0, P) - b for e in np.eye(3)], axis=1)
+    want = np.linalg.solve(M, -b)
+    for T in (1e12, 1e20):
+        got = propagate([0.0, 0.0, 1.0], [0.0, T], [1.0], [0.0], P)[-1]
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_expm_inverts_on_negated_argument():
