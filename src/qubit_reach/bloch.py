@@ -169,7 +169,7 @@ def cylindrical_fields(c, params: SystemParams):
     g = params.ratio
     ct, st = np.cos(theta), np.sin(theta)
     c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    zp, rp = meridian_rhs_scaled(z, R, theta, g)
+    zp, rp = _meridian_rhs(z, R, st, ct, c2, g)
     g0 = np.array([zp, rp, -(z / R) * st - 0.25 * g * s2 + g * ct / R])
     g1 = np.array([0.0, 0.0, 1.0])
     g2 = -np.array([0.5 * z, 0.25 * R * (3.0 - c2), 0.25 * s2])
@@ -199,9 +199,14 @@ def meridian_rhs_scaled(z, R, theta, g):
 
     with g = gamma / omega.
     """
-    ct = np.cos(theta)
+    return _meridian_rhs(z, R, np.sin(theta), np.cos(theta), np.cos(2.0 * theta), g)
+
+
+def _meridian_rhs(z, R, st, ct, c2, g):
+    """:func:`meridian_rhs_scaled` from st = sin(theta), ct = cos(theta) and
+    c2 = cos(2 theta), for callers that already hold them."""
     zp = -0.5 * g * z - R * ct
-    rp = z * ct - 0.25 * g * R * (3.0 - np.cos(2.0 * theta)) + g * np.sin(theta)
+    rp = z * ct - 0.25 * g * R * (3.0 - c2) + g * st
     return zp, rp
 
 

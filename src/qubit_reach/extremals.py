@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import R_MIN, SingularityError, meridian_rhs_scaled
+from .bloch import R_MIN, SingularityError, _meridian_rhs
 from .ode import IntegrationError, Trajectory, dp45, hermite
 from .params import SystemParams
 from .schedule import ControlSchedule, propagate
@@ -65,12 +65,12 @@ def extremal_flow(z, R, p, q, th, g):
     num / den, whose denominator is d^2H/dtheta^2.  Broadcasts; den is
     not guarded.
     """
-    st, ct = np.sin(th), np.cos(th)
-    zp, rp = meridian_rhs_scaled(z, R, th, g)
+    st, ct, c2 = np.sin(th), np.cos(th), np.cos(2.0 * th)
+    zp, rp = _meridian_rhs(z, R, st, ct, c2, g)
     pp = 0.5 * g * p - q * ct
-    qp = p * ct + 0.25 * g * q * (3.0 - np.cos(2.0 * th))
+    qp = p * ct + 0.25 * g * q * (3.0 - c2)
     num = 0.125 * g * ((p * R + q * z) * (5.0 * st + np.sin(3.0 * th)) - 8.0 * p - 4.0 * g * q * ct ** 3)
-    return zp, rp, pp, qp, num, _d2H_dtheta2(z, R, p, q, th, g)
+    return zp, rp, pp, qp, num, _d2H(z, R, p, q, st, ct, c2, g)
 
 
 def _dH_dtheta(z, R, p, q, th, g):
@@ -78,7 +78,12 @@ def _dH_dtheta(z, R, p, q, th, g):
 
 
 def _d2H_dtheta2(z, R, p, q, th, g):
-    return (p * R - q * z) * np.cos(th) - g * q * (np.sin(th) + R * np.cos(2.0 * th))
+    return _d2H(z, R, p, q, np.sin(th), np.cos(th), np.cos(2.0 * th), g)
+
+
+def _d2H(z, R, p, q, st, ct, c2, g):
+    """:func:`_d2H_dtheta2` from st = sin(th), ct = cos(th) and c2 = cos(2 th)."""
+    return (p * R - q * z) * ct - g * q * (st + R * c2)
 
 
 def _extremal_rhs(y, g):
@@ -377,19 +382,26 @@ def sweep_extremals(
         for c in np.nonzero(cols)[0]:
             fail_reason[c] = reason
 
-    def write(idx, values):
-        rows = np.nonzero(active)[0]
-        cells = np.ix_(rows, idx)
-        for c, a in out.items():
-            a[cells] = values[_COMP_INDEX[c]][rows]  # values: (5, n, k)
+    # dense output covers only the stored components, in out's order
+    comps = [_COMP_INDEX[c] for c in out]
+
+    def write(cols, values):
+        # values: (len(out), n, k) for the sample columns cols
+        if active.all():
+            for a, v in zip(out.values(), values):
+                a[:, cols] = v
+        else:
+            rows = np.nonzero(active)[0]
+            for a, v in zip(out.values(), values):
+                a[rows, cols] = v[rows]
 
     def accept(t0, h, y0, f0, t1, y1, f1):
         nonlocal j_next
         j_hi = int(np.searchsorted(tau, t1, side="right"))
         if j_hi > j_next:
-            idx = np.arange(j_next, j_hi)
-            s = ((tau[idx] - t0) / h)[None, None, :]
-            write(idx, hermite(s, h, y0[:, :, None], f0[:, :, None], y1[:, :, None], f1[:, :, None]))
+            s = ((tau[j_next:j_hi] - t0) / h)[None, None, :]
+            ends = (v[comps][:, :, None] for v in (y0, f0, y1, f1))
+            write(slice(j_next, j_hi), hermite(s, h, *ends))
             j_next = j_hi
         # keep theta bounded and re-project it onto dH/dtheta = 0
         y1[4] = np.mod(y1[4] + np.pi, 2.0 * np.pi) - np.pi
@@ -411,7 +423,7 @@ def sweep_extremals(
 
     # seeds starting exactly on a degenerate angle are stationary; keep
     # their single valid sample and freeze them
-    write(np.array([0]), y[:, :, None])
+    write(slice(0, 1), y[comps][:, :, None])
     fail(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL, 0.0, "degenerate start (stationary extremal)")
     dp45(rhs, y, T, tol, active, accept, fail)
     return ExtremalSweep(tau, seeds, out, ~active, fail_tau, fail_reason)

@@ -383,35 +383,37 @@ class ReachSweep:
         fill_limit = 2.0 * REFINE_CELLS * self.cell
         self.unfilled_pairs = list(np.nonzero(gaps > fill_limit)[0])
         n_sub = np.ceil(np.minimum(gaps, fill_limit) * inv / 0.45).astype(int)
-        pair_ids = np.nonzero(n_sub > 1)[0]
-        pa, pb = order[pair_ids], order[(pair_ids + 1) % len(order)]
-        # strip point -> its pair, and its chord parameter lam in (0, 1)
-        rep = np.repeat(np.arange(len(pair_ids)), n_sub[pair_ids] - 1)
-        lam = np.concatenate([np.zeros(0)] + [np.arange(1, n_sub[k]) / n_sub[k] for k in pair_ids])
-        lam = lam[:, None]
+        # pairs grouped by chord count k; each chord has the k - 1 inner
+        # points lam * a + (1 - lam) * b, lam = 1/k, ..., (k - 1)/k
+        groups = []
+        for k in np.unique(n_sub[n_sub > 1]):
+            ids = np.nonzero(n_sub == k)[0]
+            lam = (np.arange(1, k) / k)[:, None]
+            groups.append((order[ids], order[(ids + 1) % len(order)], lam, 1 - lam))
+
+        def bins(pz, pr, key):
+            iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
+            iz *= n
+            for sign in (1.0, -1.0):
+                ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
+                ir += iz
+                yield ir, key
 
         def cells():
             for j0 in range(0, m, BIN_BLOCK):
                 blk = slice(j0, j0 + BIN_BLOCK)
                 sample = np.arange(j0, min(m, j0 + BIN_BLOCK))
-                zj, rj = z[:, blk], r[:, blk]
+                zj = z[:, blk]
                 ok = np.isfinite(zj)
-                za, zb = z[pa, blk], z[pb, blk]
-                ra, rb = r[pa, blk], r[pb, blk]
-                # NaN tails compare False, so the chord needs both ends live
-                good = (np.hypot(za - zb, ra - rb) <= fill_limit)[rep]
-                lg = np.broadcast_to(lam, good.shape)[good]
-                za, zb, ra, rb = (v[rep][good] for v in (za, zb, ra, rb))
-                pz = np.concatenate([zj[ok], lg * za + (1 - lg) * zb])
-                pr = np.concatenate([rj[ok], lg * ra + (1 - lg) * rb])
-                key = np.concatenate([np.broadcast_to(sample, ok.shape)[ok],
-                                      np.broadcast_to(sample, good.shape)[good]])
-                iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
-                iz *= n
-                for sign in (1.0, -1.0):
-                    ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
-                    ir += iz
-                    yield ir, key
+                yield from bins(zj[ok], r[:, blk][ok], np.broadcast_to(sample, ok.shape)[ok])
+                for pa, pb, lam, mu in groups:
+                    za, zb = z[pa, blk], z[pb, blk]
+                    ra, rb = r[pa, blk], r[pb, blk]
+                    # NaN tails compare False, so the chord needs both ends live
+                    good = np.hypot(za - zb, ra - rb) <= fill_limit
+                    za, zb, ra, rb = za[good], zb[good], ra[good], rb[good]
+                    key = np.tile(np.broadcast_to(sample, good.shape)[good], len(lam))
+                    yield from bins((lam * za + mu * zb).ravel(), (lam * ra + mu * rb).ravel(), key)
 
         first = first_passage(n * n, cells())
         reached = first != NO_PASSAGE

@@ -64,7 +64,8 @@ class ControlSchedule:
         duration: float | None = None,
         u_max: float | None = None,
     ) -> "ControlSchedule":
-        """Read a t,u,n schedule; header row is required.
+        """Read a t,u,n schedule; header row is required, and every other
+        non-blank row holds exactly three numbers.
 
         The ingestion cap on |u| defaults to params.u_max_default when
         params are given; pass u_max=np.inf to disable it.
@@ -78,7 +79,13 @@ class ControlSchedule:
             for row in reader:
                 if not row or not "".join(row).strip():
                     continue
-                rows.append([float(v) for v in row[:3]])
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: expected 3 fields t,u,n, got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: schedule has no rows")
         data = np.array(rows, dtype=float)

@@ -202,8 +202,11 @@ def load(path) -> LookupTable:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"{path}:{ln}: truncated row {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        psi0, theta0, tmin = (float(v) for v in parts[2:])
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            psi0, theta0, tmin = (float(v) for v in parts[2:])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
         if not (0 <= i < grid and 0 <= j < grid // 2):
             raise ValueError(f"{path}:{ln}: cell ({i}, {j}) outside the {grid} x {grid // 2} grid")
         if table.mask[i, j]:

@@ -272,6 +272,20 @@ def test_simulate_schedule_errors(tmp_path, capsys):
                   "--r0", r0])
         assert exc.value.code == 2
         assert msg in capsys.readouterr().err
+    # every row holds exactly three numbers; a bad row names its file and line
+    for name, body, msg in (
+        ("short.csv", "t,u,n\n0,1\n", "short.csv:2: expected 3 fields t,u,n, got 2"),
+        ("mixed.csv", "t,u,n\n0,0,0\n1,2\n", "mixed.csv:3: expected 3 fields t,u,n, got 2"),
+        ("long.csv", "t,u,n\n0,0,0,0\n", "long.csv:2: expected 3 fields t,u,n, got 4"),
+        ("word.csv", "t,u,n\n0,0,0\n1,x,0\n", "word.csv:3: could not convert string to float: 'x'"),
+    ):
+        sched = tmp_path / name
+        sched.write_text(body)
+        code, out, err = run(
+            capsys, "simulate", "--gamma-ratio", "0.1", "--schedule", str(sched), "--T", "1"
+        )
+        assert code == 1 and out == ""
+        assert msg in err and "Traceback" not in err
     # --T 0 is refused, not read as "run to the last breakpoint"
     two = tmp_path / "two.csv"
     two.write_text("t,u,n\n0,0,0\n5,1,0\n")

@@ -19,9 +19,12 @@ from qubit_reach import (
     sweep_extremals,
     theta_rhs,
 )
-from qubit_reach.bloch import SingularityError, cylindrical_fields
+from qubit_reach.bloch import SingularityError, _meridian_rhs, cylindrical_fields, meridian_rhs_scaled
 from qubit_reach.extremals import (
     ExtremalSeed,
+    _d2H,
+    _d2H_dtheta2,
+    extremal_flow,
     hamiltonian_dtheta2,
     normalize_states,
     sample_times,
@@ -213,6 +216,44 @@ def test_sweep_parallel_merge_identical(monkeypatch):
     assert a.failed[19] and a.fail_tau[19] == 0.0 and a.failed.sum() == 1
     assert (out["z"][19, 0], out["R"][19, 0]) == (0.0, 1.0)
     assert np.isnan(out["z"][19, 1:]).all() and np.isnan(out["R"][19, 1:]).all()
+
+
+@pytest.mark.parametrize("fail_some", [False, True])
+def test_dense_output_of_stored_components_is_bit_equal(monkeypatch, fail_some):
+    # z and R from a z, R sweep equal, bit for bit, those of a sweep that
+    # stores all five components (listed in another order)
+    seeds = seed_grid(64, P)
+    if fail_some:
+        seeds[20] = seed(np.pi / 2, P)  # frozen at tau = 0
+        # a tiny branch-jump bound ends most seeds early, at many times
+        monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
+    dt = 7 / 512
+    m = len(sample_times(7.0, dt))
+    two = sweep_extremals(seeds, 7.0, P, sample_dt=dt)
+    out = {c: np.empty((64, m)) for c in ("theta", "q", "R", "p", "z")}
+    five = sweep_extremals(seeds, 7.0, P, sample_dt=dt, out=out)
+    for c in ("z", "R"):
+        assert two.data[c].tobytes() == five.data[c].tobytes()
+    npt.assert_array_equal(two.fail_tau, five.fail_tau)
+    if fail_some:
+        assert five.fail_tau[20] == 0.0 and np.isnan(five.data["z"][20, 1:]).all()
+        mid = (five.fail_tau > 0.0) & (five.fail_tau < 7.0)
+        assert 10 < mid.sum() < 63 and np.isnan(five.data["R"][mid, -1]).all()
+    else:
+        assert not five.failed.any() and not np.isnan(five.data["z"]).any()
+
+
+def test_trig_helpers_are_bit_equal():
+    rng = np.random.default_rng(11)
+    z, R, p, q = rng.uniform(-1.0, 1.0, (4, 1000))
+    th = rng.uniform(-10.0, 10.0, 1000)
+    trig = (np.sin(th), np.cos(th), np.cos(2.0 * th))
+    for g in (0.0, 0.1, 0.7):
+        want = (*meridian_rhs_scaled(z, R, th, g), _d2H_dtheta2(z, R, p, q, th, g))
+        got = (*_meridian_rhs(z, R, *trig, g), _d2H(z, R, p, q, *trig, g))
+        flow = extremal_flow(z, R, p, q, th, g)
+        for w, a, b in zip(want, got, flow[:2] + flow[5:]):
+            assert w.tobytes() == a.tobytes() == b.tobytes()
 
 
 def test_sweep_rejects_bad_destination():

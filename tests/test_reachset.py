@@ -4,6 +4,7 @@ import pytest
 
 from qubit_reach import SystemParams
 from qubit_reach.reachset import (
+    BIN_BLOCK,
     MAX_REFINE_ROUNDS,
     NO_PASSAGE,
     REFINE_CELLS,
@@ -367,6 +368,65 @@ def test_refinement_budget_exhaustion_is_reported():
     sweep = ReachSweep(P, 7.0, n_seeds=64, raster=64)
     assert sweep.budget_exhausted is True
     assert sweep.seeds_added == 4 * 64
+
+
+def rep_rasterize(sweep, z, r, order, gaps):
+    """Reference: every strip point of every pair built by [rep]-expanding
+    the pairs, then masked, and binned in one block with the path points."""
+    m, n, inv = len(sweep.tau), sweep.n, 1.0 / sweep.cell
+    fill_limit = 2.0 * REFINE_CELLS * sweep.cell
+    n_sub = np.ceil(np.minimum(gaps, fill_limit) * inv / 0.45).astype(int)
+    pair_ids = np.nonzero(n_sub > 1)[0]
+    pa, pb = order[pair_ids], order[(pair_ids + 1) % len(order)]
+    rep = np.repeat(np.arange(len(pair_ids)), n_sub[pair_ids] - 1)
+    lam = np.concatenate([np.zeros(0)] + [np.arange(1, n_sub[k]) / n_sub[k] for k in pair_ids])
+    lam = lam[:, None]
+
+    def cells():
+        for j0 in range(0, m, BIN_BLOCK):
+            blk = slice(j0, j0 + BIN_BLOCK)
+            sample = np.arange(j0, min(m, j0 + BIN_BLOCK))
+            zj, rj = z[:, blk], r[:, blk]
+            ok = np.isfinite(zj)
+            za, zb = z[pa, blk], z[pb, blk]
+            ra, rb = r[pa, blk], r[pb, blk]
+            good = (np.hypot(za - zb, ra - rb) <= fill_limit)[rep]
+            lg = np.broadcast_to(lam, good.shape)[good]
+            za, zb, ra, rb = (v[rep][good] for v in (za, zb, ra, rb))
+            pz = np.concatenate([zj[ok], lg * za + (1 - lg) * zb])
+            pr = np.concatenate([rj[ok], lg * ra + (1 - lg) * rb])
+            key = np.concatenate([np.broadcast_to(sample, ok.shape)[ok],
+                                  np.broadcast_to(sample, good.shape)[good]])
+            iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
+            iz *= n
+            for sign in (1.0, -1.0):
+                ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
+                ir += iz
+                yield ir, key
+
+    first = first_passage(n * n, cells())
+    reached = first != NO_PASSAGE
+    tau_min = np.full(n * n, np.inf)
+    tau_min[reached] = sweep.tau[first[reached]]
+    return tau_min.reshape(n, n), n_sub
+
+
+@pytest.mark.parametrize("ratio, T", [(0.1, 2.0), (0.1, 7.0), (0.3, 7.0)])
+def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T):
+    seen = {}
+    rasterize = ReachSweep._rasterize
+
+    def capture(self, z, r, order, gaps):
+        seen.update(args=(z, r, order, gaps))
+        return rasterize(self, z, r, order, gaps)
+
+    monkeypatch.setattr(ReachSweep, "_rasterize", capture)
+    sweep = ReachSweep(SystemParams.from_ratio(ratio), T, n_seeds=64, raster=64)
+    want, n_sub = rep_rasterize(sweep, *seen["args"])
+    assert sweep.tau_min.tobytes() == want.tobytes()
+    # refined pairs with several chord counts; past T = 2 also unfilled ones
+    assert sweep.seeds_added > 0 and len(np.unique(n_sub[n_sub > 1])) > 2
+    assert (len(sweep.unfilled_pairs) > 0) == (T > 2.0)
 
 
 def naive_first_passage(n_cells, cells, keys):

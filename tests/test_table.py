@@ -214,6 +214,18 @@ def test_load_rejects_repeated_cell(tmp_path, capsys):
     assert "error:" in err and "twice.csv:4:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", ["1,x,0.1,0.2,0.3", "1.5,0,0.1,0.2,0.3", "1,0,0.1,y,0.3"])
+def test_load_names_file_and_line_of_bad_number(tmp_path, capsys, row):
+    p = tmp_path / "word.csv"
+    p.write_text(f"{GOOD_HEADER}\ni,j,psi0,theta0,Tmin\n4,3,0.5,1.0,0.25\n{row}\n")
+    with pytest.raises(ValueError, match=r"word.csv:4: (invalid literal|could not convert)"):
+        load(p)
+    assert main(["table", "query", "--in", str(p), "--z", "0.1", "--R", "0.9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "word.csv:4:" in err and "Traceback" not in err
+
+
 def test_binning_matches_naive_loop(monkeypatch):
     # a tiny fake family on a 4 x 2 grid: NaN tails, many seeds per cell
     # and many entering at the same sample; the table keeps the earliest
