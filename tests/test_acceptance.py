@@ -47,6 +47,7 @@ from qubit_reach.reachset import (
     spiral_region,
     write_obj,
 )
+from qubit_reach import extremals
 from qubit_reach import svg as svg_mod
 from qubit_reach import table as table_mod
 
@@ -484,6 +485,10 @@ PINNED = {
     # a 64^2 raster with density 0.5: saddles, holes and many small loops
     "random_raster_loops":
         "2cbfc659e1efb5b501c3f99cb42e5735325ce72c8d5706efa8e0e431c36c3e91",
+    # z, R, p, q and theta samples of a 64-seed sweep to wT = 7 in which
+    # most seeds fail at many times and one is frozen at tau = 0
+    "failing_sweep_samples":
+        "c31eef1f8b80b31f7945d1677732f865f049ad19454384be8b0da1f32a2d95eb",
 }
 
 
@@ -550,6 +555,26 @@ def test_readout_bits_pinned(big_sweep):
     frames = "".join(svg_mod.reachset_figure(rset, reg) for rset in rsets)
     assert _sha256(loops) == PINNED["big_sweep_fig_loops"]
     assert _sha256(frames.encode()) == PINNED["big_sweep_fig_svg"]
+
+
+def failing_sweep(monkeypatch):
+    """64 seeds with psi0 = pi/2 (stationary) at row 20; a tiny branch-jump
+    bound ends most of the others early."""
+    seeds = seed_grid(64, P)
+    seeds[20] = seed(np.pi / 2, P)
+    monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
+    return seeds
+
+
+def test_failing_sweep_bits_pinned(monkeypatch):
+    seeds = failing_sweep(monkeypatch)
+    m = len(sample_times(7.0, 7 / 512))
+    out = {c: np.empty((64, m)) for c in ("z", "R", "p", "q", "theta")}
+    sweep = extremals.sweep_extremals(seeds, 7.0, P, sample_dt=7 / 512, out=out)
+    assert sweep.fail_tau[20] == 0.0 and np.isnan(out["z"][20, 1:]).all()
+    assert 10 < np.sum((sweep.fail_tau > 0.0) & (sweep.fail_tau < 7.0)) < 63
+    samples = b"".join(out[c].tobytes() for c in ("z", "R", "p", "q", "theta"))
+    assert _sha256(samples) == PINNED["failing_sweep_samples"]
 
 
 def test_random_raster_loops_pinned():
