@@ -288,35 +288,77 @@ def seed_grid(n_seeds: int, params: SystemParams, branch: str = "max") -> list[E
 
 @dataclass
 class ExtremalSweep:
-    """Shared-grid samples of a family of extremals (covering space).
+    """Step nodes of a family of extremals (covering space) and their reader.
 
-    data maps component name (z, R, p, q, theta) to an (n_seeds, m)
-    array; R keeps its sign.  Samples after a seed's failure time are
-    NaN.  `failed` seeds ended early (degenerate theta dynamics or a
-    rejected-step collapse); everything before fail_tau remains valid.
+    blocks holds the node arrays of each block of consecutive seeds swept
+    together: per accepted step its start t0, the h that dp45 took and its
+    end t1 (the last step ends at T), shape (K,), the states and
+    derivatives y0, f0 after the theta re-projection and y1, f1 before it,
+    shape (5, n, K), and the start state, shape (5, n).  R keeps its sign.
+    n_valid counts each seed's valid samples.  `failed` seeds ended early
+    (degenerate theta dynamics or a rejected-step collapse) at fail_tau.
     """
 
     tau: np.ndarray
     seeds: list[ExtremalSeed]
-    data: dict[str, np.ndarray]
+    blocks: list[dict]
+    n_valid: np.ndarray
     failed: np.ndarray
     fail_tau: np.ndarray
     fail_reason: list
 
-    def states(self) -> np.ndarray:
-        """Stacked (n_seeds, m, 5) array; requires a full-component sweep."""
-        comps = [self.data[c] for c in ("z", "R", "p", "q", "theta")]
-        return np.stack(comps, axis=-1)
+    @property
+    def data(self) -> dict[str, np.ndarray]:
+        """Each node array of every block, flattened and concatenated."""
+        return {k: np.concatenate([b[k].ravel() for b in self.blocks]) for k in self.blocks[0]}
+
+    def samples(self, comps, rows, cols: slice) -> np.ndarray:
+        """Samples of the increasing seed indices rows at the sample columns
+        cols, shape (len(comps), len(rows), n); comps index (z, R, p, q, theta).
+
+        Sample 0 is the start state.  Sample j > 0 is the cubic Hermite
+        dense output of the first step of the seed's block whose end is
+        >= tau[j], computed on float64 arrays in ode.hermite's operation
+        order, so every row set and column range reads the same bits.  From
+        a seed's failure sample on, its samples are NaN.
+        """
+        comps, rows = list(comps), np.asarray(rows, dtype=int)
+        if np.any(np.diff(rows) <= 0):
+            raise ValueError("sample rows must be increasing")
+        j = np.arange(len(self.tau))[cols]
+        out = np.empty((len(comps), len(rows), len(j)))
+        starts = np.cumsum([0] + [b["start"].shape[1] for b in self.blocks])
+        bounds = np.searchsorted(rows, starts)  # block b holds rows[bounds[b]:bounds[b + 1]]
+        for blk, start, lo, hi in zip(self.blocks, starts, bounds, bounds[1:]):
+            local = rows[lo:hi] - start
+            if lo < hi and len(j) and len(blk["t1"]):  # a block frozen at tau = 0 took no step
+                k = np.minimum(np.searchsorted(blk["t1"], self.tau[j]), len(blk["t1"]) - 1)
+                h = blk["h"][k]
+                steps = slice(k[0], k[-1] + 1)  # the steps the columns fall in
+                ends = (blk[v][:, :, steps][comps][:, local][..., k - k[0]]
+                        for v in ("y0", "f0", "y1", "f1"))
+                out[:, lo:hi] = hermite((self.tau[j] - blk["t0"][k]) / h, h, *ends)
+            if len(j) and j[0] == 0:
+                out[:, lo:hi, 0] = blk["start"][comps][:, local]
+        np.copyto(out, np.nan, where=j >= self.n_valid[rows, None])
+        return out
 
 
-_COMP_INDEX = {"z": 0, "R": 1, "p": 2, "q": 3, "theta": 4}
+def merge_sweeps(parts) -> ExtremalSweep:
+    """Sweeps on one sample grid as one, their seeds in order."""
+    return ExtremalSweep(
+        parts[0].tau, [s for p in parts for s in p.seeds], [b for p in parts for b in p.blocks],
+        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("n_valid", "failed", "fail_tau")),
+        [r for p in parts for r in p.fail_reason],
+    )
 
 
 def sample_times(T: float, sample_dt) -> np.ndarray:
     """The sample grid of a sweep to T, spaced about sample_dt (T / 2048 if None)."""
-    if T <= 0:
-        raise ValueError(f"duration must be positive, got T={T}")
     dt = T / 2048.0 if sample_dt is None else sample_dt
+    for name, v in (("T", T), ("sample_dt", dt)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {name}={v}")
     return np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
 
 
@@ -338,39 +380,30 @@ def sweep_extremals(
     *,
     tol: float = 1e-10,
     sample_dt: float | None = None,
-    out: dict | None = None,
 ) -> ExtremalSweep:
     """Integrate a family of extremals on a shared adaptive time grid.
 
     seeds may be ExtremalSeed objects or bare psi0 angles.  The seeds are
-    the columns of one :func:`ode.dp45` run at tolerance tol.  Samples are
-    written on the grid :func:`sample_times` (T, sample_dt) via cubic
-    Hermite dense output.
+    the columns of one :func:`ode.dp45` run at tolerance tol, the one
+    block of the result, which keeps its step nodes; ExtremalSweep.samples
+    reads them on the grid :func:`sample_times` (T, sample_dt).
     After every accepted step the control angle of each seed is
     re-projected onto the stationarity manifold dH/dtheta = 0 (Newton),
     which pins the stationarity residual near roundoff instead of letting
     it drift with the integration error.
-
-    out maps component names (z, R, p, q, theta) to (n_seeds, m) arrays,
-    the result's data: row k is written in place with seed k's samples,
-    NaN after its failure time.  Without out, z and R are allocated.
     """
     tau = sample_times(T, sample_dt)
     seeds = _as_seeds(seeds, params)
     n = len(seeds)
-    if out is None:
-        out = {c: np.empty((n, len(tau))) for c in ("z", "R")}
-    if any(c not in _COMP_INDEX or a.shape != (n, len(tau)) for c, a in out.items()):
-        raise ValueError(f"destination needs component arrays of shape {(n, len(tau))}")
-    for a in out.values():
-        a.fill(np.nan)
 
     g = params.ratio
     y = np.stack([s.state0 for s in seeds], axis=1)  # (5, n)
     active = np.ones(n, dtype=bool)
     fail_tau = np.full(n, np.inf)
+    n_valid = np.full(n, len(tau))
     fail_reason: list = [None] * n
-    j_next = 1
+    times, states = [], []  # (t0, h, t1) and (y0, f0, y1, f1) of each accepted step
+    j_next = 1  # samples up to the end of the last accepted step
 
     def rhs(t, yy):
         return _extremal_rhs(yy, g) * active  # frozen columns stay put
@@ -379,30 +412,15 @@ def sweep_extremals(
         # cols only holds active seeds
         active[cols] = False
         fail_tau[cols] = t
+        n_valid[cols] = j_next
         for c in np.nonzero(cols)[0]:
             fail_reason[c] = reason
 
-    # dense output covers only the stored components, in out's order
-    comps = [_COMP_INDEX[c] for c in out]
-
-    def write(cols, values):
-        # values: (len(out), n, k) for the sample columns cols
-        if active.all():
-            for a, v in zip(out.values(), values):
-                a[:, cols] = v
-        else:
-            rows = np.nonzero(active)[0]
-            for a, v in zip(out.values(), values):
-                a[rows, cols] = v[rows]
-
     def accept(t0, h, y0, f0, t1, y1, f1):
         nonlocal j_next
-        j_hi = int(np.searchsorted(tau, t1, side="right"))
-        if j_hi > j_next:
-            s = ((tau[j_next:j_hi] - t0) / h)[None, None, :]
-            ends = (v[comps][:, :, None] for v in (y0, f0, y1, f1))
-            write(slice(j_next, j_hi), hermite(s, h, *ends))
-            j_next = j_hi
+        times.append((t0, h, t1))
+        states.append((y0, f0, y1.copy(), f1))
+        j_next = int(np.searchsorted(tau, t1, side="right"))
         # keep theta bounded and re-project it onto dH/dtheta = 0
         y1[4] = np.mod(y1[4] + np.pi, 2.0 * np.pi) - np.pi
         den = _d2H_dtheta2(*y1, g)
@@ -423,10 +441,12 @@ def sweep_extremals(
 
     # seeds starting exactly on a degenerate angle are stationary; keep
     # their single valid sample and freeze them
-    write(slice(0, 1), y[comps][:, :, None])
     fail(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL, 0.0, "degenerate start (stationary extremal)")
     dp45(rhs, y, T, tol, active, accept, fail)
-    return ExtremalSweep(tau, seeds, out, ~active, fail_tau, fail_reason)
+    t0, h, t1 = np.reshape(times, (-1, 3)).T
+    y0, f0, y1, f1 = np.moveaxis(np.reshape(states, (-1, 4, *y.shape)), 0, -1).copy()
+    block = dict(t0=t0, h=h, t1=t1, y0=y0, f0=f0, y1=y1, f1=f1, start=y)
+    return ExtremalSweep(tau, seeds, [block], n_valid, ~active, fail_tau, fail_reason)
 
 
 def sweep_extremals_parallel(
@@ -437,38 +457,27 @@ def sweep_extremals_parallel(
     n_threads: int = 1,
     tol: float = 1e-10,
     sample_dt: float | None = None,
-    out: dict | None = None,
 ) -> ExtremalSweep:
     """Sweep in blocks of SWEEP_BLOCK seeds, optionally spread over threads.
 
     The block decomposition (not the thread count) decides the shared
     adaptive grids, so the result is identical for any n_threads; worker
-    threads only distribute blocks.  Each block writes its rows of out in
-    place, as :func:`sweep_extremals` does (NaN after a seed's failure).
+    threads only distribute blocks.  The blocks are merged in order.
     """
     seeds = _as_seeds(seeds, params)
-    tau = sample_times(T, sample_dt)
-    if out is None:
-        out = {c: np.empty((len(seeds), len(tau))) for c in ("z", "R")}
 
-    def run(rows):
-        return sweep_extremals(
-            seeds[rows], T, params, tol=tol, sample_dt=sample_dt,
-            out={c: a[rows] for c, a in out.items()},
-        )
+    def run(k):
+        return sweep_extremals(seeds[k : k + SWEEP_BLOCK], T, params, tol=tol, sample_dt=sample_dt)
 
-    blocks = [slice(i, i + SWEEP_BLOCK) for i in range(0, len(seeds), SWEEP_BLOCK)]
+    starts = range(0, len(seeds), SWEEP_BLOCK)
     if n_threads <= 1:
-        parts = [run(b) for b in blocks]
+        parts = [run(k) for k in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(run, blocks))
-    failed = np.concatenate([p.failed for p in parts])
-    fail_tau = np.concatenate([p.fail_tau for p in parts])
-    fail_reason = [r for p in parts for r in p.fail_reason]
-    return ExtremalSweep(tau, seeds, out, failed, fail_tau, fail_reason)
+            parts = list(pool.map(run, starts))
+    return merge_sweeps(parts)
 
 
 def normalize_states(states: np.ndarray) -> np.ndarray:
@@ -494,13 +503,12 @@ def integrate_extremal(
     (degenerate denominator, branch jump) raise IntegrationError with the
     failure time.
     """
-    out = {c: np.empty((1, len(sample_times(T_scaled, sample_dt)))) for c in _COMP_INDEX}
-    sweep = sweep_extremals([seedv], T_scaled, params, sample_dt=sample_dt, out=out)
+    sweep = sweep_extremals([seedv], T_scaled, params, sample_dt=sample_dt)
     if sweep.failed[0] and sweep.fail_tau[0] < T_scaled:
         raise IntegrationError(
             f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"
         )
-    states = normalize_states(sweep.states()[0])
+    states = normalize_states(sweep.samples(range(5), [0], slice(None))[:, 0].T.copy())
     return Trajectory(sweep.tau, states, _extremal_rhs(states.T, params.ratio).T)
 
 

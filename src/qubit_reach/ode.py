@@ -63,10 +63,6 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
 
     @property
-    def final_time(self) -> float:
-        return float(self.ts[-1])
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.ys[-1]
 

@@ -21,11 +21,22 @@ from .params import SystemParams
 SWEEP_TOL = 1e-8  # dp45 tolerance of the extremal sweeps of rasters and tables
 REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bisection seed
 MAX_REFINE_ROUNDS = 24
-BIN_BLOCK = 16  # sample columns per block of the first-passage binning
+BIN_BLOCK = 64  # sample columns per block of the first-passage binning
+READ_COLS = 256  # sample columns per read of the paths: amortises the reader's per-block cost
 NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
 SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
 BARRIER_THETA_GRID = 720  # control angles of the barrier-certificate grid check
+
+
+def bin_blocks(paths):
+    """(first column, z, R) of all paths over successive BIN_BLOCK sample
+    columns, read READ_COLS columns at a time."""
+    rows = np.arange(len(paths.seeds))
+    for w0 in range(0, len(paths.tau), READ_COLS):
+        z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+        for j0 in range(0, z.shape[1], BIN_BLOCK):
+            yield w0 + j0, z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
 
 
 def first_passage(n_cells: int, blocks) -> np.ndarray:
@@ -247,10 +258,10 @@ class ReachableSet2D:
 class ReachSweep:
     """First-passage raster of the extremal sweep from (z, R) = (0, 1).
 
-    One batched integration to T_max records, for every raster cell, the
-    earliest scaled time at which an extremal (or the filled strip
-    between angularly adjacent extremals) enters it.  Thresholding that
-    raster yields the reachable set for any T <= T_max, monotone in T by
+    One batched integration to T_max, read back from its step nodes, gives
+    every raster cell the earliest scaled time at which an extremal (or the
+    filled strip between angularly adjacent extremals) enters it.  Its
+    thresholds are the reachable sets for any T <= T_max, monotone in T by
     construction, which is also what makes movie frames cheap.
 
     Strips are filled in parameter space.  Adjacent-seed pairs whose
@@ -276,47 +287,38 @@ class ReachSweep:
     ):
         if n_seeds < 64:
             raise ValueError(f"need at least 64 seeds, got {n_seeds}")
-        if T_max <= 0:
-            raise ValueError("T_max must be positive")
         self.params = params
         self.T_max = float(T_max)
         self.n = int(raster)
+        if self.n < 1:
+            raise ValueError(f"raster needs at least 1 cell a side, got {raster}")
         self.cell = 2.0 / self.n
         # successive samples at most ~0.45 cell apart (speed <= ~1.3)
         self.sample_dt = min(0.35 * self.cell, T_max / 64.0)
+        self.tau = extremals.sample_times(T_max, self.sample_dt)  # rejects a bad T_max
         self.n_threads = max(1, int(n_threads))
-
-        # path storage for the whole refinement budget; each sweep writes
-        # its paths into the next rows, and rows the refinement never
-        # reaches are never written, so their pages are never mapped
-        budget = 4 * n_seeds
-        self.tau = extremals.sample_times(T_max, self.sample_dt)
-        z = np.empty((n_seeds + budget, len(self.tau)))
-        r = np.empty_like(z)
-        psis = np.empty(len(z))
-        row_seeds: list = []  # seeds by storage row
-        n_failed = 0
+        sweeps = []  # every sweep so far; merged into paths, one storage row per seed
+        paths = psis = None  # psis: the psi0 of each storage row
 
         def run(batch):
             """Sweep into the next storage rows; returns the live ones by psi0."""
-            nonlocal n_failed
-            rows = slice(len(row_seeds), len(row_seeds) + len(batch))
-            sweep = sweep_extremals_parallel(
+            nonlocal paths, psis
+            sweeps.append(sweep_extremals_parallel(
                 batch, T_max, params, n_threads=self.n_threads, tol=SWEEP_TOL,
-                sample_dt=self.sample_dt, out={"z": z[rows], "R": r[rows]},
-            )
-            n_failed += int(np.sum(sweep.failed))
-            row_seeds.extend(sweep.seeds)
-            psis[rows] = [s.psi0 for s in sweep.seeds]
+                sample_dt=self.sample_dt,
+            ))
+            paths = extremals.merge_sweeps(sweeps)
+            psis = np.array([s.psi0 for s in paths.seeds])
             # a path frozen at tau = 0 (stationary extremal) keeps its row,
             # whose one sample (0, 1) every path has, but not a gap pair
-            live = np.arange(rows.start, rows.stop)[sweep.fail_tau > 0.0]
+            live = np.arange(len(psis) - len(batch), len(psis))[sweeps[-1].fail_tau > 0.0]
             return live[np.argsort(psis[live])]
 
         # order: storage rows by psi0; gaps[k]: pair (order[k], order[k + 1])
+        budget = 4 * n_seeds
         order = run(extremals.seed_grid(n_seeds, params))
-        tried = {round(s.psi0, 12) for s in row_seeds}
-        gaps = self._pair_gaps(z, r, order, np.roll(order, -1))
+        tried = {round(psi, 12) for psi in psis}
+        gaps = self._pair_gaps(paths, order, np.roll(order, -1))
         self.refine_rounds = 0
         for _ in range(MAX_REFINE_ROUNDS):
             wide = np.nonzero(gaps > REFINE_CELLS * self.cell)[0]
@@ -350,31 +352,30 @@ class ReachSweep:
             gaps = np.insert(gaps, at, 0.0)
             at += np.arange(len(at))
             touched = np.unique(np.concatenate([at - 1, at]) % len(order))
-            gaps[touched] = self._pair_gaps(z, r, order[touched], order[(touched + 1) % len(order)])
+            gaps[touched] = self._pair_gaps(paths, order[touched], order[(touched + 1) % len(order)])
         self.seeds_added = 4 * n_seeds - budget
         self.budget_exhausted = budget <= 0 and bool(np.any(gaps > REFINE_CELLS * self.cell))
 
         self.psis = psis[order]
-        self.seeds = [row_seeds[i] for i in order]
-        self.n_failed = n_failed
-        self.tau_min = self._rasterize(z[: len(row_seeds)], r[: len(row_seeds)], order, gaps)
+        self.seeds = [paths.seeds[i] for i in order]
+        self.n_failed = int(np.sum(paths.failed))
+        self.tau_min = self._rasterize(paths, order, gaps)
 
     @staticmethod
-    def _pair_gaps(z, r, a, b):
+    def _pair_gaps(paths, a, b):
         """Max over time of the distance between paths a[k] and b[k]."""
+        rows, pair = np.unique(np.concatenate([a, b]), return_inverse=True)
         out = np.zeros(len(a))
-        # column blocks keep the temporaries small
-        for j0 in range(0, z.shape[1], 1024):
-            blk = slice(j0, j0 + 1024)
-            dist = np.hypot(z[a, blk] - z[b, blk], r[a, blk] - r[b, blk])
-            np.nan_to_num(dist, copy=False, nan=0.0)
-            np.maximum(out, dist.max(axis=1), out=out)
+        ia, ib = pair[: len(a)], pair[len(a) :]
+        for j0 in range(0, len(paths.tau), READ_COLS):
+            z, r = paths.samples([0, 1], rows, np.s_[j0 : j0 + READ_COLS])
+            # a NaN distance (a path past its failure) counts as 0
+            np.fmax(out, np.fmax.reduce(np.hypot(z[ia] - z[ib], r[ia] - r[ib]), axis=1), out=out)
         return out
 
-    def _rasterize(self, z, r, order, gaps):
-        """First-passage times of all rows of z, r and of the strips between
+    def _rasterize(self, paths, order, gaps):
+        """First-passage times of all paths and of the strips between
         neighbours in order; gaps[k] is the gap of pair (order[k], order[k + 1])."""
-        m = len(self.tau)
         n = self.n
         inv = 1.0 / self.cell
         # strips are bridged by chords only where the two paths run close
@@ -400,15 +401,13 @@ class ReachSweep:
                 yield ir, key
 
         def cells():
-            for j0 in range(0, m, BIN_BLOCK):
-                blk = slice(j0, j0 + BIN_BLOCK)
-                sample = np.arange(j0, min(m, j0 + BIN_BLOCK))
-                zj = z[:, blk]
-                ok = np.isfinite(zj)
-                yield from bins(zj[ok], r[:, blk][ok], np.broadcast_to(sample, ok.shape)[ok])
+            for j0, z, r in bin_blocks(paths):
+                sample = np.arange(j0, j0 + z.shape[1])
+                ok = np.isfinite(z)
+                yield from bins(z[ok], r[ok], np.broadcast_to(sample, ok.shape)[ok])
                 for pa, pb, lam, mu in groups:
-                    za, zb = z[pa, blk], z[pb, blk]
-                    ra, rb = r[pa, blk], r[pb, blk]
+                    za, zb = z[pa], z[pb]
+                    ra, rb = r[pa], r[pb]
                     # NaN tails compare False, so the chord needs both ends live
                     good = np.hypot(za - zb, ra - rb) <= fill_limit
                     za, zb, ra, rb = za[good], zb[good], ra[good], rb[good]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
-from .reachset import BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage
+from .reachset import NO_PASSAGE, SWEEP_TOL, bin_blocks, first_passage
 
 MAGIC = "#qubit-reach-table v1"
 MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210 MB
@@ -101,19 +101,16 @@ def build_table(
         seeds, T_max_scaled, params, n_threads=n_threads, tol=SWEEP_TOL,
         sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0),
     )
-    z, R = sweep.data["z"], sweep.data["R"]
-    ns, m = z.shape
+    ns = len(seeds)
     nz, nr = grid_resolution, grid_resolution // 2
     seed_idx = np.arange(ns)[:, None]
 
     def cells():
         # key = sample * ns + seed: the earliest passage, lowest seed on ties
-        for j0 in range(0, m, BIN_BLOCK):
-            blk = slice(j0, j0 + BIN_BLOCK)
-            zb = z[:, blk]
+        for j0, zb, Rb in bin_blocks(sweep):
             ok = np.isfinite(zb)
             iz = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
-            ir = np.clip((np.abs(R[:, blk][ok]) / table.cell).astype(int), 0, nr - 1)
+            ir = np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
             yield iz * nr + ir, (np.arange(j0, j0 + zb.shape[1]) * ns + seed_idx)[ok]
 
     first = first_passage(nz * nr, cells())

@@ -31,7 +31,6 @@ from qubit_reach.extremals import (
     hamiltonian_dtheta,
     hamiltonian_dtheta2,
     replay_extremal,
-    sample_times,
     sweep_extremals_parallel,
     theta_rhs,
 )
@@ -68,13 +67,7 @@ def big_sweep():
 @pytest.fixture(scope="module")
 def health_sweep():
     """256 extremals to wT = 7 at tight tolerance (criterion 7)."""
-    m = len(sample_times(7.0, 7.0 / 700))
-    return sweep_extremals_parallel(
-        seed_grid(256, P), 7.0, P,
-        tol=1e-12,
-        sample_dt=7.0 / 700,
-        out={c: np.empty((256, m)) for c in ("z", "R", "p", "q", "theta")},
-    )
+    return sweep_extremals_parallel(seed_grid(256, P), 7.0, P, tol=1e-12, sample_dt=7.0 / 700)
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +340,7 @@ def test_criterion_6_delta_reference_value():
 
 def test_criterion_7_pmp_health(health_sweep):
     assert not health_sweep.failed.any()
-    states = health_sweep.states()
+    states = np.moveaxis(health_sweep.samples(range(5), np.arange(256), np.s_[:]), 0, -1)
     H = hamiltonian(states, P)
     h_drift = float(np.nanmax(np.abs(H - H[:, :1])))
     stat = float(np.nanmax(np.abs(hamiltonian_dtheta(states, P))))
@@ -441,9 +434,14 @@ def test_criterion_10_table_replay(lookup_table):
     sweep = sweep_extremals_parallel(seeds, 7.0, P, sample_dt=sample_dt)
     j_idx = np.clip(np.round(tmins / (sweep.tau[1] - sweep.tau[0])).astype(int),
                     0, len(sweep.tau) - 1)
-    rows = np.arange(len(seeds))
-    z_end = sweep.data["z"][rows, j_idx]
-    r_end = np.abs(sweep.data["R"][rows, j_idx])
+    # each replay is read at its own sample, 64 columns at a time
+    z_end = np.full(len(seeds), np.nan)
+    r_end = np.full(len(seeds), np.nan)
+    for j0 in range(0, len(sweep.tau), 64):
+        rows = np.nonzero(j_idx // 64 == j0 // 64)[0]
+        z, r = sweep.samples([0, 1], rows, np.s_[j0 : j0 + 64])
+        at = (np.arange(len(rows)), j_idx[rows] - j0)
+        z_end[rows], r_end[rows] = z[at], np.abs(r[at])
     centers = np.array([tbl.cell_center(int(i), int(j)) for i, j in recs[:, :2]])
     dist = np.hypot(z_end - centers[:, 0], r_end - centers[:, 1])
     ok = np.isfinite(dist) & (dist <= 2.0 * tbl.cell)
@@ -568,13 +566,11 @@ def failing_sweep(monkeypatch):
 
 def test_failing_sweep_bits_pinned(monkeypatch):
     seeds = failing_sweep(monkeypatch)
-    m = len(sample_times(7.0, 7 / 512))
-    out = {c: np.empty((64, m)) for c in ("z", "R", "p", "q", "theta")}
-    sweep = extremals.sweep_extremals(seeds, 7.0, P, sample_dt=7 / 512, out=out)
-    assert sweep.fail_tau[20] == 0.0 and np.isnan(out["z"][20, 1:]).all()
+    sweep = extremals.sweep_extremals(seeds, 7.0, P, sample_dt=7 / 512)
+    samples = sweep.samples(range(5), np.arange(64), np.s_[:])
+    assert sweep.fail_tau[20] == 0.0 and np.isnan(samples[0, 20, 1:]).all()
     assert 10 < np.sum((sweep.fail_tau > 0.0) & (sweep.fail_tau < 7.0)) < 63
-    samples = b"".join(out[c].tobytes() for c in ("z", "R", "p", "q", "theta"))
-    assert _sha256(samples) == PINNED["failing_sweep_samples"]
+    assert _sha256(samples.tobytes()) == PINNED["failing_sweep_samples"]
 
 
 def test_random_raster_loops_pinned():

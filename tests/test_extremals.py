@@ -190,14 +190,16 @@ def test_sweep_reports_degenerate_seed():
     # psi0 = pi/2 starts on the stationary extremal: theta dynamics is 0/0
     sw = sweep_extremals([seed(np.pi / 2, P)], 1.0, P, sample_dt=0.125)
     assert sw.failed[0] and sw.fail_tau[0] == 0.0
-    npt.assert_allclose(sw.data["z"][0, 0], 0.0)
-    assert np.isnan(sw.data["z"][0, -1])
+    z = sw.samples([0], [0], np.s_[:])[0, 0]
+    npt.assert_allclose(z[0], 0.0)
+    assert np.isnan(z[-1])
 
 
 def test_sweep_disc_invariance():
     sw = sweep_extremals(seed_grid(64, P), 7.0, P, sample_dt=7 / 512)
     assert not sw.failed.any()
-    rad = sw.data["z"] ** 2 + sw.data["R"] ** 2
+    z, R = sw.samples([0, 1], np.arange(64), np.s_[:])
+    rad = z ** 2 + R ** 2
     assert np.nanmax(rad) <= 1 + 1e-9
 
 
@@ -207,40 +209,50 @@ def test_sweep_parallel_merge_identical(monkeypatch):
     seeds = seed_grid(32, P)
     seeds.insert(19, seed(np.pi / 2, P))  # frozen at tau = 0, in the third block
     a = sweep_extremals_parallel(seeds, 2.0, P, n_threads=1, sample_dt=2 / 256)
-    m = len(sample_times(2.0, 2 / 256))
-    out = {c: np.full((len(seeds), m), 7.0) for c in ("z", "R")}  # stale rows
-    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256, out=out)
-    npt.assert_array_equal(a.data["z"], b.data["z"])
-    npt.assert_array_equal(a.data["R"], b.data["R"])
-    assert b.data["z"] is out["z"] and b.data["R"] is out["R"]
+    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256)
+    rows = np.arange(len(seeds))
+    full = a.samples(range(5), rows, np.s_[:])
+    assert full.tobytes() == b.samples(range(5), rows, np.s_[:]).tobytes()
+    # merged rows read the bits of their block swept alone
+    third = sweep_extremals(seeds[16:24], 2.0, P, sample_dt=2 / 256)
+    assert third.samples(range(5), np.arange(8), np.s_[:]).tobytes() == full[:, 16:24].tobytes()
+    assert len(a.blocks) == 5
     assert a.failed[19] and a.fail_tau[19] == 0.0 and a.failed.sum() == 1
-    assert (out["z"][19, 0], out["R"][19, 0]) == (0.0, 1.0)
-    assert np.isnan(out["z"][19, 1:]).all() and np.isnan(out["R"][19, 1:]).all()
+    assert (full[0, 19, 0], full[1, 19, 0]) == (0.0, 1.0)
+    assert np.isnan(full[:, 19, 1:]).all()
 
 
 @pytest.mark.parametrize("fail_some", [False, True])
-def test_dense_output_of_stored_components_is_bit_equal(monkeypatch, fail_some):
-    # z and R from a z, R sweep equal, bit for bit, those of a sweep that
-    # stores all five components (listed in another order)
+def test_reader_is_bit_equal_on_any_rows_and_columns(monkeypatch, fail_some):
+    # one column alone, a column range and a sparse row set read the bits
+    # of one wide read: the Hermite weights stay float64 arrays, because a
+    # scalar s rounds s ** 3 differently
     seeds = seed_grid(64, P)
     if fail_some:
         seeds[20] = seed(np.pi / 2, P)  # frozen at tau = 0
         # a tiny branch-jump bound ends most seeds early, at many times
         monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
-    dt = 7 / 512
-    m = len(sample_times(7.0, dt))
-    two = sweep_extremals(seeds, 7.0, P, sample_dt=dt)
-    out = {c: np.empty((64, m)) for c in ("theta", "q", "R", "p", "z")}
-    five = sweep_extremals(seeds, 7.0, P, sample_dt=dt, out=out)
-    for c in ("z", "R"):
-        assert two.data[c].tobytes() == five.data[c].tobytes()
-    npt.assert_array_equal(two.fail_tau, five.fail_tau)
+    monkeypatch.setattr(extremals, "SWEEP_BLOCK", 16)
+    sw = sweep_extremals_parallel(seeds, 7.0, P, sample_dt=7 / 512)
+    all_rows = np.arange(64)
+    full = sw.samples(range(5), all_rows, np.s_[:])
+    for j in (0, 1, 2, 255, 511, 512):
+        one = sw.samples(range(5), all_rows, np.s_[j : j + 1])
+        assert one.tobytes() == full[:, :, j : j + 1].tobytes()
+    rows = np.array([3, 20, 40, 63])
+    part = sw.samples([4, 1], rows, np.s_[7:300])
+    assert part.tobytes() == full[[4, 1]][:, rows, 7:300].tobytes()
+    assert sw.samples([0], rows, np.s_[9:9]).shape == (1, 4, 0)
+    with pytest.raises(ValueError, match="increasing"):
+        sw.samples([0], [3, 3], np.s_[:])
+    # NaN exactly from each seed's failure sample on
+    npt.assert_array_equal(np.isnan(full).any(axis=0), np.arange(513) >= sw.n_valid[:, None])
     if fail_some:
-        assert five.fail_tau[20] == 0.0 and np.isnan(five.data["z"][20, 1:]).all()
-        mid = (five.fail_tau > 0.0) & (five.fail_tau < 7.0)
-        assert 10 < mid.sum() < 63 and np.isnan(five.data["R"][mid, -1]).all()
+        assert sw.fail_tau[20] == 0.0 and sw.n_valid[20] == 1
+        mid = (sw.fail_tau > 0.0) & (sw.fail_tau < 7.0)
+        assert 10 < mid.sum() < 63 and np.isnan(full[:, mid, -1]).all()
     else:
-        assert not five.failed.any() and not np.isnan(five.data["z"]).any()
+        assert not sw.failed.any() and not np.isnan(full).any()
 
 
 def test_trig_helpers_are_bit_equal():
@@ -256,27 +268,20 @@ def test_trig_helpers_are_bit_equal():
             assert w.tobytes() == a.tobytes() == b.tobytes()
 
 
-def test_sweep_rejects_bad_destination():
-    m = len(sample_times(1.0, 1 / 64))
-    for out in ({"z": np.empty((3, m))}, {"z": np.empty((2, m + 1))}, {"x": np.empty((2, m))}):
-        with pytest.raises(ValueError, match="destination"):
-            sweep_extremals(seed_grid(2, P), 1.0, P, sample_dt=1 / 64, out=out)
-
-
-def test_sweep_parallel_writes_only_into_the_destination():
-    # numpy reports its buffers to tracemalloc: beyond the caller's arrays a
-    # 4-block sweep allocates only per-block temporaries, no merged copy
+def test_sweep_keeps_step_nodes_not_samples():
+    # numpy reports its buffers to tracemalloc: a 4-block sweep holds its
+    # step nodes (47 to 51 steps a block here), under a quarter of the bytes
+    # of the five dense sample arrays, and allocates little beyond them
     seeds = seed_grid(4 * extremals.SWEEP_BLOCK, P)
-    m = len(sample_times(4.0, 4 / 1024))
-    out = {c: np.empty((len(seeds), m)) for c in ("z", "R")}
-    out_bytes = sum(a.nbytes for a in out.values())
+    dense = 5 * len(seeds) * len(sample_times(4.0, 4 / 1024)) * 8
     tracemalloc.start()
     try:
-        sweep_extremals_parallel(seeds, 4.0, P, tol=1e-8, sample_dt=4 / 1024, out=out)
+        sweep = sweep_extremals_parallel(seeds, 4.0, P, tol=1e-8, sample_dt=4 / 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.1 * out_bytes
+    nodes = sum(a.nbytes for b in sweep.blocks for a in b.values())
+    assert nodes <= 0.25 * dense and peak <= 0.3 * dense
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

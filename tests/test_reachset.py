@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qubit_reach import SystemParams
+from qubit_reach import SystemParams, integrate_extremal, seed
+from qubit_reach.extremals import sample_times
 from qubit_reach.reachset import (
     BIN_BLOCK,
     MAX_REFINE_ROUNDS,
@@ -198,6 +199,16 @@ def test_sweep_input_validation():
         ReachSweep(P, -1.0)
     with pytest.raises(ValueError):
         ReachSweep(P, 1.0, n_seeds=64).occupancy(2.0)
+    for T in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            ReachSweep(P, T)
+    with pytest.raises(ValueError, match="raster needs at least 1 cell"):
+        ReachSweep(P, 1.0, n_seeds=64, raster=0)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sample_dt must be finite and positive"):
+            sample_times(1.0, dt)
+        with pytest.raises(ValueError, match="sample_dt must be finite and positive"):
+            integrate_extremal(seed(1.0, P), 1.0, P, sample_dt=dt)
 
 
 # --- marching squares and revolution -----------------------------------------
@@ -345,9 +356,9 @@ def test_incremental_gaps_match_full_recompute(monkeypatch):
     seen = {}
     rasterize = ReachSweep._rasterize
 
-    def capture(self, z, r, order, gaps):
-        seen.update(z=z, r=r, order=order, gaps=gaps.copy())
-        return rasterize(self, z, r, order, gaps)
+    def capture(self, paths, order, gaps):
+        seen.update(paths=paths, order=order, gaps=gaps.copy())
+        return rasterize(self, paths, order, gaps)
 
     monkeypatch.setattr(ReachSweep, "_rasterize", capture)
     sweep = ReachSweep(P, 2.0, n_seeds=128, raster=128)
@@ -355,8 +366,13 @@ def test_incremental_gaps_match_full_recompute(monkeypatch):
     assert sweep.refine_rounds > 1
     assert np.all(np.diff(sweep.psis) > 0.0)
     npt.assert_array_equal(sweep.psis, sorted(s.psi0 for s in sweep.seeds))
-    full = ReachSweep._pair_gaps(seen["z"], seen["r"], order, np.roll(order, -1))
+    full = ReachSweep._pair_gaps(seen["paths"], order, np.roll(order, -1))
     npt.assert_array_equal(seen["gaps"], full)
+    # and a reference over the whole sample arrays
+    z, r = seen["paths"].samples([0, 1], np.arange(len(seen["paths"].seeds)), np.s_[:])
+    a, b = order, np.roll(order, -1)
+    ref = np.nan_to_num(np.hypot(z[a] - z[b], r[a] - r[b]), nan=0.0).max(axis=1)
+    assert full.tobytes() == ref.tobytes()
     # refinement stopped because no wide pair was left, not for lack of budget
     assert not np.any(full > REFINE_CELLS * sweep.cell)
     assert sweep.budget_exhausted is False
@@ -370,9 +386,10 @@ def test_refinement_budget_exhaustion_is_reported():
     assert sweep.seeds_added == 4 * 64
 
 
-def rep_rasterize(sweep, z, r, order, gaps):
+def rep_rasterize(sweep, paths, order, gaps):
     """Reference: every strip point of every pair built by [rep]-expanding
     the pairs, then masked, and binned in one block with the path points."""
+    z, r = paths.samples([0, 1], np.arange(len(paths.seeds)), np.s_[:])
     m, n, inv = len(sweep.tau), sweep.n, 1.0 / sweep.cell
     fill_limit = 2.0 * REFINE_CELLS * sweep.cell
     n_sub = np.ceil(np.minimum(gaps, fill_limit) * inv / 0.45).astype(int)
@@ -416,9 +433,9 @@ def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T):
     seen = {}
     rasterize = ReachSweep._rasterize
 
-    def capture(self, z, r, order, gaps):
-        seen.update(args=(z, r, order, gaps))
-        return rasterize(self, z, r, order, gaps)
+    def capture(self, paths, order, gaps):
+        seen.update(args=(paths, order, gaps))
+        return rasterize(self, paths, order, gaps)
 
     monkeypatch.setattr(ReachSweep, "_rasterize", capture)
     sweep = ReachSweep(SystemParams.from_ratio(ratio), T, n_seeds=64, raster=64)

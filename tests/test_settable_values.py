@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qubit_reach"
-SETTABLE_VALUES = 42
+SETTABLE_VALUES = 40
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -30,6 +30,9 @@ def test_build_validation():
         build_table(P, n_seeds=256, grid_resolution=33)
     with pytest.raises(ValueError, match=f"<= {table_mod.MAX_GRID}"):
         build_table(P, n_seeds=256, grid_resolution=table_mod.MAX_GRID + 2)
+    for T in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            build_table(P, n_seeds=256, T_max_scaled=T)
 
 
 def test_start_cell_has_zero_time(table):
@@ -226,6 +229,21 @@ def test_load_names_file_and_line_of_bad_number(tmp_path, capsys, row):
     assert "error:" in err and "word.csv:4:" in err and "Traceback" not in err
 
 
+def node_sweep(tau, seeds, z, R):
+    """An ExtremalSweep whose z and R samples are the given (n, m) arrays,
+    NaN from each row's first NaN on: one step per sample interval with zero
+    derivatives, so each sample j > 0 is the end state y1 (at s = 1)."""
+    ns, m = z.shape
+    n_valid = np.where(np.isnan(z).any(axis=1), np.isnan(z).argmax(axis=1), m)
+    y = np.zeros((5, ns, m))
+    y[0], y[1] = np.nan_to_num(z, nan=0.5), np.nan_to_num(R, nan=0.5)
+    zeros = np.zeros((5, ns, m - 1))
+    block = {"t0": tau[:-1], "h": np.diff(tau), "t1": tau[1:], "y0": y[..., :-1], "f0": zeros,
+             "y1": y[..., 1:], "f1": zeros, "start": y[..., 0]}
+    return ExtremalSweep(tau, seeds, [block], n_valid, n_valid < m, np.full(ns, np.inf),
+                         [None] * ns)
+
+
 def test_binning_matches_naive_loop(monkeypatch):
     # a tiny fake family on a 4 x 2 grid: NaN tails, many seeds per cell
     # and many entering at the same sample; the table keeps the earliest
@@ -239,8 +257,8 @@ def test_binning_matches_naive_loop(monkeypatch):
     for s, tail in enumerate(rng.integers(1, m + 1, ns)):
         z[s, tail:] = R[s, tail:] = np.nan
     tau = np.linspace(0.0, 1.5, m)
-    fake = ExtremalSweep(tau, seeds, {"z": z, "R": R}, np.zeros(ns, bool), np.full(ns, np.inf),
-                         [None] * ns)
+    fake = node_sweep(tau, seeds, z, R)
+    assert fake.samples([0, 1], np.arange(ns), np.s_[:]).tobytes() == np.stack([z, R]).tobytes()
     monkeypatch.setattr(table_mod, "sweep_extremals_parallel", lambda *a, **k: fake)
     got = build_table(P, n_seeds=ns, T_max_scaled=1.5, grid_resolution=4)
 
