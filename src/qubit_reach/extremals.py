@@ -309,7 +309,7 @@ class ExtremalSweep:
 
     @property
     def data(self) -> dict[str, np.ndarray]:
-        """Each node array of every block, flattened and concatenated."""
+        """Each node array of every block, flattened and concatenated (a copy)."""
         return {k: np.concatenate([b[k].ravel() for b in self.blocks]) for k in self.blocks[0]}
 
     def samples(self, comps, rows, cols: slice) -> np.ndarray:
