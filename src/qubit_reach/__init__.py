@@ -31,7 +31,6 @@ from .schedule import ControlSchedule, simulate
 from .extremals import (
     ExtremalSeed,
     convexity_margin,
-    costate_rhs,
     hamiltonian,
     hamiltonian_dtheta,
     integrate_extremal,

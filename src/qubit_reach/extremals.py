@@ -37,6 +37,7 @@ axis of length 5, like the rows of ``Trajectory.ys``) pass its columns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ DEN_TOL = 1e-10  # |d2H/dtheta2| below which the theta drift is degenerate
 PROJECT_TOL = 1e-11  # stationarity residual the re-projection leaves alone
 MAX_BRANCH_JUMP = 0.3  # total re-projection move taken as an argmax branch jump
 SEED_SCAN = 4096  # sign-change scan intervals of seed() on [0, 2 pi)
-SWEEP_BLOCK = 128  # seeds per sweep_extremals_parallel block; fixes the adaptive grids
+SWEEP_BLOCK = 128  # seeds per block, one dp45 group; fixes the adaptive grids
+NODE_CHUNK = 32  # steps by which the node buffer of a sweep block grows
 # |u| of the aligning spike of replay_extremal, in units of omega / (2 kappa):
 # the spike lasts pi / (SPIKE_STRENGTH omega), so omega times its duration
 # must be far below the comparison tolerance
@@ -116,11 +118,6 @@ def hamiltonian_dtheta(state, params: SystemParams):
 def hamiltonian_dtheta2(state, params: SystemParams):
     """d^2H/dtheta^2; also the denominator of the theta drift."""
     return _d2H_dtheta2(*_unpack(state), params.ratio)
-
-
-def costate_rhs(state, params: SystemParams):
-    """(p', q') = (-dH/dz, -dH/dR) in rescaled time."""
-    return np.stack(extremal_flow(*_unpack(state), params.ratio)[2:4], axis=-1)
 
 
 def theta_rhs(state, params: SystemParams):
@@ -290,13 +287,16 @@ def seed_grid(n_seeds: int, params: SystemParams, branch: str = "max") -> list[E
 class ExtremalSweep:
     """Step nodes of a family of extremals (covering space) and their reader.
 
-    blocks holds the node arrays of each block of consecutive seeds swept
-    together: per accepted step its start t0, the h that dp45 took and its
-    end t1 (the last step ends at T), shape (K,), the states and
-    derivatives y0, f0 after the theta re-projection and y1, f1 before it,
-    shape (5, n, K), and the start state, shape (5, n).  R keeps its sign.
-    n_valid counts each seed's valid samples.  `failed` seeds ended early
-    (degenerate theta dynamics or a rejected-step collapse) at fail_tau.
+    blocks holds, for each block of consecutive seeds swept as one dp45
+    group, per accepted step its start t0, the h that dp45 took and its
+    end t1 (the last step ends at T), shape (K,), and the nodes, shape
+    (16, n, K + 1).  Rows 0-4 of node j are the state after the theta
+    re-projection, from the start to the end state; for j > 0, rows 5-9
+    are the derivative at the start of the step that ends at node j, row
+    10 theta before the re-projection (which only moves theta) and rows
+    11-15 the derivative there.  R keeps its sign.  n_valid counts each
+    seed's valid samples; `failed` seeds ended early at fail_tau (see
+    fail_reason).  counts is the work of the dp45 runs.
     """
 
     tau: np.ndarray
@@ -306,6 +306,7 @@ class ExtremalSweep:
     failed: np.ndarray
     fail_tau: np.ndarray
     fail_reason: list
+    counts: dict
 
     @property
     def data(self) -> dict[str, np.ndarray]:
@@ -322,34 +323,36 @@ class ExtremalSweep:
         order, so every row set and column range reads the same bits.  From
         a seed's failure sample on, its samples are NaN.
         """
-        comps, rows = list(comps), np.asarray(rows, dtype=int)
+        comps, rows = np.asarray(comps, dtype=int), np.asarray(rows, dtype=int)
         if np.any(np.diff(rows) <= 0):
             raise ValueError("sample rows must be increasing")
         j = np.arange(len(self.tau))[cols]
         out = np.empty((len(comps), len(rows), len(j)))
-        starts = np.cumsum([0] + [b["start"].shape[1] for b in self.blocks])
+        starts = np.cumsum([0] + [b["nodes"].shape[1] for b in self.blocks])
         bounds = np.searchsorted(rows, starts)  # block b holds rows[bounds[b]:bounds[b + 1]]
         for blk, start, lo, hi in zip(self.blocks, starts, bounds, bounds[1:]):
             local = rows[lo:hi] - start
             if lo < hi and len(j) and len(blk["t1"]):  # a block frozen at tau = 0 took no step
                 k = np.minimum(np.searchsorted(blk["t1"], self.tau[j]), len(blk["t1"]) - 1)
                 h = blk["h"][k]
-                steps = slice(k[0], k[-1] + 1)  # the steps the columns fall in
-                ends = (blk[v][:, :, steps][comps][:, local][..., k - k[0]]
-                        for v in ("y0", "f0", "y1", "f1"))
+                node = blk["nodes"][:, :, k[0] : k[-1] + 2]  # the steps the columns fall in
+                # y0, f0, y1 (with theta before the re-projection) and f1: node rows, node offset
+                at = ((comps, 0), (comps + 5, 1), (np.where(comps == 4, 10, comps), 1), (comps + 11, 1))
+                ends = (node[r][:, local][..., k - k[0] + d] for r, d in at)
                 out[:, lo:hi] = hermite((self.tau[j] - blk["t0"][k]) / h, h, *ends)
             if len(j) and j[0] == 0:
-                out[:, lo:hi, 0] = blk["start"][comps][:, local]
+                out[:, lo:hi, 0] = blk["nodes"][:5, :, 0][comps][:, local]
         np.copyto(out, np.nan, where=j >= self.n_valid[rows, None])
         return out
 
 
 def merge_sweeps(parts) -> ExtremalSweep:
-    """Sweeps on one sample grid as one, their seeds in order."""
+    """Sweeps on one sample grid as one, their seeds in order and their counts summed."""
     return ExtremalSweep(
         parts[0].tau, [s for p in parts for s in p.seeds], [b for p in parts for b in p.blocks],
         *(np.concatenate([getattr(p, f) for p in parts]) for f in ("n_valid", "failed", "fail_tau")),
         [r for p in parts for r in p.fail_reason],
+        {k: sum(p.counts[k] for p in parts) for k in parts[0].counts},
     )
 
 
@@ -381,16 +384,17 @@ def sweep_extremals(
     tol: float = 1e-10,
     sample_dt: float | None = None,
 ) -> ExtremalSweep:
-    """Integrate a family of extremals on a shared adaptive time grid.
+    """Integrate a family of extremals, each block of seeds on its own adaptive grid.
 
-    seeds may be ExtremalSeed objects or bare psi0 angles.  The seeds are
-    the columns of one :func:`ode.dp45` run at tolerance tol, the one
-    block of the result, which keeps its step nodes; ExtremalSweep.samples
-    reads them on the grid :func:`sample_times` (T, sample_dt).
-    After every accepted step the control angle of each seed is
-    re-projected onto the stationarity manifold dH/dtheta = 0 (Newton),
-    which pins the stationarity residual near roundoff instead of letting
-    it drift with the integration error.
+    seeds may be ExtremalSeed objects or bare psi0 angles.  Each run of
+    SWEEP_BLOCK consecutive seeds is a block, one group of a single
+    :func:`ode.dp45` run at tolerance tol that steps them in lockstep.
+    The result keeps their step nodes; ExtremalSweep.samples reads them on
+    the grid :func:`sample_times` (T, sample_dt).  After every accepted
+    step the control angle of each seed is re-projected onto the
+    stationarity manifold dH/dtheta = 0 (Newton), which pins the
+    stationarity residual near roundoff instead of letting it drift with
+    the integration error.
     """
     tau = sample_times(T, sample_dt)
     seeds = _as_seeds(seeds, params)
@@ -398,55 +402,68 @@ def sweep_extremals(
 
     g = params.ratio
     y = np.stack([s.state0 for s in seeds], axis=1)  # (5, n)
+    edges = np.append(np.arange(0, n, SWEEP_BLOCK), n)
+    size = np.diff(edges)
     active = np.ones(n, dtype=bool)
     fail_tau = np.full(n, np.inf)
     n_valid = np.full(n, len(tau))
+    # per block (seed c is in block c // SWEEP_BLOCK): the end of its last accepted step
+    t_end = np.zeros(len(size))
     fail_reason: list = [None] * n
-    times, states = [], []  # (t0, h, t1) and (y0, f0, y1, f1) of each accepted step
-    j_next = 1  # samples up to the end of the last accepted step
-
-    def rhs(t, yy):
-        return _extremal_rhs(yy, g) * active  # frozen columns stay put
+    times = [[] for _ in size]  # per block: (t0, h, t1) of each accepted step
+    bufs = [np.zeros((NODE_CHUNK, 16, nb)) for nb in size]  # per block: its nodes, node-major
 
     def fail(cols, t, reason):
-        # cols only holds active seeds
-        active[cols] = False
-        fail_tau[cols] = t
-        n_valid[cols] = j_next
-        for c in np.nonzero(cols)[0]:
-            fail_reason[c] = reason
+        # the active seeds cols fail at times t
+        if len(cols):
+            active[cols] = False
+            fail_tau[cols] = t
+            n_valid[cols] = np.searchsorted(tau, fail_tau[cols], side="right")
+            for c in cols:
+                fail_reason[c] = reason
 
-    def accept(t0, h, y0, f0, t1, y1, f1):
-        nonlocal j_next
-        times.append((t0, h, t1))
-        states.append((y0, f0, y1.copy(), f1))
-        j_next = int(np.searchsorted(tau, t1, side="right"))
+    def accept(groups, cols, steps, y0, f0, y1, f1):
+        t_end[groups] = [s[2] for s in steps]
+        th1 = y1[4].copy()
         # keep theta bounded and re-project it onto dH/dtheta = 0
         y1[4] = np.mod(y1[4] + np.pi, 2.0 * np.pi) - np.pi
         den = _d2H_dtheta2(*y1, g)
-        fail(active & (np.abs(den) < DEN_TOL), t1, "denominator degeneracy")
-        moved = np.zeros(n)
+        out = cols[active[cols] & (np.abs(den) < DEN_TOL)]
+        fail(out, t_end[out // SWEEP_BLOCK], "denominator degeneracy")
+        moved = np.zeros(len(cols))
         for _ in range(2):
             res = _dH_dtheta(*y1, g)
-            need = active & (np.abs(res) > PROJECT_TOL) & (np.abs(den) > DEN_TOL)
+            need = active[cols] & (np.abs(res) > PROJECT_TOL) & (np.abs(den) > DEN_TOL)
             if not np.any(need):
                 break
-            step = np.zeros(n)
+            step = np.zeros(len(cols))
             step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
             y1[4] -= step
             moved += np.abs(step)
             den = _d2H_dtheta2(*y1, g)
-        fail(active & (moved > MAX_BRANCH_JUMP), t1, "argmax branch jump")
-        return rhs(t1, y1)
+        out = cols[active[cols] & (moved > MAX_BRANCH_JUMP)]
+        fail(out, t_end[out // SWEEP_BLOCK], "argmax branch jump")
+        rows = np.concatenate([y1, f0, th1[None], f1])
+        for i, (b, step) in enumerate(zip(groups, steps)):  # only the last block may be short
+            times[b].append(step)
+            if len(times[b]) == len(bufs[b]):
+                bufs[b] = np.concatenate([bufs[b], np.empty((NODE_CHUNK, 16, size[b]))])
+            bufs[b][len(times[b])] = rows[:, i * SWEEP_BLOCK : (i + 1) * SWEEP_BLOCK]
+        return _extremal_rhs(y1, g)
 
     # seeds starting exactly on a degenerate angle are stationary; keep
     # their single valid sample and freeze them
-    fail(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL, 0.0, "degenerate start (stationary extremal)")
-    dp45(rhs, y, T, tol, active, accept, fail)
-    t0, h, t1 = np.reshape(times, (-1, 3)).T
-    y0, f0, y1, f1 = np.moveaxis(np.reshape(states, (-1, 4, *y.shape)), 0, -1).copy()
-    block = dict(t0=t0, h=h, t1=t1, y0=y0, f0=f0, y1=y1, f1=f1, start=y)
-    return ExtremalSweep(tau, seeds, [block], n_valid, ~active, fail_tau, fail_reason)
+    stationary = np.flatnonzero(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL)
+    fail(stationary, 0.0, "degenerate start (stationary extremal)")
+    counts = dp45(lambda t, yy: _extremal_rhs(yy, g), y, T, tol, edges, active, accept, fail)
+    blocks = []
+    for b, lo in enumerate(edges[:-1]):
+        bufs[b][0, :5] = y[:, lo : lo + size[b]]
+        t0, h, t1 = np.reshape(times[b], (-1, 3)).T
+        nodes = np.moveaxis(bufs[b][: len(t0) + 1], 0, -1).copy()  # trimmed, and the buffer goes
+        blocks.append(dict(t0=t0, h=h, t1=t1, nodes=nodes))
+        bufs[b] = None
+    return ExtremalSweep(tau, seeds, blocks, n_valid, ~active, fail_tau, fail_reason, counts)
 
 
 def sweep_extremals_parallel(
@@ -458,26 +475,20 @@ def sweep_extremals_parallel(
     tol: float = 1e-10,
     sample_dt: float | None = None,
 ) -> ExtremalSweep:
-    """Sweep in blocks of SWEEP_BLOCK seeds, optionally spread over threads.
-
-    The block decomposition (not the thread count) decides the shared
-    adaptive grids, so the result is identical for any n_threads; worker
-    threads only distribute blocks.  The blocks are merged in order.
-    """
+    """:func:`sweep_extremals` on at most n_threads threads, each on a
+    contiguous chunk of whole SWEEP_BLOCK blocks, merged in order.  A
+    block's steps do not depend on its chunk, so the result is the same
+    for any n_threads."""
     seeds = _as_seeds(seeds, params)
-
-    def run(k):
-        return sweep_extremals(seeds[k : k + SWEEP_BLOCK], T, params, tol=tol, sample_dt=sample_dt)
-
-    starts = range(0, len(seeds), SWEEP_BLOCK)
-    if n_threads <= 1:
-        parts = [run(k) for k in starts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(run, starts))
-    return merge_sweeps(parts)
+    n_blocks = -(-len(seeds) // SWEEP_BLOCK)
+    k = min(max(1, n_threads), n_blocks)
+    sweep = functools.partial(sweep_extremals, T=T, params=params, tol=tol, sample_dt=sample_dt)
+    if k == 1:  # on this thread, whose memory the caller then reuses
+        return sweep(seeds)
+    from concurrent.futures import ThreadPoolExecutor
+    cuts = [SWEEP_BLOCK * (n_blocks * i // k) for i in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        return merge_sweeps(list(pool.map(sweep, [seeds[a:b] for a, b in zip(cuts, cuts[1:])])))
 
 
 def normalize_states(states: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Initial-value-problem integration.
 
 One adaptive loop, :func:`dp45`, steps the embedded Dormand-Prince 5(4)
-pair on the columns of a (d, n) state: every column has its own error
-norm, the step follows the worst live column, and two hooks decide what
-an accepted step stores and what becomes of a column that fails.
+pair on contiguous column groups of a (d, n) state in lockstep, each
+group with its own time, step size and controller; two hooks decide
+what an accepted step stores and what becomes of a column that fails.
 :func:`integrate` runs it on a single column and keeps every node; the
-extremal sweep runs it on a block of seeds.  Dense output between
-accepted nodes is cubic Hermite, which is what the reachable-set
-rasterisation samples.  :func:`rk4` is the classical fixed-step scheme,
-kept as a reference.  Affine flows with constant coefficients need no
+extremal sweep runs each block of seeds as one group.  Dense output
+between accepted nodes is cubic Hermite, which is what the reachable-set
+rasterisation samples.  Affine flows with constant coefficients need no
 stepping: :func:`expm` propagates them exactly.
 """
 
@@ -40,7 +39,7 @@ DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 DP_ERR = DP_B5 - DP_B4
-MAX_STEPS = 10_000_000  # accepted steps of one dp45 run
+MAX_STEPS = 10_000_000  # accepted steps of one dp45 group
 
 
 @dataclass
@@ -133,8 +132,10 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def dp45_step(rhs: Callable, t: float, y: np.ndarray, h: float, f0: np.ndarray):
-    """One Dormand-Prince step; returns (y_new, f_new, error_estimate)."""
+def dp45_step(rhs: Callable, t, y: np.ndarray, h, f0: np.ndarray):
+    """One Dormand-Prince step; returns (y_new, f_new, error_estimate).
+
+    t and h are floats, or arrays with one value per column of y."""
     ks = [f0]
     for i in range(1, 7):
         acc = DP_A[i][0] * ks[0]
@@ -147,70 +148,111 @@ def dp45_step(rhs: Callable, t: float, y: np.ndarray, h: float, f0: np.ndarray):
 
 
 def dp45(
-    rhs: Callable, y: np.ndarray, T: float, tol: float, live: np.ndarray,
+    rhs: Callable, y: np.ndarray, T: float, tol: float, edges, live: np.ndarray,
     accept: Callable, drop: Callable,
-) -> None:
-    """Adaptive Dormand-Prince 5(4) on the columns of a (d, n) state, t = 0 to T.
+) -> dict:
+    """Adaptive Dormand-Prince 5(4) on column groups of a (d, n) state, t = 0 to T.
 
-    A step is accepted when, in every column of the boolean mask ``live``,
-    the RMS of the error estimate over tol + tol * max(|y0|, |y1|) is at
-    most 1; the step follows the worst live column.  A run that needs more
-    than MAX_STEPS accepted steps raises :class:`IntegrationError`, and a
-    tol that is not finite and positive raises ValueError.  A live column
-    whose step is not finite, or the worst one after 60 rejections in a
-    row, goes to ``drop(cols, t, reason)`` as a column mask; drop takes it
-    out of ``live`` (or raises), and the step is retried from rhs(t, y).
-    Every accepted step calls ``accept(t0, h, y0, f0, t1, y1, f1)``, which
-    may edit y1 in place and returns the derivative to continue from.  The
-    loop ends at T or when no column is live; the first trial step is
-    min(1e-3, T).
+    Group k is columns edges[k]:edges[k + 1].  Each iteration makes one
+    step attempt for every running group, with one rhs(t, y) call per
+    stage over their columns (t is a float while one group runs, else one
+    per column); each group keeps its own t, step size and controller, so
+    its bits do not depend on the other groups.  Columns not in the mask
+    ``live`` get zero derivative.  A step is accepted when, in each live
+    column of the group, the RMS of the error estimate over tol + tol *
+    max(|y0|, |y1|) is at most 1.  A live column whose step is not finite,
+    or a group's worst after 60 rejections in a row, goes to ``drop(cols,
+    t, reason)`` (column indices), which takes it out of ``live`` or
+    raises; the group retries from rhs(t, y).  The groups that accepted
+    make one call ``accept(groups, cols, steps, y0, f0, y1, f1)`` with
+    their (t0, h, t1) and both ends on their columns cols; it may edit y1,
+    copies what it keeps and returns the derivative to go on from.  A
+    group ends at T or with no live column; its first trial step is
+    min(1e-3, T), and one that needs more than MAX_STEPS accepted steps
+    raises :class:`IntegrationError`.  A tol or T that is not finite and
+    positive raises ValueError.  Returns the iterations, and the accepted
+    and rejected attempts and rhs columns summed over the groups.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    t = 0.0
-    f = rhs(t, y)
-    h = min(1e-3, T)
-    accepted = rejects = 0
-    while t < T and live.any():
-        h = min(h, T - t)
-        if accepted >= MAX_STEPS:
-            raise IntegrationError(f"step budget exceeded at t={t}")
-        y_new, f_new, err = dp45_step(rhs, t, y, h, f)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_col = np.sqrt(np.mean((err / scale) ** 2, axis=0))
-        bad = live & ~np.isfinite(err_col)
-        if bad.any():
-            drop(bad, t, "non-finite step")
-            f, rejects = rhs(t, y), 0
-            continue
-        norm = float(np.max(err_col[live]))
-        if norm <= 1.0:
-            t_new = T if (T - t - h) < 1e-15 * T else t + h
-            f = accept(t, h, y, f, t_new, y_new, f_new)
-            t, y = t_new, y_new
-            accepted += 1
-            rejects = 0
-            h *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
-        elif rejects == 60:
-            worst = np.argmax(np.where(live, err_col, -np.inf))
-            drop(np.arange(len(live)) == worst, t, "step collapse")
-            f, rejects = rhs(t, y), 0
+    for name, v in (("tolerance", tol), ("T", T)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    n_groups, size = len(edges) - 1, np.diff(edges)
+    t, h = [0.0] * n_groups, [min(1e-3, T)] * n_groups
+    steps, rejects = [0] * n_groups, [0] * n_groups
+    y = np.asarray(y, dtype=float)
+    f = rhs(0.0, y) * live
+    iterations, attempts, evals = 0, 0, y.shape[1]
+    # y and f hold the columns cols of the running groups run, in order
+    run, cols, ended = list(range(n_groups)), np.arange(y.shape[1]), True
+    while True:
+        if ended:
+            keep = [t[k] < T and live[edges[k] : edges[k + 1]].any() for k in run]
+            own = np.repeat(keep, size[run])
+            y, f, cols, run = y[:, own], f[:, own], cols[own], [k for k, c in zip(run, keep) if c]
+            if not run:
+                break
+            offs = np.cumsum(size[run]) - size[run]  # group run[i] starts at column offs[i]
+        iterations += 1
+        attempts += len(run)
+        for k in run:
+            h[k] = min(h[k], T - t[k])
+            if steps[k] >= MAX_STEPS:
+                raise IntegrationError(f"step budget exceeded at t={t[k]}")
+        if len(run) == 1:
+            tc, hc = t[run[0]], h[run[0]]
         else:
-            rejects += 1
-            h *= max(0.2, 0.9 * norm ** -0.2)
+            tc, hc = (np.repeat([v[k] for k in run], size[run]) for v in (t, h))
+        lv = live[cols]
+        y1, f1, err = dp45_step(lambda tt, yy: rhs(tt, yy) * lv, tc, y, hc, f)
+        evals += 6 * len(cols)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y1))
+        err_col = np.sqrt(np.mean((err / scale) ** 2, axis=0))
+        bad = lv & ~np.isfinite(err_col)
+        live_err = np.where(lv, err_col, -np.inf)
+        worst = np.maximum.reduceat(live_err, offs)  # not finite where a live column is not
+        took, stepped = [], []  # whether each running group accepted, and its (t0, h, t1)
+        for i, k in enumerate(run):
+            norm = float(worst[i])
+            took.append(norm <= 1.0)
+            if took[-1]:
+                stepped.append((t[k], h[k], T if (T - t[k] - h[k]) < 1e-15 * T else t[k] + h[k]))
+                t[k] = stepped[-1][2]
+                steps[k] += 1
+                rejects[k] = 0
+                h[k] *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
+                continue
+            g = slice(offs[i], offs[i] + size[k])
+            if not np.isfinite(norm):
+                drop(cols[g][bad[g]], t[k], "non-finite step")
+            elif rejects[k] == 60:
+                drop(cols[g][[np.argmax(live_err[g])]], t[k], "step collapse")
+            else:
+                rejects[k] += 1
+                h[k] *= max(0.2, 0.9 * norm ** -0.2)
+                continue
+            # a column dropped: retry from the derivative without it
+            rejects[k] = 0
+            f[:, g] = rhs(t[k], y[:, g]) * live[cols[g]]
+            evals += size[k]
+        if any(took):
+            sel = slice(None) if all(took) else np.repeat(took, size[run])
+            ya = y1[:, sel]
+            groups = [k for k, a in zip(run, took) if a]
+            fa = accept(groups, cols[sel], stepped, y[:, sel], f[:, sel], ya, f1[:, sel])
+            y[:, sel], f[:, sel] = ya, fa * live[cols[sel]]
+        ended = any(s[2] >= T for s in stepped) or not np.logical_or.reduceat(live[cols], offs).all()
+    return dict(iterations=iterations, accepted=sum(steps), rejected=attempts - sum(steps),
+                rhs_columns=int(evals))
 
 
 def integrate(rhs: Callable, y0, T: float, tol: float = 1e-10) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from t = 0 to t = T, keeping every node.
 
     y0 may have any shape; it is the one column of :func:`dp45`, run at
-    tolerance tol.  Raises
-    :class:`IntegrationError` with the failure time in the message when
-    the step budget is exhausted, a step is not finite, the step size
-    collapses or the right-hand side raises.
+    tolerance tol.  Raises :class:`IntegrationError` with the failure time
+    in the message when the step budget is exhausted, a step is not
+    finite, the step size collapses or the right-hand side raises.
     """
-    if T <= 0:
-        raise ValueError(f"duration must be positive, got T={T}")
     y0 = np.asarray(y0, dtype=float)
     nodes = []
 
@@ -220,33 +262,17 @@ def integrate(rhs: Callable, y0, T: float, tol: float = 1e-10) -> Trajectory:
         except Exception as exc:
             raise IntegrationError(f"right-hand side failed at t={t}: {exc}") from exc
 
-    def accept(t0, h, ya, fa, t1, yb, fb):
+    def accept(groups, cols, steps, ya, fa, yb, fb):
+        (t0, _, t1), = steps
         if not nodes:
-            nodes.append((t0, ya, fa))
-        nodes.append((t1, yb, fb))
+            nodes.append((t0, ya.copy(), fa.copy()))
+        nodes.append((t1, yb.copy(), fb.copy()))
         return fb
 
     def drop(cols, t, reason):
         raise IntegrationError(f"{reason} at t={t}")
 
-    dp45(column_rhs, y0.reshape(-1, 1), T, tol, np.ones(1, dtype=bool), accept, drop)
+    dp45(column_rhs, y0.reshape(-1, 1), T, tol, [0, 1], np.ones(1, dtype=bool), accept, drop)
     ts, ys, fs = zip(*nodes)
     shape = (len(ts),) + y0.shape
     return Trajectory(np.array(ts), np.reshape(ys, shape), np.reshape(fs, shape))
-
-
-def rk4(rhs: Callable, y0, T: float, step: float) -> np.ndarray:
-    """Final state of classical fixed-step 4th order Runge-Kutta on [0, T],
-    in steps of the largest T / k not above ``step``."""
-    n_steps = max(1, int(np.ceil(T / step - 1e-12)))
-    h = T / n_steps
-    y = np.asarray(y0, dtype=float)
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y

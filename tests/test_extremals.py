@@ -8,7 +8,6 @@ from qubit_reach import extremals
 from qubit_reach import (
     SystemParams,
     convexity_margin,
-    costate_rhs,
     hamiltonian,
     hamiltonian_dtheta,
     integrate_extremal,
@@ -69,7 +68,7 @@ def test_costate_rhs_finite_difference():
     h = 1e-6
     for _ in range(100):
         s = state(*rng.normal(size=5))
-        got = costate_rhs(s, P)
+        got = extremal_flow(*s, G)[2:4]
         for k, comp in ((0, 0), (1, 1)):
             sp, sm = s.copy(), s.copy()
             sp[comp] += h
@@ -80,7 +79,7 @@ def test_costate_rhs_finite_difference():
 
 def test_costate_rhs_at_right_angle():
     s = state(0.3, 0.4, 0.8, -0.2, np.pi / 2)
-    got = costate_rhs(s, P)
+    got = extremal_flow(*s, G)[2:4]
     npt.assert_allclose(got, [0.5 * G * 0.8, G * (-0.2)], atol=1e-15)
 
 
@@ -203,23 +202,58 @@ def test_sweep_disc_invariance():
     assert np.nanmax(rad) <= 1 + 1e-9
 
 
-def test_sweep_parallel_merge_identical(monkeypatch):
-    # block decomposition, not thread count, decides the numerics
+def node_bytes(blk):
+    return {k: v.tobytes() for k, v in blk.items()}
+
+
+@pytest.mark.parametrize("jump", [None, 1e-11])
+def test_sweep_parallel_merge_identical(monkeypatch, jump):
+    # every block is its own dp45 group: it gets the nodes it gets swept
+    # alone, and the thread count only splits the blocks into chunks
     monkeypatch.setattr(extremals, "SWEEP_BLOCK", 8)
+    if jump:  # a tiny branch-jump bound ends most seeds early, at many times
+        monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", jump)
     seeds = seed_grid(32, P)
-    seeds.insert(19, seed(np.pi / 2, P))  # frozen at tau = 0, in the third block
-    a = sweep_extremals_parallel(seeds, 2.0, P, n_threads=1, sample_dt=2 / 256)
-    b = sweep_extremals_parallel(seeds, 2.0, P, n_threads=3, sample_dt=2 / 256)
+    seeds[8:16] = [seed(np.pi / 2, P)] * 8  # a block frozen at tau = 0
+    seeds.insert(19, seed(np.pi / 2, P))  # one frozen seed in the third block
     rows = np.arange(len(seeds))
+    runs = [sweep_extremals_parallel(seeds, 2.0, P, n_threads=k, sample_dt=2 / 256) for k in (1, 2, 3, 8)]
+    a = runs[0]
     full = a.samples(range(5), rows, np.s_[:])
-    assert full.tobytes() == b.samples(range(5), rows, np.s_[:]).tobytes()
-    # merged rows read the bits of their block swept alone
-    third = sweep_extremals(seeds[16:24], 2.0, P, sample_dt=2 / 256)
-    assert third.samples(range(5), np.arange(8), np.s_[:]).tobytes() == full[:, 16:24].tobytes()
-    assert len(a.blocks) == 5
-    assert a.failed[19] and a.fail_tau[19] == 0.0 and a.failed.sum() == 1
-    assert (full[0, 19, 0], full[1, 19, 0]) == (0.0, 1.0)
-    assert np.isnan(full[:, 19, 1:]).all()
+    assert len(a.blocks) == 5 and a.blocks[1]["nodes"].shape == (16, 8, 1)
+    for b in runs[1:]:
+        assert b.samples(range(5), rows, np.s_[:]).tobytes() == full.tobytes()
+        assert [node_bytes(x) for x in b.blocks] == [node_bytes(x) for x in a.blocks]
+        assert b.fail_tau.tobytes() == a.fail_tau.tobytes() and b.fail_reason == a.fail_reason
+        # only the lockstep iterations depend on the chunks
+        assert {**b.counts, "iterations": 0} == {**a.counts, "iterations": 0}
+    for k, blk in enumerate(a.blocks):
+        part = np.s_[8 * k : 8 * k + 8]
+        alone = sweep_extremals(seeds[part], 2.0, P, sample_dt=2 / 256)
+        assert node_bytes(alone.blocks[0]) == node_bytes(blk)
+        assert alone.samples(range(5), rows[part] - 8 * k, np.s_[:]).tobytes() == full[:, part].tobytes()
+        assert alone.n_valid.tobytes() == a.n_valid[part].tobytes()
+        assert alone.fail_reason == a.fail_reason[part]
+    frozen = np.r_[8:16, 19]
+    assert (a.fail_tau[frozen] == 0.0).all() and (a.n_valid[frozen] == 1).all()
+    assert (full[:2, frozen, 0] == [[0.0], [1.0]]).all() and np.isnan(full[:, frozen, 1:]).all()
+    if jump:
+        assert a.failed.sum() > 20 and "argmax branch jump" in a.fail_reason
+    else:
+        assert a.failed.sum() == 9
+
+
+def test_sweep_counts_repeat_and_blocks_share_iterations():
+    seeds = seed_grid(4 * extremals.SWEEP_BLOCK, P)
+    a, b = (sweep_extremals(seeds, 4.0, P, tol=1e-8, sample_dt=4 / 1024) for _ in range(2))
+    assert a.counts == b.counts
+    steps = [len(blk["t1"]) for blk in a.blocks]
+    assert a.counts["accepted"] == sum(steps)
+    # one iteration steps all four blocks: fewer than their summed steps
+    assert max(steps) <= a.counts["iterations"] < a.counts["accepted"]
+    # the start, then six stages per attempt of a block (no seed was dropped)
+    attempts = a.counts["accepted"] + a.counts["rejected"]
+    assert a.counts["rhs_columns"] == len(seeds) + 6 * extremals.SWEEP_BLOCK * attempts
 
 
 @pytest.mark.parametrize("fail_some", [False, True])

@@ -5,7 +5,25 @@ import pytest
 from qubit_reach import SystemParams, bloch_rhs
 from qubit_reach.bloch import aux_rhs
 from qubit_reach import ode
-from qubit_reach.ode import IntegrationError, Trajectory, dp45, dp45_step, integrate, rk4
+from qubit_reach.ode import IntegrationError, Trajectory, dp45, dp45_step, integrate
+
+
+def rk4(rhs, y0, T, step):
+    """Final state of classical fixed-step 4th order Runge-Kutta on [0, T],
+    in steps of the largest T / k not above ``step``: the fixed-step
+    reference of these tests."""
+    n_steps = max(1, int(np.ceil(T / step - 1e-12)))
+    h = T / n_steps
+    y = np.asarray(y0, dtype=float)
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
 
 
 def test_exponential_decay():
@@ -107,7 +125,16 @@ def test_tol_validation(tol):
     with pytest.raises(ValueError, match="tolerance"):
         integrate(lambda t, y: -y, np.array([1.0]), 1.0, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
-        dp45(lambda t, y: -y, np.ones((1, 1)), 1.0, tol, np.ones(1, dtype=bool), None, None)
+        dp45(lambda t, y: -y, np.ones((1, 1)), 1.0, tol, [0, 1], np.ones(1, dtype=bool), None, None)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_duration_validation(T):
+    # nan used to end in a bare unpacking error, inf to step towards MAX_STEPS
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        integrate(lambda t, y: -y, np.array([1.0]), T)
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        dp45(lambda t, y: -y, np.ones((1, 1)), T, 1e-10, [0, 1], np.ones(1, dtype=bool), None, None)
 
 
 def test_batched_state_integration():
@@ -117,33 +144,51 @@ def test_batched_state_integration():
     npt.assert_allclose(traj.final_state, y0 * np.exp(-1.0), atol=1e-8)
 
 
-def run_columns(square, T=2.0):
-    """dp45 on columns y' = -y (square False) and y' = y^2 (True), all from 1."""
-    y = np.ones((1, len(square)))
-    live = np.ones(len(square), dtype=bool)
-    steps, dropped = [], []
+def kind_rhs(t, y):
+    """Columns (v, kind): kind 0 decays, v' = -v; kind 1 blows up at t = 1
+    from v = 1, v' = v^2; kind 2 has v' = 1/t (0 at t = 0), whose error
+    estimate does not shrink with the step.  t is a float or one time per
+    column."""
+    v, kind = y
+    inv = 1.0 / np.where(np.broadcast_to(t, v.shape) > 0.0, t, np.inf)
+    return np.array([np.choose(kind.astype(int), [-v, v * v, inv]), np.zeros_like(v)])
 
-    def accept(t0, h, ya, fa, t1, yb, fb):
-        steps.append((t0, h, t1, yb.copy()))
+
+def run_columns(kinds, edges=None, tol=1e-10):
+    """dp45 on kind_rhs columns from v = 1 to T = 2 at tolerance tol, in one
+    group unless edges split them.  Returns the accepted steps (t0, h, t1, v at t1) and the
+    drops (columns in the group, t, reason) of each group, and the counts."""
+    edges = [0, len(kinds)] if edges is None else edges
+    y = np.array([np.ones(len(kinds)), kinds], dtype=float)
+    live = np.ones(len(kinds), dtype=bool)
+    group = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    steps = [[] for _ in edges[1:]]
+    dropped = [[] for _ in edges[1:]]
+
+    def accept(groups, cols, stepped, ya, fa, yb, fb):
+        assert list(cols) == [c for k in groups for c in range(edges[k], edges[k + 1])]
+        for k, step in zip(groups, stepped):
+            steps[k].append((*step, yb[0, group[cols] == k].copy()))
         return fb
 
     def drop(cols, t, reason):
         live[cols] = False
-        dropped.append((np.nonzero(cols)[0].tolist(), t, reason))
+        (k,) = set(group[cols])
+        dropped[k].append(((cols - edges[k]).tolist(), t, reason))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        dp45(lambda t, y: np.where(square, y * y, -y), y, T, 1e-10, live, accept, drop)
-    return steps, dropped
+        counts = dp45(kind_rhs, y, 2.0, tol, edges, live, accept, drop)
+    return steps, dropped, counts
 
 
 def test_dp45_drops_a_blowing_up_column_and_keeps_the_others():
     # y' = y^2 from 1 blows up at t = 1; the two decaying columns go on to T
-    steps, dropped = run_columns(np.array([False, False, True]))
+    (steps,), (dropped,), _ = run_columns([0, 0, 1])
     assert len(dropped) == 1
     cols, t_drop, reason = dropped[0]
     assert cols == [2] and reason == "non-finite step" and abs(t_drop - 1.0) < 1e-9
     assert steps[-1][2] == 2.0
-    y_end = steps[-1][3][0, :2]
+    y_end = steps[-1][3][:2]
     # the blow-up leaks nothing into the live columns: replaying them alone
     # along the same accepted steps gives the same bits
     y, f = np.ones((1, 2)), -np.ones((1, 2))
@@ -152,10 +197,30 @@ def test_dp45_drops_a_blowing_up_column_and_keeps_the_others():
     npt.assert_array_equal(y[0], y_end)
     # a run without the bad column takes its own steps (the bad column set
     # the shared step while it was live), so it agrees to the tolerance
-    ref_steps, ref_dropped = run_columns(np.array([False, False]))
+    (ref_steps,), (ref_dropped,), _ = run_columns([0, 0])
     assert ref_dropped == [] and ref_steps[-1][2] == 2.0
-    npt.assert_allclose(y_end, ref_steps[-1][3][0], rtol=1e-9)
+    npt.assert_allclose(y_end, ref_steps[-1][3], rtol=1e-9)
     npt.assert_allclose(y_end, np.exp(-2.0), rtol=1e-9)
+
+
+def test_dp45_groups_keep_their_own_bits():
+    # three groups in lockstep: the first drops its blow-up column as a
+    # non-finite step near t = 1, the second its 1/t column after 60
+    # rejections at t = 0; each group takes the steps, reaches the states
+    # and makes the drops it does alone
+    kinds, edges = [0, 1, 0, 0, 2, 0, 0, 0], [0, 2, 5, 8]
+    steps, dropped, counts = run_columns(kinds, edges, tol=1e-6)
+    alone = [run_columns(kinds[a:b], tol=1e-6) for a, b in zip(edges, edges[1:])]
+    for k, ((ref_steps,), (ref_dropped,), _) in enumerate(alone):
+        assert [s[:3] for s in steps[k]] == [s[:3] for s in ref_steps]
+        assert b"".join(s[3].tobytes() for s in steps[k]) == b"".join(s[3].tobytes() for s in ref_steps)
+        assert dropped[k] == ref_dropped
+    assert [d[0][1:] for d in dropped[:2]] == [(dropped[0][0][1], "non-finite step"), (0.0, "step collapse")]
+    assert dropped[2] == [] and all(s[-1][2] == 2.0 for s in steps)
+    assert len({len(s) for s in steps}) == 3  # the groups end after different step counts
+    # an iteration is one attempt of every running group
+    parts = [c for _, _, c in alone]
+    assert counts == {k: (max if k == "iterations" else sum)(c[k] for c in parts) for k in counts}
 
 
 def test_integrate_blow_up_raises_with_time():

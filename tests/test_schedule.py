@@ -159,7 +159,7 @@ def test_propagate_matches_tight_integration_with_incoherent_control():
 def test_propagate_alignment_spike():
     # the 1e6-scaled spike replay_extremal uses to leave the north pole
     from qubit_reach.bloch import bloch_rhs
-    from qubit_reach.ode import rk4
+    from test_ode import rk4
 
     u_max = 1e6 * P.omega / (2 * P.kappa)
     eps = np.pi / (2 * P.kappa * u_max)

@@ -232,16 +232,14 @@ def test_load_names_file_and_line_of_bad_number(tmp_path, capsys, row):
 def node_sweep(tau, seeds, z, R):
     """An ExtremalSweep whose z and R samples are the given (n, m) arrays,
     NaN from each row's first NaN on: one step per sample interval with zero
-    derivatives, so each sample j > 0 is the end state y1 (at s = 1)."""
+    derivatives, so each sample j > 0 is the step's end state (at s = 1)."""
     ns, m = z.shape
     n_valid = np.where(np.isnan(z).any(axis=1), np.isnan(z).argmax(axis=1), m)
-    y = np.zeros((5, ns, m))
-    y[0], y[1] = np.nan_to_num(z, nan=0.5), np.nan_to_num(R, nan=0.5)
-    zeros = np.zeros((5, ns, m - 1))
-    block = {"t0": tau[:-1], "h": np.diff(tau), "t1": tau[1:], "y0": y[..., :-1], "f0": zeros,
-             "y1": y[..., 1:], "f1": zeros, "start": y[..., 0]}
+    nodes = np.zeros((16, ns, m))  # zero derivatives and theta
+    nodes[0], nodes[1] = np.nan_to_num(z, nan=0.5), np.nan_to_num(R, nan=0.5)
+    block = {"t0": tau[:-1], "h": np.diff(tau), "t1": tau[1:], "nodes": nodes}
     return ExtremalSweep(tau, seeds, [block], n_valid, n_valid < m, np.full(ns, np.inf),
-                         [None] * ns)
+                         [None] * ns, {})
 
 
 def test_binning_matches_naive_loop(monkeypatch):
