@@ -217,7 +217,8 @@ def test_sweep_parallel_merge_identical(monkeypatch, jump):
     seeds[8:16] = [seed(np.pi / 2, P)] * 8  # a block frozen at tau = 0
     seeds.insert(19, seed(np.pi / 2, P))  # one frozen seed in the third block
     rows = np.arange(len(seeds))
-    runs = [sweep_extremals_parallel(seeds, 2.0, P, n_threads=k, sample_dt=2 / 256) for k in (1, 2, 3, 8)]
+    runs = [sweep_extremals_parallel(seeds, 2.0, P, n_threads=k, sample_dt=2 / 256)
+            for k in (1, 2, 3, 8)]  # 8 threads: more than the 5 blocks
     a = runs[0]
     full = a.samples(range(5), rows, np.s_[:])
     assert len(a.blocks) == 5 and a.blocks[1]["nodes"].shape == (16, 8, 1)
