@@ -37,6 +37,7 @@ def bin_blocks(paths):
         z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
         for j0 in range(0, z.shape[1], BIN_BLOCK):
             yield w0 + j0, z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
+        del z, r  # free this window before the next read allocates one
 
 
 def first_passage(n_cells: int, blocks) -> np.ndarray:
@@ -371,6 +372,7 @@ class ReachSweep:
             z, r = paths.samples([0, 1], rows, np.s_[j0 : j0 + READ_COLS])
             # a NaN distance (a path past its failure) counts as 0
             np.fmax(out, np.fmax.reduce(np.hypot(z[ia] - z[ib], r[ia] - r[ib]), axis=1), out=out)
+            del z, r  # free this window before the next read allocates one
         return out
 
     def _rasterize(self, paths, order, gaps):
@@ -413,6 +415,7 @@ class ReachSweep:
                     za, zb, ra, rb = za[good], zb[good], ra[good], rb[good]
                     key = np.tile(np.broadcast_to(sample, good.shape)[good], len(lam))
                     yield from bins((lam * za + mu * zb).ravel(), (lam * ra + mu * rb).ravel(), key)
+                del z, r, ok  # views of the window bin_blocks frees before its next read
 
         first = first_passage(n * n, cells())
         reached = first != NO_PASSAGE

@@ -17,6 +17,7 @@ round trip is lossless and byte identical.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -62,8 +63,11 @@ class LookupTable:
         return 2.0 / self.grid_n
 
     def cell_of(self, z: float, R: float) -> tuple[int, int]:
-        i = int(np.clip((z + 1.0) / self.cell, 0, self.grid_n - 1))
-        j = int(np.clip(R / self.cell, 0, self.grid_n // 2 - 1))
+        # Python float clamps: the same operations as np.clip, without its
+        # per-call overhead on scalars
+        cell, n = 2.0 / self.grid_n, self.grid_n
+        i = int(min(max((z + 1.0) / cell, 0), n - 1))
+        j = int(min(max(R / cell, 0), n // 2 - 1))
         return i, j
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
@@ -71,10 +75,11 @@ class LookupTable:
 
     def records(self):
         """Iterate nonempty cells as (i, j, psi0, theta0, tmin)."""
-        for i, j in zip(*np.nonzero(self.mask)):
-            yield int(i), int(j), float(self.psi0[i, j]), float(self.theta0[i, j]), float(
-                self.tmin[i, j]
-            )
+        cells = np.nonzero(self.mask)
+        yield from zip(
+            *(c.tolist() for c in cells),
+            self.psi0[cells].tolist(), self.theta0[cells].tolist(), self.tmin[cells].tolist(),
+        )
 
 
 def build_table(
@@ -112,20 +117,17 @@ def build_table(
             iz = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
             ir = np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
             yield iz * nr + ir, (np.arange(j0, j0 + zb.shape[1]) * ns + seed_idx)[ok]
+            del zb, Rb, ok  # views of the window bin_blocks frees before its next read
 
-    first = first_passage(nz * nr, cells())
-    mask_flat = first != NO_PASSAGE
-    tau_idx, seed_of = np.divmod(first[mask_flat], ns)
-    tmin_flat = np.full(nz * nr, np.inf)
-    psi_flat = np.zeros(nz * nr)
-    th_flat = np.zeros(nz * nr)
-    tmin_flat[mask_flat] = sweep.tau[tau_idx]
-    psi_flat[mask_flat] = np.array([s.psi0 for s in seeds])[seed_of]
-    th_flat[mask_flat] = np.array([s.theta0 for s in seeds])[seed_of]
-    table.tmin = tmin_flat.reshape(nz, nr)
-    table.psi0 = psi_flat.reshape(nz, nr)
-    table.theta0 = th_flat.reshape(nz, nr)
-    table.mask = mask_flat.reshape(nz, nr)
+    # the result goes into the arrays the table was made with, before the
+    # sweep: an array made after it could sit above the sweep's freed memory
+    # and keep the allocator from returning that memory
+    first = first_passage(nz * nr, cells()).reshape(nz, nr)
+    np.not_equal(first, NO_PASSAGE, out=table.mask)
+    tau_idx, seed_of = np.divmod(first[table.mask], ns)
+    table.tmin[table.mask] = sweep.tau[tau_idx]
+    table.psi0[table.mask] = np.array([s.psi0 for s in seeds])[seed_of]
+    table.theta0[table.mask] = np.array([s.theta0 for s in seeds])[seed_of]
     return table
 
 
@@ -137,6 +139,8 @@ def query(table: LookupTable, z1: float, R1: float):
     reported unreachable.  The target must lie in the closed unit
     half-disc R1 >= 0.
     """
+    if not (math.isfinite(z1) and math.isfinite(R1)):
+        raise ValueError(f"target ({z1}, {R1}) is not finite")
     if R1 < 0:
         raise ValueError("table targets live in the half-disc R >= 0; fold R negative targets")
     if z1 * z1 + R1 * R1 > 1.0 + 1e-9:
@@ -193,6 +197,11 @@ def load(path) -> LookupTable:
             f"{path}: header needs a finite gamma_ratio >= 0 and an even grid from 2 to {MAX_GRID}"
         )
     table = LookupTable(ratio, grid)
+    # memoryviews read and write single cells as Python scalars, without
+    # numpy's per-call overhead or a per-row copy of the file's values
+    psi0_v, theta0_v, tmin_v, mask_v = map(
+        memoryview, (table.psi0, table.theta0, table.tmin, table.mask)
+    )
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -206,10 +215,11 @@ def load(path) -> LookupTable:
             raise ValueError(f"{path}:{ln}: {exc}") from None
         if not (0 <= i < grid and 0 <= j < grid // 2):
             raise ValueError(f"{path}:{ln}: cell ({i}, {j}) outside the {grid} x {grid // 2} grid")
-        if table.mask[i, j]:
+        if mask_v[i, j]:
             raise ValueError(f"{path}:{ln}: cell ({i}, {j}) given twice")
-        if not (np.isfinite([psi0, theta0, tmin]).all() and tmin >= 0.0):
+        if not (math.isfinite(psi0) and math.isfinite(theta0) and math.isfinite(tmin)
+                and tmin >= 0.0):
             raise ValueError(f"{path}:{ln}: psi0, theta0 and Tmin must be finite, Tmin >= 0")
-        table.psi0[i, j], table.theta0[i, j], table.tmin[i, j] = psi0, theta0, tmin
-        table.mask[i, j] = True
+        psi0_v[i, j], theta0_v[i, j], tmin_v[i, j] = psi0, theta0, tmin
+        mask_v[i, j] = True
     return table

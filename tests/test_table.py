@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal, seed_gri
 from qubit_reach import table as table_mod
 from qubit_reach.cli import main
 from qubit_reach.extremals import ExtremalSweep, hamiltonian_dtheta
+from qubit_reach.reachset import READ_COLS
 from qubit_reach.table import (
     LookupTable,
     UnreachableError,
@@ -84,6 +87,10 @@ def test_query_rejects_bad_targets(table):
         query(table, 0.0, -0.5)
     with pytest.raises(ValueError):
         query(table, 1.2, 0.3)
+    # NaN passes both disc checks (it compares False), so it is refused first
+    for z, R in [(np.nan, 0.5), (0.1, np.nan), (np.inf, 0.5), (0.1, -np.inf)]:
+        with pytest.raises(ValueError, match="is not finite"):
+            query(table, z, R)
 
 
 def test_query_unreachable_in_lacuna(table):
@@ -274,3 +281,109 @@ def test_binning_matches_naive_loop(monkeypatch):
     assert want.mask.sum() == 8 and want.psi0[2, 1] == seeds[0].psi0
     for name in ("mask", "tmin", "psi0", "theta0"):
         npt.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def ref_cell_of(table, z, R):
+    """The np.clip cell lookup that LookupTable.cell_of replaced."""
+    i = int(np.clip((z + 1.0) / table.cell, 0, table.grid_n - 1))
+    j = int(np.clip(R / table.cell, 0, table.grid_n // 2 - 1))
+    return i, j
+
+
+def ref_query(table, z1, R1):
+    """query as it was before its cell lookup used Python float clamps."""
+    if R1 < 0:
+        raise ValueError("table targets live in the half-disc R >= 0; fold R negative targets")
+    if z1 * z1 + R1 * R1 > 1.0 + 1e-9:
+        raise ValueError(f"target ({z1}, {R1}) lies outside the unit disc")
+    i0, j0 = ref_cell_of(table, z1, R1)
+    if table.mask[i0, j0]:
+        return table.psi0[i0, j0], table.theta0[i0, j0], table.tmin[i0, j0]
+    best = None
+    for i in range(max(0, i0 - 2), min(table.grid_n, i0 + 3)):
+        for j in range(max(0, j0 - 2), min(table.grid_n // 2, j0 + 3)):
+            if not table.mask[i, j]:
+                continue
+            zc, rc = table.cell_center(i, j)
+            cand = ((zc - z1) ** 2 + (rc - R1) ** 2, i, j)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise UnreachableError(f"no recorded extremal within 2 cells of ({z1}, {R1})")
+    _, i, j = best
+    return table.psi0[i, j], table.theta0[i, j], table.tmin[i, j]
+
+
+def answer(fn, tbl, z, R):
+    """Types and float bytes of an answer, or the type and text of its error."""
+    try:
+        got = fn(tbl, z, R)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(map(type, got)), np.array(got).tobytes()
+
+
+def pinned_targets(tbl):
+    rng = np.random.default_rng(14)
+    cell, n = tbl.cell, tbl.grid_n
+    targets = list(zip(rng.uniform(-1, 1, 20_000), rng.uniform(0, 1, 20_000)))
+    edges = [-1.0 + k * cell for k in range(n + 1)]
+    targets += [(z, R) for z in edges for R in (0.0, 0.25, 0.5)]
+    targets += [(0.5, k * cell) for k in range(n // 2 + 1)]
+    targets += [(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.9999, 0.001)]
+    for z in np.linspace(-1, 1, 201):
+        rim = np.sqrt(1.0 - z * z)
+        targets += [(z, rim), (z, np.nextafter(rim, 0.0)), (z, rim - 1e-12)]
+    # the fallback ring: centres and corners of empty cells within 3 cells
+    # of a recorded one, so the neighbourhood search and its ties run
+    near = np.zeros_like(tbl.mask)
+    for di in range(-3, 4):
+        for dj in range(-3, 4):
+            near |= np.roll(tbl.mask, (di, dj), axis=(0, 1))
+    ring = np.argwhere(near & ~tbl.mask)
+    for i, j in ring[rng.choice(len(ring), min(len(ring), 3000), replace=False)]:
+        zc, rc = tbl.cell_center(i, j)
+        targets += [(zc, rc), (zc - 0.5 * cell, rc - 0.5 * cell)]
+    return targets
+
+
+def test_query_answers_match_clip_reference(tmp_path, table):
+    save(table, tmp_path / "t.csv")
+    for tbl in (table, load(tmp_path / "t.csv")):
+        for z, R in pinned_targets(tbl):
+            assert answer(query, tbl, z, R) == answer(ref_query, tbl, z, R), (z, R)
+            assert tbl.cell_of(z, R) == ref_cell_of(tbl, z, R)
+    kinds = {answer(query, table, z, R)[0] for z, R in pinned_targets(table)}
+    assert {ValueError, UnreachableError} < kinds  # both error paths are pinned
+
+
+def test_records_match_per_cell_reference(table):
+    want = [
+        (int(i), int(j), float(table.psi0[i, j]), float(table.theta0[i, j]),
+         float(table.tmin[i, j]))
+        for i, j in zip(*np.nonzero(table.mask))
+    ]
+    got = list(table.records())
+    assert [tuple(map(type, r)) for r in got] == [(int, int, float, float, float)] * len(want)
+    assert got == want
+    assert np.array([r[2:] for r in got]).tobytes() == np.array([r[2:] for r in want]).tobytes()
+
+
+def test_binning_holds_at_most_one_sample_window(monkeypatch):
+    # the previous READ_COLS window of samples is dropped before the next
+    # one is read, so binning holds one window plus the pieces built from it
+    peaks = []
+
+    def traced(n_cells, blocks):
+        tracemalloc.start()
+        try:
+            return real(n_cells, blocks)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    real = table_mod.first_passage
+    monkeypatch.setattr(table_mod, "first_passage", traced)
+    build_table(P, 1024, 10.0, 256)
+    window = 2 * 1024 * READ_COLS * 8
+    assert peaks[0] <= 2.6 * window, peaks[0] / window
