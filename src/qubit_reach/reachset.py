@@ -27,6 +27,7 @@ NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
 SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
 BARRIER_THETA_GRID = 720  # control angles of the barrier-certificate grid check
+BARRIER_CHUNK = 64  # edge samples per evaluation: bounds the (chunk, theta) temporaries
 
 
 def bin_blocks(paths):
@@ -217,9 +218,11 @@ def barrier_certificate(
     thetas = np.linspace(0.0, 2.0 * np.pi, BARRIER_THETA_GRID, endpoint=False)[None, :]
     for edge in ("plus", "minus"):
         lo, hi = tri.edge_phi_range(edge)
-        G = barrier_values(tri, edge, np.linspace(lo, hi, BARRIER_PHI_GRID)[:, None], thetas, params)
-        if float(G.min()) <= 0.0:
-            return False
+        phis = np.linspace(lo, hi, BARRIER_PHI_GRID)[:, None]
+        for k in range(0, BARRIER_PHI_GRID, BARRIER_CHUNK):
+            G = barrier_values(tri, edge, phis[k : k + BARRIER_CHUNK], thetas, params)
+            if float(G.min()) <= 0.0:
+                return False
     return True
 
 

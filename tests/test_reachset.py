@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -148,6 +150,18 @@ def test_barrier_certificate_monotone_in_alpha():
     # and false stays false when alpha grows
     assert barrier_certificate(0.0, 0.55, 1e-6, P) is False
     assert barrier_certificate(0.0, 0.8, 1e-6, P) is False
+
+
+def test_barrier_certificate_bounds_its_temporaries():
+    # the grid check evaluates a few edge samples at a time: one full
+    # (phi, theta) grid of G is 11.8 MB, and it made several at once
+    tracemalloc.start()
+    try:
+        assert barrier_certificate(0.0, 0.4, 1e-3, P) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # --- sweeps and rasters -------------------------------------------------------
