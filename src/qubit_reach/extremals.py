@@ -157,7 +157,6 @@ class ExtremalSeed:
 
     psi0: float
     theta0: float
-    branch: str = "max"
 
     @property
     def state0(self) -> np.ndarray:
@@ -198,7 +197,7 @@ def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[Extrema
         [_seed_angles(psi0s[k : k + SEED_BLOCK], params.ratio, branch)
          for k in range(0, len(psi0s), SEED_BLOCK)] or [np.zeros(0)]
     )
-    return [ExtremalSeed(float(p), float(t), branch) for p, t in zip(psi0s, theta0)]
+    return [ExtremalSeed(float(p), float(t)) for p, t in zip(psi0s, theta0)]
 
 
 def _seed_angles(psi0, g, branch):
@@ -269,7 +268,7 @@ def seed(psi0: float, params: SystemParams, branch: str = "max") -> ExtremalSeed
     return seed_batch([psi0], params, branch)[0]
 
 
-def seed_grid(n_seeds: int, params: SystemParams, branch: str = "max") -> list[ExtremalSeed]:
+def seed_grid(n_seeds: int, params: SystemParams) -> list[ExtremalSeed]:
     """Uniform half-offset grid of n_seeds costate angles on [0, 2 pi).
 
     The half offset avoids landing exactly on the two measure-zero
@@ -277,7 +276,7 @@ def seed_grid(n_seeds: int, params: SystemParams, branch: str = "max") -> list[E
     drift is 0/0.
     """
     psis = 2.0 * np.pi * (np.arange(n_seeds) + 0.5) / n_seeds
-    return seed_batch(psis, params, branch=branch)
+    return seed_batch(psis, params)
 
 
 # --- batched integration --------------------------------------------------
@@ -294,16 +293,14 @@ class ExtremalSweep:
     re-projection, from the start to the end state; for j > 0, rows 5-9
     are the derivative at the start of the step that ends at node j, row
     10 theta before the re-projection (which only moves theta) and rows
-    11-15 the derivative there.  R keeps its sign.  n_valid counts each
-    seed's valid samples; `failed` seeds ended early at fail_tau (see
-    fail_reason).  counts is the work of the dp45 runs.
+    11-15 the derivative there.  R keeps its sign.  A seed that ended
+    early did so at fail_tau (see fail_reason); fail_tau is inf for a
+    seed that reached T.  counts is the work of the dp45 runs.
     """
 
     tau: np.ndarray
     seeds: list[ExtremalSeed]
     blocks: list[dict]
-    n_valid: np.ndarray
-    failed: np.ndarray
     fail_tau: np.ndarray
     fail_reason: list
     counts: dict
@@ -321,7 +318,7 @@ class ExtremalSweep:
         dense output of the first step of the seed's block whose end is
         >= tau[j], computed on float64 arrays in ode.hermite's operation
         order, so every row set and column range reads the same bits.  From
-        a seed's failure sample on, its samples are NaN.
+        a seed's failure on (tau[j] > fail_tau), its samples are NaN.
         """
         comps, rows = np.asarray(comps, dtype=int), np.asarray(rows, dtype=int)
         if np.any(np.diff(rows) <= 0):
@@ -342,7 +339,7 @@ class ExtremalSweep:
                 out[:, lo:hi] = hermite((self.tau[j] - blk["t0"][k]) / h, h, *ends)
             if len(j) and j[0] == 0:
                 out[:, lo:hi, 0] = blk["nodes"][:5, :, 0][comps][:, local]
-        np.copyto(out, np.nan, where=j >= self.n_valid[rows, None])
+        np.copyto(out, np.nan, where=self.tau[j] > self.fail_tau[rows, None])
         return out
 
 
@@ -350,8 +347,7 @@ def merge_sweeps(parts) -> ExtremalSweep:
     """Sweeps on one sample grid as one, their seeds in order and their counts summed."""
     return ExtremalSweep(
         parts[0].tau, [s for p in parts for s in p.seeds], [b for p in parts for b in p.blocks],
-        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("n_valid", "failed", "fail_tau")),
-        [r for p in parts for r in p.fail_reason],
+        np.concatenate([p.fail_tau for p in parts]), [r for p in parts for r in p.fail_reason],
         {k: sum(p.counts[k] for p in parts) for k in parts[0].counts},
     )
 
@@ -406,7 +402,6 @@ def sweep_extremals(
     size = np.diff(edges)
     active = np.ones(n, dtype=bool)
     fail_tau = np.full(n, np.inf)
-    n_valid = np.full(n, len(tau))
     # per block (seed c is in block c // SWEEP_BLOCK): the end of its last accepted step
     t_end = np.zeros(len(size))
     fail_reason: list = [None] * n
@@ -418,7 +413,6 @@ def sweep_extremals(
         if len(cols):
             active[cols] = False
             fail_tau[cols] = t
-            n_valid[cols] = np.searchsorted(tau, fail_tau[cols], side="right")
             for c in cols:
                 fail_reason[c] = reason
 
@@ -463,7 +457,7 @@ def sweep_extremals(
         nodes = np.moveaxis(bufs[b][: len(t0) + 1], 0, -1).copy()  # trimmed, and the buffer goes
         blocks.append(dict(t0=t0, h=h, t1=t1, nodes=nodes))
         bufs[b] = None
-    return ExtremalSweep(tau, seeds, blocks, n_valid, ~active, fail_tau, fail_reason, counts)
+    return ExtremalSweep(tau, seeds, blocks, fail_tau, fail_reason, counts)
 
 
 def sweep_extremals_parallel(
@@ -515,10 +509,8 @@ def integrate_extremal(
     failure time.
     """
     sweep = sweep_extremals([seedv], T_scaled, params, sample_dt=sample_dt)
-    if sweep.failed[0] and sweep.fail_tau[0] < T_scaled:
-        raise IntegrationError(
-            f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"
-        )
+    if sweep.fail_tau[0] < T_scaled:
+        raise IntegrationError(f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}")
     states = normalize_states(sweep.samples(range(5), [0], slice(None))[:, 0].T.copy())
     return Trajectory(sweep.tau, states, _extremal_rhs(states.T, params.ratio).T)
 

@@ -61,10 +61,6 @@ class Trajectory:
         if np.any(np.diff(self.ts) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.ys[-1]
-
     def sample(self, t) -> np.ndarray:
         """Cubic Hermite interpolation at times t (scalar or array)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))

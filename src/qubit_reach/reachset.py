@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremals
-from .bloch import RHO_MIN, polar_rhs, polar_rhs_scaled
+from .bloch import RHO_MIN, SingularityError, polar_rhs_scaled
 from .extremals import sweep_extremals_parallel
 from .params import SystemParams
 
@@ -160,11 +160,9 @@ class BarrierTriangle:
 
 
 def _edge_sign(edge: str) -> float:
-    if edge in ("plus", "+"):
-        return 1.0
-    if edge in ("minus", "-"):
-        return -1.0
-    raise ValueError(f"edge must be 'plus' or 'minus', got {edge!r}")
+    if edge not in ("plus", "minus"):
+        raise ValueError(f"edge must be 'plus' or 'minus', got {edge!r}")
+    return 1.0 if edge == "plus" else -1.0
 
 
 def barrier_values(
@@ -188,8 +186,7 @@ def barrier_values(
     s = _edge_sign(edge)
     rho = tri.edge_rho(edge, phi) if rho is None else np.asarray(rho, dtype=float)
     if np.any(rho <= RHO_MIN):
-        # delegate the singularity complaint to the scalar polar system
-        polar_rhs((float(np.min(rho)), 0.0), 0.0, params)
+        raise SingularityError(f"polar system is singular at rho={np.min(rho)} <= {RHO_MIN}")
     g = params.ratio
     rho_dot, phi_dot = polar_rhs_scaled(rho, phi, theta, g)
     out = -rho_dot + s * tri.alpha * g * phi_dot
@@ -362,7 +359,7 @@ class ReachSweep:
 
         self.psis = psis[order]
         self.seeds = [paths.seeds[i] for i in order]
-        self.n_failed = int(np.sum(paths.failed))
+        self.n_failed = int(np.sum(np.isfinite(paths.fail_tau)))
         self.tau_min = self._rasterize(paths, order, gaps)
 
     @staticmethod
@@ -380,7 +377,8 @@ class ReachSweep:
 
     def _rasterize(self, paths, order, gaps):
         """First-passage times of all paths and of the strips between
-        neighbours in order; gaps[k] is the gap of pair (order[k], order[k + 1])."""
+        neighbours in order; gaps[k] is the gap of pair (order[k], order[k + 1]).
+        Each point is binned once, at |R|; the R < 0 half is the mirror image."""
         n = self.n
         inv = 1.0 / self.cell
         # strips are bridged by chords only where the two paths run close
@@ -398,18 +396,16 @@ class ReachSweep:
             groups.append((order[ids], order[(ids + 1) % len(order)], lam, 1 - lam))
 
         def bins(pz, pr, key):
-            iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
-            iz *= n
-            for sign in (1.0, -1.0):
-                ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
-                ir += iz
-                yield ir, key
+            cell = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
+            cell *= n
+            cell += np.clip(((np.abs(pr) + 1.0) * inv).astype(int), 0, n - 1)
+            return cell, key
 
         def cells():
             for j0, z, r in bin_blocks(paths):
                 sample = np.arange(j0, j0 + z.shape[1])
                 ok = np.isfinite(z)
-                yield from bins(z[ok], r[ok], np.broadcast_to(sample, ok.shape)[ok])
+                yield bins(z[ok], r[ok], np.broadcast_to(sample, ok.shape)[ok])
                 for pa, pb, lam, mu in groups:
                     za, zb = z[pa], z[pb]
                     ra, rb = r[pa], r[pb]
@@ -417,10 +413,13 @@ class ReachSweep:
                     good = np.hypot(za - zb, ra - rb) <= fill_limit
                     za, zb, ra, rb = za[good], zb[good], ra[good], rb[good]
                     key = np.tile(np.broadcast_to(sample, good.shape)[good], len(lam))
-                    yield from bins((lam * za + mu * zb).ravel(), (lam * ra + mu * rb).ravel(), key)
+                    yield bins((lam * za + mu * zb).ravel(), (lam * ra + mu * rb).ravel(), key)
                 del z, r, ok  # views of the window bin_blocks frees before its next read
 
         first = first_passage(n * n, cells())
+        # an odd n's middle column is its own mirror image
+        square = first.reshape(n, n)
+        square[:, : n // 2] = square[:, ::-1][:, : n // 2]
         reached = first != NO_PASSAGE
         tau_min = np.full(n * n, np.inf)
         tau_min[reached] = self.tau[first[reached]]

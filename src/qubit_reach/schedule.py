@@ -100,13 +100,6 @@ class ControlSchedule:
             raise ValueError(f"u_max must be positive, got {cap}")
         return sched.clipped(cap) if cap is not None and np.isfinite(cap) else sched
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u", "n"])
-            for t, u, n in zip(self.times, self.u, self.n):
-                writer.writerow([repr(float(t)), repr(float(u)), repr(float(n))])
-
 
 def _affine_parts(u, n, params: SystemParams):
     """Weights w (m, 3), matrices A (3, 3, 3) and shifts c (3, 3) such that

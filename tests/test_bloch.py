@@ -272,5 +272,5 @@ def test_forward_invariance_under_random_controls():
             traj = integrate(
                 lambda t, rr: bloch_rhs(rr, u, n, p), r, 0.5, tol=1e-10,
             )
-            r = traj.final_state
+            r = traj.ys[-1]
             assert np.max(np.sum(traj.ys ** 2, axis=1)) <= 1.0 + 1e-9

@@ -188,7 +188,7 @@ def test_theta_rhs_matches_argmax_slope():
 def test_sweep_reports_degenerate_seed():
     # psi0 = pi/2 starts on the stationary extremal: theta dynamics is 0/0
     sw = sweep_extremals([seed(np.pi / 2, P)], 1.0, P, sample_dt=0.125)
-    assert sw.failed[0] and sw.fail_tau[0] == 0.0
+    assert sw.fail_tau[0] == 0.0
     z = sw.samples([0], [0], np.s_[:])[0, 0]
     npt.assert_allclose(z[0], 0.0)
     assert np.isnan(z[-1])
@@ -196,7 +196,7 @@ def test_sweep_reports_degenerate_seed():
 
 def test_sweep_disc_invariance():
     sw = sweep_extremals(seed_grid(64, P), 7.0, P, sample_dt=7 / 512)
-    assert not sw.failed.any()
+    assert np.isinf(sw.fail_tau).all()
     z, R = sw.samples([0, 1], np.arange(64), np.s_[:])
     rad = z ** 2 + R ** 2
     assert np.nanmax(rad) <= 1 + 1e-9
@@ -233,15 +233,15 @@ def test_sweep_parallel_merge_identical(monkeypatch, jump):
         alone = sweep_extremals(seeds[part], 2.0, P, sample_dt=2 / 256)
         assert node_bytes(alone.blocks[0]) == node_bytes(blk)
         assert alone.samples(range(5), rows[part] - 8 * k, np.s_[:]).tobytes() == full[:, part].tobytes()
-        assert alone.n_valid.tobytes() == a.n_valid[part].tobytes()
+        assert alone.fail_tau.tobytes() == a.fail_tau[part].tobytes()
         assert alone.fail_reason == a.fail_reason[part]
     frozen = np.r_[8:16, 19]
-    assert (a.fail_tau[frozen] == 0.0).all() and (a.n_valid[frozen] == 1).all()
+    assert (a.fail_tau[frozen] == 0.0).all()
     assert (full[:2, frozen, 0] == [[0.0], [1.0]]).all() and np.isnan(full[:, frozen, 1:]).all()
     if jump:
-        assert a.failed.sum() > 20 and "argmax branch jump" in a.fail_reason
+        assert np.isfinite(a.fail_tau).sum() > 20 and "argmax branch jump" in a.fail_reason
     else:
-        assert a.failed.sum() == 9
+        assert np.isfinite(a.fail_tau).sum() == 9
 
 
 def test_sweep_counts_repeat_and_blocks_share_iterations():
@@ -281,13 +281,13 @@ def test_reader_is_bit_equal_on_any_rows_and_columns(monkeypatch, fail_some):
     with pytest.raises(ValueError, match="increasing"):
         sw.samples([0], [3, 3], np.s_[:])
     # NaN exactly from each seed's failure sample on
-    npt.assert_array_equal(np.isnan(full).any(axis=0), np.arange(513) >= sw.n_valid[:, None])
+    npt.assert_array_equal(np.isnan(full).any(axis=0), sw.tau > sw.fail_tau[:, None])
     if fail_some:
-        assert sw.fail_tau[20] == 0.0 and sw.n_valid[20] == 1
+        assert sw.fail_tau[20] == 0.0 and np.isnan(full[:, 20, 1:]).all()
         mid = (sw.fail_tau > 0.0) & (sw.fail_tau < 7.0)
         assert 10 < mid.sum() < 63 and np.isnan(full[:, mid, -1]).all()
     else:
-        assert not sw.failed.any() and not np.isnan(full).any()
+        assert np.isinf(sw.fail_tau).all() and not np.isnan(full).any()
 
 
 def test_trig_helpers_are_bit_equal():

@@ -28,7 +28,7 @@ def rk4(rhs, y0, T, step):
 
 def test_exponential_decay():
     traj = integrate(lambda t, y: -y, np.array([1.0]), 1.0)
-    assert abs(traj.final_state[0] - np.exp(-1.0)) < 1e-8
+    assert abs(traj.ys[-1][0] - np.exp(-1.0)) < 1e-8
 
 
 def test_free_bloch_spiral_exponent():
@@ -80,7 +80,7 @@ def test_adaptive_vs_fixed_agreement():
         (aux_spiral_rhs(p), np.array([0.0, 1.0]), 2.0),
         (lambda t, y: -y, np.array([1.0]), 1.0),
     ]:
-        ya = integrate(rhs, y0, T, tol=tol).final_state
+        ya = integrate(rhs, y0, T, tol=tol).ys[-1]
         yf = rk4(rhs, y0, T, 1e-3)
         assert np.max(np.abs(ya - yf)) < 10 * max(tol, 1e-10 * 100)
 
@@ -141,7 +141,7 @@ def test_batched_state_integration():
     # trailing batch axes integrate in lockstep
     y0 = np.array([[1.0, 2.0, 3.0]])
     traj = integrate(lambda t, y: -y, y0, 1.0)
-    npt.assert_allclose(traj.final_state, y0 * np.exp(-1.0), atol=1e-8)
+    npt.assert_allclose(traj.ys[-1], y0 * np.exp(-1.0), atol=1e-8)
 
 
 def kind_rhs(t, y):

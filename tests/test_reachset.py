@@ -402,7 +402,8 @@ def test_refinement_budget_exhaustion_is_reported():
 
 def rep_rasterize(sweep, paths, order, gaps):
     """Reference: every strip point of every pair built by [rep]-expanding
-    the pairs, then masked, and binned in one block with the path points."""
+    the pairs, then masked, and binned in one block with the path points,
+    each point at R and at -R (no mirror step)."""
     z, r = paths.samples([0, 1], np.arange(len(paths.seeds)), np.s_[:])
     m, n, inv = len(sweep.tau), sweep.n, 1.0 / sweep.cell
     fill_limit = 2.0 * REFINE_CELLS * sweep.cell
@@ -442,8 +443,12 @@ def rep_rasterize(sweep, paths, order, gaps):
     return tau_min.reshape(n, n), n_sub
 
 
-@pytest.mark.parametrize("ratio, T", [(0.1, 2.0), (0.1, 7.0), (0.3, 7.0)])
-def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T):
+@pytest.mark.parametrize(
+    "ratio, T, raster", [(0.1, 2.0, 64), (0.1, 7.0, 64), (0.3, 7.0, 64), (0.1, 7.0, 63), (0.1, 3.0, 100)]
+)
+def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T, raster):
+    # odd and non-power-of-two rasters too: an odd raster's middle column
+    # is its own mirror image
     seen = {}
     rasterize = ReachSweep._rasterize
 
@@ -452,7 +457,7 @@ def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T):
         return rasterize(self, paths, order, gaps)
 
     monkeypatch.setattr(ReachSweep, "_rasterize", capture)
-    sweep = ReachSweep(SystemParams.from_ratio(ratio), T, n_seeds=64, raster=64)
+    sweep = ReachSweep(SystemParams.from_ratio(ratio), T, n_seeds=64, raster=raster)
     want, n_sub = rep_rasterize(sweep, *seen["args"])
     assert sweep.tau_min.tobytes() == want.tobytes()
     # refined pairs with several chord counts; past T = 2 also unfilled ones

@@ -31,7 +31,8 @@ def test_simulate_holds_each_control_until_the_next_breakpoint():
 def test_schedule_csv_round_trip(tmp_path):
     path = tmp_path / "sched.csv"
     s = ControlSchedule([0.0, 0.25, 1.5], [1.0, -2.0, 0.5], [0.0, 0.1, 0.0], T=2.0)
-    s.to_csv(path)
+    rows = zip(s.times.tolist(), s.u.tolist(), s.n.tolist())
+    path.write_text("t,u,n\n" + "".join(f"{t!r},{u!r},{n!r}\n" for t, u, n in rows))
     back = ControlSchedule.from_csv(path, params=P, duration=2.0)
     npt.assert_array_equal(back.times, s.times)
     npt.assert_array_equal(back.u, s.u)
@@ -152,7 +153,7 @@ def test_propagate_matches_tight_integration_with_incoherent_control():
     y = np.array([0.1, -0.4, 0.7])
     for k in range(12):
         rhs = lambda t, r, k=k: bloch_rhs(r, u[k], n[k], p)
-        y = integrate(rhs, y, edges[k + 1] - edges[k], tol=1e-13).final_state
+        y = integrate(rhs, y, edges[k + 1] - edges[k], tol=1e-13).ys[-1]
         npt.assert_allclose(got[k + 1], y, rtol=0, atol=1e-9)
 
 

@@ -110,7 +110,7 @@ def test_replay_hits_recorded_cells(table):
             ExtremalSeed(psi0, theta0), tmin, P, sample_dt=max(tmin / 256, 1e-4)
         )
         zc, rc = table.cell_center(i, j)
-        dist = np.hypot(traj.final_state[0] - zc, traj.final_state[1] - rc)
+        dist = np.hypot(traj.ys[-1][0] - zc, traj.ys[-1][1] - rc)
         worst = max(worst, dist / table.cell)
     assert worst <= 2.0
 
@@ -242,11 +242,12 @@ def node_sweep(tau, seeds, z, R):
     derivatives, so each sample j > 0 is the step's end state (at s = 1)."""
     ns, m = z.shape
     n_valid = np.where(np.isnan(z).any(axis=1), np.isnan(z).argmax(axis=1), m)
+    # the fail times that make tau[j] > fail_tau exactly where j >= n_valid
+    fail_tau = np.concatenate([[-np.inf], tau[:-1], [np.inf]])[n_valid]
     nodes = np.zeros((16, ns, m))  # zero derivatives and theta
     nodes[0], nodes[1] = np.nan_to_num(z, nan=0.5), np.nan_to_num(R, nan=0.5)
     block = {"t0": tau[:-1], "h": np.diff(tau), "t1": tau[1:], "nodes": nodes}
-    return ExtremalSweep(tau, seeds, [block], n_valid, n_valid < m, np.full(ns, np.inf),
-                         [None] * ns, {})
+    return ExtremalSweep(tau, seeds, [block], fail_tau, [None] * ns, {})
 
 
 def test_binning_matches_naive_loop(monkeypatch):
