@@ -135,8 +135,8 @@ class BarrierTriangle:
     gamma_ratio: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (np.isfinite(self.phi0) and 0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError("phi0 must be finite, and alpha and beta finite and positive")
 
     def edge_rho(self, edge: str, phi):
         s = _edge_sign(edge)
@@ -209,9 +209,9 @@ def barrier_certificate(
     """
     if params.gamma <= 0:
         raise ValueError("barrier certificates require gamma > 0")
+    tri = BarrierTriangle(phi0, alpha, beta, params.ratio)
     if abs(np.sin(phi0)) >= 1.0 - 1e-12:
         raise ValueError("certificate requires |sin(phi0)| < 1 (phi0 != +-pi/2)")
-    tri = BarrierTriangle(phi0, alpha, beta, params.ratio)
     thetas = np.linspace(0.0, 2.0 * np.pi, BARRIER_THETA_GRID, endpoint=False)[None, :]
     for edge in ("plus", "minus"):
         lo, hi = tri.edge_phi_range(edge)
@@ -426,7 +426,7 @@ class ReachSweep:
         return tau_min.reshape(n, n)
 
     def occupancy(self, T: float) -> np.ndarray:
-        if T > self.T_max + 1e-12:
+        if not T <= self.T_max + 1e-12:  # NaN too
             raise ValueError(f"raster was swept to T_max={self.T_max}, asked for T={T}")
         return self.tau_min <= T
 

@@ -152,6 +152,17 @@ def test_barrier_certificate_monotone_in_alpha():
     assert barrier_certificate(0.0, 0.8, 1e-6, P) is False
 
 
+@pytest.mark.parametrize(
+    "phi0, alpha, beta",
+    [(0.0, np.nan, 1e-3), (0.0, 0.4, np.nan), (np.nan, 0.4, 1e-3), (0.0, np.inf, 1e-3),
+     (0.0, 0.4, np.inf), (np.inf, 0.4, 1e-3), (0.0, -0.4, 1e-3)],
+)
+def test_barrier_certificate_rejects_bad_triangles(phi0, alpha, beta):
+    # NaN compares False, so a NaN triangle once passed the grid check
+    with pytest.raises(ValueError, match="finite"):
+        barrier_certificate(phi0, alpha, beta, P)
+
+
 def test_barrier_certificate_bounds_its_temporaries():
     # the grid check evaluates a few edge samples at a time: one full
     # (phi, theta) grid of G is 11.8 MB, and it made several at once
@@ -204,6 +215,14 @@ def test_reachable_set_object(small_sweep):
     assert rset.boundary and all(np.allclose(l[0], l[-1]) for l in rset.boundary)
     centers = rset.occupied_centers()
     assert len(centers) == rset.raster.sum()
+
+
+def test_horizon_beyond_the_sweep_is_refused(small_sweep):
+    for T in (np.nan, small_sweep.T_max + 0.5):
+        with pytest.raises(ValueError, match="asked for T="):
+            small_sweep.occupancy(T)
+        with pytest.raises(ValueError, match="asked for T="):
+            small_sweep.reachable_set(T)
 
 
 def test_sweep_input_validation():
