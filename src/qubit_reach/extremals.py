@@ -510,7 +510,9 @@ def integrate_extremal(
     """
     sweep = sweep_extremals([seedv], T_scaled, params, sample_dt=sample_dt)
     if sweep.fail_tau[0] < T_scaled:
-        raise IntegrationError(f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}")
+        raise IntegrationError(
+            f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"
+        )
     states = normalize_states(sweep.samples(range(5), [0], slice(None))[:, 0].T.copy())
     return Trajectory(sweep.tau, states, _extremal_rhs(states.T, params.ratio).T)
 
