@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from qubit_reach import SystemParams, integrate_extremal, seed
+from qubit_reach.bloch import SingularityError
 from qubit_reach.extremals import sample_times
 from qubit_reach.reachset import (
     BIN_BLOCK,
@@ -135,6 +136,8 @@ def test_barrier_values_edge_range_check():
     tri = BarrierTriangle(0.0, 0.1, 1e-3, G)
     with pytest.raises(ValueError):
         barrier_values(tri, "plus", -0.5e-3, 0.0, P)
+    with pytest.raises(SingularityError, match="singular at rho=0.0"):
+        barrier_values(tri, "plus", 0.5e-3, 0.0, P, rho=0.0)
 
 
 def test_barrier_certificate_brackets_alpha_bound():
