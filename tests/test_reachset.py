@@ -462,7 +462,9 @@ def rep_rasterize(sweep, paths, order, gaps):
 
 
 @pytest.mark.parametrize(
-    "ratio, T, raster", [(0.1, 2.0, 64), (0.1, 7.0, 64), (0.3, 7.0, 64), (0.1, 7.0, 63), (0.1, 3.0, 100)]
+    "ratio, T, raster",
+    [(0.1, 2.0, 64), (0.1, 7.0, 64), (0.3, 7.0, 64), (0.1, 7.0, 63), (0.1, 3.0, 100)],
+    ids=["0.1-2.0", "0.1-7.0", "0.3-7.0", "0.1-7.0-raster63", "0.1-3.0-raster100"],
 )
 def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T, raster):
     # odd and non-power-of-two rasters too: an odd raster's middle column
