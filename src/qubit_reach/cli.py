@@ -1,10 +1,10 @@
 """Command-line surface: simulation, extremals, reachable sets, certificates.
 
 Exit codes: 0 success, 1 domain error (bad physics, unreachable target,
-integration failure), 2 usage error.  All numeric output is deterministic
-for a fixed invocation: seed grids, merge order and float formatting are
-fixed, and worker threads (capped by QUBIT_REACH_THREADS) never reorder
-results.
+integration failure, an array too large to allocate), 2 usage error.
+All numeric output is deterministic for a fixed invocation: seed grids,
+merge order and float formatting are fixed, and worker threads (capped
+by QUBIT_REACH_THREADS) never reorder results.
 """
 
 from __future__ import annotations
@@ -146,6 +146,21 @@ def _cmd_extremal(args, parser):
     return 0
 
 
+def _sweep_notes(sweep: ReachSweep) -> None:
+    """Stderr notes on what a sweep left undone; stdout and files stay as they are."""
+    notes = []
+    if sweep.n_failed:
+        notes.append(f"{sweep.n_failed} seed(s) ended early and were truncated")
+    if sweep.budget_exhausted:
+        notes.append(f"the refinement budget ran out after {sweep.seeds_added} seeds "
+                     "with wide gaps left")
+    if sweep.unfilled_pairs:
+        notes.append(f"{len(sweep.unfilled_pairs)} adjacent seed pair(s) too wide for "
+                     "strips were left unfilled")
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
+
+
 def _spiral_overlay(args, params):
     return spiral_region(params) if getattr(args, "overlay_spiral", False) else None
 
@@ -156,9 +171,8 @@ def _cmd_reachset(args, parser):
         params, args.T, n_seeds=args.seeds, raster=args.raster,
         n_threads=_threads(parser),
     )
+    _sweep_notes(sweep)
     rset = sweep.reachable_set(args.T)
-    if sweep.n_failed:
-        print(f"note: {sweep.n_failed} seed(s) ended early and were truncated", file=sys.stderr)
     rows = [(float(z), float(r)) for z, r in rset.occupied_centers()]
     _write_rows(_open_out(args.out), ["z", "R"], rows)
     if args.svg:
@@ -175,6 +189,7 @@ def _cmd_movie(args, parser):
         params, args.T_max, n_seeds=args.seeds, raster=args.raster,
         n_threads=_threads(parser),
     )
+    _sweep_notes(sweep)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     overlay = _spiral_overlay(args, params)
@@ -340,7 +355,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, SingularityError, IntegrationError, UnreachableError, OSError) as exc:
+    except (ValueError, SingularityError, IntegrationError, UnreachableError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ stepping: :func:`expm` propagates them exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,10 +157,13 @@ def dp45(
     its bits do not depend on the other groups.  Columns not in the mask
     ``live`` get zero derivative.  A step is accepted when, in each live
     column of the group, the RMS of the error estimate over tol + tol *
-    max(|y0|, |y1|) is at most 1.  A live column whose step is not finite,
-    or a group's worst after 60 rejections in a row, goes to ``drop(cols,
-    t, reason)`` (column indices), which takes it out of ``live`` or
-    raises; the group retries from rhs(t, y).  The groups that accepted
+    max(|y0|, |y1|) is at most 1 and h is 10 ulp of t or more, or reaches
+    T (scipy's RK45 minimum step).  A live column whose step is not
+    finite, or the group's worst when h is below that minimum (a step
+    collapse), goes to ``drop(cols, t, reason)`` (column indices), which
+    takes it out of ``live`` or raises; the group retries from rhs(t, y),
+    after a collapse at h = min(1e-3, T - t).  Each rejection shrinks h
+    by 10 % or more, so a group whose t stalls ends.  The groups that accepted
     make one call ``accept(groups, cols, steps, y0, f0, y1, f1)`` with
     their (t0, h, t1) and both ends on their columns cols; it may edit y1,
     copies what it keeps and returns the derivative to go on from.  A
@@ -174,7 +178,7 @@ def dp45(
             raise ValueError(f"{name} must be finite and positive, got {v}")
     n_groups, size = len(edges) - 1, np.diff(edges)
     t, h = [0.0] * n_groups, [min(1e-3, T)] * n_groups
-    steps, rejects = [0] * n_groups, [0] * n_groups
+    steps = [0] * n_groups
     y = np.asarray(y, dtype=float)
     f = rhs(0.0, y) * live
     iterations, attempts, evals = 0, 0, y.shape[1]
@@ -208,26 +212,22 @@ def dp45(
         worst = np.maximum.reduceat(live_err, offs)  # not finite where a live column is not
         took, stepped = [], []  # whether each running group accepted, and its (t0, h, t1)
         for i, k in enumerate(run):
-            norm = float(worst[i])
-            took.append(norm <= 1.0)
+            norm, g = float(worst[i]), slice(offs[i], offs[i] + size[k])
+            collapse = h[k] < 10 * math.ulp(t[k]) and h[k] < T - t[k]
+            took.append(norm <= 1.0 and not collapse)
             if took[-1]:
                 stepped.append((t[k], h[k], T if (T - t[k] - h[k]) < 1e-15 * T else t[k] + h[k]))
                 t[k] = stepped[-1][2]
                 steps[k] += 1
-                rejects[k] = 0
-                h[k] *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
-                continue
-            g = slice(offs[i], offs[i] + size[k])
             if not np.isfinite(norm):
                 drop(cols[g][bad[g]], t[k], "non-finite step")
-            elif rejects[k] == 60:
+            elif collapse:
                 drop(cols[g][[np.argmax(live_err[g])]], t[k], "step collapse")
+                h[k] = min(1e-3, T - t[k])
             else:
-                rejects[k] += 1
-                h[k] *= max(0.2, 0.9 * norm ** -0.2)
+                h[k] *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
                 continue
             # a column dropped: retry from the derivative without it
-            rejects[k] = 0
             f[:, g] = rhs(t[k], y[:, g]) * live[cols[g]]
             evals += size[k]
         if any(took):

@@ -315,6 +315,48 @@ def test_non_finite_params_exit_1(capsys):
         assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reachset", "--T", "1e15", "--seeds", "64", "--raster", "1"],
+        ["movie", "--T-max", "1e15", "--seeds", "64", "--raster", "1"],
+        ["table", "build", "--T-max", "1e15", "--seeds", "256", "--grid", "2"],
+    ],
+    ids=["reachset", "movie", "table-build"],
+)
+def test_unallocatable_horizon_is_a_one_line_error(tmp_path, capsys, argv):
+    # the sample grid of a 1e15 horizon would take 10 PiB (20 PiB for the
+    # table), which no host grants: numpy refuses it at once
+    out_flag = ["--out", str(tmp_path / "t.csv")] if argv[0] == "table" else []
+    if argv[0] == "movie":
+        out_flag = ["--out-dir", str(tmp_path / "frames")]
+    code, out, err = run(capsys, *argv, "--gamma-ratio", "0.1", *out_flag)
+    assert code == 1 and out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["reachset", "movie"])
+def test_sweep_notes_report_an_exhausted_budget(tmp_path, capsys, command):
+    def notes(T):
+        argv = {
+            "reachset": ["reachset", "--T", T, "--out", str(tmp_path / "c.csv")],
+            "movie": ["movie", "--T-max", T, "--frames", "1", "--out-dir", str(tmp_path / "f")],
+        }[command]
+        code, _, err = run(capsys, *argv, "--gamma-ratio", "0.1", "--seeds", "64",
+                           "--raster", "64")
+        assert code == 0 and all(line.startswith("note: ") for line in err.splitlines())
+        return err
+
+    # as ReachSweep(P, 7.0, n_seeds=64, raster=64): the 4 x 64 refinement
+    # seeds run out with wide pairs left, some of them unfilled
+    err = notes("7")
+    assert "note: the refinement budget ran out after 256 seeds" in err
+    unfilled = [line for line in err.splitlines() if line.endswith("were left unfilled")]
+    assert len(unfilled) == 1 and int(unfilled[0].split()[1]) > 0
+    # a short sweep's refinement finishes: its one note is the seed frozen at tau = 0
+    assert notes("0.5") == "note: 1 seed(s) ended early and were truncated\n"
+
+
 def test_malformed_thread_cap_is_usage_error(capsys, monkeypatch):
     for value in ("abc", "0", "-2", "1.5"):
         monkeypatch.setenv("QUBIT_REACH_THREADS", value)

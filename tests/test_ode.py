@@ -106,6 +106,9 @@ def test_trajectory_contract():
     assert traj.ts[0] == 0.0
     assert np.all(np.diff(traj.ts) > 0)
     assert traj.ts[-1] == 1.0
+    # a last step to T below the minimum step (10 ulp of t) is still taken
+    T = 1e-3 + 1.5e-18
+    assert integrate(lambda t, y: 0.0 * y, np.array([1.0]), T).ts[-1] == T
     with pytest.raises(ValueError):
         traj.sample(1.5)
     # dense output hits the stored nodes exactly
@@ -187,8 +190,11 @@ def test_dp45_drops_a_blowing_up_column_and_keeps_the_others():
     (steps,), (dropped,), _ = run_columns([0, 0, 1])
     assert len(dropped) == 1
     cols, t_drop, reason = dropped[0]
-    assert cols == [2] and reason == "non-finite step" and abs(t_drop - 1.0) < 1e-9
+    assert cols == [2] and reason == "step collapse" and abs(t_drop - 1.0) < 1e-9
     assert steps[-1][2] == 2.0
+    # every accepted step moves t: near the pole the minimum step ends the
+    # blow-up column before h falls below 10 ulp of t
+    assert all(t1 > t0 for t0, _, t1, _ in steps)
     y_end = steps[-1][3][:2]
     # the blow-up leaks nothing into the live columns: replaying them alone
     # along the same accepted steps gives the same bits
@@ -206,9 +212,10 @@ def test_dp45_drops_a_blowing_up_column_and_keeps_the_others():
 
 def test_dp45_groups_keep_their_own_bits():
     # three groups in lockstep: the first drops its blow-up column as a
-    # non-finite step near t = 1, the second its 1/t column after 60
-    # rejections at t = 0; each group takes the steps, reaches the states
-    # and makes the drops it does alone
+    # step collapse near t = 1, the second its 1/t column as a non-finite
+    # step at t = 0 (10 ulp of 0 is subnormal, so h shrinks until 1/(c h)
+    # overflows); each group takes the steps, reaches the states and makes
+    # the drops it does alone
     kinds, edges = [0, 1, 0, 0, 2, 0, 0, 0], [0, 2, 5, 8]
     steps, dropped, counts = run_columns(kinds, edges, tol=1e-6)
     alone = [run_columns(kinds[a:b], tol=1e-6) for a, b in zip(edges, edges[1:])]
@@ -216,7 +223,7 @@ def test_dp45_groups_keep_their_own_bits():
         assert [s[:3] for s in steps[k]] == [s[:3] for s in ref_steps]
         assert b"".join(s[3].tobytes() for s in steps[k]) == b"".join(s[3].tobytes() for s in ref_steps)
         assert dropped[k] == ref_dropped
-    assert [d[0][2] for d in dropped[:2]] == ["non-finite step", "step collapse"]
+    assert [d[0][2] for d in dropped[:2]] == ["step collapse", "non-finite step"]
     assert dropped[1][0][1] == 0.0 and dropped[2] == [] and all(s[-1][2] == 2.0 for s in steps)
     assert len({len(s) for s in steps}) == 3  # the groups end after different step counts
     # an iteration is one attempt of every running group
@@ -226,5 +233,18 @@ def test_dp45_groups_keep_their_own_bits():
 
 def test_integrate_blow_up_raises_with_time():
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationError, match="non-finite step at t=0.99"):
+        with pytest.raises(IntegrationError, match="step collapse at t=0.99"):
             integrate(lambda t, y: y * y, np.array([1.0]), 2.0)
+    # y' = 1/(t - 1) from 0: y stays moderate (log|t - 1|) while h shrinks
+    # towards the pole; the minimum step ends it there within 20,000 calls
+    # (about 8,000), where steps that do not move t would creep on for millions
+    calls = []
+
+    def log_rhs(t, y):
+        calls.append(t)
+        if len(calls) > 20_000:
+            raise RuntimeError("no step collapse within 20,000 calls")
+        return 1.0 / (t - 1.0)
+
+    with pytest.raises(IntegrationError, match=r"step collapse at t=0\.99999999"):
+        integrate(log_rhs, np.array([0.0]), 2.0)
