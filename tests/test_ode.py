@@ -192,8 +192,8 @@ def test_dp45_drops_a_blowing_up_column_and_keeps_the_others():
     cols, t_drop, reason = dropped[0]
     assert cols == [2] and reason == "step collapse" and abs(t_drop - 1.0) < 1e-9
     assert steps[-1][2] == 2.0
-    # every accepted step moves t: near the pole the minimum step ends the
-    # blow-up column before h falls below 10 ulp of t
+    # every accepted step moves t: near the pole, a step below 10 ulp of t
+    # is a step collapse, never an accepted step
     assert all(t1 > t0 for t0, _, t1, _ in steps)
     y_end = steps[-1][3][:2]
     # the blow-up leaks nothing into the live columns: replaying them alone
