@@ -44,14 +44,14 @@ def bin_blocks(paths):
 def first_passage(n_cells: int, blocks) -> np.ndarray:
     """Per-cell minimum of packed integer keys.
 
-    blocks yields (flat cell index, key) array pairs, one block of sample
-    columns at a time.  With the sample index in the leading digits of the
-    key the minimum is the earliest passage; a seed index in the trailing
-    digits breaks ties toward the lowest seed.  Cells nothing enters keep
-    NO_PASSAGE.
+    blocks(first) yields (flat cell index, key) array pairs, one block of
+    sample columns at a time, and may read first, the minimum so far.  With
+    the sample index in the leading digits of the key the minimum is the
+    earliest passage; a seed index in the trailing digits breaks ties
+    toward the lowest seed.  Cells nothing enters keep NO_PASSAGE.
     """
     first = np.full(n_cells, NO_PASSAGE, dtype=np.int64)
-    for cells, keys in blocks:
+    for cells, keys in blocks(first):
         np.minimum.at(first, cells, keys)
     return first
 
@@ -381,6 +381,10 @@ class ReachSweep:
         Each point is binned once, at |R|; the R < 0 half is the mirror image."""
         n = self.n
         inv = 1.0 / self.cell
+        # a window's keys exceed all earlier ones, so a row or a pair whose box
+        # of cells earlier windows all entered is skipped; done is the summed-
+        # area table of those settled cells of the folded half, per read
+        done = np.zeros((n + 1, n - n // 2 + 1), dtype=np.int32)
         # strips are bridged by chords only where the two paths run close
         # together; a chord across a wide gap could cut through a genuinely
         # unreachable bay, so wide moments stay unbridged (and recorded)
@@ -401,12 +405,35 @@ class ReachSweep:
             cell += np.clip(((np.abs(pr) + 1.0) * inv).astype(int), 0, n - 1)
             return cell, key
 
-        def cells():
+        def span(lo, hi, low):
+            # summed-area-table range of the cells from lo to hi, one cell of slack each side
+            i0 = np.clip(((lo + 1.0) * inv).astype(int) - 1, low, n - 1)
+            i1 = np.clip(((hi + 1.0) * inv).astype(int) + 1, low, n - 1)
+            return i0 - low, i1 - low + 1
+
+        def todo(nzlo, zhi, nrlo, rhi):
+            """Whether a box -nzlo <= z <= zhi, -nrlo <= R <= rhi has an unsettled cell."""
+            i0, i1 = span(-nzlo, zhi, 0)
+            c0, c1 = span(np.maximum(-np.minimum(nrlo, rhi), 0.0), np.maximum(nrlo, rhi), n // 2)
+            settled = done[i1, c1] - done[i0, c1] - done[i1, c0] + done[i0, c0]
+            return settled < (i1 - i0) * (c1 - c0)
+
+        def cells(first):
             for j0, z, r in bin_blocks(paths):
+                if j0 % READ_COLS == 0:
+                    done[1:, 1:] = first.reshape(n, n)[:, n // 2 :] != NO_PASSAGE
+                    done.cumsum(0, out=done).cumsum(1, out=done)
                 sample = np.arange(j0, j0 + z.shape[1])
+                # rows' boxes (-min z, max z, -min R, max R), 0 if dead; a pair's: max of its ends'
+                box = np.stack([-np.fmin.reduce(z, 1), np.fmax.reduce(z, 1),
+                                -np.fmin.reduce(r, 1), np.fmax.reduce(r, 1)])
+                np.nan_to_num(box, copy=False)
                 ok = np.isfinite(z)
+                ok &= todo(*box)[:, None]
                 yield bins(z[ok], r[ok], np.broadcast_to(sample, ok.shape)[ok])
                 for pa, pb, lam, mu in groups:
+                    go = todo(*np.maximum(box[:, pa], box[:, pb]))
+                    pa, pb = pa[go], pb[go]
                     za, zb = z[pa], z[pb]
                     ra, rb = r[pa], r[pb]
                     # NaN tails compare False, so the chord needs both ends live
@@ -416,7 +443,7 @@ class ReachSweep:
                     yield bins((lam * za + mu * zb).ravel(), (lam * ra + mu * rb).ravel(), key)
                 del z, r, ok  # views of the window bin_blocks frees before its next read
 
-        first = first_passage(n * n, cells())
+        first = first_passage(n * n, cells)
         # an odd n's middle column is its own mirror image
         square = first.reshape(n, n)
         square[:, : n // 2] = square[:, ::-1][:, : n // 2]

@@ -122,7 +122,7 @@ def build_table(
     # the result goes into the arrays the table was made with, before the
     # sweep: an array made after it could sit above the sweep's freed memory
     # and keep the allocator from returning that memory
-    first = first_passage(nz * nr, cells()).reshape(nz, nr)
+    first = first_passage(nz * nr, lambda first: cells()).reshape(nz, nr)
     np.not_equal(first, NO_PASSAGE, out=table.mask)
     tau_idx, seed_of = np.divmod(first[table.mask], ns)
     table.tmin[table.mask] = sweep.tau[tau_idx]

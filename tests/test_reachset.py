@@ -1,10 +1,11 @@
 import tracemalloc
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qubit_reach import SystemParams, integrate_extremal, seed
+from qubit_reach import SystemParams, integrate_extremal, reachset, seed
 from qubit_reach.bloch import SingularityError
 from qubit_reach.extremals import sample_times
 from qubit_reach.reachset import (
@@ -454,7 +455,7 @@ def rep_rasterize(sweep, paths, order, gaps):
                 ir += iz
                 yield ir, key
 
-    first = first_passage(n * n, cells())
+    first = first_passage(n * n, lambda first: cells())
     reached = first != NO_PASSAGE
     tau_min = np.full(n * n, np.inf)
     tau_min[reached] = sweep.tau[first[reached]]
@@ -463,8 +464,10 @@ def rep_rasterize(sweep, paths, order, gaps):
 
 @pytest.mark.parametrize(
     "ratio, T, raster",
-    [(0.1, 2.0, 64), (0.1, 7.0, 64), (0.3, 7.0, 64), (0.1, 7.0, 63), (0.1, 3.0, 100)],
-    ids=["0.1-2.0", "0.1-7.0", "0.3-7.0", "0.1-7.0-raster63", "0.1-3.0-raster100"],
+    [(0.1, 2.0, 64), (0.1, 7.0, 64), (0.3, 7.0, 64), (0.1, 7.0, 63), (0.1, 3.0, 100),
+     (0.1, 7.0, 128)],
+    ids=["0.1-2.0", "0.1-7.0", "0.3-7.0", "0.1-7.0-raster63", "0.1-3.0-raster100",
+         "0.1-7.0-raster128"],
 )
 def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T, raster):
     # odd and non-power-of-two rasters too: an odd raster's middle column
@@ -485,6 +488,87 @@ def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T, raster):
     assert (len(sweep.unfilled_pairs) > 0) == (T > 2.0)
 
 
+def test_rasterize_skips_settled_windows(monkeypatch):
+    # count the entries _rasterize hands to first_passage against those of
+    # every finite path point and every chord point it would bin unskipped
+    seen, handed = {}, []
+    rasterize = ReachSweep._rasterize
+
+    def capture(self, paths, order, gaps):
+        seen.update(args=(paths, order, gaps))
+        return rasterize(self, paths, order, gaps)
+
+    def counting(n_cells, blocks):
+        def counted(first):
+            for cells, keys in blocks(first):
+                handed.append(len(cells))
+                yield cells, keys
+
+        return first_passage(n_cells, counted)
+
+    monkeypatch.setattr(ReachSweep, "_rasterize", capture)
+    monkeypatch.setattr(reachset, "first_passage", counting)
+    sweep = ReachSweep(P, 7.0, n_seeds=64, raster=64)
+    paths, order, gaps = seen["args"]
+    want, n_sub = rep_rasterize(sweep, paths, order, gaps)
+    assert sweep.tau_min.tobytes() == want.tobytes()
+    z, r = paths.samples([0, 1], np.arange(len(paths.seeds)), np.s_[:])
+    a, b = order, np.roll(order, -1)
+    near = np.hypot(z[a] - z[b], r[a] - r[b]) <= 2.0 * REFINE_CELLS * sweep.cell
+    unskipped = np.isfinite(z).sum() + np.sum((np.maximum(n_sub, 1) - 1) * near.sum(axis=1))
+    # the counts repeat exactly; the share handed over is 0.85 at this size
+    assert sum(handed) < 0.9 * unskipped, sum(handed) / unskipped
+
+
+def test_skipped_windows_keep_the_edge_cases():
+    # a made-up family of six paths over 384 samples on a 16-cell raster.
+    # The summed-area table is refreshed with settled cells first at sample
+    # 256, so each case sits in the window from 256 on, in cells F or H
+    # settled by sample 39 around a cell that only that case enters
+    n, m, cell = 16, 384, 0.125
+    c = -1.0 + (np.arange(n) + 0.5) * cell  # cell centres
+    zr = np.empty((2, 6, m))
+    # F settles the cells around C's crossing, around the origin (where a
+    # NaN box would point) and the cell where E1 and E2 end up
+    blocks = [(range(3, 6), range(9, 12)), (range(7, 10), range(8, 10)), ([2], [14])]
+    F = [(c[i], c[j]) for iz, ir in blocks for i in iz for j in ir]
+    zr[:, 0, : len(F)] = np.transpose(F)
+    zr[:, 0, len(F) : 256] = [[c[15]], [c[8]]]  # parked away from the rest
+    zr[:, 0, 256:] = [[c[2]], [c[14]]]
+    # C crosses R = 0: of its cells only those below |R| = 0.125 are new
+    zr[0, 1] = c[4]
+    zr[1, 1] = np.concatenate([np.full(256, c[10]), np.linspace(c[10], -c[10], 64),
+                               np.full(64, -c[10])])
+    # N enters a new cell, then its NaN tail starts mid-window, and the
+    # window at 320 is all NaN
+    zr[:, 2] = c[13]
+    zr[1, 2, 256:] = c[14]
+    zr[:, 2, 276:] = np.nan
+    # E1 and E2 run together at z = -0.75, a cell edge; their chord points
+    # at lam = 1/5 round below it into the next cell
+    zr[0, 3:5] = -0.75
+    zr[1, 3:5, :256], zr[1, 3:5, 256:] = c[12], c[14]
+    # H waits away from F's walk, settles the cells around its own; from
+    # 256 on only its chords to F cross new cells
+    zr[:, 5] = [[c[6]], [c[14]]]
+    zr[:, 5, :30] = c[15]
+    zr[:, 5, 30:39] = np.transpose([(c[i], c[j]) for i in range(5, 8) for j in range(13, 16)])
+    paths = types.SimpleNamespace(
+        tau=np.arange(m) * 0.01, seeds=[None] * 6,
+        samples=lambda comps, rows, cols: zr[comps][:, rows][:, :, cols],
+    )
+    sweep = ReachSweep.__new__(ReachSweep)
+    sweep.n, sweep.cell, sweep.tau = n, cell, paths.tau
+    order = np.arange(6)
+    gaps = np.array([0.0, 0.0, 0.25, 0.25, 0.0, 0.5])
+    want, n_sub = rep_rasterize(sweep, paths, order, gaps)
+    assert list(n_sub) == [0, 0, 5, 5, 0, 9]
+    got = sweep._rasterize(paths, order, gaps)
+    assert got.tobytes() == want.tobytes()
+    for iz, ir in [(4, 8), (13, 14), (1, 14), (3, 14)]:
+        assert 2.56 <= got[iz, ir] < 3.2, (iz, ir)
+
+
 def naive_first_passage(n_cells, cells, keys):
     """Reference: visit entries in key order and keep the first per cell."""
     first = np.full(n_cells, NO_PASSAGE, dtype=np.int64)
@@ -499,6 +583,6 @@ def test_first_passage_matches_naive_loop():
     cells = rng.integers(0, 20, 500)  # 25 cells, five never entered
     keys = rng.integers(0, 40, 500)  # many repeated cells and tied keys
     blocks = [(cells[k : k + 64], keys[k : k + 64]) for k in range(0, 500, 64)]
-    got = first_passage(25, iter(blocks))
+    got = first_passage(25, lambda first: blocks)
     npt.assert_array_equal(got, naive_first_passage(25, cells, keys))
     assert np.all(got[20:] == NO_PASSAGE)
