@@ -28,6 +28,7 @@ SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
 BARRIER_THETA_GRID = 720  # control angles of the barrier-certificate grid check
 BARRIER_CHUNK = 64  # edge samples per evaluation: bounds the (chunk, theta) temporaries
+OBJ_ROWS = 4096  # mesh rows per formatted chunk: bounds the Python floats held at once
 
 
 def bin_blocks(paths):
@@ -595,9 +596,11 @@ def revolve_to_3d(set2d: ReachableSet2D, n_angles: int = 64):
 
 
 def write_obj(path, vertices, faces) -> None:
-    """Minimal OBJ export of a triangle mesh."""
-    v = np.asarray(vertices, dtype=float).ravel().tolist()
-    f = (np.asarray(faces, dtype=int) + 1).ravel().tolist()
+    """Minimal OBJ export of a triangle mesh, OBJ_ROWS rows per formatted chunk."""
+    rows = [(np.asarray(vertices, dtype=float).reshape(-1, 3), "v %.9f %.9f %.9f\n"),
+            (np.asarray(faces, dtype=int).reshape(-1, 3) + 1, "f %d %d %d\n")]
     with open(path, "w") as fh:
-        fh.write(("v %.9f %.9f %.9f\n" * (len(v) // 3)) % tuple(v))
-        fh.write(("f %d %d %d\n" * (len(f) // 3)) % tuple(f))
+        for a, line in rows:
+            for k in range(0, len(a), OBJ_ROWS):
+                chunk = a[k : k + OBJ_ROWS]
+                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
