@@ -44,6 +44,7 @@ MAX_FRAMES = 10000
 MAX_OBJ_ANGLES = 4096
 MAX_SAMPLES = 100_000
 MAX_RANK_GRID = 101  # 523,305 certificates in the ball, one output row each
+MAX_HORIZON = 1000  # sweep and extremal horizons, in units of 1/omega: samples scale with it
 
 
 def positive_int(text: str) -> int:
@@ -66,6 +67,14 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def horizon(text: str) -> float:
+    """argparse type of a sweep or extremal horizon in units of 1/omega."""
+    value = finite_float(text)
+    if value > MAX_HORIZON:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_HORIZON}, got {text!r}")
     return value
 
 
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="integrate one time-optimal extremal")
     _add_param_flags(p)
     p.add_argument("--psi0", type=finite_float, required=True, help="costate angle (rad)")
-    p.add_argument("--T", type=finite_float, required=True, help="duration in units of 1/omega")
+    p.add_argument("--T", type=horizon, required=True, help="duration in units of 1/omega")
     p.add_argument("--branch", choices=("max", "min"), default="max")
     p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=2001)
     p.add_argument("--out", default="-")
@@ -292,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reachset", help="reachable set raster at scaled time T")
     _add_param_flags(p)
-    p.add_argument("--T", type=finite_float, required=True)
+    p.add_argument("--T", type=horizon, required=True)
     p.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=1024)
     p.add_argument("--raster", type=partial(count_up_to, MAX_RASTER), default=512)
     p.add_argument("--out", default="-", help="CSV of occupied cell centers")
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("movie", help="SVG frames of the growing reachable set")
     _add_param_flags(p)
-    p.add_argument("--T-max", type=finite_float, default=7.0)
+    p.add_argument("--T-max", type=horizon, default=7.0)
     p.add_argument("--frames", type=partial(count_up_to, MAX_FRAMES), default=140)
     p.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=1024)
     p.add_argument("--raster", type=partial(count_up_to, MAX_RASTER), default=512)
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = tsub.add_parser("build")
     _add_param_flags(pb)
     pb.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=4096)
-    pb.add_argument("--T-max", type=finite_float, default=10.0)
+    pb.add_argument("--T-max", type=horizon, default=10.0)
     pb.add_argument("--grid", type=positive_int, default=256)
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_table_build)

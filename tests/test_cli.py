@@ -40,6 +40,10 @@ def test_usage_error_is_exit_2():
         (["extremal", "--psi0", "0", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["spiral", "--samples"], cli.MAX_SAMPLES),
         (["rank", "--grid"], cli.MAX_RANK_GRID),
+        (["reachset", "--T"], cli.MAX_HORIZON),
+        (["movie", "--T-max"], cli.MAX_HORIZON),
+        (["table", "build", "--out", "t.csv", "--T-max"], cli.MAX_HORIZON),
+        (["extremal", "--psi0", "0", "--T"], cli.MAX_HORIZON),
     ],
 )
 def test_count_flags_are_bounded(capsys, argv, bound):
@@ -324,9 +328,11 @@ def test_non_finite_params_exit_1(capsys):
     ],
     ids=["reachset", "movie", "table-build"],
 )
-def test_unallocatable_horizon_is_a_one_line_error(tmp_path, capsys, argv):
+def test_unallocatable_horizon_is_a_one_line_error(tmp_path, capsys, monkeypatch, argv):
     # the sample grid of a 1e15 horizon would take 10 PiB (20 PiB for the
-    # table), which no host grants: numpy refuses it at once
+    # table), which no host grants: numpy refuses it at once.  MAX_HORIZON
+    # refuses such a horizon first; it is lifted so the allocation is tried
+    monkeypatch.setattr(cli, "MAX_HORIZON", 1e16)
     out_flag = ["--out", str(tmp_path / "t.csv")] if argv[0] == "table" else []
     if argv[0] == "movie":
         out_flag = ["--out-dir", str(tmp_path / "frames")]
