@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 1 domain error (bad physics, unreachable target,
 integration failure, an array too large to allocate), 2 usage error.
-All numeric output is deterministic for a fixed invocation: seed grids,
-merge order and float formatting are fixed, and worker threads (capped
-by QUBIT_REACH_THREADS) never reorder results.
+All numeric output is deterministic for a fixed invocation: seed grids
+and float formatting are fixed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -39,7 +37,7 @@ from .table import UnreachableError
 # upper bounds of the count flags: each scales the memory a run asks for,
 # so a larger value is refused as a usage error before anything is allocated
 MAX_SEEDS = 16384
-MAX_RASTER = 4096  # as table.MAX_GRID
+MAX_RASTER = table_mod.MAX_GRID
 MAX_FRAMES = 10000
 MAX_OBJ_ANGLES = 4096
 MAX_SAMPLES = 100_000
@@ -84,13 +82,6 @@ def bloch_vector(text: str) -> np.ndarray:
     if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-12:
         raise argparse.ArgumentTypeError(f"expected 'rx,ry,rz' with |r| <= 1, got {text!r}")
     return r
-
-
-def _threads(parser: argparse.ArgumentParser) -> int:
-    try:
-        return positive_int(os.environ.get("QUBIT_REACH_THREADS") or "1")
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"QUBIT_REACH_THREADS: {exc}")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -155,8 +146,10 @@ def _cmd_extremal(args, parser):
     return 0
 
 
-def _sweep_notes(sweep: ReachSweep) -> None:
-    """Stderr notes on what a sweep left undone; stdout and files stay as they are."""
+def _sweep(args, params, T_max: float) -> ReachSweep:
+    """The first-passage sweep of reachset and movie, with stderr notes on
+    what it left undone; stdout and files stay as they are."""
+    sweep = ReachSweep(params, T_max, n_seeds=args.seeds, raster=args.raster)
     notes = []
     if sweep.n_failed:
         notes.append(f"{sweep.n_failed} seed(s) ended early and were truncated")
@@ -168,6 +161,7 @@ def _sweep_notes(sweep: ReachSweep) -> None:
                      "strips were left unfilled")
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
+    return sweep
 
 
 def _spiral_overlay(args, params):
@@ -176,12 +170,7 @@ def _spiral_overlay(args, params):
 
 def _cmd_reachset(args, parser):
     params = _params(args, parser)
-    sweep = ReachSweep(
-        params, args.T, n_seeds=args.seeds, raster=args.raster,
-        n_threads=_threads(parser),
-    )
-    _sweep_notes(sweep)
-    rset = sweep.reachable_set(args.T)
+    rset = _sweep(args, params, args.T).reachable_set(args.T)
     rows = [(float(z), float(r)) for z, r in rset.occupied_centers()]
     _write_rows(_open_out(args.out), ["z", "R"], rows)
     if args.svg:
@@ -194,11 +183,7 @@ def _cmd_reachset(args, parser):
 
 def _cmd_movie(args, parser):
     params = _params(args, parser)
-    sweep = ReachSweep(
-        params, args.T_max, n_seeds=args.seeds, raster=args.raster,
-        n_threads=_threads(parser),
-    )
-    _sweep_notes(sweep)
+    sweep = _sweep(args, params, args.T_max)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     overlay = _spiral_overlay(args, params)
@@ -255,8 +240,7 @@ def _cmd_rank(args, parser):
 def _cmd_table_build(args, parser):
     params = _params(args, parser)
     tbl = table_mod.build_table(
-        params, n_seeds=args.seeds, T_max_scaled=args.T_max,
-        grid_resolution=args.grid, n_threads=_threads(parser),
+        params, n_seeds=args.seeds, T_max_scaled=args.T_max, grid_resolution=args.grid
     )
     table_mod.save(tbl, args.out)
     print(f"wrote {int(np.sum(tbl.mask))} nonempty cells to {args.out}")

@@ -466,17 +466,16 @@ def sweep_extremals_parallel(
     params: SystemParams,
     *,
     n_threads: int = 1,
-    tol: float = 1e-10,
-    sample_dt: float | None = None,
+    **options,
 ) -> ExtremalSweep:
     """:func:`sweep_extremals` on at most n_threads threads, each on a
     contiguous chunk of whole SWEEP_BLOCK blocks, merged in order.  A
     block's steps do not depend on its chunk, so the result is the same
-    for any n_threads."""
+    for any n_threads.  options (tol, sample_dt) go to sweep_extremals."""
     seeds = _as_seeds(seeds, params)
     n_blocks = -(-len(seeds) // SWEEP_BLOCK)
     k = min(max(1, n_threads), n_blocks)
-    sweep = functools.partial(sweep_extremals, T=T, params=params, tol=tol, sample_dt=sample_dt)
+    sweep = functools.partial(sweep_extremals, T=T, params=params, **options)
     if k == 1:  # on this thread, whose memory the caller then reuses
         return sweep(seeds)
     from concurrent.futures import ThreadPoolExecutor

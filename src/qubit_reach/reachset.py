@@ -42,6 +42,12 @@ def bin_blocks(paths):
         del z, r  # free this window before the next read allocates one
 
 
+def sample_spacing(cell: float, T_max: float) -> float:
+    """Sample spacing of a first-passage sweep to T_max on cells of side
+    cell: successive samples at most ~0.45 cell apart (speed <= ~1.3)."""
+    return min(0.35 * cell, T_max / 64.0)
+
+
 def first_passage(n_cells: int, blocks) -> np.ndarray:
     """Per-cell minimum of packed integer keys.
 
@@ -295,10 +301,8 @@ class ReachSweep:
         if self.n < 1:
             raise ValueError(f"raster needs at least 1 cell a side, got {raster}")
         self.cell = 2.0 / self.n
-        # successive samples at most ~0.45 cell apart (speed <= ~1.3)
-        self.sample_dt = min(0.35 * self.cell, T_max / 64.0)
+        self.sample_dt = sample_spacing(self.cell, T_max)
         self.tau = extremals.sample_times(T_max, self.sample_dt)  # rejects a bad T_max
-        self.n_threads = max(1, int(n_threads))
         sweeps = []  # every sweep so far; merged into paths, one storage row per seed
         paths = psis = None  # psis: the psi0 of each storage row
 
@@ -306,7 +310,7 @@ class ReachSweep:
             """Sweep into the next storage rows; returns the live ones by psi0."""
             nonlocal paths, psis
             sweeps.append(sweep_extremals_parallel(
-                batch, T_max, params, n_threads=self.n_threads, tol=SWEEP_TOL,
+                batch, T_max, params, n_threads=n_threads, tol=SWEEP_TOL,
                 sample_dt=self.sample_dt,
             ))
             paths = extremals.merge_sweeps(sweeps)

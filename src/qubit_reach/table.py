@@ -25,7 +25,7 @@ import numpy as np
 
 from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
-from .reachset import NO_PASSAGE, SWEEP_TOL, bin_blocks, first_passage
+from .reachset import NO_PASSAGE, SWEEP_TOL, bin_blocks, first_passage, sample_spacing
 
 MAGIC = "#qubit-reach-table v1"
 MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210 MB
@@ -104,7 +104,7 @@ def build_table(
     seeds = seed_grid(n_seeds, params)
     sweep = sweep_extremals_parallel(
         seeds, T_max_scaled, params, n_threads=n_threads, tol=SWEEP_TOL,
-        sample_dt=min(0.35 * table.cell, T_max_scaled / 64.0),
+        sample_dt=sample_spacing(table.cell, T_max_scaled),
     )
     ns = len(seeds)
     nz, nr = grid_resolution, grid_resolution // 2

@@ -113,6 +113,21 @@ def test_lindblad_rejects_non_hermitian():
         lindblad_rhs(bad, 0.0, 0.0, P01)
 
 
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda: lindblad_rhs(np.diag([1.0, 0.0]), 0.0, -0.1, P01), "non-negative"),
+        (lambda: lindblad_rhs(np.eye(3) / 3, 0.0, 0.0, P01), r"must be 2x2, got shape \(3, 3\)"),
+        (lambda: cylindrical_rhs([0.5, 0.5, 0.0], 0.0, -0.1, P01), "non-negative"),
+        (lambda: ball_norm_derivative([0.3, 0.4, 0.5], -0.1, P01), "non-negative"),
+    ],
+    ids=["lindblad-negative-n", "lindblad-3x3", "cylindrical-negative-n", "ball-norm-negative-n"],
+)
+def test_rhs_refusals(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
 def test_density_round_trip():
     rng = np.random.default_rng(3)
     for r in random_ball_points(rng, 100):

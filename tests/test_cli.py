@@ -230,36 +230,6 @@ def test_every_subcommand_has_help(capsys):
         assert "usage:" in capsys.readouterr().out
 
 
-def test_thread_cap_does_not_change_output(tmp_path, capsys, monkeypatch):
-    # QUBIT_REACH_THREADS only distributes fixed seed blocks
-    results = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("QUBIT_REACH_THREADS", threads)
-        csv_path = tmp_path / f"cells_t{threads}.csv"
-        code, _, _ = run(
-            capsys, "reachset", "--gamma-ratio", "0.1", "--T", "0.5",
-            "--seeds", "256", "--raster", "64", "--out", str(csv_path),
-        )
-        assert code == 0
-        results.append(csv_path.read_bytes())
-    assert results[0] == results[1]
-
-
-def test_thread_cap_does_not_change_table(tmp_path, capsys, monkeypatch):
-    # four 128-seed blocks, binned after the merge
-    results = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("QUBIT_REACH_THREADS", threads)
-        csv_path = tmp_path / f"table_t{threads}.csv"
-        code, _, _ = run(
-            capsys, "table", "build", "--gamma-ratio", "0.1", "--seeds", "512",
-            "--T-max", "1", "--grid", "64", "--out", str(csv_path),
-        )
-        assert code == 0
-        results.append(csv_path.read_bytes())
-    assert results[0] == results[1]
-
-
 def test_simulate_schedule_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,u,n\n0,0,0\n")
@@ -308,6 +278,56 @@ def test_simulate_rejects_non_finite_schedule(tmp_path, capsys):
     )
     assert code == 1
     assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, body, msg",
+    [
+        ("simulate", "t,u,n\n", "schedule has no rows"),
+        ("table", "", "empty table file"),
+        ("table", "#qubit-reach-table v1 gamma_ratio=0.1 grid=8\n", "missing column header"),
+    ],
+    ids=["schedule-without-rows", "table-empty", "table-without-column-header"],
+)
+def test_input_file_without_data_exits_1(tmp_path, capsys, command, body, msg):
+    path = tmp_path / "in.csv"
+    path.write_text(body)
+    argv = {
+        "simulate": ["simulate", "--gamma-ratio", "0.1", "--schedule", str(path), "--T", "1"],
+        "table": ["table", "query", "--in", str(path), "--z", "0", "--R", "0.5"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {msg}\n"
+
+
+def test_blank_lines_inside_csv_inputs_are_skipped(tmp_path, capsys):
+    outputs = []
+    for name, body in (("plain.csv", "t,u,n\n0,0.5,0\n1,-0.5,0.2\n"),
+                       ("blank.csv", "t,u,n\n0,0.5,0\n\n1,-0.5,0.2\n")):
+        (tmp_path / name).write_text(body)
+        code, out, err = run(
+            capsys, "simulate", "--gamma-ratio", "0.1", "--schedule", str(tmp_path / name),
+            "--T", "2", "--samples", "5",
+        )
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    # the row after the blank line is read: its cell answers exactly
+    table_path = tmp_path / "table.csv"
+    table_path.write_text("#qubit-reach-table v1 gamma_ratio=0.1 grid=8\ni,j,psi0,theta0,Tmin\n"
+                          "4,1,0.5,1.0,0.25\n\n3,2,0.7,1.1,0.5\n")
+    code, out, err = run(capsys, "table", "query", "--in", str(table_path),
+                         "--z", "-0.2", "--R", "0.6")
+    assert code == 0 and err == ""
+    assert out == "psi0=0.7 theta0=1.1 Tmin=0.5\n"
+
+
+def test_incomplete_physical_params_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spiral", "--omega", "1"])
+    assert exc.value.code == 2
+    assert "give either --gamma-ratio or all of --omega --kappa --gamma" in capsys.readouterr().err
 
 
 def test_non_finite_params_exit_1(capsys):
@@ -361,16 +381,6 @@ def test_sweep_notes_report_an_exhausted_budget(tmp_path, capsys, command):
     assert len(unfilled) == 1 and int(unfilled[0].split()[1]) > 0
     # a short sweep's refinement finishes: its one note is the seed frozen at tau = 0
     assert notes("0.5") == "note: 1 seed(s) ended early and were truncated\n"
-
-
-def test_malformed_thread_cap_is_usage_error(capsys, monkeypatch):
-    for value in ("abc", "0", "-2", "1.5"):
-        monkeypatch.setenv("QUBIT_REACH_THREADS", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "64",
-                  "--raster", "64"])
-        assert exc.value.code == 2
-        assert "QUBIT_REACH_THREADS" in capsys.readouterr().err
 
 
 # each numeric flag, with a valid command line of its subcommand

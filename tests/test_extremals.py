@@ -325,6 +325,19 @@ def test_sweep_rejects_bad_tol(tol):
         sweep_extremals_parallel(seed_grid(4, P), 1.0, P, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda: hamiltonian(np.zeros((3, 4)), P), r"trailing axis of length 5, got \(3, 4\)"),
+        (lambda: sweep_extremals([], 1.0, P), "at least one seed"),
+    ],
+    ids=["hamiltonian-trailing-axis", "sweep-without-seeds"],
+)
+def test_extremal_refusals(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
 def test_normalize_states_is_involution_fixed():
     rng = np.random.default_rng(5)
     sts = rng.normal(size=(40, 5))

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qubit_reach import SystemParams, integrate_extremal, reachset, seed
+from qubit_reach import SystemParams, extremals, integrate_extremal, reachset, seed
 from qubit_reach.bloch import SingularityError
 from qubit_reach.extremals import sample_times
 from qubit_reach.reachset import (
@@ -154,6 +154,31 @@ def test_barrier_certificate_monotone_in_alpha():
     # and false stays false when alpha grows
     assert barrier_certificate(0.0, 0.55, 1e-6, P) is False
     assert barrier_certificate(0.0, 0.8, 1e-6, P) is False
+
+
+def _set_with(boundary):
+    return ReachableSet2D(np.zeros((8, 8), dtype=bool), 1.0, boundary=boundary)
+
+
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda: revolve_to_3d(_set_with([]), n_angles=2), "at least 3 revolution angles"),
+        (lambda: revolve_to_3d(_set_with([])), "empty raster has no boundary"),
+        # one closed loop, wholly at R < 0
+        (lambda: revolve_to_3d(_set_with([np.array([[0.0, -0.5], [0.1, -0.6], [0.0, -0.6],
+                                                    [0.0, -0.5]])])),
+         "no R >= 0 portion"),
+        (lambda: barrier_certificate(0.0, 0.4, 1e-3, SystemParams.from_ratio(0.0)), "gamma > 0"),
+        (lambda: barrier_values(BarrierTriangle(0.0, 0.1, 1e-3, G), "top", 0.0, 0.0, P),
+         "edge must be 'plus' or 'minus', got 'top'"),
+    ],
+    ids=["revolve-two-angles", "revolve-empty-set", "revolve-no-upper-loop",
+         "certificate-gamma-zero", "barrier-bad-edge"],
+)
+def test_geometry_refusals(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -383,9 +408,8 @@ def test_revolve_rejects_open_polyline():
 # --- refinement bookkeeping and the first-passage kernel -------------------------
 
 
-def test_incremental_gaps_match_full_recompute(monkeypatch):
-    # the gap array the raster receives was built round by round; it must
-    # equal a fresh computation over the final family
+def capture_rasterize(monkeypatch):
+    """The (paths, order, gaps) each later ReachSweep hands its raster."""
     seen = {}
     rasterize = ReachSweep._rasterize
 
@@ -394,6 +418,13 @@ def test_incremental_gaps_match_full_recompute(monkeypatch):
         return rasterize(self, paths, order, gaps)
 
     monkeypatch.setattr(ReachSweep, "_rasterize", capture)
+    return seen
+
+
+def test_incremental_gaps_match_full_recompute(monkeypatch):
+    # the gap array the raster receives was built round by round; it must
+    # equal a fresh computation over the final family
+    seen = capture_rasterize(monkeypatch)
     sweep = ReachSweep(P, 2.0, n_seeds=128, raster=128)
     order = seen["order"]
     assert sweep.refine_rounds > 1
@@ -411,6 +442,26 @@ def test_incremental_gaps_match_full_recompute(monkeypatch):
     assert sweep.budget_exhausted is False
     assert 0 < sweep.seeds_added < 4 * 128
     assert sweep.refine_rounds < MAX_REFINE_ROUNDS
+
+
+def test_refinement_bisects_the_pair_across_psi_zero(monkeypatch):
+    # a seed grid with a hole around psi0 = 0 leaves the pair (last, first)
+    # 0.82 apart at wT = 2, so its bisection must wrap past 2 pi into the hole
+    lo, hi = 1.5, 2.0 * np.pi - 1.2  # asymmetric: the first midpoint is not psi0 = 0
+
+    def holed_grid(n_seeds, params):
+        psis = 2.0 * np.pi * (np.arange(n_seeds) + 0.5) / n_seeds
+        return extremals.seed_batch(psis[(psis >= lo) & (psis <= hi)], params)
+
+    monkeypatch.setattr(extremals, "seed_grid", holed_grid)
+    seen = capture_rasterize(monkeypatch)
+    sweep = ReachSweep(P, 2.0, n_seeds=128, raster=128)
+    assert np.any((sweep.psis < lo) | (sweep.psis > hi))
+    assert 0.0 <= sweep.psis[0] and sweep.psis[-1] < 2.0 * np.pi
+    assert np.all(np.diff(sweep.psis) > 0.0)
+    order = seen["order"]
+    full = ReachSweep._pair_gaps(seen["paths"], order, np.roll(order, -1))
+    npt.assert_array_equal(seen["gaps"], full)
 
 
 def test_refinement_budget_exhaustion_is_reported():

@@ -64,6 +64,24 @@ def test_schedule_u_cap(tmp_path):
             ControlSchedule.from_csv(path, params=P, duration=1.0, u_max=cap)
 
 
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda path: ControlSchedule([], [], []), "at least one breakpoint"),
+        (lambda path: ControlSchedule([0.0, 1.0], [0.0], [0.0, 0.0]), "equal length"),
+        (lambda path: ControlSchedule.from_csv(path, scaled=True), "scaled times require"),
+        (lambda path: propagate([0, 0, 1], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], P),
+         "one more entry"),
+    ],
+    ids=["no-breakpoint", "unequal-lengths", "scaled-without-params", "propagate-edge-count"],
+)
+def test_schedule_refusals(tmp_path, call, msg):
+    path = tmp_path / "s.csv"
+    path.write_text("t,u,n\n0,0,0\n1,0,0\n")
+    with pytest.raises(ValueError, match=msg):
+        call(path)
+
+
 def test_simulate_fixed_point():
     sched = ControlSchedule([0.0], [0.0], [0.0], T=10.0)
     states = simulate(np.array([0.0, 0.0, 1.0]), sched, P).sample(np.linspace(0.0, 10.0, 101))

@@ -11,9 +11,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qubit_reach"
-# 38: ExtremalSeed.branch and seed_grid(branch=) went, as nothing read the
-# one or passed the other; seed and seed_batch keep branch for the CLI
-SETTABLE_VALUES = 38
+# 36: sweep_extremals_parallel passes tol and sample_dt through to
+# sweep_extremals instead of restating their defaults
+SETTABLE_VALUES = 36
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
