@@ -117,20 +117,10 @@ def density_to_bloch(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
-    return pauli_components(rho)
-
-
-def pauli_components(mat) -> np.ndarray:
-    """Coefficients (cx, cy, cz) of a Hermitian 2x2 matrix in mat = c0*I/1 + (c . sigma)/2.
-
-    For a density matrix this is the Bloch vector; for a (traceless)
-    time derivative it is the Bloch velocity.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    cx = float(np.real(mat[0, 1] + mat[1, 0]))
-    cy = float(np.imag(mat[1, 0] - mat[0, 1]))
-    cz = float(np.real(mat[0, 0] - mat[1, 1]))
-    return np.array([cx, cy, cz])
+    rx = float(np.real(rho[0, 1] + rho[1, 0]))
+    ry = float(np.imag(rho[1, 0] - rho[0, 1]))
+    rz = float(np.real(rho[0, 0] - rho[1, 1]))
+    return np.array([rx, ry, rz])
 
 
 def bloch_velocity_to_matrix(v) -> np.ndarray:

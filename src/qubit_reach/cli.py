@@ -9,6 +9,7 @@ and float formatting are fixed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from functools import partial
 from pathlib import Path
@@ -103,17 +104,13 @@ def _params(args, parser: argparse.ArgumentParser) -> SystemParams:
     parser.error("give either --gamma-ratio or all of --omega --kappa --gamma")
 
 
-def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
-
-
-def _write_rows(out, header, rows):
-    close = out is not sys.stdout
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
-    if close:
-        out.close()
+def _write_rows(path, header, rows):
+    """CSV rows to the file at path, or to stdout for '-'.  Subcommands call it
+    once everything is computed, so a domain error leaves no output."""
+    with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -128,21 +125,25 @@ def _cmd_simulate(args, parser):
     ts = np.linspace(0.0, sched.T, args.samples)
     states = simulate(args.r0, sched, params).sample(ts)
     rows = [(float(t), float(s[0]), float(s[1]), float(s[2])) for t, s in zip(ts, states)]
-    _write_rows(_open_out(args.out), ["t", "rx", "ry", "rz"], rows)
+    _write_rows(args.out, ["t", "rx", "ry", "rz"], rows)
     return 0
 
 
 def _cmd_extremal(args, parser):
     params = _params(args, parser)
+    if args.samples < 2:
+        parser.error("--samples must be at least 2")
     sd = seed_fn(args.psi0, params, branch=args.branch)
-    sample_dt = args.T / max(2, args.samples - 1)
+    # ceil(T / sample_dt) + 1 samples: T / (N - 1.5) is half a step from the
+    # rounding edge, so the grid is linspace(0, T, N) whatever the float noise
+    sample_dt = args.T / (args.samples - 1.5)
     traj = integrate_extremal(sd, args.T, params, sample_dt=sample_dt)
     hs = hamiltonian(traj.ys, params)
     rows = [
         (float(t), float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]), float(h))
         for t, y, h in zip(traj.ts, traj.ys, hs)
     ]
-    _write_rows(_open_out(args.out), ["tau", "z", "R", "p", "q", "theta", "H"], rows)
+    _write_rows(args.out, ["tau", "z", "R", "p", "q", "theta", "H"], rows)
     return 0
 
 
@@ -172,12 +173,13 @@ def _cmd_reachset(args, parser):
     params = _params(args, parser)
     rset = _sweep(args, params, args.T).reachable_set(args.T)
     rows = [(float(z), float(r)) for z, r in rset.occupied_centers()]
-    _write_rows(_open_out(args.out), ["z", "R"], rows)
+    figure = svg.reachset_figure(rset, _spiral_overlay(args, params)) if args.svg else None
+    mesh = revolve_to_3d(rset, n_angles=args.obj_angles) if args.obj else None
+    _write_rows(args.out, ["z", "R"], rows)
     if args.svg:
-        Path(args.svg).write_text(svg.reachset_figure(rset, _spiral_overlay(args, params)))
+        Path(args.svg).write_text(figure)
     if args.obj:
-        verts, faces = revolve_to_3d(rset, n_angles=args.obj_angles)
-        write_obj(args.obj, verts, faces)
+        write_obj(args.obj, *mesh)
     return 0
 
 
@@ -198,32 +200,33 @@ def _cmd_movie(args, parser):
 
 def _cmd_spiral(args, parser):
     params = _params(args, parser)
-    region = spiral_region(params)
-    arcs = region.arcs(args.samples)
-    rows = []
-    for aid, arc in enumerate(arcs):
-        for z, r in arc:
-            rows.append((aid, float(z), float(r)))
-    _write_rows(_open_out(args.out), ["arc", "z", "R"], rows)
-    print(f"guaranteed ball radius = {guaranteed_ball_radius(params)!r}")
+    radius = guaranteed_ball_radius(params)
+    arcs = spiral_region(params).arcs(args.samples)
+    rows = [(aid, float(z), float(r)) for aid, arc in enumerate(arcs) for z, r in arc]
+    figure = svg.figure(spiral_arcs=arcs, title="spiral region") if args.svg else None
+    _write_rows(args.out, ["arc", "z", "R"], rows)
+    print(f"guaranteed ball radius = {radius!r}")
     if args.svg:
-        Path(args.svg).write_text(svg.figure(spiral_arcs=arcs, title="spiral region"))
+        Path(args.svg).write_text(figure)
     return 0
 
 
 def _cmd_lacuna(args, parser):
     params = _params(args, parser)
-    radius = float(guaranteed_ball_radius(params))
-    bound = float(lacuna_alpha_bound(params))
-    delta = float(0.25 * np.pi * params.gamma / params.omega)
-    print(f"guaranteed ball radius = {radius!r}")
-    print(f"alpha bound = {bound!r}")
-    print(f"delta = {delta!r}")
+    if args.alpha is None and (args.phi0 is not None or args.beta is not None):
+        parser.error("--phi0 and --beta need --alpha")
+    lines = [
+        f"guaranteed ball radius = {float(guaranteed_ball_radius(params))!r}",
+        f"alpha bound = {float(lacuna_alpha_bound(params))!r}",
+        f"delta = {float(0.25 * np.pi * params.gamma / params.omega)!r}",
+    ]
     if args.alpha is not None:
+        phi0 = args.phi0 if args.phi0 is not None else 0.0
         beta = args.beta if args.beta is not None else 1e-3
-        ok = barrier_certificate(args.phi0, args.alpha, beta, params)
-        print(f"barrier certificate (phi0={args.phi0!r}, alpha={args.alpha!r}, "
-              f"beta={beta!r}): {'PASS' if ok else 'FAIL'}")
+        ok = barrier_certificate(phi0, args.alpha, beta, params)
+        lines.append(f"barrier certificate (phi0={phi0!r}, alpha={args.alpha!r}, "
+                     f"beta={beta!r}): {'PASS' if ok else 'FAIL'}")
+    print("\n".join(lines))
     return 0
 
 
@@ -233,7 +236,7 @@ def _cmd_rank(args, parser):
         (*(float(v) for v in cert.point), cert.rank, "|".join(cert.witness), float(cert.determinant))
         for cert in rank_grid(params, n=args.grid)
     ]
-    _write_rows(_open_out(args.out), ["rx", "ry", "rz", "rank", "witness", "det"], rows)
+    _write_rows(args.out, ["rx", "ry", "rz", "rank", "witness", "det"], rows)
     return 0
 
 
@@ -279,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi0", type=finite_float, required=True, help="costate angle (rad)")
     p.add_argument("--T", type=horizon, required=True, help="duration in units of 1/omega")
     p.add_argument("--branch", choices=("max", "min"), default="max")
-    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=2001)
+    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=2001,
+                   help="rows of the output, at least 2")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_extremal)
 
@@ -314,9 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lacuna", help="guaranteed-ball radius, alpha bound, delta, certificates")
     _add_param_flags(p)
-    p.add_argument("--phi0", type=finite_float, default=0.0)
-    p.add_argument("--alpha", type=finite_float, default=None)
-    p.add_argument("--beta", type=finite_float, default=None)
+    p.add_argument("--phi0", type=finite_float, default=None,
+                   help="barrier apex angle (rad), with --alpha; default 0")
+    p.add_argument("--alpha", type=finite_float, default=None,
+                   help="barrier triangle slope: prints its certificate")
+    p.add_argument("--beta", type=finite_float, default=None,
+                   help="barrier half-width (rad), with --alpha; default 1e-3")
     p.set_defaults(func=_cmd_lacuna)
 
     p = sub.add_parser("rank", help="bracket rank certificates on a Bloch-ball grid")

@@ -132,14 +132,13 @@ def theta_rhs(state, params: SystemParams):
     return num / den
 
 
-def convexity_margin(z, R, theta, params: SystemParams):
+def convexity_margin(R, theta, params: SystemParams):
     """Curvature signature g R (R sin^3(theta) - 1) of the velocity curve.
 
     Strictly negative for 0 < R < 1, which makes the Hamiltonian
     maximizer unique and smooth there; it vanishes at R = 0 and at the
     boundary point R = 1, sin(theta) = 1.  Independent of z.
     """
-    del z
     R = np.asarray(R, dtype=float)
     return params.ratio * R * (R * np.sin(theta) ** 3 - 1.0)
 

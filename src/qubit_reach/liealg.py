@@ -29,7 +29,6 @@ class AffineField:
 
     A: np.ndarray
     b: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float).reshape(3, 3)
@@ -40,9 +39,9 @@ class AffineField:
         return r @ self.A.T + self.b
 
 
-def bracket(f: AffineField, g: AffineField, name: str = "") -> AffineField:
+def bracket(f: AffineField, g: AffineField) -> AffineField:
     """Lie bracket [f, g] of two affine fields (exact coefficients)."""
-    return AffineField(f.A @ g.A - g.A @ f.A, f.A @ g.b - g.A @ f.b, name=name)
+    return AffineField(f.A @ g.A - g.A @ f.A, f.A @ g.b - g.A @ f.b)
 
 
 def ad_power(f: AffineField, g: AffineField, k: int) -> AffineField:
@@ -53,26 +52,21 @@ def ad_power(f: AffineField, g: AffineField, k: int) -> AffineField:
     return out
 
 
-def _affine_from_field(index: int, params: SystemParams, name: str) -> AffineField:
+def _affine_from_field(index: int, params: SystemParams) -> AffineField:
     # Recover (A, b) by evaluating the field at 0 and the basis points.
     b = field_f(index, np.zeros(3), params)
     cols = [field_f(index, e, params) - b for e in np.eye(3)]
-    return AffineField(np.column_stack(cols), b, name=name)
+    return AffineField(np.column_stack(cols), b)
 
 
 def canonical_fields(params: SystemParams) -> dict[str, AffineField]:
     """The bracket family f0, f1, f2, f3=[f0,f1], f4=[f0,f3], f5=[f1,f3],
     f6=[f1,f5], f7=(ad f1)^4 f0."""
-    f0 = _affine_from_field(0, params, "f0")
-    f1 = _affine_from_field(1, params, "f1")
-    f2 = _affine_from_field(2, params, "f2")
-    f3 = bracket(f0, f1, name="f3")
-    f4 = bracket(f0, f3, name="f4")
-    f5 = bracket(f1, f3, name="f5")
-    f6 = bracket(f1, f5, name="f6")
-    f7 = ad_power(f1, f0, 4)
-    f7.name = "f7"
-    return {f.name: f for f in (f0, f1, f2, f3, f4, f5, f6, f7)}
+    f0, f1, f2 = (_affine_from_field(k, params) for k in range(3))
+    f3 = bracket(f0, f1)
+    f5 = bracket(f1, f3)
+    return {"f0": f0, "f1": f1, "f2": f2, "f3": f3, "f4": bracket(f0, f3),
+            "f5": f5, "f6": bracket(f1, f5), "f7": ad_power(f1, f0, 4)}
 
 
 def det_triple(fields, names, r) -> float:
@@ -132,7 +126,7 @@ def rank_certificate(r, params: SystemParams, fields: dict | None = None) -> Ran
     return RankCertificate(rank, tuple(best_names), best_det, point=r)
 
 
-def rank_grid(params: SystemParams, n: int = 21):
+def rank_grid(params: SystemParams, n: int):
     """Rank certificates on an n^3 grid over the Bloch ball.
 
     Yields RankCertificate objects for every grid point with |r| <= 1.

@@ -81,7 +81,7 @@ class SpiralRegion:
 
     gamma_ratio: float
 
-    def arcs(self, n: int = 256) -> list[np.ndarray]:
+    def arcs(self, n: int) -> list[np.ndarray]:
         s = np.linspace(0.0, 0.5 * np.pi, n)
         rad = np.exp(-0.5 * self.gamma_ratio * s)
         out = []
@@ -295,14 +295,13 @@ class ReachSweep:
     ):
         if n_seeds < 64:
             raise ValueError(f"need at least 64 seeds, got {n_seeds}")
-        self.params = params
         self.T_max = float(T_max)
         self.n = int(raster)
         if self.n < 1:
             raise ValueError(f"raster needs at least 1 cell a side, got {raster}")
         self.cell = 2.0 / self.n
-        self.sample_dt = sample_spacing(self.cell, T_max)
-        self.tau = extremals.sample_times(T_max, self.sample_dt)  # rejects a bad T_max
+        sample_dt = sample_spacing(self.cell, T_max)
+        self.tau = extremals.sample_times(T_max, sample_dt)  # rejects a bad T_max
         sweeps = []  # every sweep so far; merged into paths, one storage row per seed
         paths = psis = None  # psis: the psi0 of each storage row
 
@@ -311,7 +310,7 @@ class ReachSweep:
             nonlocal paths, psis
             sweeps.append(sweep_extremals_parallel(
                 batch, T_max, params, n_threads=n_threads, tol=SWEEP_TOL,
-                sample_dt=self.sample_dt,
+                sample_dt=sample_dt,
             ))
             paths = extremals.merge_sweeps(sweeps)
             psis = np.array([s.psi0 for s in paths.seeds])

@@ -130,6 +130,37 @@ def test_lacuna_domain_error_exit_1(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spiral", "--gamma-ratio", "2"],
+        ["spiral", "--gamma-ratio", "2", "--out", "{d}/arcs.csv", "--svg", "{d}/arcs.svg"],
+        ["lacuna", "--gamma-ratio", "0.1", "--alpha", "0.4", "--beta", "-1"],
+        ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "64", "--raster", "16",
+         "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/mesh.obj",
+         "--obj-angles", "2"],
+    ],
+    ids=["spiral-stdout", "spiral-files", "lacuna", "reachset-files"],
+)
+def test_domain_error_leaves_no_output(tmp_path, capsys, argv):
+    # everything is computed before anything is written
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags", [["--beta", "1e-3"], ["--phi0", "0.5"], ["--phi0", "0", "--beta", "1e-3"]]
+)
+def test_lacuna_barrier_flags_need_alpha(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["lacuna", "--gamma-ratio", "0.1", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--phi0 and --beta need --alpha" in captured.err
+
+
 def test_extremal_csv(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     code, _, _ = run(
@@ -142,6 +173,25 @@ def test_extremal_csv(tmp_path, capsys):
     assert len(lines) == 10
     h_vals = [float(l.split(",")[6]) for l in lines[1:]]
     assert max(h_vals) - min(h_vals) < 1e-7
+
+
+@pytest.mark.parametrize("T", ["3", "7.3", "13.7"])
+@pytest.mark.parametrize("samples", [1, 2, 3, 201, 401])
+def test_extremal_prints_exactly_samples_rows(capsys, T, samples):
+    argv = ["extremal", "--gamma-ratio", "0.1", "--psi0", "1.0", "--T", T,
+            "--samples", str(samples)]
+    if samples == 1:  # a grid of one sample cannot reach T
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--samples must be at least 2" in capsys.readouterr().err
+        return
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "tau,z,R,p,q,theta,H"
+    assert len(lines) == samples + 1
+    taus = [float(line.split(",")[0]) for line in lines[1:]]
+    assert taus == np.linspace(0.0, float(T), samples).tolist()
 
 
 def test_rank_table(capsys):

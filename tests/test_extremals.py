@@ -95,10 +95,10 @@ def test_theta_rhs_denominator_guard():
 
 
 def test_convexity_margin_values():
-    assert abs(convexity_margin(0.5, 1.0, np.pi / 2, P)) < 1e-15
-    assert convexity_margin(0.2, 0.0, 1.0, P) == 0.0
+    assert abs(convexity_margin(1.0, np.pi / 2, P)) < 1e-15
+    assert convexity_margin(0.0, 1.0, P) == 0.0
     for th in np.linspace(0, 2 * np.pi, 50):
-        assert convexity_margin(0.0, 0.5, th, P) <= G * 0.5 * (0.5 - 1.0) + 1e-15
+        assert convexity_margin(0.5, th, P) <= G * 0.5 * (0.5 - 1.0) + 1e-15
 
 
 def test_convexity_margin_is_velocity_curvature():
@@ -118,7 +118,7 @@ def test_convexity_margin_is_velocity_curvature():
         xi = (vel(th + h) - vel(th - h)) / (2 * h)
         xi_p = (vel(th + h) - 2 * vel(th) + vel(th - h)) / h ** 2
         got = xi[0] * xi_p[1] - xi[1] * xi_p[0]
-        npt.assert_allclose(got, convexity_margin(z, R, th, P), atol=1e-5)
+        npt.assert_allclose(got, convexity_margin(R, th, P), atol=1e-5)
 
 
 def test_seed_examples():
