@@ -118,6 +118,8 @@ def _write_rows(path, header, rows):
 
 def _cmd_simulate(args, parser):
     params = _params(args, parser)
+    if args.samples < 2:
+        parser.error("--samples must be at least 2")
     sched = ControlSchedule.from_csv(
         args.schedule, params=params, scaled=args.scaled, duration=args.T,
         u_max=args.u_max,
@@ -171,6 +173,8 @@ def _spiral_overlay(args, params):
 
 def _cmd_reachset(args, parser):
     params = _params(args, parser)
+    if args.obj_angles < 3:  # before the sweep, not after it
+        parser.error("--obj-angles must be at least 3")
     rset = _sweep(args, params, args.T).reachable_set(args.T)
     rows = [(float(z), float(r)) for z, r in rset.occupied_centers()]
     figure = svg.reachset_figure(rset, _spiral_overlay(args, params)) if args.svg else None
@@ -200,6 +204,8 @@ def _cmd_movie(args, parser):
 
 def _cmd_spiral(args, parser):
     params = _params(args, parser)
+    if args.samples < 2:
+        parser.error("--samples must be at least 2")
     radius = guaranteed_ball_radius(params)
     arcs = spiral_region(params).arcs(args.samples)
     rows = [(aid, float(z), float(r)) for aid, arc in enumerate(arcs) for z, r in arc]

@@ -23,6 +23,7 @@ REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bi
 MAX_REFINE_ROUNDS = 24
 BIN_BLOCK = 64  # sample columns per block of the first-passage binning
 READ_COLS = 256  # sample columns per read of the paths: amortises the reader's per-block cost
+GAP_SLACK = 1e-12  # widening of a pair-gap bound: covers the rounding of both readings of a path
 NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
 SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
@@ -40,6 +41,55 @@ def bin_blocks(paths):
         for j0 in range(0, z.shape[1], BIN_BLOCK):
             yield w0 + j0, z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
         del z, r  # free this window before the next read allocates one
+
+
+# powers (1, s, s^2, s^3) -> weights of (y0, h f0, y1, h f1) in a cubic Hermite step
+_HERMITE = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-3, -2, 3, -1], [2, 1, -2, 1]], dtype=float)
+_EDGE = np.array([0, 1, 5, 6, 0, 1, 11, 12])[:, None]  # node rows of (y0, f0, y1, f1) of z and R
+
+
+def gap_bounds(paths, a, b):
+    """Upper bounds, shape (len(a), windows), of |a[k](tau) - b[k](tau)| on
+    the live samples of each READ_COLS window, from the step nodes alone.
+    Intervals: see ReachSweep._pair_gaps.  An interval counts for the window
+    of the first sample at or after its end (a one-sample window takes the
+    interval ending at it) unless it ends past a failure (a step end); a
+    window no interval counts for gets -inf."""
+    tau, blocks = paths.tau, paths.blocks
+    firsts = np.arange(0, len(tau), READ_COLS)
+    ends = tau[np.union1d(firsts, np.minimum(firsts + READ_COLS, len(tau)) - 1)]
+    starts = np.cumsum([0] + [blk["nodes"].shape[1] for blk in blocks])
+    ba, bb = np.searchsorted(starts, a, "right") - 1, np.searchsorted(starts, b, "right") - 1
+    live = np.minimum(paths.fail_tau[a], paths.fail_tau[b])
+    bound = np.full((len(a), len(firsts)), -np.inf)  # squared until the end
+    key = ba * len(blocks) + bb
+    order = np.argsort(key, kind="stable")
+    for grp in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if len(a) else []:
+        sides = [(blocks[x[grp[0]]], rows[grp] - starts[x[grp[0]]]) for x, rows in ((ba, a), (bb, b))]
+        if not all(len(blk["t1"]) for blk, _ in sides):
+            continue  # a block frozen at tau = 0 took no step: no live interval
+        u = np.unique(np.concatenate([blk["t1"] for blk, _ in sides] + [ends]))
+        k = [np.minimum(np.searchsorted(blk["t1"], u[1:]), len(blk["t1"]) - 1) for blk, _ in sides]
+        t0, h = (np.stack([blk[v][kk] for (blk, _), kk in zip(sides, k)]) for v in ("t0", "h"))
+        s0, s1 = (u[:-1] - t0) / h, (u[1:] - t0) / h  # (side, interval)
+        # powers of s at the Bezier points, plus a third of the interval times their slope
+        s, sd = np.stack((s0, s0, s1, s1), axis=-1), (s1 - s0)[..., None] * [0, 1, -1, 0] / 3.0
+        V = np.stack((np.ones_like(s), s + sd, s * (s + 2 * sd), s * s * (s + 3 * sd)), axis=-1)
+        W = (V.reshape(-1, 4) @ _HERMITE).reshape(V.shape)
+        W[..., 1::2] *= h[..., None, None]
+        D = []  # per side, (interval, Bezier point, component and pair)
+        for (blk, rows), kk, w in zip(sides, k, W):
+            node = np.moveaxis(blk["nodes"][_EDGE, rows], 2, 0)
+            c = np.concatenate((node[kk, :2], node[kk + 1, 2:]), axis=1)  # (interval, 8, pair)
+            D.append(w @ c.reshape(len(kk), 4, -1))
+        D = np.square(D[0] - D[1])
+        hull = (D[..., : len(grp)] + D[..., len(grp) :]).max(axis=1)  # (interval, pair)
+        hull[u[1:, None] > live[None, grp]] = -np.inf
+        win = np.searchsorted(np.searchsorted(tau, u[1:]) // READ_COLS, np.arange(len(firsts)))
+        bound[grp] = np.maximum.reduceat(hull, win).T
+    bound[:, 0] = np.maximum(bound[:, 0], 0.0)  # sample 0: every path starts at (z, R) = (0, 1)
+    np.sqrt(bound, out=bound, where=bound >= 0.0)
+    return bound + GAP_SLACK
 
 
 def sample_spacing(cell: float, T_max: float) -> float:
@@ -368,15 +418,33 @@ class ReachSweep:
 
     @staticmethod
     def _pair_gaps(paths, a, b):
-        """Max over time of the distance between paths a[k] and b[k]."""
-        rows, pair = np.unique(np.concatenate([a, b]), return_inverse=True)
-        out = np.zeros(len(a))
-        ia, ib = pair[: len(a)], pair[len(a) :]
-        for j0 in range(0, len(paths.tau), READ_COLS):
-            z, r = paths.samples([0, 1], rows, np.s_[j0 : j0 + READ_COLS])
-            # a NaN distance (a path past its failure) counts as 0
-            np.fmax(out, np.fmax.reduce(np.hypot(z[ia] - z[ib], r[ia] - r[ib]), axis=1), out=out)
-            del z, r  # free this window before the next read allocates one
+        """Max over time of the distance between paths a[k] and b[k].
+
+        Pairs of one (block of a, block of b) share the union of both blocks'
+        step ends and each window's first and last sample time.  On each of
+        its intervals both paths are one cubic Hermite piece of the reader, so
+        their difference lies in the convex hull of its four Bezier points:
+        the end values, and each plus or minus a third of the interval times
+        the slope.  Widened by GAP_SLACK (the paths stay in the unit disc with
+        slopes of order 1, so the reader's and the bound's Hermite sums round
+        near 1e-15), the hull bounds the pair on each window (gap_bounds).
+        One grouped read per window then takes each pair's window of largest
+        bound, then every window whose bound is not below the pair's running
+        maximum.  The windows skipped lie below it, so the fmax over the
+        windows read is the same float as over all of them, bit for bit.
+        """
+        bound, out = gap_bounds(paths, a, b), np.zeros(len(a))
+        first = np.zeros(bound.shape, dtype=bool)
+        first[np.arange(len(a)), np.argmax(bound, axis=1)] = True
+        for second in (False, True):
+            need = ~first & ~(bound < out[:, None]) if second else first
+            for w in np.flatnonzero(need.any(axis=0)):
+                k = np.flatnonzero(need[:, w])
+                rows, pair = np.unique(np.concatenate([a[k], b[k]]), return_inverse=True)
+                z, r = paths.samples([0, 1], rows, np.s_[w * READ_COLS : (w + 1) * READ_COLS])
+                ia, ib = pair[: len(k)], pair[len(k) :]
+                # a NaN distance (a path past its failure) counts as 0
+                out[k] = np.fmax(out[k], np.fmax.reduce(np.hypot(z[ia] - z[ib], r[ia] - r[ib]), axis=1))
         return out
 
     def _rasterize(self, paths, order, gaps):

@@ -136,9 +136,8 @@ def test_lacuna_domain_error_exit_1(capsys):
         ["spiral", "--gamma-ratio", "2"],
         ["spiral", "--gamma-ratio", "2", "--out", "{d}/arcs.csv", "--svg", "{d}/arcs.svg"],
         ["lacuna", "--gamma-ratio", "0.1", "--alpha", "0.4", "--beta", "-1"],
-        ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "64", "--raster", "16",
-         "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/mesh.obj",
-         "--obj-angles", "2"],
+        ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "32", "--raster", "16",
+         "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/mesh.obj"],
     ],
     ids=["spiral-stdout", "spiral-files", "lacuna", "reachset-files"],
 )
@@ -148,6 +147,40 @@ def test_domain_error_leaves_no_output(tmp_path, capsys, argv):
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("angles", ["1", "2"])
+def test_obj_angles_below_three_is_a_usage_error_before_the_sweep(
+    monkeypatch, tmp_path, capsys, angles
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a ReachSweep was built")
+
+    monkeypatch.setattr(cli, "ReachSweep", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--out", str(tmp_path / "c.csv"),
+              "--obj", str(tmp_path / "m.obj"), "--obj-angles", angles])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--obj-angles must be at least 3" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--gamma-ratio", "0.1", "--schedule", "{d}/s.csv", "--T", "10"],
+     ["spiral", "--gamma-ratio", "0.1"]],
+    ids=["simulate", "spiral"],
+)
+def test_samples_below_two_is_a_usage_error(tmp_path, capsys, argv):
+    # one sample cannot reach T (simulate) or leave the pole (spiral)
+    (tmp_path / "s.csv").write_text("t,u,n\n0,0.5,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(d=tmp_path) for a in argv] + ["--samples", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples must be at least 2" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import types
 
@@ -12,6 +13,7 @@ from qubit_reach.reachset import (
     BIN_BLOCK,
     MAX_REFINE_ROUNDS,
     NO_PASSAGE,
+    READ_COLS,
     REFINE_CELLS,
     _MS_TABLE,
     BarrierTriangle,
@@ -462,6 +464,118 @@ def test_refinement_bisects_the_pair_across_psi_zero(monkeypatch):
     order = seen["order"]
     full = ReachSweep._pair_gaps(seen["paths"], order, np.roll(order, -1))
     npt.assert_array_equal(seen["gaps"], full)
+
+
+@pytest.fixture(scope="module")
+def gap_family():
+    """Three sweeps to wT = 7 as one, for the pair-gap bound: the acceptance
+    suite's failing sweep (a tiny branch-jump bound ends most of its 64 seeds
+    early; row 20 is frozen at tau = 0), 40 seeds on an adaptive grid of
+    their own, and a one-seed block frozen at tau = 0 that took no step."""
+    seeds = extremals.seed_grid(64, P)
+    seeds[20] = seed(np.pi / 2, P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
+        failing = extremals.sweep_extremals(seeds, 7.0, P, sample_dt=7 / 512)
+    others = 2.0 * np.pi * (np.arange(40) + 0.25) / 40
+    parts = [failing] + [extremals.sweep_extremals(s, 7.0, P, sample_dt=7 / 512)
+                         for s in (list(others), [seed(np.pi / 2, P)])]
+    return extremals.merge_sweeps(parts)
+
+
+def full_gaps(z, r, a, b):
+    """Reference: the pair gaps over the whole sample arrays, NaN as 0."""
+    return np.nan_to_num(np.hypot(z[a] - z[b], r[a] - r[b]), nan=0.0).max(axis=1)
+
+
+@pytest.mark.parametrize("sample_dt, last", [(7 / 512, 1), (7 / 600, 89)],
+                         ids=["last-window-one-sample", "last-window-89"])
+def test_gap_bounds_hold_and_pruned_gaps_keep_their_bits(gap_family, sample_dt, last):
+    # the step nodes do not depend on the sample grid, so one family serves both
+    paths = dataclasses.replace(gap_family, tau=sample_times(7.0, sample_dt))
+    n = len(paths.seeds)
+    assert len(paths.tau) % READ_COLS == last
+    ended = paths.fail_tau[np.isfinite(paths.fail_tau)]
+    assert np.sum(ended > 0.0) > 10 and np.sum(np.isinf(paths.fail_tau)) > 40
+    assert paths.fail_tau[20] == 0.0 and paths.fail_tau[-1] == 0.0
+    assert len(paths.blocks[-1]["t1"]) == 0
+    rng = np.random.default_rng(21)
+    a = np.concatenate([np.arange(n), rng.integers(0, n, 400)])
+    b = np.concatenate([np.roll(np.arange(n), -1), rng.integers(0, n, 400)])
+    z, r = paths.samples([0, 1], np.arange(n), np.s_[:])
+    dist = np.hypot(z[a] - z[b], r[a] - r[b])
+    bound = reachset.gap_bounds(paths, a, b)
+    assert bound.shape == (len(a), -(-len(paths.tau) // READ_COLS))
+    for w in range(bound.shape[1]):
+        # the NaN-aware maximum of the window: NaN where no sample of the pair is live
+        top = np.fmax.reduce(dist[:, w * READ_COLS : (w + 1) * READ_COLS], axis=1)
+        live = ~np.isnan(top)
+        assert np.all(bound[live, w] >= top[live]), w
+    gaps = ReachSweep._pair_gaps(paths, a, b)
+    assert gaps.tobytes() == full_gaps(z, r, a, b).tobytes()
+    # the bound prunes: most (pair, window) reads are skipped
+    assert np.mean(bound < gaps[:, None]) > 0.5
+    assert ReachSweep._pair_gaps(paths, a[:0], b[:0]).shape == (0,)
+
+
+def test_pruned_pair_gaps_equal_a_full_read_on_drawn_pairs(gap_family):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    n = len(gap_family.seeds)
+    z, r = gap_family.samples([0, 1], np.arange(n), np.s_[:])
+    rows = st.integers(0, n - 1)
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hypothesis.given(st.lists(st.tuples(rows, rows), min_size=1, max_size=12))
+    def check(pairs):
+        a, b = np.array(pairs).T
+        assert ReachSweep._pair_gaps(gap_family, a, b).tobytes() == full_gaps(z, r, a, b).tobytes()
+
+    check()
+
+
+# sample entries (rows x columns) that _pair_gaps hands ExtremalSweep.samples
+# on ReachSweep(P, 2.0, 128, 128), and those of reading each measured row in full
+PAIR_GAP_ENTRIES = 91_449
+PAIR_GAP_ENTRIES_UNPRUNED = 277_819
+
+
+def test_pair_gap_reads_are_pinned(monkeypatch):
+    entries, unpruned, inside = [], [], []
+    samples, pair_gaps = extremals.ExtremalSweep.samples, ReachSweep._pair_gaps
+
+    def counting(self, comps, rows, cols):
+        out = samples(self, comps, rows, cols)
+        if inside:
+            entries.append(out.shape[1] * out.shape[2])
+        return out
+
+    def gaps(paths, a, b):
+        unpruned.append(len(np.unique(np.concatenate([a, b]))) * len(paths.tau))
+        inside.append(True)
+        try:
+            return pair_gaps(paths, a, b)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(extremals.ExtremalSweep, "samples", counting)
+    monkeypatch.setattr(ReachSweep, "_pair_gaps", staticmethod(gaps))
+    ReachSweep(P, 2.0, n_seeds=128, raster=128)
+    assert (sum(entries), sum(unpruned)) == (PAIR_GAP_ENTRIES, PAIR_GAP_ENTRIES_UNPRUNED)
+
+
+def test_round_of_frozen_seeds_measures_no_pair(monkeypatch):
+    # at wT = 0.5 the first bisection seed is stationary: its round adds no pair
+    sizes = []
+    pair_gaps = ReachSweep._pair_gaps
+
+    def sized(paths, a, b):
+        sizes.append(len(a))
+        return pair_gaps(paths, a, b)
+
+    monkeypatch.setattr(ReachSweep, "_pair_gaps", staticmethod(sized))
+    sweep = ReachSweep(P, 0.5, n_seeds=64, raster=16)
+    assert sizes[1] == 0 and sweep.n_failed == 1 and sweep.refine_rounds > 1
 
 
 def test_refinement_budget_exhaustion_is_reported():
