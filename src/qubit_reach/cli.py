@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -104,13 +105,40 @@ def _params(args, parser: argparse.ArgumentParser) -> SystemParams:
     parser.error("give either --gamma-ratio or all of --omega --kappa --gamma")
 
 
-def _write_rows(path, header, rows):
-    """CSV rows to the file at path, or to stdout for '-'.  Subcommands call it
-    once everything is computed, so a domain error leaves no output."""
-    with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as out:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Files for the output paths ('-' is stdout, None none), all opened
+    before anything is written, so a path that cannot be opened leaves no
+    output: files made here are removed again, and an existing file is
+    emptied only once every path is open.  Subcommands write once
+    everything is computed, so a domain error leaves no output either."""
+    files, made = [], []
+    with contextlib.ExitStack() as stack:
+        try:
+            for path in paths:
+                if path in (None, "-"):
+                    files.append(sys.stdout if path else None)
+                    continue
+                fresh = not os.path.exists(path)
+                files.append(stack.enter_context(open(path, "a")))
+                if fresh:
+                    made.append(path)
+        except OSError:
+            stack.close()
+            for path in made:
+                os.remove(path)
+            raise
+        for f in files:
+            if f not in (None, sys.stdout):
+                f.truncate(0)
+        yield files
+
+
+def _write_rows(out, header, rows):
+    """CSV rows to the open file out."""
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -127,7 +155,8 @@ def _cmd_simulate(args, parser):
     ts = np.linspace(0.0, sched.T, args.samples)
     states = simulate(args.r0, sched, params).sample(ts)
     rows = [(float(t), float(s[0]), float(s[1]), float(s[2])) for t, s in zip(ts, states)]
-    _write_rows(args.out, ["t", "rx", "ry", "rz"], rows)
+    with _outputs(args.out) as (out,):
+        _write_rows(out, ["t", "rx", "ry", "rz"], rows)
     return 0
 
 
@@ -145,7 +174,8 @@ def _cmd_extremal(args, parser):
         (float(t), float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]), float(h))
         for t, y, h in zip(traj.ts, traj.ys, hs)
     ]
-    _write_rows(args.out, ["tau", "z", "R", "p", "q", "theta", "H"], rows)
+    with _outputs(args.out) as (out,):
+        _write_rows(out, ["tau", "z", "R", "p", "q", "theta", "H"], rows)
     return 0
 
 
@@ -179,11 +209,12 @@ def _cmd_reachset(args, parser):
     rows = [(float(z), float(r)) for z, r in rset.occupied_centers()]
     figure = svg.reachset_figure(rset, _spiral_overlay(args, params)) if args.svg else None
     mesh = revolve_to_3d(rset, n_angles=args.obj_angles) if args.obj else None
-    _write_rows(args.out, ["z", "R"], rows)
-    if args.svg:
-        Path(args.svg).write_text(figure)
-    if args.obj:
-        write_obj(args.obj, *mesh)
+    with _outputs(args.out, args.svg, args.obj) as (out, svg_out, obj_out):
+        _write_rows(out, ["z", "R"], rows)
+        if svg_out:
+            svg_out.write(figure)
+        if obj_out:
+            write_obj(obj_out, *mesh)
     return 0
 
 
@@ -210,10 +241,11 @@ def _cmd_spiral(args, parser):
     arcs = spiral_region(params).arcs(args.samples)
     rows = [(aid, float(z), float(r)) for aid, arc in enumerate(arcs) for z, r in arc]
     figure = svg.figure(spiral_arcs=arcs, title="spiral region") if args.svg else None
-    _write_rows(args.out, ["arc", "z", "R"], rows)
-    print(f"guaranteed ball radius = {radius!r}")
-    if args.svg:
-        Path(args.svg).write_text(figure)
+    with _outputs(args.out, args.svg) as (out, svg_out):
+        _write_rows(out, ["arc", "z", "R"], rows)
+        print(f"guaranteed ball radius = {radius!r}")
+        if svg_out:
+            svg_out.write(figure)
     return 0
 
 
@@ -242,7 +274,8 @@ def _cmd_rank(args, parser):
         (*(float(v) for v in cert.point), cert.rank, "|".join(cert.witness), float(cert.determinant))
         for cert in rank_grid(params, n=args.grid)
     ]
-    _write_rows(args.out, ["rx", "ry", "rz", "rank", "witness", "det"], rows)
+    with _outputs(args.out) as (out,):
+        _write_rows(out, ["rx", "ry", "rz", "rank", "witness", "det"], rows)
     return 0
 
 

@@ -9,6 +9,7 @@ family the movie frames show.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bi
 MAX_REFINE_ROUNDS = 24
 BIN_BLOCK = 64  # sample columns per block of the first-passage binning
 READ_COLS = 256  # sample columns per read of the paths: amortises the reader's per-block cost
-GAP_SLACK = 1e-12  # widening of a pair-gap bound: covers the rounding of both readings of a path
+# widening of the node bounds of a pair gap or a path: covers the rounding of the
+# reader's and the bound's Hermite sums, and of chord points
+GAP_SLACK = 1e-12
 NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
 SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
@@ -32,20 +35,31 @@ BARRIER_CHUNK = 64  # edge samples per evaluation: bounds the (chunk, theta) tem
 OBJ_ROWS = 4096  # mesh rows per formatted chunk: bounds the Python floats held at once
 
 
-def bin_blocks(paths):
-    """(first column, z, R) of all paths over successive BIN_BLOCK sample
-    columns, read READ_COLS columns at a time."""
-    rows = np.arange(len(paths.seeds))
-    for w0 in range(0, len(paths.tau), READ_COLS):
-        z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
-        for j0 in range(0, z.shape[1], BIN_BLOCK):
-            yield w0 + j0, z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
-        del z, r  # free this window before the next read allocates one
-
-
 # powers (1, s, s^2, s^3) -> weights of (y0, h f0, y1, h f1) in a cubic Hermite step
 _HERMITE = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-3, -2, 3, -1], [2, 1, -2, 1]], dtype=float)
-_EDGE = np.array([0, 1, 5, 6, 0, 1, 11, 12])[:, None]  # node rows of (y0, f0, y1, f1) of z and R
+# node rows of (y0, f0, y1, f1) of z and R, and their node offsets from a step's start
+_EDGE = np.array([0, 1, 5, 6, 0, 1, 11, 12])
+_STEP = np.array([0, 0, 1, 1, 1, 1, 1, 1])
+
+
+def _bezier(blk, rows, u):
+    """Bezier points, shape (interval, 4, 2, len(rows)), of z and R of the
+    block's rows on the intervals between successive times u, no step end
+    inside one.  There a path is the cubic Hermite piece the reader uses,
+    of the first step ending at or after the interval's end, so it lies in
+    the convex hull of these points: the end values, and each plus or minus
+    a third of the interval times the slope."""
+    k = np.minimum(np.searchsorted(blk["t1"], u[1:]), len(blk["t1"]) - 1)
+    t0, h = blk["t0"][k], blk["h"][k]
+    s0, s1 = (u[:-1] - t0) / h, (u[1:] - t0) / h
+    # powers of s at the Bezier points, plus a third of the interval times their slope
+    s, sd = np.stack((s0, s0, s1, s1), axis=-1), (s1 - s0)[:, None] * [0, 1, -1, 0] / 3.0
+    V = np.stack((np.ones_like(s), s + sd, s * (s + 2 * sd), s * s * (s + 3 * sd)), axis=-1)
+    W = (V.reshape(-1, 4) @ _HERMITE).reshape(V.shape)
+    W[..., 1::2] *= h[:, None, None]
+    node = blk["nodes"][_EDGE[:, None], rows, k[0] : k[-1] + 2]  # (8, row, step)
+    c = node[np.arange(8), :, (k - k[0])[:, None] + _STEP]  # (interval, 8, row)
+    return (W @ c.reshape(len(k), 4, -1)).reshape(len(k), 4, 2, -1)
 
 
 def gap_bounds(paths, a, b):
@@ -69,27 +83,46 @@ def gap_bounds(paths, a, b):
         if not all(len(blk["t1"]) for blk, _ in sides):
             continue  # a block frozen at tau = 0 took no step: no live interval
         u = np.unique(np.concatenate([blk["t1"] for blk, _ in sides] + [ends]))
-        k = [np.minimum(np.searchsorted(blk["t1"], u[1:]), len(blk["t1"]) - 1) for blk, _ in sides]
-        t0, h = (np.stack([blk[v][kk] for (blk, _), kk in zip(sides, k)]) for v in ("t0", "h"))
-        s0, s1 = (u[:-1] - t0) / h, (u[1:] - t0) / h  # (side, interval)
-        # powers of s at the Bezier points, plus a third of the interval times their slope
-        s, sd = np.stack((s0, s0, s1, s1), axis=-1), (s1 - s0)[..., None] * [0, 1, -1, 0] / 3.0
-        V = np.stack((np.ones_like(s), s + sd, s * (s + 2 * sd), s * s * (s + 3 * sd)), axis=-1)
-        W = (V.reshape(-1, 4) @ _HERMITE).reshape(V.shape)
-        W[..., 1::2] *= h[..., None, None]
-        D = []  # per side, (interval, Bezier point, component and pair)
-        for (blk, rows), kk, w in zip(sides, k, W):
-            node = np.moveaxis(blk["nodes"][_EDGE, rows], 2, 0)
-            c = np.concatenate((node[kk, :2], node[kk + 1, 2:]), axis=1)  # (interval, 8, pair)
-            D.append(w @ c.reshape(len(kk), 4, -1))
-        D = np.square(D[0] - D[1])
-        hull = (D[..., : len(grp)] + D[..., len(grp) :]).max(axis=1)  # (interval, pair)
+        D = np.square(np.subtract(*(_bezier(blk, rows, u) for blk, rows in sides)))
+        hull = D.sum(axis=2).max(axis=1)  # (interval, pair)
         hull[u[1:, None] > live[None, grp]] = -np.inf
         win = np.searchsorted(np.searchsorted(tau, u[1:]) // READ_COLS, np.arange(len(firsts)))
         bound[grp] = np.maximum.reduceat(hull, win).T
     bound[:, 0] = np.maximum(bound[:, 0], 0.0)  # sample 0: every path starts at (z, R) = (0, 1)
     np.sqrt(bound, out=bound, where=bound >= 0.0)
     return bound + GAP_SLACK
+
+
+def node_boxes(paths, w0):
+    """Boxes (-min z, -min R, max z, max R), shape (4, windows, rows), that
+    hold every live sample of each row in each BIN_BLOCK window of the read
+    from sample column w0, from the step nodes alone: the hull of gap_bounds
+    per path, widened by GAP_SLACK, on the intervals between the step ends
+    and each window's last sample time, from the sample before w0 on.  An
+    interval counts for the window of the first sample at or after its end
+    unless it ends past the row's failure; window 0 also holds the start
+    node, sample 0.  A window no interval counts for gets -inf."""
+    tau = paths.tau
+    firsts = np.arange(w0, min(w0 + READ_COLS, len(tau)), BIN_BLOCK)
+    ends = tau[np.append(max(w0 - 1, 0), np.minimum(firsts + BIN_BLOCK, len(tau)) - 1)]
+    box = np.full((4, len(firsts), len(paths.seeds)), -np.inf)
+    hi = 0
+    for blk in paths.blocks:
+        lo, hi = hi, hi + blk["nodes"].shape[1]
+        t1 = blk["t1"]
+        if not len(t1):
+            continue  # a block frozen at tau = 0 took no step
+        u = np.union1d(t1[(t1 > ends[0]) & (t1 < ends[-1])], ends)
+        P = _bezier(blk, np.arange(hi - lo), u)
+        hull = np.concatenate((-P.min(axis=1), P.max(axis=1)), axis=1)  # (interval, 4, row)
+        np.copyto(hull, -np.inf, where=(u[1:, None] > paths.fail_tau[lo:hi])[:, None])
+        win = (np.searchsorted(tau, u[1:]) - w0) // BIN_BLOCK
+        hull = np.fmax.reduceat(hull, np.searchsorted(win, np.arange(len(firsts))))
+        box[:, :, lo:hi] = hull.transpose(1, 0, 2)
+    if w0 == 0:
+        start = np.concatenate([blk["nodes"][:2, :, 0] for blk in paths.blocks], axis=1)
+        box[:, 0] = np.fmax(box[:, 0], np.concatenate((-start, start)))
+    return box + GAP_SLACK
 
 
 def sample_spacing(cell: float, T_max: float) -> float:
@@ -453,8 +486,9 @@ class ReachSweep:
         Each point is binned once, at |R|; the R < 0 half is the mirror image."""
         n = self.n
         inv = 1.0 / self.cell
-        # a window's keys exceed all earlier ones, so a row or a pair whose box
-        # of cells earlier windows all entered is skipped; done is the summed-
+        # a window's keys exceed all earlier ones, so a row or a pair whose
+        # node box lies in cells earlier windows all entered is skipped, and a
+        # row is read only if it or a pair of it is not; done is the summed-
         # area table of those settled cells of the folded half, per read
         done = np.zeros((n + 1, n - n // 2 + 1), dtype=np.int32)
         # strips are bridged by chords only where the two paths run close
@@ -472,48 +506,71 @@ class ReachSweep:
             groups.append((order[ids], order[(ids + 1) % len(order)], lam, 1 - lam))
 
         def bins(pz, pr, key):
-            cell = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
+            # clip(int((z + 1) / cell)) and the same at |R|, in place on the fresh pz and pr
+            pz += 1.0
+            pz *= inv
+            np.abs(pr, out=pr)
+            pr += 1.0
+            pr *= inv
+            cell = np.clip(pz.astype(int), 0, n - 1)
             cell *= n
-            cell += np.clip(((np.abs(pr) + 1.0) * inv).astype(int), 0, n - 1)
+            cell += np.clip(pr.astype(int), 0, n - 1)
             return cell, key
 
         def span(lo, hi, low):
-            # summed-area-table range of the cells from lo to hi, one cell of slack each side
-            i0 = np.clip(((lo + 1.0) * inv).astype(int) - 1, low, n - 1)
-            i1 = np.clip(((hi + 1.0) * inv).astype(int) + 1, low, n - 1)
+            # summed-area-table range of the cells bins gives points from lo to hi;
+            # the boxes' GAP_SLACK covers the rounding of chord points
+            i0 = np.clip(((lo + 1.0) * inv).astype(int), low, n - 1)
+            i1 = np.clip(((hi + 1.0) * inv).astype(int), low, n - 1)
             return i0 - low, i1 - low + 1
 
-        def todo(nzlo, zhi, nrlo, rhi):
-            """Whether a box -nzlo <= z <= zhi, -nrlo <= R <= rhi has an unsettled cell."""
+        def todo(box):
+            """Whether each box (-min z, -min R, max z, max R) of node_boxes
+            has an unsettled cell; an empty box has none."""
+            live = (box[2] >= -box[0]) & (box[3] >= -box[1])
+            nzlo, nrlo, zhi, rhi = np.where(live, box, 0.0)
             i0, i1 = span(-nzlo, zhi, 0)
             c0, c1 = span(np.maximum(-np.minimum(nrlo, rhi), 0.0), np.maximum(nrlo, rhi), n // 2)
             settled = done[i1, c1] - done[i0, c1] - done[i1, c0] + done[i0, c0]
-            return settled < (i1 - i0) * (c1 - c0)
+            return live & (settled < (i1 - i0) * (c1 - c0))
 
         def cells(first):
-            for j0, z, r in bin_blocks(paths):
-                if j0 % READ_COLS == 0:
-                    done[1:, 1:] = first.reshape(n, n)[:, n // 2 :] != NO_PASSAGE
-                    done.cumsum(0, out=done).cumsum(1, out=done)
-                sample = np.arange(j0, j0 + z.shape[1])
-                # rows' boxes (-min z, max z, -min R, max R), 0 if dead; a pair's: max of its ends'
-                box = np.stack([-np.fmin.reduce(z, 1), np.fmax.reduce(z, 1),
-                                -np.fmin.reduce(r, 1), np.fmax.reduce(r, 1)])
-                np.nan_to_num(box, copy=False)
-                ok = np.isfinite(z)
-                ok &= todo(*box)[:, None]
-                yield bins(z[ok], r[ok], np.broadcast_to(sample, ok.shape)[ok])
-                for pa, pb, lam, mu in groups:
-                    go = todo(*np.maximum(box[:, pa], box[:, pb]))
-                    pa, pb = pa[go], pb[go]
-                    za, zb = z[pa], z[pb]
-                    ra, rb = r[pa], r[pb]
-                    # NaN tails compare False, so the chord needs both ends live
-                    good = np.hypot(za - zb, ra - rb) <= fill_limit
-                    za, zb, ra, rb = za[good], zb[good], ra[good], rb[good]
-                    key = np.tile(np.broadcast_to(sample, good.shape)[good], len(lam))
-                    yield bins((lam * za + mu * zb).ravel(), (lam * ra + mu * rb).ravel(), key)
-                del z, r, ok  # views of the window bin_blocks frees before its next read
+            for w0 in range(0, len(self.tau), READ_COLS):
+                done[1:, 1:] = first.reshape(n, n)[:, n // 2 :] != NO_PASSAGE
+                done.cumsum(0, out=done).cumsum(1, out=done)
+                # (window, row) and (window, pair) to bin; a pair's box is its ends' union
+                box = node_boxes(paths, w0)
+                go = todo(box)
+                pair_go = [todo(np.maximum(box[..., pa], box[..., pb])) for pa, pb, _, _ in groups]
+                del box
+                need = go.any(axis=0)
+                for (pa, pb, _, _), g in zip(groups, pair_go):
+                    g = g.any(axis=0)
+                    need[pa[g]] = need[pb[g]] = True
+                rows = np.flatnonzero(need)
+                if not len(rows):
+                    continue
+                at = np.cumsum(need) - 1  # read row of each storage row
+                z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+                for i, j0 in enumerate(range(0, z.shape[1], BIN_BLOCK)):
+                    zw, rw = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
+                    sample = np.arange(w0 + j0, w0 + j0 + zw.shape[1])
+                    ok = np.isfinite(zw)
+                    ok &= go[i, rows, None]
+                    yield bins(zw[ok], rw[ok], np.broadcast_to(sample, ok.shape)[ok])
+                    for (pa, pb, lam, mu), g in zip(groups, pair_go):
+                        ia, ib = at[pa[g[i]]], at[pb[g[i]]]
+                        za, zb = zw[ia], zw[ib]
+                        ra, rb = rw[ia], rw[ib]
+                        # NaN tails compare False, so the chord needs both ends live
+                        good = np.hypot(za - zb, ra - rb) <= fill_limit
+                        za, zb, ra, rb = za[good], zb[good], ra[good], rb[good]
+                        key = np.tile(np.broadcast_to(sample, good.shape)[good], len(lam))
+                        pz, pr = lam * za, lam * ra
+                        pz += mu * zb
+                        pr += mu * rb
+                        yield bins(pz.ravel(), pr.ravel(), key)
+                del z, r, zw, rw, ok  # free this window before the next read allocates one
 
         first = first_passage(n * n, cells)
         # an odd n's middle column is its own mirror image
@@ -666,11 +723,12 @@ def revolve_to_3d(set2d: ReachableSet2D, n_angles: int = 64):
     return verts.reshape(-1, 3), faces
 
 
-def write_obj(path, vertices, faces) -> None:
-    """Minimal OBJ export of a triangle mesh, OBJ_ROWS rows per formatted chunk."""
+def write_obj(out, vertices, faces) -> None:
+    """Minimal OBJ export of a triangle mesh to a path or an open text file,
+    OBJ_ROWS rows per formatted chunk."""
     rows = [(np.asarray(vertices, dtype=float).reshape(-1, 3), "v %.9f %.9f %.9f\n"),
             (np.asarray(faces, dtype=int).reshape(-1, 3) + 1, "f %d %d %d\n")]
-    with open(path, "w") as fh:
+    with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w") as fh:
         for a, line in rows:
             for k in range(0, len(a), OBJ_ROWS):
                 chunk = a[k : k + OBJ_ROWS]

@@ -25,11 +25,24 @@ import numpy as np
 
 from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
-from .reachset import NO_PASSAGE, SWEEP_TOL, bin_blocks, first_passage, sample_spacing
+from .reachset import (
+    BIN_BLOCK, NO_PASSAGE, READ_COLS, SWEEP_TOL, first_passage, sample_spacing,
+)
 
 MAGIC = "#qubit-reach-table v1"
 MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210 MB
 SEARCH_CELLS = 2  # Chebyshev radius of the nearest-cell fallback of query
+
+
+def bin_blocks(paths):
+    """(first column, z, R) of all paths over successive BIN_BLOCK sample
+    columns, read READ_COLS columns at a time."""
+    rows = np.arange(len(paths.seeds))
+    for w0 in range(0, len(paths.tau), READ_COLS):
+        z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+        for j0 in range(0, z.shape[1], BIN_BLOCK):
+            yield w0 + j0, z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
+        del z, r  # free this window before the next read allocates one
 
 
 class UnreachableError(ValueError):

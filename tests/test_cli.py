@@ -138,15 +138,31 @@ def test_lacuna_domain_error_exit_1(capsys):
         ["lacuna", "--gamma-ratio", "0.1", "--alpha", "0.4", "--beta", "-1"],
         ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "32", "--raster", "16",
          "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/mesh.obj"],
+        ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "64", "--raster", "16",
+         "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/missing/mesh.obj"],
+        ["spiral", "--gamma-ratio", "0.1", "--out", "{d}/arcs.csv", "--svg", "{d}/missing/s.svg"],
     ],
-    ids=["spiral-stdout", "spiral-files", "lacuna", "reachset-files"],
+    ids=["spiral-stdout", "spiral-files", "lacuna", "reachset-files", "reachset-unwritable-obj",
+         "spiral-unwritable-svg"],
 )
 def test_domain_error_leaves_no_output(tmp_path, capsys, argv):
-    # everything is computed before anything is written
+    # everything is computed, and every output path opened, before anything is written
     code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_path_keeps_existing_output(tmp_path, capsys):
+    # an existing output file is emptied only once every path is open
+    arcs = tmp_path / "arcs.csv"
+    arcs.write_text("kept\n")
+    code, out, err = run(capsys, "spiral", "--gamma-ratio", "0.1", "--out", str(arcs),
+                         "--svg", str(tmp_path / "missing" / "s.svg"))
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert arcs.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [arcs]
+    code, _, _ = run(capsys, "spiral", "--gamma-ratio", "0.1", "--out", str(arcs))
+    assert code == 0 and arcs.read_text().startswith("arc,z,R\n0,0.0,1.0\n")
 
 
 @pytest.mark.parametrize("angles", ["1", "2"])

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-import types
 
 import numpy as np
 import numpy.testing as npt
@@ -534,6 +533,35 @@ def test_pruned_pair_gaps_equal_a_full_read_on_drawn_pairs(gap_family):
     check()
 
 
+def test_node_boxes_hold_every_live_sample(gap_family):
+    # drawn sample grids over the three-block family of gap_family: failed
+    # seeds, row 20 and the last block frozen at tau = 0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rows = np.arange(len(gap_family.seeds))
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hypothesis.given(st.floats(0.05, 7.0), st.integers(2, 1100), st.integers(0, 4))
+    @hypothesis.example(7.0, 513, 2)  # the last read is one window of one sample
+    def check(T, m, read):
+        paths = dataclasses.replace(gap_family, tau=np.linspace(0.0, T, m))
+        w0 = min(read, (m - 1) // READ_COLS) * READ_COLS
+        box = reachset.node_boxes(paths, w0)
+        z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+        assert box.shape == (4, -(-z.shape[1] // BIN_BLOCK), len(rows))
+        for i, j in enumerate(range(0, z.shape[1], BIN_BLOCK)):
+            zw, rw = z[:, j : j + BIN_BLOCK], r[:, j : j + BIN_BLOCK]
+            lo_z, lo_r, hi_z, hi_r = (-box[0, i, :, None], -box[1, i, :, None],
+                                      box[2, i, :, None], box[3, i, :, None])
+            inside = (lo_z <= zw) & (zw <= hi_z) & (lo_r <= rw) & (rw <= hi_r)
+            assert np.all(inside | np.isnan(zw)), (w0 + j, np.argwhere(~inside & ~np.isnan(zw)))
+        # a row that failed before the read has an empty box in every window
+        if w0:
+            assert np.all(box[..., gap_family.fail_tau <= paths.tau[w0 - 1]] == -np.inf)
+
+    check()
+
+
 # sample entries (rows x columns) that _pair_gaps hands ExtremalSweep.samples
 # on ReachSweep(P, 2.0, 128, 128), and those of reading each measured row in full
 PAIR_GAP_ENTRIES = 91_449
@@ -653,11 +681,17 @@ def test_strip_kernel_matches_rep_reference(monkeypatch, ratio, T, raster):
     assert (len(sweep.unfilled_pairs) > 0) == (T > 2.0)
 
 
+# entries (rows x columns) _rasterize hands ExtremalSweep.samples on
+# ReachSweep(P, 7.0, 64, 64), and entries it hands first_passage
+RASTER_SAMPLE_ENTRIES = 181_257
+RASTER_BIN_ENTRIES = 623_818
+
+
 def test_rasterize_skips_settled_windows(monkeypatch):
-    # count the entries _rasterize hands to first_passage against those of
+    # count the entries _rasterize reads and hands to first_passage, against
     # every finite path point and every chord point it would bin unskipped
-    seen, handed = {}, []
-    rasterize = ReachSweep._rasterize
+    seen, read, handed = {}, [], []
+    rasterize, samples = ReachSweep._rasterize, extremals.ExtremalSweep.samples
 
     def capture(self, paths, order, gaps):
         seen.update(args=(paths, order, gaps))
@@ -671,9 +705,17 @@ def test_rasterize_skips_settled_windows(monkeypatch):
 
         return first_passage(n_cells, counted)
 
+    def reading(self, comps, rows, cols):
+        out = samples(self, comps, rows, cols)
+        if "args" in seen:  # the raster's reads, after every pair-gap read
+            read.append(out.shape[1] * out.shape[2])
+        return out
+
     monkeypatch.setattr(ReachSweep, "_rasterize", capture)
     monkeypatch.setattr(reachset, "first_passage", counting)
+    monkeypatch.setattr(extremals.ExtremalSweep, "samples", reading)
     sweep = ReachSweep(P, 7.0, n_seeds=64, raster=64)
+    assert (sum(read), sum(handed)) == (RASTER_SAMPLE_ENTRIES, RASTER_BIN_ENTRIES)
     paths, order, gaps = seen["args"]
     want, n_sub = rep_rasterize(sweep, paths, order, gaps)
     assert sweep.tau_min.tobytes() == want.tobytes()
@@ -681,21 +723,37 @@ def test_rasterize_skips_settled_windows(monkeypatch):
     a, b = order, np.roll(order, -1)
     near = np.hypot(z[a] - z[b], r[a] - r[b]) <= 2.0 * REFINE_CELLS * sweep.cell
     unskipped = np.isfinite(z).sum() + np.sum((np.maximum(n_sub, 1) - 1) * near.sum(axis=1))
-    # the counts repeat exactly; the share handed over is 0.85 at this size
+    # the share handed over is 0.79 at this size (3 reads, the table refreshed per read)
     assert sum(handed) < 0.9 * unskipped, sum(handed) / unskipped
 
 
+def linear_sweep(tau, zr, fail_tau):
+    """One block of linear Hermite steps, one per sample interval, through
+    the points zr (z and R, shape (2, rows, len(tau))): the reader gives the
+    points back bit for bit, and NaN past each row's fail_tau (a step end)."""
+    rows = zr.shape[1]
+    nodes = np.zeros((16, rows, len(tau)))
+    nodes[:2] = np.nan_to_num(zr)  # a failed row's tail is never read
+    h = np.diff(tau)
+    nodes[5:7, :, 1:] = nodes[11:13, :, 1:] = np.diff(nodes[:2], axis=-1) / h
+    block = dict(t0=tau[:-1], h=h, t1=tau[1:], nodes=nodes)
+    return extremals.ExtremalSweep(tau, [None] * rows, [block], np.asarray(fail_tau, dtype=float),
+                                   [None] * rows, {})
+
+
 def test_skipped_windows_keep_the_edge_cases():
-    # a made-up family of six paths over 384 samples on a 16-cell raster.
-    # The summed-area table is refreshed with settled cells first at sample
-    # 256, so each case sits in the window from 256 on, in cells F or H
-    # settled by sample 39 around a cell that only that case enters
+    # a made-up family of six paths over 384 samples on a 16-cell raster,
+    # given by step nodes the reader returns exactly.  The summed-area table
+    # is refreshed with settled cells first at sample 256, so each case sits
+    # in the window from 256 on, in cells F or H settled by sample 39 around
+    # a cell that only that case enters.  The node box of that window also
+    # holds sample 255, the start of the step that ends at sample 256
     n, m, cell = 16, 384, 0.125
     c = -1.0 + (np.arange(n) + 0.5) * cell  # cell centres
     zr = np.empty((2, 6, m))
-    # F settles the cells around C's crossing, around the origin (where a
-    # NaN box would point) and the cell where E1 and E2 end up
-    blocks = [(range(3, 6), range(9, 12)), (range(7, 10), range(8, 10)), ([2], [14])]
+    # F settles the cells around C's crossing, around the origin and the
+    # cells E1 and E2 pass from sample 255 to 256
+    blocks = [(range(3, 6), range(9, 12)), (range(7, 10), range(8, 10)), ([2], [13, 14])]
     F = [(c[i], c[j]) for iz, ir in blocks for i in iz for j in ir]
     zr[:, 0, : len(F)] = np.transpose(F)
     zr[:, 0, len(F) : 256] = [[c[15]], [c[8]]]  # parked away from the rest
@@ -718,12 +776,14 @@ def test_skipped_windows_keep_the_edge_cases():
     zr[:, 5] = [[c[6]], [c[14]]]
     zr[:, 5, :30] = c[15]
     zr[:, 5, 30:39] = np.transpose([(c[i], c[j]) for i in range(5, 8) for j in range(13, 16)])
-    paths = types.SimpleNamespace(
-        tau=np.arange(m) * 0.01, seeds=[None] * 6,
-        samples=lambda comps, rows, cols: zr[comps][:, rows][:, :, cols],
-    )
+    tau = np.arange(m) * 0.01
+    fail_tau = np.full(6, np.inf)
+    fail_tau[2] = tau[275]
+    paths = linear_sweep(tau, zr, fail_tau)
+    z, r = paths.samples([0, 1], np.arange(6), np.s_[:])
+    assert z.tobytes() == zr[0].tobytes() and r.tobytes() == zr[1].tobytes()
     sweep = ReachSweep.__new__(ReachSweep)
-    sweep.n, sweep.cell, sweep.tau = n, cell, paths.tau
+    sweep.n, sweep.cell, sweep.tau = n, cell, tau
     order = np.arange(6)
     gaps = np.array([0.0, 0.0, 0.25, 0.25, 0.0, 0.5])
     want, n_sub = rep_rasterize(sweep, paths, order, gaps)
