@@ -123,12 +123,6 @@ def density_to_bloch(rho) -> np.ndarray:
     return np.array([rx, ry, rz])
 
 
-def bloch_velocity_to_matrix(v) -> np.ndarray:
-    """Map a Bloch velocity to the matrix derivative (v . sigma) / 2."""
-    vx, vy, vz = np.asarray(v, dtype=float)
-    return 0.5 * (vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z)
-
-
 # --- cylindrical and polar pictures -------------------------------------
 
 
@@ -160,7 +154,7 @@ def cylindrical_fields(c, params: SystemParams):
     ct, st = np.cos(theta), np.sin(theta)
     c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
     zp, rp = _meridian_rhs(z, R, st, ct, c2, g)
-    g0 = np.array([zp, rp, -(z / R) * st - 0.25 * g * s2 + g * ct / R])
+    g0 = np.array([zp, rp, -_theta_balance(0.0, z, R, theta, g)])
     g1 = np.array([0.0, 0.0, 1.0])
     g2 = -np.array([0.5 * z, 0.25 * R * (3.0 - c2), 0.25 * s2])
     return g0, g1, g2
@@ -198,6 +192,11 @@ def _meridian_rhs(z, R, st, ct, c2, g):
     zp = -0.5 * g * z - R * ct
     rp = z * ct - 0.25 * g * R * (3.0 - c2) + g * st
     return zp, rp
+
+
+def _theta_balance(lead, z, R, theta, g):
+    """lead minus g0's theta component, each term added to lead in turn; unguarded."""
+    return lead + (z / R) * np.sin(theta) + 0.25 * g * np.sin(2.0 * theta) - g * np.cos(theta) / R
 
 
 def polar_rhs(state, theta, params: SystemParams):

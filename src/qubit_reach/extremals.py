@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import R_MIN, SingularityError, _meridian_rhs
-from .ode import IntegrationError, Trajectory, dp45, hermite
+from .bloch import R_MIN, SingularityError, _meridian_rhs, _theta_balance
+from .ode import HERMITE_WEIGHTS, IntegrationError, Trajectory, dp45, hermite
 from .params import SystemParams
 from .schedule import ControlSchedule, propagate
 
@@ -53,6 +53,9 @@ MAX_BRANCH_JUMP = 0.3  # total re-projection move taken as an argmax branch jump
 SEED_SCAN = 4096  # sign-change scan intervals of seed() on [0, 2 pi)
 SWEEP_BLOCK = 128  # seeds per block, one dp45 group; fixes the adaptive grids
 NODE_CHUNK = 32  # steps by which the node buffer of a sweep block grows
+# node rows of a step's (y0, f0, y1, f1) per component, theta's y1 before the re-projection
+_NODE_ROWS = np.array([[0, 5, 0, 11], [1, 6, 1, 12], [2, 7, 2, 13], [3, 8, 3, 14], [4, 9, 10, 15]])
+_NODE_STEP = np.array([0, 1, 1, 1])  # their node offsets from the step's start
 # |u| of the aligning spike of replay_extremal, in units of omega / (2 kappa):
 # the spike lasts pi / (SPIKE_STRENGTH omega), so omega times its duration
 # must be far below the comparison tolerance
@@ -292,9 +295,10 @@ class ExtremalSweep:
     re-projection, from the start to the end state; for j > 0, rows 5-9
     are the derivative at the start of the step that ends at node j, row
     10 theta before the re-projection (which only moves theta) and rows
-    11-15 the derivative there.  R keeps its sign.  A seed that ended
-    early did so at fail_tau (see fail_reason); fail_tau is inf for a
-    seed that reached T.  counts is the work of the dp45 runs.
+    11-15 the derivative there.  R keeps its sign.  Only this class reads
+    the nodes; other code may read a block's step ends t1.  A seed that
+    ended early did so at fail_tau (see fail_reason); fail_tau is inf for
+    a seed that reached T.  counts is the work of the dp45 runs.
     """
 
     tau: np.ndarray
@@ -308,6 +312,15 @@ class ExtremalSweep:
     def data(self) -> dict[str, np.ndarray]:
         """Each node array of every block, flattened and concatenated (a copy)."""
         return {k: np.concatenate([b[k].ravel() for b in self.blocks]) for k in self.blocks[0]}
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The first seed of each block, then the number of seeds."""
+        return np.cumsum([0] + [b["nodes"].shape[1] for b in self.blocks])
+
+    def start(self, comps) -> np.ndarray:
+        """Sample 0, the start state, of every seed, shape (len(comps), n)."""
+        return np.concatenate([b["nodes"][comps, :, 0] for b in self.blocks], axis=1)
 
     def samples(self, comps, rows, cols: slice) -> np.ndarray:
         """Samples of the increasing seed indices rows at the sample columns
@@ -324,7 +337,7 @@ class ExtremalSweep:
             raise ValueError("sample rows must be increasing")
         j = np.arange(len(self.tau))[cols]
         out = np.empty((len(comps), len(rows), len(j)))
-        starts = np.cumsum([0] + [b["nodes"].shape[1] for b in self.blocks])
+        starts = self.starts
         bounds = np.searchsorted(rows, starts)  # block b holds rows[bounds[b]:bounds[b + 1]]
         for blk, start, lo, hi in zip(self.blocks, starts, bounds, bounds[1:]):
             local = rows[lo:hi] - start
@@ -332,14 +345,32 @@ class ExtremalSweep:
                 k = np.minimum(np.searchsorted(blk["t1"], self.tau[j]), len(blk["t1"]) - 1)
                 h = blk["h"][k]
                 node = blk["nodes"][:, :, k[0] : k[-1] + 2]  # the steps the columns fall in
-                # y0, f0, y1 (with theta before the re-projection) and f1: node rows, node offset
-                at = ((comps, 0), (comps + 5, 1), (np.where(comps == 4, 10, comps), 1), (comps + 11, 1))
+                at = zip(_NODE_ROWS[comps].T, _NODE_STEP)  # y0, f0, y1 and f1
                 ends = (node[r][:, local][..., k - k[0] + d] for r, d in at)
                 out[:, lo:hi] = hermite((self.tau[j] - blk["t0"][k]) / h, h, *ends)
-            if len(j) and j[0] == 0:
-                out[:, lo:hi, 0] = blk["nodes"][:5, :, 0][comps][:, local]
+        if len(j) and j[0] == 0:
+            out[:, :, 0] = self.start(comps)[:, rows]
         np.copyto(out, np.nan, where=self.tau[j] > self.fail_tau[rows, None])
         return out
+
+    def bezier(self, b, rows, u) -> np.ndarray:
+        """Bezier points, shape (interval, 4, 2, len(rows)), of z and R of rows
+        of block b (from its first seed) between successive times u, no step
+        end inside: samples' Hermite piece there lies in the hull of its ends,
+        and of each plus or minus a third of the interval times the slope."""
+        blk = self.blocks[b]
+        k = np.minimum(np.searchsorted(blk["t1"], u[1:]), len(blk["t1"]) - 1)
+        t0, h = blk["t0"][k], blk["h"][k]
+        s0, s1 = (u[:-1] - t0) / h, (u[1:] - t0) / h
+        # powers of s at the Bezier points, plus a third of the interval times their slope
+        s, sd = np.stack((s0, s0, s1, s1), axis=-1), (s1 - s0)[:, None] * [0, 1, -1, 0] / 3.0
+        V = np.stack((np.ones_like(s), s + sd, s * (s + 2 * sd), s * s * (s + 3 * sd)), axis=-1)
+        W = (V.reshape(-1, 4) @ HERMITE_WEIGHTS).reshape(V.shape)
+        W[..., 1::2] *= h[:, None, None]
+        at = _NODE_ROWS[:2].T.ravel()  # y0, f0, y1 and f1, each of z and R
+        node = blk["nodes"][at[:, None], rows, k[0] : k[-1] + 2]  # (8, row, step)
+        c = node[np.arange(8), :, (k - k[0])[:, None] + np.repeat(_NODE_STEP, 2)]  # (interval, 8, row)
+        return (W @ c.reshape(len(k), 4, -1)).reshape(len(k), 4, 2, -1)
 
 
 def merge_sweeps(parts) -> ExtremalSweep:
@@ -512,7 +543,7 @@ def integrate_extremal(
             f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"
         )
     states = normalize_states(sweep.samples(range(5), [0], slice(None))[:, 0].T.copy())
-    return Trajectory(sweep.tau, states, _extremal_rhs(states.T, params.ratio).T)
+    return Trajectory(sweep.tau, states)
 
 
 # --- control recovery and replay ------------------------------------------
@@ -524,23 +555,19 @@ def recover_control(traj: Trajectory, params: SystemParams) -> ControlSchedule:
     Balancing the theta equation of the cylindrical system against the
     extremal's theta drift gives, back in physical time,
 
-        2 kappa u = omega [ theta'_tau + (z/R) sin th
-                            + (g/4) sin 2th - g cos th / R ].
+        2 kappa u = omega [ theta'_tau - g0_theta ],
 
-    The sin(th) factor on the z/R term is forced by the theta component
-    of the cylindrical drift; the whole expression is invariant under
-    the R >= 0 fold.  Returns a piecewise-constant schedule with n = 0
+    with g0_theta = -(z/R) sin th - (g/4) sin 2th + g cos th / R the theta
+    component of the cylindrical drift; the whole expression is invariant
+    under the R >= 0 fold.  Returns a piecewise-constant schedule with n = 0
     and midpoint-averaged values, times unscaled.
     """
     states = np.asarray(traj.ys, dtype=float)
     z, R, th = states[:, 0], states[:, 1], states[:, 4]
     if np.min(R) <= R_MIN:
         raise SingularityError(f"control recovery needs R > {R_MIN} along the path")
-    g = params.ratio
-    thp = theta_rhs(states, params)
-    u_tau = params.omega * (
-        thp + (z / R) * np.sin(th) + 0.25 * g * np.sin(2.0 * th) - g * np.cos(th) / R
-    ) / (2.0 * params.kappa)
+    lead = theta_rhs(states, params)
+    u_tau = params.omega * _theta_balance(lead, z, R, th, params.ratio) / (2.0 * params.kappa)
     times = traj.ts / params.omega
     u_pc = 0.5 * (u_tau[:-1] + u_tau[1:])
     return ControlSchedule(times[:-1], u_pc, np.zeros(len(u_pc)), T=float(times[-1]))

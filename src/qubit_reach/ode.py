@@ -4,11 +4,10 @@ One adaptive loop, :func:`dp45`, steps the embedded Dormand-Prince 5(4)
 pair on contiguous column groups of a (d, n) state in lockstep, each
 group with its own time, step size and controller; two hooks decide
 what an accepted step stores and what becomes of a column that fails.
-:func:`integrate` runs it on a single column and keeps every node; the
-extremal sweep runs each block of seeds as one group.  Dense output
-between accepted nodes is cubic Hermite, which is what the reachable-set
-rasterisation samples.  Affine flows with constant coefficients need no
-stepping: :func:`expm` propagates them exactly.
+The extremal sweep runs each block of seeds as one group.  Dense output
+between accepted nodes is cubic Hermite (:func:`hermite`), which is what
+the reachable-set rasterisation samples.  Affine flows with constant
+coefficients need no stepping: :func:`expm` propagates them exactly.
 """
 
 from __future__ import annotations
@@ -45,36 +44,17 @@ MAX_STEPS = 10_000_000  # accepted steps of one dp45 group
 
 @dataclass
 class Trajectory:
-    """Sampled solution with cubic Hermite dense output.
-
-    ts  strictly increasing times starting at 0, shape (m,)
-    ys  states, shape (m,) + state_shape
-    fs  state derivatives at the nodes, same shape as ys
-    """
+    """Sampled solution: strictly increasing times ts from 0, shape (m,),
+    and states ys, shape (m,) + state_shape."""
 
     ts: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
 
     def __post_init__(self):
         if self.ts[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(self.ts) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-
-    def sample(self, t) -> np.ndarray:
-        """Cubic Hermite interpolation at times t (scalar or array)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < self.ts[0] - 1e-12) or np.any(t > self.ts[-1] + 1e-12):
-            raise ValueError("sample time outside the integrated interval")
-        idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
-        t0 = self.ts[idx]
-        h = self.ts[idx + 1] - t0
-        s = (t - t0) / h
-        extra = (1,) * (self.ys.ndim - 1)
-        s = s.reshape(s.shape + extra)
-        h = h.reshape(h.shape + extra)
-        return hermite(s, h, self.ys[idx], self.fs[idx], self.ys[idx + 1], self.fs[idx + 1])
 
 
 def hermite(s, h, y0, f0, y1, f1):
@@ -86,6 +66,10 @@ def hermite(s, h, y0, f0, y1, f1):
         + (-2 * s3 + 3 * s2) * y1
         + (s3 - s2) * h * f1
     )
+
+
+# powers (1, s, s^2, s^3) -> weights of (y0, h f0, y1, h f1) in hermite
+HERMITE_WEIGHTS = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-3, -2, 3, -1], [2, 1, -2, 1]], dtype=float)
 
 
 # Pade-13 coefficients and the 1-norm up to which that approximant needs no
@@ -157,14 +141,14 @@ def dp45(
     its bits do not depend on the other groups.  Columns not in the mask
     ``live`` get zero derivative.  A step is accepted when, in each live
     column of the group, the RMS of the error estimate over tol + tol *
-    max(|y0|, |y1|) is at most 1 and h is 10 ulp of t or more, or reaches
-    T (scipy's RK45 minimum step).  A live column whose step is not
-    finite, or the group's worst when h is below that minimum (a step
-    collapse), goes to ``drop(cols, t, reason)`` (column indices), which
-    takes it out of ``live`` or raises; the group retries from rhs(t, y),
-    after a collapse at h = min(1e-3, T - t).  Each rejection shrinks h
-    by 10 % or more, so a group whose t stalls ends.  The groups that accepted
-    make one call ``accept(groups, cols, steps, y0, f0, y1, f1)`` with
+    max(|y0|, |y1|) is at most 1 and h is 10 ulp of t (of T at t = 0) or
+    more, or reaches T (scipy's RK45 minimum step).  A live column whose
+    step is not finite, or the group's worst when h is below that minimum
+    (a step collapse), goes to ``drop(cols, t, reason)`` (column indices),
+    which takes it out of ``live`` or raises; the group retries from
+    rhs(t, y), after a collapse at h = min(1e-3, T - t).  Each rejection
+    shrinks h by 10 % or more, so a group whose t stalls ends.  The groups
+    that accepted make one call ``accept(groups, cols, steps, y0, f0, y1, f1)`` with
     their (t0, h, t1) and both ends on their columns cols; it may edit y1,
     copies what it keeps and returns the derivative to go on from.  A
     group ends at T or with no live column; its first trial step is
@@ -213,7 +197,7 @@ def dp45(
         took, stepped = [], []  # whether each running group accepted, and its (t0, h, t1)
         for i, k in enumerate(run):
             norm, g = float(worst[i]), slice(offs[i], offs[i] + size[k])
-            collapse = h[k] < 10 * math.ulp(t[k]) and h[k] < T - t[k]
+            collapse = h[k] < 10 * math.ulp(t[k] or T) and h[k] < T - t[k]
             took.append(norm <= 1.0 and not collapse)
             if took[-1]:
                 stepped.append((t[k], h[k], T if (T - t[k] - h[k]) < 1e-15 * T else t[k] + h[k]))
@@ -240,35 +224,3 @@ def dp45(
     return dict(iterations=iterations, accepted=sum(steps), rejected=attempts - sum(steps),
                 rhs_columns=int(evals))
 
-
-def integrate(rhs: Callable, y0, T: float, tol: float = 1e-10) -> Trajectory:
-    """Integrate dy/dt = rhs(t, y) from t = 0 to t = T, keeping every node.
-
-    y0 may have any shape; it is the one column of :func:`dp45`, run at
-    tolerance tol.  Raises :class:`IntegrationError` with the failure time
-    in the message when the step budget is exhausted, a step is not
-    finite, the step size collapses or the right-hand side raises.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    nodes = []
-
-    def column_rhs(t, y):
-        try:
-            return np.asarray(rhs(t, y.reshape(y0.shape)), dtype=float).reshape(-1, 1)
-        except Exception as exc:
-            raise IntegrationError(f"right-hand side failed at t={t}: {exc}") from exc
-
-    def accept(groups, cols, steps, ya, fa, yb, fb):
-        (t0, _, t1), = steps
-        if not nodes:
-            nodes.append((t0, ya.copy(), fa.copy()))
-        nodes.append((t1, yb.copy(), fb.copy()))
-        return fb
-
-    def drop(cols, t, reason):
-        raise IntegrationError(f"{reason} at t={t}")
-
-    dp45(column_rhs, y0.reshape(-1, 1), T, tol, [0, 1], np.ones(1, dtype=bool), accept, drop)
-    ts, ys, fs = zip(*nodes)
-    shape = (len(ts),) + y0.shape
-    return Trajectory(np.array(ts), np.reshape(ys, shape), np.reshape(fs, shape))

@@ -35,59 +35,38 @@ BARRIER_CHUNK = 64  # edge samples per evaluation: bounds the (chunk, theta) tem
 OBJ_ROWS = 4096  # mesh rows per formatted chunk: bounds the Python floats held at once
 
 
-# powers (1, s, s^2, s^3) -> weights of (y0, h f0, y1, h f1) in a cubic Hermite step
-_HERMITE = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-3, -2, 3, -1], [2, 1, -2, 1]], dtype=float)
-# node rows of (y0, f0, y1, f1) of z and R, and their node offsets from a step's start
-_EDGE = np.array([0, 1, 5, 6, 0, 1, 11, 12])
-_STEP = np.array([0, 0, 1, 1, 1, 1, 1, 1])
-
-
-def _bezier(blk, rows, u):
-    """Bezier points, shape (interval, 4, 2, len(rows)), of z and R of the
-    block's rows on the intervals between successive times u, no step end
-    inside one.  There a path is the cubic Hermite piece the reader uses,
-    of the first step ending at or after the interval's end, so it lies in
-    the convex hull of these points: the end values, and each plus or minus
-    a third of the interval times the slope."""
-    k = np.minimum(np.searchsorted(blk["t1"], u[1:]), len(blk["t1"]) - 1)
-    t0, h = blk["t0"][k], blk["h"][k]
-    s0, s1 = (u[:-1] - t0) / h, (u[1:] - t0) / h
-    # powers of s at the Bezier points, plus a third of the interval times their slope
-    s, sd = np.stack((s0, s0, s1, s1), axis=-1), (s1 - s0)[:, None] * [0, 1, -1, 0] / 3.0
-    V = np.stack((np.ones_like(s), s + sd, s * (s + 2 * sd), s * s * (s + 3 * sd)), axis=-1)
-    W = (V.reshape(-1, 4) @ _HERMITE).reshape(V.shape)
-    W[..., 1::2] *= h[:, None, None]
-    node = blk["nodes"][_EDGE[:, None], rows, k[0] : k[-1] + 2]  # (8, row, step)
-    c = node[np.arange(8), :, (k - k[0])[:, None] + _STEP]  # (interval, 8, row)
-    return (W @ c.reshape(len(k), 4, -1)).reshape(len(k), 4, 2, -1)
+def _window_max(tau, u, hull, live, w0, width, n_win):
+    """Max of hull, shape (interval, k, row), on the intervals between times u
+    per window of width sample columns from w0, shape (k, n_win, row).  An
+    interval counts for the window of the first sample at or after its end
+    unless it ends past its row's time live (a step end)."""
+    np.copyto(hull, -np.inf, where=(u[1:, None] > live)[:, None])
+    win = (np.searchsorted(tau, u[1:]) - w0) // width
+    return np.maximum.reduceat(hull, np.searchsorted(win, np.arange(n_win))).transpose(1, 0, 2)
 
 
 def gap_bounds(paths, a, b):
     """Upper bounds, shape (len(a), windows), of |a[k](tau) - b[k](tau)| on
-    the live samples of each READ_COLS window, from the step nodes alone.
-    Intervals: see ReachSweep._pair_gaps.  An interval counts for the window
-    of the first sample at or after its end (a one-sample window takes the
-    interval ending at it) unless it ends past a failure (a step end); a
-    window no interval counts for gets -inf."""
-    tau, blocks = paths.tau, paths.blocks
+    the live samples of each READ_COLS window, from the step nodes alone: the
+    Bezier hull of the difference on the intervals of ReachSweep._pair_gaps,
+    per window as in _window_max (a one-sample window takes the interval
+    ending at it), widened by GAP_SLACK; -inf where no interval counts."""
+    tau, blocks, starts = paths.tau, paths.blocks, paths.starts
     firsts = np.arange(0, len(tau), READ_COLS)
     ends = tau[np.union1d(firsts, np.minimum(firsts + READ_COLS, len(tau)) - 1)]
-    starts = np.cumsum([0] + [blk["nodes"].shape[1] for blk in blocks])
     ba, bb = np.searchsorted(starts, a, "right") - 1, np.searchsorted(starts, b, "right") - 1
     live = np.minimum(paths.fail_tau[a], paths.fail_tau[b])
     bound = np.full((len(a), len(firsts)), -np.inf)  # squared until the end
     key = ba * len(blocks) + bb
     order = np.argsort(key, kind="stable")
     for grp in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if len(a) else []:
-        sides = [(blocks[x[grp[0]]], rows[grp] - starts[x[grp[0]]]) for x, rows in ((ba, a), (bb, b))]
-        if not all(len(blk["t1"]) for blk, _ in sides):
+        sides = [(x[grp[0]], rows[grp] - starts[x[grp[0]]]) for x, rows in ((ba, a), (bb, b))]
+        if not all(len(blocks[x]["t1"]) for x, _ in sides):
             continue  # a block frozen at tau = 0 took no step: no live interval
-        u = np.unique(np.concatenate([blk["t1"] for blk, _ in sides] + [ends]))
-        D = np.square(np.subtract(*(_bezier(blk, rows, u) for blk, rows in sides)))
-        hull = D.sum(axis=2).max(axis=1)  # (interval, pair)
-        hull[u[1:, None] > live[None, grp]] = -np.inf
-        win = np.searchsorted(np.searchsorted(tau, u[1:]) // READ_COLS, np.arange(len(firsts)))
-        bound[grp] = np.maximum.reduceat(hull, win).T
+        u = np.unique(np.concatenate([blocks[x]["t1"] for x, _ in sides] + [ends]))
+        D = np.square(np.subtract(*(paths.bezier(x, rows, u) for x, rows in sides)))
+        hull = D.sum(axis=2).max(axis=1, keepdims=True)  # (interval, 1, pair)
+        bound[grp] = _window_max(tau, u, hull, live[grp], 0, READ_COLS, len(firsts))[0].T
     bound[:, 0] = np.maximum(bound[:, 0], 0.0)  # sample 0: every path starts at (z, R) = (0, 1)
     np.sqrt(bound, out=bound, where=bound >= 0.0)
     return bound + GAP_SLACK
@@ -98,29 +77,23 @@ def node_boxes(paths, w0):
     hold every live sample of each row in each BIN_BLOCK window of the read
     from sample column w0, from the step nodes alone: the hull of gap_bounds
     per path, widened by GAP_SLACK, on the intervals between the step ends
-    and each window's last sample time, from the sample before w0 on.  An
-    interval counts for the window of the first sample at or after its end
-    unless it ends past the row's failure; window 0 also holds the start
-    node, sample 0.  A window no interval counts for gets -inf."""
-    tau = paths.tau
+    and each window's last sample time, from the sample before w0 on, per
+    window as in _window_max and -inf where no interval counts; window 0
+    also holds the start node, sample 0."""
+    tau, starts = paths.tau, paths.starts
     firsts = np.arange(w0, min(w0 + READ_COLS, len(tau)), BIN_BLOCK)
     ends = tau[np.append(max(w0 - 1, 0), np.minimum(firsts + BIN_BLOCK, len(tau)) - 1)]
     box = np.full((4, len(firsts), len(paths.seeds)), -np.inf)
-    hi = 0
-    for blk in paths.blocks:
-        lo, hi = hi, hi + blk["nodes"].shape[1]
-        t1 = blk["t1"]
+    for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        t1 = paths.blocks[b]["t1"]
         if not len(t1):
             continue  # a block frozen at tau = 0 took no step
         u = np.union1d(t1[(t1 > ends[0]) & (t1 < ends[-1])], ends)
-        P = _bezier(blk, np.arange(hi - lo), u)
+        P = paths.bezier(b, np.arange(hi - lo), u)
         hull = np.concatenate((-P.min(axis=1), P.max(axis=1)), axis=1)  # (interval, 4, row)
-        np.copyto(hull, -np.inf, where=(u[1:, None] > paths.fail_tau[lo:hi])[:, None])
-        win = (np.searchsorted(tau, u[1:]) - w0) // BIN_BLOCK
-        hull = np.fmax.reduceat(hull, np.searchsorted(win, np.arange(len(firsts))))
-        box[:, :, lo:hi] = hull.transpose(1, 0, 2)
+        box[:, :, lo:hi] = _window_max(tau, u, hull, paths.fail_tau[lo:hi], w0, BIN_BLOCK, len(firsts))
     if w0 == 0:
-        start = np.concatenate([blk["nodes"][:2, :, 0] for blk in paths.blocks], axis=1)
+        start = paths.start([0, 1])
         box[:, 0] = np.fmax(box[:, 0], np.concatenate((-start, start)))
     return box + GAP_SLACK
 

@@ -26,7 +26,6 @@ from qubit_reach import (
     seed,
     seed_grid,
 )
-from qubit_reach.bloch import bloch_velocity_to_matrix
 from qubit_reach.extremals import (
     hamiltonian_dtheta,
     hamiltonian_dtheta2,
@@ -35,7 +34,6 @@ from qubit_reach.extremals import (
     theta_rhs,
 )
 from qubit_reach.liealg import canonical_fields, rank_certificate
-from qubit_reach.ode import integrate
 from qubit_reach.reachset import (
     BarrierTriangle,
     ReachSweep,
@@ -49,6 +47,7 @@ from qubit_reach.reachset import (
 from qubit_reach import extremals
 from qubit_reach import svg as svg_mod
 from qubit_reach import table as table_mod
+from reference import dense_extremal, integrate, velocity_to_matrix
 
 P = SystemParams.from_ratio(0.1)
 G = P.ratio
@@ -93,7 +92,7 @@ def test_criterion_1_rhs_cross_oracle():
         u = rng.uniform(-5, 5)
         n = rng.uniform(0, 3)
         lhs = lindblad_rhs(bloch_to_density(r), u, n, P)
-        rhs = bloch_velocity_to_matrix(bloch_rhs(r, u, n, P))
+        rhs = velocity_to_matrix(bloch_rhs(r, u, n, P))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-12
@@ -366,7 +365,7 @@ def test_criterion_7_pmp_health(health_sweep):
     worst = 0.0
     h = 1e-3
     for psi in rng.uniform(0, 2 * np.pi, 8):
-        traj = integrate_extremal(seed(psi, P), 7.0, P, sample_dt=7 / 2048)
+        traj = dense_extremal(integrate_extremal(seed(psi, P), 7.0, P, sample_dt=7 / 2048), P)
         for k in rng.integers(64, 1980, 6):
             tau = traj.ts[k]
             th_m = argmax_theta(traj.sample(tau - h)[0])

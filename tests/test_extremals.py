@@ -29,6 +29,7 @@ from qubit_reach.extremals import (
     sample_times,
     sweep_extremals_parallel,
 )
+from reference import dense_extremal
 
 P = SystemParams.from_ratio(0.1)
 G = P.ratio
@@ -159,7 +160,7 @@ def test_extremal_invariants_along_trajectory():
 def test_theta_rhs_matches_argmax_slope():
     # independent oracle: Newton-polished brute-force argmax along the
     # trajectory, differentiated by central differences
-    traj = integrate_extremal(seed(2.0, P), 6.0, P, sample_dt=6 / 2048)
+    traj = dense_extremal(integrate_extremal(seed(2.0, P), 6.0, P, sample_dt=6 / 2048), P)
 
     def argmax_theta(s):
         th_grid = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
@@ -360,7 +361,7 @@ def test_recover_control_spiral_segment_identity():
                               np.zeros_like(taus)])
     from qubit_reach.ode import Trajectory
 
-    traj = Trajectory(taus, states, np.zeros_like(states))
+    traj = Trajectory(taus, states)
     # bypass theta_rhs by evaluating the recovery formula directly at
     # theta identically zero, where theta'_tau of the synthetic path is 0
     u = []
@@ -379,7 +380,7 @@ def test_recover_control_guards_axis():
     )
     from qubit_reach.ode import Trajectory
 
-    traj = Trajectory(taus, states, np.zeros_like(states))
+    traj = Trajectory(taus, states)
     with pytest.raises(SingularityError):
         recover_control(traj, P)
 

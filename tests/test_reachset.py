@@ -562,6 +562,28 @@ def test_node_boxes_hold_every_live_sample(gap_family):
     check()
 
 
+def test_sample_reads_equal_slices_of_a_full_read(gap_family):
+    # ExtremalSweep.samples on any components, increasing rows and column
+    # slice gives the bits of the same slice of a full read, over the three
+    # blocks of gap_family: failed seeds, row 20 and the last block frozen at 0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    n, m = len(gap_family.seeds), len(gap_family.tau)
+    full = gap_family.samples(range(5), np.arange(n), np.s_[:])
+    cols = st.integers(0, m + 1)
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hypothesis.given(st.lists(st.integers(0, 4), min_size=1, max_size=5),
+                      st.sets(st.integers(0, n - 1), min_size=1), cols, cols, st.integers(1, 5))
+    @hypothesis.example([4], {0, 20, n - 1}, 0, 1, 1)  # sample 0 of both frozen rows
+    def check(comps, rows, start, stop, step):
+        rows = np.array(sorted(rows))
+        got = gap_family.samples(comps, rows, np.s_[start:stop:step])
+        assert got.tobytes() == full[comps][:, rows, start:stop:step].tobytes()
+
+    check()
+
+
 # sample entries (rows x columns) that _pair_gaps hands ExtremalSweep.samples
 # on ReachSweep(P, 2.0, 128, 128), and those of reading each measured row in full
 PAIR_GAP_ENTRIES = 91_449

@@ -161,7 +161,7 @@ def test_propagate_semigroup():
 
 def test_propagate_matches_tight_integration_with_incoherent_control():
     from qubit_reach.bloch import bloch_rhs
-    from qubit_reach.ode import integrate
+    from reference import integrate
 
     p = SystemParams(omega=1.0, kappa=0.5, gamma=0.2)
     rng = np.random.default_rng(6)

@@ -14,7 +14,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qubit_reach"
 # 32: AffineField.name and the name of bracket, which no caller read, and
 # the defaults of rank_grid's n and SpiralRegion.arcs' n, which every caller
 # passes, are gone
-SETTABLE_VALUES = 32
+# 31: the tol of ode.integrate, which only tests called, left with it for
+# tests/reference.py
+SETTABLE_VALUES = 31
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
