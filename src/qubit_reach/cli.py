@@ -47,18 +47,16 @@ MAX_RANK_GRID = 101  # 523,305 certificates in the ball, one output row each
 MAX_HORIZON = 1000  # sweep and extremal horizons, in units of 1/omega: samples scale with it
 
 
-def positive_int(text: str) -> int:
-    """argparse type of counts and sizes."""
-    if not text.isdecimal() or int(text) < 1:
+def count_in(low: int, high: float, text: str) -> int:
+    """argparse type of a count flag, given its bounds by functools.partial:
+    below low a run cannot make its output (one sample cannot reach T, a
+    mesh needs three angles)."""
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def count_up_to(bound: int, text: str) -> int:
-    """argparse type of a count flag, given its bound by functools.partial."""
-    value = positive_int(text)
-    if value > bound:
-        raise argparse.ArgumentTypeError(f"expected at most {bound}, got {text!r}")
+    value = int(text)
+    if not low <= value <= high:
+        side = f"at least {low}" if value < low else f"at most {high}"
+        raise argparse.ArgumentTypeError(f"expected {side}, got {text!r}")
     return value
 
 
@@ -146,8 +144,6 @@ def _write_rows(out, header, rows):
 
 def _cmd_simulate(args, parser):
     params = _params(args, parser)
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
     sched = ControlSchedule.from_csv(
         args.schedule, params=params, scaled=args.scaled, duration=args.T,
         u_max=args.u_max,
@@ -162,8 +158,6 @@ def _cmd_simulate(args, parser):
 
 def _cmd_extremal(args, parser):
     params = _params(args, parser)
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
     sd = seed_fn(args.psi0, params, branch=args.branch)
     # ceil(T / sample_dt) + 1 samples: T / (N - 1.5) is half a step from the
     # rounding edge, so the grid is linspace(0, T, N) whatever the float noise
@@ -203,8 +197,6 @@ def _spiral_overlay(args, params):
 
 def _cmd_reachset(args, parser):
     params = _params(args, parser)
-    if args.obj_angles < 3:  # before the sweep, not after it
-        parser.error("--obj-angles must be at least 3")
     rset = _sweep(args, params, args.T).reachable_set(args.T)
     rows = [(float(z), float(r)) for z, r in rset.occupied_centers()]
     figure = svg.reachset_figure(rset, _spiral_overlay(args, params)) if args.svg else None
@@ -235,8 +227,6 @@ def _cmd_movie(args, parser):
 
 def _cmd_spiral(args, parser):
     params = _params(args, parser)
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
     radius = guaranteed_ball_radius(params)
     arcs = spiral_region(params).arcs(args.samples)
     rows = [(aid, float(z), float(r)) for aid, arc in enumerate(arcs) for z, r in arc]
@@ -312,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=finite_float, required=True, help="final time (physical units)")
     p.add_argument("--scaled", action="store_true", help="schedule times are in units of 1/omega")
     p.add_argument("--u-max", type=float, default=None, help="ingestion cap on |u|")
-    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=401)
+    p.add_argument("--samples", type=partial(count_in, 2, MAX_SAMPLES), default=401)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi0", type=finite_float, required=True, help="costate angle (rad)")
     p.add_argument("--T", type=horizon, required=True, help="duration in units of 1/omega")
     p.add_argument("--branch", choices=("max", "min"), default="max")
-    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=2001,
+    p.add_argument("--samples", type=partial(count_in, 2, MAX_SAMPLES), default=2001,
                    help="rows of the output, at least 2")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_extremal)
@@ -329,28 +319,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reachset", help="reachable set raster at scaled time T")
     _add_param_flags(p)
     p.add_argument("--T", type=horizon, required=True)
-    p.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=1024)
-    p.add_argument("--raster", type=partial(count_up_to, MAX_RASTER), default=512)
+    p.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=1024)
+    p.add_argument("--raster", type=partial(count_in, 1, MAX_RASTER), default=512)
     p.add_argument("--out", default="-", help="CSV of occupied cell centers")
     p.add_argument("--svg", default=None)
     p.add_argument("--obj", default=None, help="revolved 3D mesh (OBJ)")
-    p.add_argument("--obj-angles", type=partial(count_up_to, MAX_OBJ_ANGLES), default=64)
+    p.add_argument("--obj-angles", type=partial(count_in, 3, MAX_OBJ_ANGLES), default=64)
     p.add_argument("--overlay-spiral", action="store_true")
     p.set_defaults(func=_cmd_reachset)
 
     p = sub.add_parser("movie", help="SVG frames of the growing reachable set")
     _add_param_flags(p)
     p.add_argument("--T-max", type=horizon, default=7.0)
-    p.add_argument("--frames", type=partial(count_up_to, MAX_FRAMES), default=140)
-    p.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=1024)
-    p.add_argument("--raster", type=partial(count_up_to, MAX_RASTER), default=512)
+    p.add_argument("--frames", type=partial(count_in, 1, MAX_FRAMES), default=140)
+    p.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=1024)
+    p.add_argument("--raster", type=partial(count_in, 1, MAX_RASTER), default=512)
     p.add_argument("--out-dir", default="frames")
     p.add_argument("--overlay-spiral", action="store_true")
     p.set_defaults(func=_cmd_movie)
 
     p = sub.add_parser("spiral", help="spiral-bounded exactly-reachable region")
     _add_param_flags(p)
-    p.add_argument("--samples", type=partial(count_up_to, MAX_SAMPLES), default=256)
+    p.add_argument("--samples", type=partial(count_in, 2, MAX_SAMPLES), default=256)
     p.add_argument("--out", default="-")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_spiral)
@@ -367,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="bracket rank certificates on a Bloch-ball grid")
     _add_param_flags(p)
-    p.add_argument("--grid", type=partial(count_up_to, MAX_RANK_GRID), default=5)
+    p.add_argument("--grid", type=partial(count_in, 1, MAX_RANK_GRID), default=5)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_rank)
 
@@ -375,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_command", required=True)
     pb = tsub.add_parser("build")
     _add_param_flags(pb)
-    pb.add_argument("--seeds", type=partial(count_up_to, MAX_SEEDS), default=4096)
+    pb.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=4096)
     pb.add_argument("--T-max", type=horizon, default=10.0)
-    pb.add_argument("--grid", type=positive_int, default=256)
+    pb.add_argument("--grid", type=partial(count_in, 1, np.inf), default=256)
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_table_build)
     pq = tsub.add_parser("query")

@@ -392,14 +392,12 @@ def sample_times(T: float, sample_dt) -> np.ndarray:
 
 
 def _as_seeds(seeds, params):
-    """ExtremalSeed objects kept, bare psi0 angles seeded in one batch."""
+    """A list of ExtremalSeed objects kept, or one of bare psi0 angles
+    seeded in one batch."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    bare = [k for k, s in enumerate(seeds) if not isinstance(s, ExtremalSeed)]
-    for k, s in zip(bare, seed_batch([float(seeds[k]) for k in bare], params)):
-        seeds[k] = s
-    return seeds
+    return seeds if isinstance(seeds[0], ExtremalSeed) else seed_batch(seeds, params)
 
 
 def sweep_extremals(
@@ -412,7 +410,7 @@ def sweep_extremals(
 ) -> ExtremalSweep:
     """Integrate a family of extremals, each block of seeds on its own adaptive grid.
 
-    seeds may be ExtremalSeed objects or bare psi0 angles.  Each run of
+    seeds are ExtremalSeed objects or all bare psi0 angles.  Each run of
     SWEEP_BLOCK consecutive seeds is a block, one group of a single
     :func:`ode.dp45` run at tolerance tol that steps them in lockstep.
     The result keeps their step nodes; ExtremalSweep.samples reads them on

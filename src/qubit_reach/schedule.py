@@ -59,7 +59,7 @@ class ControlSchedule:
     def from_csv(
         cls,
         path,
-        params: SystemParams | None = None,
+        params: SystemParams,
         scaled: bool = False,
         duration: float | None = None,
         u_max: float | None = None,
@@ -67,8 +67,8 @@ class ControlSchedule:
         """Read a t,u,n schedule; header row is required, and every other
         non-blank row holds exactly three numbers.
 
-        The ingestion cap on |u| defaults to params.u_max_default when
-        params are given; pass u_max=np.inf to disable it.
+        The ingestion cap on |u| defaults to params.u_max_default; pass
+        u_max=np.inf to disable it.
         """
         rows = []
         with open(path, newline="") as fh:
@@ -91,14 +91,12 @@ class ControlSchedule:
         data = np.array(rows, dtype=float)
         times = data[:, 0]
         if scaled:
-            if params is None:
-                raise ValueError("scaled times require system parameters")
             times = times / params.omega
         sched = cls(times, data[:, 1], data[:, 2], T=duration)
-        cap = u_max if u_max is not None else (params.u_max_default if params else None)
-        if cap is not None and not cap > 0:
+        cap = u_max if u_max is not None else params.u_max_default
+        if not cap > 0:
             raise ValueError(f"u_max must be positive, got {cap}")
-        return sched.clipped(cap) if cap is not None and np.isfinite(cap) else sched
+        return sched.clipped(cap) if np.isfinite(cap) else sched
 
 
 def _affine_parts(u, n, params: SystemParams):

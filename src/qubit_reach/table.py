@@ -34,17 +34,6 @@ MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210
 SEARCH_CELLS = 2  # Chebyshev radius of the nearest-cell fallback of query
 
 
-def bin_blocks(paths):
-    """(first column, z, R) of all paths over successive BIN_BLOCK sample
-    columns, read READ_COLS columns at a time."""
-    rows = np.arange(len(paths.seeds))
-    for w0 in range(0, len(paths.tau), READ_COLS):
-        z, r = paths.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
-        for j0 in range(0, z.shape[1], BIN_BLOCK):
-            yield w0 + j0, z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
-        del z, r  # free this window before the next read allocates one
-
-
 class UnreachableError(ValueError):
     """No recorded extremal passes near the queried target."""
 
@@ -53,8 +42,8 @@ class UnreachableError(ValueError):
 class LookupTable:
     """Grid over the half-disc [-1,1] x [0,1] with square cells 2/grid_n.
 
-    Arrays are indexed [i, j] with i the z cell and j the R cell; mask
-    marks nonempty cells.  A new table has every cell empty.
+    Arrays are indexed [i, j] with i the z cell and j the R cell.  A cell
+    is nonempty when its tmin is finite.  A new table has every cell empty.
     """
 
     gamma_ratio: float
@@ -62,14 +51,19 @@ class LookupTable:
     psi0: np.ndarray = field(init=False)
     theta0: np.ndarray = field(init=False)
     tmin: np.ndarray = field(init=False)
-    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nz, nr = self.grid_n, self.grid_n // 2
         self.psi0 = np.zeros((nz, nr))
         self.theta0 = np.zeros((nz, nr))
         self.tmin = np.full((nz, nr), np.inf)
-        self.mask = np.zeros((nz, nr), dtype=bool)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The nonempty cells, read-only: a cell is set through tmin."""
+        mask = self.tmin < np.inf
+        mask.flags.writeable = False
+        return mask
 
     @property
     def cell(self) -> float:
@@ -121,26 +115,31 @@ def build_table(
     )
     ns = len(seeds)
     nz, nr = grid_resolution, grid_resolution // 2
-    seed_idx = np.arange(ns)[:, None]
+    rows = np.arange(ns)
 
     def cells():
-        # key = sample * ns + seed: the earliest passage, lowest seed on ties
-        for j0, zb, Rb in bin_blocks(sweep):
-            ok = np.isfinite(zb)
-            iz = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
-            ir = np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
-            yield iz * nr + ir, (np.arange(j0, j0 + zb.shape[1]) * ns + seed_idx)[ok]
-            del zb, Rb, ok  # views of the window bin_blocks frees before its next read
+        # key = sample * ns + seed: the earliest passage, lowest seed on ties;
+        # READ_COLS columns are read at a time and binned BIN_BLOCK at a time
+        for w0 in range(0, len(sweep.tau), READ_COLS):
+            z, r = sweep.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+            for j0 in range(0, z.shape[1], BIN_BLOCK):
+                zb, Rb = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
+                ok = np.isfinite(zb)
+                iz = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
+                ir = np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
+                col = np.arange(w0 + j0, w0 + j0 + zb.shape[1])
+                yield iz * nr + ir, (col * ns + rows[:, None])[ok]
+            del z, r, zb, Rb, ok  # free this window before the next read allocates one
 
     # the result goes into the arrays the table was made with, before the
     # sweep: an array made after it could sit above the sweep's freed memory
     # and keep the allocator from returning that memory
     first = first_passage(nz * nr, lambda first: cells()).reshape(nz, nr)
-    np.not_equal(first, NO_PASSAGE, out=table.mask)
-    tau_idx, seed_of = np.divmod(first[table.mask], ns)
-    table.tmin[table.mask] = sweep.tau[tau_idx]
-    table.psi0[table.mask] = np.array([s.psi0 for s in seeds])[seed_of]
-    table.theta0[table.mask] = np.array([s.theta0 for s in seeds])[seed_of]
+    reached = first != NO_PASSAGE
+    tau_idx, seed_of = np.divmod(first[reached], ns)
+    table.tmin[reached] = sweep.tau[tau_idx]
+    table.psi0[reached] = np.array([s.psi0 for s in seeds])[seed_of]
+    table.theta0[reached] = np.array([s.theta0 for s in seeds])[seed_of]
     return table
 
 
@@ -159,12 +158,13 @@ def query(table: LookupTable, z1: float, R1: float):
     if z1 * z1 + R1 * R1 > 1.0 + 1e-9:
         raise ValueError(f"target ({z1}, {R1}) lies outside the unit disc")
     i0, j0 = table.cell_of(z1, R1)
-    if table.mask[i0, j0]:
-        return table.psi0[i0, j0], table.theta0[i0, j0], table.tmin[i0, j0]
+    tmin = table.tmin[i0, j0]
+    if tmin < math.inf:
+        return table.psi0[i0, j0], table.theta0[i0, j0], tmin
     best = None
     for i in range(max(0, i0 - SEARCH_CELLS), min(table.grid_n, i0 + SEARCH_CELLS + 1)):
         for j in range(max(0, j0 - SEARCH_CELLS), min(table.grid_n // 2, j0 + SEARCH_CELLS + 1)):
-            if not table.mask[i, j]:
+            if not table.tmin[i, j] < math.inf:
                 continue
             zc, rc = table.cell_center(i, j)
             d = (zc - z1) ** 2 + (rc - R1) ** 2
@@ -212,9 +212,7 @@ def load(path) -> LookupTable:
     table = LookupTable(ratio, grid)
     # memoryviews read and write single cells as Python scalars, without
     # numpy's per-call overhead or a per-row copy of the file's values
-    psi0_v, theta0_v, tmin_v, mask_v = map(
-        memoryview, (table.psi0, table.theta0, table.tmin, table.mask)
-    )
+    psi0_v, theta0_v, tmin_v = map(memoryview, (table.psi0, table.theta0, table.tmin))
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -228,11 +226,10 @@ def load(path) -> LookupTable:
             raise ValueError(f"{path}:{ln}: {exc}") from None
         if not (0 <= i < grid and 0 <= j < grid // 2):
             raise ValueError(f"{path}:{ln}: cell ({i}, {j}) outside the {grid} x {grid // 2} grid")
-        if mask_v[i, j]:
+        if tmin_v[i, j] < math.inf:  # stored rows have a finite Tmin
             raise ValueError(f"{path}:{ln}: cell ({i}, {j}) given twice")
         if not (math.isfinite(psi0) and math.isfinite(theta0) and math.isfinite(tmin)
                 and tmin >= 0.0):
             raise ValueError(f"{path}:{ln}: psi0, theta0 and Tmin must be finite, Tmin >= 0")
         psi0_v[i, j], theta0_v[i, j], tmin_v[i, j] = psi0, theta0, tmin
-        mask_v[i, j] = True
     return table

@@ -178,7 +178,7 @@ def test_obj_angles_below_three_is_a_usage_error_before_the_sweep(
               "--obj", str(tmp_path / "m.obj"), "--obj-angles", angles])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--obj-angles must be at least 3" in err and "Traceback" not in err
+    assert f"expected at least 3, got '{angles}'" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -195,7 +195,7 @@ def test_samples_below_two_is_a_usage_error(tmp_path, capsys, argv):
         main([a.format(d=tmp_path) for a in argv] + ["--samples", "1"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "--samples must be at least 2" in captured.err
+    assert captured.out == "" and "expected at least 2, got '1'" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -233,7 +233,7 @@ def test_extremal_prints_exactly_samples_rows(capsys, T, samples):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "--samples must be at least 2" in capsys.readouterr().err
+        assert "expected at least 2, got '1'" in capsys.readouterr().err
         return
     code, out, _ = run(capsys, *argv)
     lines = out.splitlines()

@@ -385,6 +385,29 @@ def test_marching_squares_matches_loop_reference(n, density):
         assert a.tobytes() == b.tobytes()
 
 
+def test_marching_squares_matches_loop_reference_on_drawn_rasters():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    diag, anti = [[True, False], [False, True]], [[False, True], [True, False]]
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hypothesis.given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda cells: np.reshape(cells, (n, n)))))
+    @hypothesis.example(np.zeros((1, 1), bool))  # empty
+    @hypothesis.example(np.ones((4, 4), bool))  # full
+    @hypothesis.example(np.array(diag))  # the saddle case 5
+    @hypothesis.example(np.array(anti))  # the saddle case 10
+    @hypothesis.example(np.indices((5, 5)).sum(axis=0) % 2 == 0)  # saddles everywhere
+    def check(occ):
+        got, want = marching_squares(occ), loop_marching_squares(occ)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    check()
+
+
 def test_revolve_sphere():
     n = 128
     occ = disc_raster(n, 1 - 4 / n)
@@ -823,6 +846,23 @@ def naive_first_passage(n_cells, cells, keys):
         if first[cells[k]] == NO_PASSAGE:
             first[cells[k]] = keys[k]
     return first
+
+
+def test_first_passage_matches_naive_loop_on_drawn_blocks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.tuples(st.integers(0, 19), st.integers(0, 2**62))
+    small = st.tuples(st.integers(0, 19), st.integers(0, 5))  # many tied keys
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @hypothesis.given(st.lists(st.lists(st.one_of(entry, small), max_size=30), max_size=6))
+    def check(blocks):
+        arrays = [np.array(b, dtype=np.int64).reshape(-1, 2).T for b in blocks]
+        flat = np.concatenate([np.zeros((2, 0), np.int64), *arrays], axis=1)
+        got = first_passage(20, lambda first: arrays)
+        npt.assert_array_equal(got, naive_first_passage(20, *flat))
+
+    check()
 
 
 def test_first_passage_matches_naive_loop():

@@ -69,11 +69,10 @@ def test_schedule_u_cap(tmp_path):
     [
         (lambda path: ControlSchedule([], [], []), "at least one breakpoint"),
         (lambda path: ControlSchedule([0.0, 1.0], [0.0], [0.0, 0.0]), "equal length"),
-        (lambda path: ControlSchedule.from_csv(path, scaled=True), "scaled times require"),
         (lambda path: propagate([0, 0, 1], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], P),
          "one more entry"),
     ],
-    ids=["no-breakpoint", "unequal-lengths", "scaled-without-params", "propagate-edge-count"],
+    ids=["no-breakpoint", "unequal-lengths", "propagate-edge-count"],
 )
 def test_schedule_refusals(tmp_path, call, msg):
     path = tmp_path / "s.csv"

@@ -275,8 +275,7 @@ def test_binning_matches_naive_loop(monkeypatch):
                 continue
             i = int(np.clip((z[s, j] + 1.0) / 0.5, 0, 3))
             k = int(np.clip(abs(R[s, j]) / 0.5, 0, 1))
-            if not want.mask[i, k]:
-                want.mask[i, k] = True
+            if want.tmin[i, k] == np.inf:
                 want.tmin[i, k] = tau[j]
                 want.psi0[i, k], want.theta0[i, k] = seeds[s].psi0, seeds[s].theta0
     assert want.mask.sum() == 8 and want.psi0[2, 1] == seeds[0].psi0
@@ -298,12 +297,13 @@ def ref_query(table, z1, R1):
     if z1 * z1 + R1 * R1 > 1.0 + 1e-9:
         raise ValueError(f"target ({z1}, {R1}) lies outside the unit disc")
     i0, j0 = ref_cell_of(table, z1, R1)
-    if table.mask[i0, j0]:
+    mask = table.mask
+    if mask[i0, j0]:
         return table.psi0[i0, j0], table.theta0[i0, j0], table.tmin[i0, j0]
     best = None
     for i in range(max(0, i0 - 2), min(table.grid_n, i0 + 3)):
         for j in range(max(0, j0 - 2), min(table.grid_n // 2, j0 + 3)):
-            if not table.mask[i, j]:
+            if not mask[i, j]:
                 continue
             zc, rc = table.cell_center(i, j)
             cand = ((zc - z1) ** 2 + (rc - R1) ** 2, i, j)
@@ -356,6 +356,45 @@ def test_query_answers_match_clip_reference(tmp_path, table):
             assert tbl.cell_of(z, R) == ref_cell_of(tbl, z, R)
     kinds = {answer(query, table, z, R)[0] for z, R in pinned_targets(table)}
     assert {ValueError, UnreachableError} < kinds  # both error paths are pinned
+
+
+def test_drawn_tables_round_trip(tmp_path):
+    # save -> load -> save keeps the bytes, the loaded mask is the drawn
+    # cells, and query answers as the clip reference does
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    record = st.tuples(finite, finite, st.floats(0.0, 1e6))
+    target = st.tuples(st.floats(-1.1, 1.1), st.floats(-0.1, 1.1))
+
+    @st.composite
+    def tables(draw):
+        n = 2 * draw(st.integers(1, 8))
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n // 2 - 1))
+        cells = draw(st.dictionaries(cell, record, max_size=n * n // 2))
+        tbl = LookupTable(draw(st.floats(0.0, 10.0)), n)
+        for (i, j), (psi0, theta0, tmin) in cells.items():
+            tbl.psi0[i, j], tbl.theta0[i, j], tbl.tmin[i, j] = psi0, theta0, tmin
+        return tbl, cells
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hypothesis.given(tables(), st.lists(target, max_size=20))
+    def check(drawn, targets):
+        tbl, cells = drawn
+        save(tbl, tmp_path / "a.csv")
+        back = load(tmp_path / "a.csv")
+        save(back, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        want = np.zeros((tbl.grid_n, tbl.grid_n // 2), dtype=bool)
+        for i, j in cells:
+            want[i, j] = True
+        npt.assert_array_equal(back.mask, want)
+        for z, R in targets + [back.cell_center(i, j) for i, j in cells]:
+            assert answer(query, back, z, R) == answer(ref_query, back, z, R), (z, R)
+        with pytest.raises(ValueError, match="read-only"):
+            back.mask[0, 0] = True
+
+    check()
 
 
 def test_records_match_per_cell_reference(table):
