@@ -60,6 +60,15 @@ def count_in(low: int, high: float, text: str) -> int:
     return value
 
 
+def table_grid(text: str) -> int:
+    """argparse type of table build --grid: an even count from 2 to
+    table.MAX_GRID, since the table's cells split R >= 0 in half of it."""
+    value = count_in(2, table_mod.MAX_GRID, text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"expected an even count, got {text!r}")
+    return value
+
+
 def finite_float(text: str) -> float:
     """argparse type of times, angles and coordinates."""
     value = float(text)
@@ -367,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(pb)
     pb.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=4096)
     pb.add_argument("--T-max", type=horizon, default=10.0)
-    pb.add_argument("--grid", type=partial(count_in, 1, np.inf), default=256)
+    pb.add_argument("--grid", type=table_grid, default=256)
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_table_build)
     pq = tsub.add_parser("query")

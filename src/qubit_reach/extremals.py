@@ -53,7 +53,8 @@ MAX_BRANCH_JUMP = 0.3  # total re-projection move taken as an argmax branch jump
 SEED_SCAN = 4096  # sign-change scan intervals of seed() on [0, 2 pi)
 SWEEP_BLOCK = 128  # seeds per block, one dp45 group; fixes the adaptive grids
 NODE_CHUNK = 32  # steps by which the node buffer of a sweep block grows
-# node rows of a step's (y0, f0, y1, f1) per component, theta's y1 before the re-projection
+# node rows of a step's (y0, f0, y1, f1) per component, theta's y1 before the
+# re-projection, in the layout of a sweep that keeps all five components
 _NODE_ROWS = np.array([[0, 5, 0, 11], [1, 6, 1, 12], [2, 7, 2, 13], [3, 8, 3, 14], [4, 9, 10, 15]])
 _NODE_STEP = np.array([0, 1, 1, 1])  # their node offsets from the step's start
 # |u| of the aligning spike of replay_extremal, in units of omega / (2 kappa):
@@ -291,14 +292,17 @@ class ExtremalSweep:
     blocks holds, for each block of consecutive seeds swept as one dp45
     group, per accepted step its start t0, the h that dp45 took and its
     end t1 (the last step ends at T), shape (K,), and the nodes, shape
-    (16, n, K + 1).  Rows 0-4 of node j are the state after the theta
-    re-projection, from the start to the end state; for j > 0, rows 5-9
-    are the derivative at the start of the step that ends at node j, row
-    10 theta before the re-projection (which only moves theta) and rows
-    11-15 the derivative there.  R keeps its sign.  Only this class reads
-    the nodes; other code may read a block's step ends t1.  A seed that
-    ended early did so at fail_tau (see fail_reason); fail_tau is inf for
-    a seed that reached T.  counts is the work of the dp45 runs.
+    (rows, n, K + 1).  With all five components kept there are 16 rows:
+    rows 0-4 of node j are the state after the theta re-projection, from
+    the start to the end state; for j > 0, rows 5-9 are the derivative at
+    the start of the step that ends at node j, row 10 theta before the
+    re-projection (which only moves theta) and rows 11-15 the derivative
+    there.  A sweep keeps only the rows of its components comps (indices
+    into (z, R, p, q, theta)), in that order: 6 for (z, R).  R keeps its
+    sign.  Only this class reads the nodes; other code may read a block's
+    step ends t1.  A seed that ended early did so at fail_tau (see
+    fail_reason); fail_tau is inf for a seed that reached T.  counts is
+    the work of the dp45 runs.
     """
 
     tau: np.ndarray
@@ -307,6 +311,22 @@ class ExtremalSweep:
     fail_tau: np.ndarray
     fail_reason: list
     counts: dict
+    comps: tuple
+
+    @functools.cached_property
+    def _kept(self) -> np.ndarray:
+        # the row in this sweep's nodes of each row of the 16-row layout, -1 if not kept
+        kept = np.full(16, -1)
+        rows = _kept_rows(self.comps)
+        kept[rows] = np.arange(len(rows))
+        return kept
+
+    def _node_rows(self, comps) -> np.ndarray:
+        """The node rows of (y0, f0, y1, f1) of each of comps, shape (len(comps), 4)."""
+        rows = self._kept[_NODE_ROWS[np.asarray(comps, dtype=int)]]
+        if np.any(rows < 0):
+            raise ValueError(f"the sweep kept components {self.comps}, not all of {list(comps)}")
+        return rows
 
     @property
     def data(self) -> dict[str, np.ndarray]:
@@ -320,11 +340,13 @@ class ExtremalSweep:
 
     def start(self, comps) -> np.ndarray:
         """Sample 0, the start state, of every seed, shape (len(comps), n)."""
-        return np.concatenate([b["nodes"][comps, :, 0] for b in self.blocks], axis=1)
+        y0 = self._node_rows(comps)[:, 0]
+        return np.concatenate([b["nodes"][y0, :, 0] for b in self.blocks], axis=1)
 
     def samples(self, comps, rows, cols: slice) -> np.ndarray:
         """Samples of the increasing seed indices rows at the sample columns
-        cols, shape (len(comps), len(rows), n); comps index (z, R, p, q, theta).
+        cols, shape (len(comps), len(rows), n); comps index (z, R, p, q, theta)
+        and must be among the components the sweep kept (ValueError).
 
         Sample 0 is the start state.  Sample j > 0 is the cubic Hermite
         dense output of the first step of the seed's block whose end is
@@ -332,11 +354,11 @@ class ExtremalSweep:
         order, so every row set and column range reads the same bits.  From
         a seed's failure on (tau[j] > fail_tau), its samples are NaN.
         """
-        comps, rows = np.asarray(comps, dtype=int), np.asarray(rows, dtype=int)
+        at_rows, rows = self._node_rows(comps), np.asarray(rows, dtype=int)
         if np.any(np.diff(rows) <= 0):
             raise ValueError("sample rows must be increasing")
         j = np.arange(len(self.tau))[cols]
-        out = np.empty((len(comps), len(rows), len(j)))
+        out = np.empty((len(at_rows), len(rows), len(j)))
         starts = self.starts
         bounds = np.searchsorted(rows, starts)  # block b holds rows[bounds[b]:bounds[b + 1]]
         for blk, start, lo, hi in zip(self.blocks, starts, bounds, bounds[1:]):
@@ -345,7 +367,7 @@ class ExtremalSweep:
                 k = np.minimum(np.searchsorted(blk["t1"], self.tau[j]), len(blk["t1"]) - 1)
                 h = blk["h"][k]
                 node = blk["nodes"][:, :, k[0] : k[-1] + 2]  # the steps the columns fall in
-                at = zip(_NODE_ROWS[comps].T, _NODE_STEP)  # y0, f0, y1 and f1
+                at = zip(at_rows.T, _NODE_STEP)  # y0, f0, y1 and f1
                 ends = (node[r][:, local][..., k - k[0] + d] for r, d in at)
                 out[:, lo:hi] = hermite((self.tau[j] - blk["t0"][k]) / h, h, *ends)
         if len(j) and j[0] == 0:
@@ -367,19 +389,27 @@ class ExtremalSweep:
         V = np.stack((np.ones_like(s), s + sd, s * (s + 2 * sd), s * s * (s + 3 * sd)), axis=-1)
         W = (V.reshape(-1, 4) @ HERMITE_WEIGHTS).reshape(V.shape)
         W[..., 1::2] *= h[:, None, None]
-        at = _NODE_ROWS[:2].T.ravel()  # y0, f0, y1 and f1, each of z and R
+        at = self._node_rows([0, 1]).T.ravel()  # y0, f0, y1 and f1, each of z and R
         node = blk["nodes"][at[:, None], rows, k[0] : k[-1] + 2]  # (8, row, step)
         c = node[np.arange(8), :, (k - k[0])[:, None] + np.repeat(_NODE_STEP, 2)]  # (interval, 8, row)
         return (W @ c.reshape(len(k), 4, -1)).reshape(len(k), 4, 2, -1)
 
 
 def merge_sweeps(parts) -> ExtremalSweep:
-    """Sweeps on one sample grid as one, their seeds in order and their counts summed."""
+    """Sweeps on one sample grid that kept the same components as one, their
+    seeds in order and their counts summed."""
+    if any(p.comps != parts[0].comps for p in parts):
+        raise ValueError(f"cannot merge sweeps that kept components {[p.comps for p in parts]}")
     return ExtremalSweep(
         parts[0].tau, [s for p in parts for s in p.seeds], [b for p in parts for b in p.blocks],
         np.concatenate([p.fail_tau for p in parts]), [r for p in parts for r in p.fail_reason],
-        {k: sum(p.counts[k] for p in parts) for k in parts[0].counts},
+        {k: sum(p.counts[k] for p in parts) for k in parts[0].counts}, parts[0].comps,
     )
+
+
+def _kept_rows(comps) -> np.ndarray:
+    """The rows of the 16-row node layout that a sweep keeping comps stores, in order."""
+    return np.unique(_NODE_ROWS[list(comps)])
 
 
 def sample_times(T: float, sample_dt) -> np.ndarray:
@@ -405,6 +435,7 @@ def sweep_extremals(
     T: float,
     params: SystemParams,
     *,
+    comps,
     tol: float = 1e-10,
     sample_dt: float | None = None,
 ) -> ExtremalSweep:
@@ -413,14 +444,21 @@ def sweep_extremals(
     seeds are ExtremalSeed objects or all bare psi0 angles.  Each run of
     SWEEP_BLOCK consecutive seeds is a block, one group of a single
     :func:`ode.dp45` run at tolerance tol that steps them in lockstep.
-    The result keeps their step nodes; ExtremalSweep.samples reads them on
-    the grid :func:`sample_times` (T, sample_dt).  After every accepted
+    The result keeps their step nodes, only the rows of the components
+    comps (indices into (z, R, p, q, theta)) whose dense output the caller
+    reads: the state and both end slopes of each, and for theta its end
+    before the re-projection.  ExtremalSweep.samples reads them on the
+    grid :func:`sample_times` (T, sample_dt).  After every accepted
     step the control angle of each seed is re-projected onto the
     stationarity manifold dH/dtheta = 0 (Newton), which pins the
     stationarity residual near roundoff instead of letting it drift with
     the integration error.
     """
     tau = sample_times(T, sample_dt)
+    comps = tuple(np.unique(np.asarray(comps, dtype=int)).tolist())
+    if not comps or not set(comps) <= set(range(5)):
+        raise ValueError(f"comps must name components 0 to 4, got {comps}")
+    keep = _kept_rows(comps)
     seeds = _as_seeds(seeds, params)
     n = len(seeds)
 
@@ -434,7 +472,7 @@ def sweep_extremals(
     t_end = np.zeros(len(size))
     fail_reason: list = [None] * n
     times = [[] for _ in size]  # per block: (t0, h, t1) of each accepted step
-    bufs = [np.zeros((NODE_CHUNK, 16, nb)) for nb in size]  # per block: its nodes, node-major
+    bufs = [np.zeros((NODE_CHUNK, len(keep), nb)) for nb in size]  # per block: its nodes, node-major
 
     def fail(cols, t, reason):
         # the active seeds cols fail at times t
@@ -465,11 +503,11 @@ def sweep_extremals(
             den = _d2H_dtheta2(*y1, g)
         out = cols[active[cols] & (moved > MAX_BRANCH_JUMP)]
         fail(out, t_end[out // SWEEP_BLOCK], "argmax branch jump")
-        rows = np.concatenate([y1, f0, th1[None], f1])
+        rows = np.concatenate([y1, f0, th1[None], f1])[keep]
         for i, (b, step) in enumerate(zip(groups, steps)):  # only the last block may be short
             times[b].append(step)
             if len(times[b]) == len(bufs[b]):
-                bufs[b] = np.concatenate([bufs[b], np.empty((NODE_CHUNK, 16, size[b]))])
+                bufs[b] = np.concatenate([bufs[b], np.empty((NODE_CHUNK, len(keep), size[b]))])
             bufs[b][len(times[b])] = rows[:, i * SWEEP_BLOCK : (i + 1) * SWEEP_BLOCK]
         return _extremal_rhs(y1, g)
 
@@ -480,12 +518,12 @@ def sweep_extremals(
     counts = dp45(lambda t, yy: _extremal_rhs(yy, g), y, T, tol, edges, active, accept, fail)
     blocks = []
     for b, lo in enumerate(edges[:-1]):
-        bufs[b][0, :5] = y[:, lo : lo + size[b]]
+        bufs[b][0, : len(comps)] = y[list(comps), lo : lo + size[b]]  # the kept rows start with the states
         t0, h, t1 = np.reshape(times[b], (-1, 3)).T
         nodes = np.moveaxis(bufs[b][: len(t0) + 1], 0, -1).copy()  # trimmed, and the buffer goes
         blocks.append(dict(t0=t0, h=h, t1=t1, nodes=nodes))
         bufs[b] = None
-    return ExtremalSweep(tau, seeds, blocks, fail_tau, fail_reason, counts)
+    return ExtremalSweep(tau, seeds, blocks, fail_tau, fail_reason, counts, comps)
 
 
 def sweep_extremals_parallel(
@@ -499,7 +537,7 @@ def sweep_extremals_parallel(
     """:func:`sweep_extremals` on at most n_threads threads, each on a
     contiguous chunk of whole SWEEP_BLOCK blocks, merged in order.  A
     block's steps do not depend on its chunk, so the result is the same
-    for any n_threads.  options (tol, sample_dt) go to sweep_extremals."""
+    for any n_threads.  options (comps, tol, sample_dt) go to sweep_extremals."""
     seeds = _as_seeds(seeds, params)
     n_blocks = -(-len(seeds) // SWEEP_BLOCK)
     k = min(max(1, n_threads), n_blocks)
@@ -535,7 +573,7 @@ def integrate_extremal(
     (degenerate denominator, branch jump) raise IntegrationError with the
     failure time.
     """
-    sweep = sweep_extremals([seedv], T_scaled, params, sample_dt=sample_dt)
+    sweep = sweep_extremals([seedv], T_scaled, params, comps=range(5), sample_dt=sample_dt)
     if sweep.fail_tau[0] < T_scaled:
         raise IntegrationError(
             f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"

@@ -116,6 +116,7 @@ def first_passage(n_cells: int, blocks) -> np.ndarray:
     first = np.full(n_cells, NO_PASSAGE, dtype=np.int64)
     for cells, keys in blocks(first):
         np.minimum.at(first, cells, keys)
+        del cells, keys  # not held while blocks builds the next pair
     return first
 
 
@@ -365,7 +366,7 @@ class ReachSweep:
             """Sweep into the next storage rows; returns the live ones by psi0."""
             nonlocal paths, psis
             sweeps.append(sweep_extremals_parallel(
-                batch, T_max, params, n_threads=n_threads, tol=SWEEP_TOL,
+                batch, T_max, params, n_threads=n_threads, comps=(0, 1), tol=SWEEP_TOL,
                 sample_dt=sample_dt,
             ))
             paths = extremals.merge_sweeps(sweeps)

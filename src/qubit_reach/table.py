@@ -26,11 +26,15 @@ import numpy as np
 from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
 from .reachset import (
-    BIN_BLOCK, NO_PASSAGE, READ_COLS, SWEEP_TOL, first_passage, sample_spacing,
+    BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage, sample_spacing,
 )
 
 MAGIC = "#qubit-reach-table v1"
 MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210 MB
+# sample columns per read of build_table: freeing a read window sets glibc's heap
+# trim threshold to twice its size, which at 256 columns and 4096 seeds (33.6 MB)
+# lay above the 25 MB free heap top the build leaves, so that memory stayed resident
+TABLE_READ_COLS = 128
 SEARCH_CELLS = 2  # Chebyshev radius of the nearest-cell fallback of query
 
 
@@ -110,7 +114,7 @@ def build_table(
     table = LookupTable(params.ratio, grid_resolution)
     seeds = seed_grid(n_seeds, params)
     sweep = sweep_extremals_parallel(
-        seeds, T_max_scaled, params, n_threads=n_threads, tol=SWEEP_TOL,
+        seeds, T_max_scaled, params, n_threads=n_threads, comps=(0, 1), tol=SWEEP_TOL,
         sample_dt=sample_spacing(table.cell, T_max_scaled),
     )
     ns = len(seeds)
@@ -119,17 +123,18 @@ def build_table(
 
     def cells():
         # key = sample * ns + seed: the earliest passage, lowest seed on ties;
-        # READ_COLS columns are read at a time and binned BIN_BLOCK at a time
-        for w0 in range(0, len(sweep.tau), READ_COLS):
-            z, r = sweep.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+        # TABLE_READ_COLS columns are read at a time and binned BIN_BLOCK at a time
+        for w0 in range(0, len(sweep.tau), TABLE_READ_COLS):
+            z, r = sweep.samples([0, 1], rows, np.s_[w0 : w0 + TABLE_READ_COLS])
             for j0 in range(0, z.shape[1], BIN_BLOCK):
                 zb, Rb = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
                 ok = np.isfinite(zb)
-                iz = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
-                ir = np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
+                cell = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
+                cell *= nr
+                cell += np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
                 col = np.arange(w0 + j0, w0 + j0 + zb.shape[1])
-                yield iz * nr + ir, (col * ns + rows[:, None])[ok]
-            del z, r, zb, Rb, ok  # free this window before the next read allocates one
+                yield cell, (col * ns + rows[:, None])[ok]
+            del z, r, zb, Rb, ok, cell  # free this window before the next read allocates one
 
     # the result goes into the arrays the table was made with, before the
     # sweep: an array made after it could sit above the sweep's freed memory

@@ -66,7 +66,8 @@ def big_sweep():
 @pytest.fixture(scope="module")
 def health_sweep():
     """256 extremals to wT = 7 at tight tolerance (criterion 7)."""
-    return sweep_extremals_parallel(seed_grid(256, P), 7.0, P, tol=1e-12, sample_dt=7.0 / 700)
+    return sweep_extremals_parallel(seed_grid(256, P), 7.0, P, comps=range(5), tol=1e-12,
+                                    sample_dt=7.0 / 700)
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +431,7 @@ def test_criterion_10_table_replay(lookup_table):
     tmins = recs[:, 4]
     # one batched replay to the horizon, sampled on the build grid
     sample_dt = min(0.35 * tbl.cell, 7.0 / 64.0)
-    sweep = sweep_extremals_parallel(seeds, 7.0, P, sample_dt=sample_dt)
+    sweep = sweep_extremals_parallel(seeds, 7.0, P, comps=(0, 1), sample_dt=sample_dt)
     j_idx = np.clip(np.round(tmins / (sweep.tau[1] - sweep.tau[0])).astype(int),
                     0, len(sweep.tau) - 1)
     # each replay is read at its own sample, 64 columns at a time
@@ -567,7 +568,7 @@ def failing_sweep(monkeypatch):
 
 def test_failing_sweep_bits_pinned(monkeypatch):
     seeds = failing_sweep(monkeypatch)
-    sweep = extremals.sweep_extremals(seeds, 7.0, P, sample_dt=7 / 512)
+    sweep = extremals.sweep_extremals(seeds, 7.0, P, comps=range(5), sample_dt=7 / 512)
     samples = sweep.samples(range(5), np.arange(64), np.s_[:])
     assert sweep.fail_tau[20] == 0.0 and np.isnan(samples[0, 20, 1:]).all()
     assert 10 < np.sum((sweep.fail_tau > 0.0) & (sweep.fail_tau < 7.0)) < 63

@@ -3,6 +3,7 @@ import pytest
 
 from qubit_reach import SystemParams
 from qubit_reach import cli
+from qubit_reach import table as table_mod
 from qubit_reach.cli import main
 from qubit_reach.schedule import propagate
 
@@ -36,6 +37,7 @@ def test_usage_error_is_exit_2():
         (["movie", "--seeds"], cli.MAX_SEEDS),
         (["movie", "--raster"], cli.MAX_RASTER),
         (["table", "build", "--out", "t.csv", "--seeds"], cli.MAX_SEEDS),
+        (["table", "build", "--out", "t.csv", "--grid"], table_mod.MAX_GRID),
         (["simulate", "--schedule", "s.csv", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["extremal", "--psi0", "0", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["spiral", "--samples"], cli.MAX_SAMPLES),
@@ -54,6 +56,20 @@ def test_count_flags_are_bounded(capsys, argv, bound):
         main([*argv, str(bound + 1)])
     assert exc.value.code == 2
     assert f"expected at most {bound}, got '{bound + 1}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, msg", [("7", "expected an even count, got '7'"),
+                                       ("5000", "expected at most 4096, got '5000'"),
+                                       ("1", "expected at least 2, got '1'")])
+def test_table_grid_is_bounded_and_even_at_parse_time(tmp_path, capsys, grid, msg):
+    # a usage error before the sweep, as for reachset --raster, and no output
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "build", "--gamma-ratio", "0.1", "--grid", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--grid: {msg}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_param_flag_conflicts():

@@ -188,7 +188,7 @@ def test_theta_rhs_matches_argmax_slope():
 
 def test_sweep_reports_degenerate_seed():
     # psi0 = pi/2 starts on the stationary extremal: theta dynamics is 0/0
-    sw = sweep_extremals([seed(np.pi / 2, P)], 1.0, P, sample_dt=0.125)
+    sw = sweep_extremals([seed(np.pi / 2, P)], 1.0, P, comps=(0, 1), sample_dt=0.125)
     assert sw.fail_tau[0] == 0.0
     z = sw.samples([0], [0], np.s_[:])[0, 0]
     npt.assert_allclose(z[0], 0.0)
@@ -196,7 +196,7 @@ def test_sweep_reports_degenerate_seed():
 
 
 def test_sweep_disc_invariance():
-    sw = sweep_extremals(seed_grid(64, P), 7.0, P, sample_dt=7 / 512)
+    sw = sweep_extremals(seed_grid(64, P), 7.0, P, comps=(0, 1), sample_dt=7 / 512)
     assert np.isinf(sw.fail_tau).all()
     z, R = sw.samples([0, 1], np.arange(64), np.s_[:])
     rad = z ** 2 + R ** 2
@@ -218,7 +218,7 @@ def test_sweep_parallel_merge_identical(monkeypatch, jump):
     seeds[8:16] = [seed(np.pi / 2, P)] * 8  # a block frozen at tau = 0
     seeds.insert(19, seed(np.pi / 2, P))  # one frozen seed in the third block
     rows = np.arange(len(seeds))
-    runs = [sweep_extremals_parallel(seeds, 2.0, P, n_threads=k, sample_dt=2 / 256)
+    runs = [sweep_extremals_parallel(seeds, 2.0, P, n_threads=k, comps=range(5), sample_dt=2 / 256)
             for k in (1, 2, 3, 8)]  # 8 threads: more than the 5 blocks
     a = runs[0]
     full = a.samples(range(5), rows, np.s_[:])
@@ -231,7 +231,7 @@ def test_sweep_parallel_merge_identical(monkeypatch, jump):
         assert {**b.counts, "iterations": 0} == {**a.counts, "iterations": 0}
     for k, blk in enumerate(a.blocks):
         part = np.s_[8 * k : 8 * k + 8]
-        alone = sweep_extremals(seeds[part], 2.0, P, sample_dt=2 / 256)
+        alone = sweep_extremals(seeds[part], 2.0, P, comps=range(5), sample_dt=2 / 256)
         assert node_bytes(alone.blocks[0]) == node_bytes(blk)
         assert alone.samples(range(5), rows[part] - 8 * k, np.s_[:]).tobytes() == full[:, part].tobytes()
         assert alone.fail_tau.tobytes() == a.fail_tau[part].tobytes()
@@ -245,9 +245,46 @@ def test_sweep_parallel_merge_identical(monkeypatch, jump):
         assert np.isfinite(a.fail_tau).sum() == 9
 
 
+def test_kept_components_read_the_bits_of_a_full_sweep(monkeypatch):
+    # a (z, R) sweep keeps 6 of the 16 node rows, and every read it allows
+    # gives the bits of the full sweep's: over seeds that fail at many times,
+    # a block frozen at tau = 0 and one frozen seed in the third block
+    monkeypatch.setattr(extremals, "SWEEP_BLOCK", 8)
+    monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
+    seeds = seed_grid(32, P)
+    seeds[8:16] = [seed(np.pi / 2, P)] * 8
+    seeds.insert(19, seed(np.pi / 2, P))
+    full, zr = (sweep_extremals(seeds, 2.0, P, comps=c, sample_dt=2 / 256) for c in (range(5), (1, 0)))
+    assert full.comps == (0, 1, 2, 3, 4) and zr.comps == (0, 1)
+    assert np.isfinite(full.fail_tau).sum() > 20 and zr.fail_tau.tobytes() == full.fail_tau.tobytes()
+    for rows in (np.arange(33), [0, 9, 19, 20, 32], [31]):
+        for cols in (np.s_[:], np.s_[5:200:3], np.s_[0:1], np.s_[256:]):
+            for comps in ([0, 1], [1], [1, 0]):
+                want = full.samples(comps, rows, cols)
+                assert zr.samples(comps, rows, cols).tobytes() == want.tobytes()
+    assert zr.start([0, 1]).tobytes() == full.start([0, 1]).tobytes()
+    for b, blk in enumerate(full.blocks):
+        assert [zr.blocks[b][k].tobytes() for k in ("t0", "h", "t1")] == [
+            blk[k].tobytes() for k in ("t0", "h", "t1")]
+        if len(blk["t1"]):  # a block frozen at tau = 0 took no step
+            u = np.union1d(blk["t1"], full.tau[::37])
+            rows = np.arange(blk["nodes"].shape[1])
+            assert zr.bezier(b, rows, u).tobytes() == full.bezier(b, rows, u).tobytes()
+    assert {blk["nodes"].shape[0] for blk in zr.blocks} == {6}
+    kept, every = (sum(blk["nodes"].nbytes for blk in s.blocks) for s in (zr, full))
+    assert 16 * kept == 6 * every
+    rows = np.arange(33)
+    for read in (lambda: zr.samples([2], rows, np.s_[:]), lambda: zr.samples(range(5), rows, np.s_[:]),
+                 lambda: zr.start([4])):
+        with pytest.raises(ValueError, match=r"kept components \(0, 1\)"):
+            read()
+    with pytest.raises(ValueError, match="cannot merge"):
+        extremals.merge_sweeps([zr, full])
+
+
 def test_sweep_counts_repeat_and_blocks_share_iterations():
     seeds = seed_grid(4 * extremals.SWEEP_BLOCK, P)
-    a, b = (sweep_extremals(seeds, 4.0, P, tol=1e-8, sample_dt=4 / 1024) for _ in range(2))
+    a, b = (sweep_extremals(seeds, 4.0, P, comps=(0, 1), tol=1e-8, sample_dt=4 / 1024) for _ in range(2))
     assert a.counts == b.counts
     steps = [len(blk["t1"]) for blk in a.blocks]
     assert a.counts["accepted"] == sum(steps)
@@ -269,7 +306,7 @@ def test_reader_is_bit_equal_on_any_rows_and_columns(monkeypatch, fail_some):
         # a tiny branch-jump bound ends most seeds early, at many times
         monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
     monkeypatch.setattr(extremals, "SWEEP_BLOCK", 16)
-    sw = sweep_extremals_parallel(seeds, 7.0, P, sample_dt=7 / 512)
+    sw = sweep_extremals_parallel(seeds, 7.0, P, comps=range(5), sample_dt=7 / 512)
     all_rows = np.arange(64)
     full = sw.samples(range(5), all_rows, np.s_[:])
     for j in (0, 1, 2, 255, 511, 512):
@@ -312,7 +349,7 @@ def test_sweep_keeps_step_nodes_not_samples():
     dense = 5 * len(seeds) * len(sample_times(4.0, 4 / 1024)) * 8
     tracemalloc.start()
     try:
-        sweep = sweep_extremals_parallel(seeds, 4.0, P, tol=1e-8, sample_dt=4 / 1024)
+        sweep = sweep_extremals_parallel(seeds, 4.0, P, comps=range(5), tol=1e-8, sample_dt=4 / 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,16 +360,19 @@ def test_sweep_keeps_step_nodes_not_samples():
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_sweep_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        sweep_extremals_parallel(seed_grid(4, P), 1.0, P, tol=tol)
+        sweep_extremals_parallel(seed_grid(4, P), 1.0, P, comps=(0, 1), tol=tol)
 
 
 @pytest.mark.parametrize(
     "call, msg",
     [
         (lambda: hamiltonian(np.zeros((3, 4)), P), r"trailing axis of length 5, got \(3, 4\)"),
-        (lambda: sweep_extremals([], 1.0, P), "at least one seed"),
+        (lambda: sweep_extremals([], 1.0, P, comps=(0, 1)), "at least one seed"),
+        (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=(0, 5)), "components 0 to 4"),
+        (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=()), "components 0 to 4"),
     ],
-    ids=["hamiltonian-trailing-axis", "sweep-without-seeds"],
+    ids=["hamiltonian-trailing-axis", "sweep-without-seeds", "sweep-comps-past-theta",
+         "sweep-without-comps"],
 )
 def test_extremal_refusals(call, msg):
     with pytest.raises(ValueError, match=msg):

@@ -451,6 +451,9 @@ def test_incremental_gaps_match_full_recompute(monkeypatch):
     seen = capture_rasterize(monkeypatch)
     sweep = ReachSweep(P, 2.0, n_seeds=128, raster=128)
     order = seen["order"]
+    # the merged rounds keep only the z and R node rows
+    assert seen["paths"].comps == (0, 1)
+    assert {blk["nodes"].shape[0] for blk in seen["paths"].blocks} == {6}
     assert sweep.refine_rounds > 1
     assert np.all(np.diff(sweep.psis) > 0.0)
     npt.assert_array_equal(sweep.psis, sorted(s.psi0 for s in sweep.seeds))
@@ -498,9 +501,9 @@ def gap_family():
     seeds[20] = seed(np.pi / 2, P)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremals, "MAX_BRANCH_JUMP", 1e-11)
-        failing = extremals.sweep_extremals(seeds, 7.0, P, sample_dt=7 / 512)
+        failing = extremals.sweep_extremals(seeds, 7.0, P, comps=range(5), sample_dt=7 / 512)
     others = 2.0 * np.pi * (np.arange(40) + 0.25) / 40
-    parts = [failing] + [extremals.sweep_extremals(s, 7.0, P, sample_dt=7 / 512)
+    parts = [failing] + [extremals.sweep_extremals(s, 7.0, P, comps=range(5), sample_dt=7 / 512)
                          for s in (list(others), [seed(np.pi / 2, P)])]
     return extremals.merge_sweeps(parts)
 
@@ -775,15 +778,16 @@ def test_rasterize_skips_settled_windows(monkeypatch):
 def linear_sweep(tau, zr, fail_tau):
     """One block of linear Hermite steps, one per sample interval, through
     the points zr (z and R, shape (2, rows, len(tau))): the reader gives the
-    points back bit for bit, and NaN past each row's fail_tau (a step end)."""
+    points back bit for bit, and NaN past each row's fail_tau (a step end).
+    A (z, R) sweep: node rows z, R, their start slopes and their end slopes."""
     rows = zr.shape[1]
-    nodes = np.zeros((16, rows, len(tau)))
+    nodes = np.zeros((6, rows, len(tau)))
     nodes[:2] = np.nan_to_num(zr)  # a failed row's tail is never read
     h = np.diff(tau)
-    nodes[5:7, :, 1:] = nodes[11:13, :, 1:] = np.diff(nodes[:2], axis=-1) / h
+    nodes[2:4, :, 1:] = nodes[4:6, :, 1:] = np.diff(nodes[:2], axis=-1) / h
     block = dict(t0=tau[:-1], h=h, t1=tau[1:], nodes=nodes)
     return extremals.ExtremalSweep(tau, [None] * rows, [block], np.asarray(fail_tau, dtype=float),
-                                   [None] * rows, {})
+                                   [None] * rows, {}, (0, 1))
 
 
 def test_skipped_windows_keep_the_edge_cases():
@@ -837,6 +841,53 @@ def test_skipped_windows_keep_the_edge_cases():
     assert got.tobytes() == want.tobytes()
     for iz, ir in [(4, 8), (13, 14), (1, 14), (3, 14)]:
         assert 2.56 <= got[iz, ir] < 3.2, (iz, ir)
+
+
+def test_rasterize_matches_reference_on_drawn_families():
+    # drawn families of random walks of an n-cell raster, given to
+    # _rasterize through linear_sweep: each path moves only over a drawn
+    # interval and waits in its cell before and after, so rows and pairs are
+    # skipped and chords still enter new cells late; NaN tails from drawn
+    # failures (at tau = 0 too), R changing sign inside a window, pairs too
+    # wide to fill, and odd and even n.  z walks on the cell edges and centres.  R keeps a tenth of a cell
+    # or more off the edges, with an offset per path: the mirrored half puts
+    # a point exactly on an R edge in the mirror image of its cell, where the
+    # reference, binning at R and at -R, puts both in the cell above the edge
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hypothesis.given(st.integers(1, 16), st.integers(2, 900),
+                      st.lists(st.one_of(st.none(), st.integers(1, 900)), min_size=2, max_size=6),
+                      st.integers(0, 2**32 - 1), st.floats(0.5, 0.97))
+    @hypothesis.example(7, 600, [40, 200, 230, 255], 1, 0.8)  # the windows from 256 on are all NaN
+    @hypothesis.example(8, 300, [None, None, 290], 2, 0.9)  # a tail starts inside the last window
+    @hypothesis.example(1, 260, [None, 1, None], 3, 0.6)  # one cell; a row frozen at tau = 0
+    def check(n, m, fails, walk, hold):
+        rng = np.random.default_rng(walk)
+        rows = len(fails)
+        steps = rng.choice([-1, 0, 1], (2, rows, m), p=[(1 - hold) / 2, hold, (1 - hold) / 2])
+        on = np.sort(rng.integers(0, m, (rows, 2)), axis=1)  # each path moves only from on[0] to on[1]
+        steps[..., (np.arange(m) < on[:, :1]) | (np.arange(m) >= on[:, 1:])] = 0
+        steps[..., 0] = rng.integers(0, 2 * n + 1, (2, rows))
+        zr = -1.0 + np.clip(np.cumsum(steps, axis=-1), 0, 2 * n) / n
+        zr[1] = np.minimum(zr[1] + (0.5 + rng.uniform(-0.2, 0.2, (rows, 1))) / n, 1.0)
+        end = np.array([m if f is None else min(f, m) for f in fails])
+        for k, e in enumerate(end):
+            zr[:, k, e:] = np.nan
+        tau = np.arange(m) * 0.01
+        fail_tau = np.where(end < m, tau[end - 1], np.inf)
+        paths = linear_sweep(tau, zr, fail_tau)
+        z, r = paths.samples([0, 1], np.arange(rows), np.s_[:])
+        assert z.tobytes() == zr[0].tobytes() and r.tobytes() == zr[1].tobytes()
+        sweep = ReachSweep.__new__(ReachSweep)
+        sweep.n, sweep.cell, sweep.tau = n, 2.0 / n, tau
+        order = rng.permutation(rows)
+        gaps = full_gaps(z, r, order, np.roll(order, -1))
+        want, _ = rep_rasterize(sweep, paths, order, gaps)
+        assert sweep._rasterize(paths, order, gaps).tobytes() == want.tobytes()
+
+    check()
 
 
 def naive_first_passage(n_cells, cells, keys):

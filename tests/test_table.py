@@ -8,7 +8,6 @@ from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal, seed_gri
 from qubit_reach import table as table_mod
 from qubit_reach.cli import main
 from qubit_reach.extremals import ExtremalSweep, hamiltonian_dtheta
-from qubit_reach.reachset import READ_COLS
 from qubit_reach.table import (
     LookupTable,
     UnreachableError,
@@ -244,10 +243,10 @@ def node_sweep(tau, seeds, z, R):
     n_valid = np.where(np.isnan(z).any(axis=1), np.isnan(z).argmax(axis=1), m)
     # the fail times that make tau[j] > fail_tau exactly where j >= n_valid
     fail_tau = np.concatenate([[-np.inf], tau[:-1], [np.inf]])[n_valid]
-    nodes = np.zeros((16, ns, m))  # zero derivatives and theta
+    nodes = np.zeros((6, ns, m))  # a (z, R) sweep: z, R and their zero slopes
     nodes[0], nodes[1] = np.nan_to_num(z, nan=0.5), np.nan_to_num(R, nan=0.5)
     block = {"t0": tau[:-1], "h": np.diff(tau), "t1": tau[1:], "nodes": nodes}
-    return ExtremalSweep(tau, seeds, [block], fail_tau, [None] * ns, {})
+    return ExtremalSweep(tau, seeds, [block], fail_tau, [None] * ns, {}, (0, 1))
 
 
 def test_binning_matches_naive_loop(monkeypatch):
@@ -410,7 +409,7 @@ def test_records_match_per_cell_reference(table):
 
 
 def test_binning_holds_at_most_one_sample_window(monkeypatch):
-    # the previous READ_COLS window of samples is dropped before the next
+    # the previous TABLE_READ_COLS window of samples is dropped before the next
     # one is read, so binning holds one window plus the pieces built from it
     peaks = []
 
@@ -422,8 +421,16 @@ def test_binning_holds_at_most_one_sample_window(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    real = table_mod.first_passage
+    def swept(*args, **kwargs):
+        sweeps.append(sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    real, sweep, sweeps = table_mod.first_passage, table_mod.sweep_extremals_parallel, []
     monkeypatch.setattr(table_mod, "first_passage", traced)
+    monkeypatch.setattr(table_mod, "sweep_extremals_parallel", swept)
     build_table(P, 1024, 10.0, 256)
-    window = 2 * 1024 * READ_COLS * 8
+    window = 2 * 1024 * table_mod.TABLE_READ_COLS * 8
     assert peaks[0] <= 2.6 * window, peaks[0] / window
+    # the sweep keeps only the z and R node rows
+    assert sweeps[0].comps == (0, 1)
+    assert {blk["nodes"].shape[0] for blk in sweeps[0].blocks} == {6}
