@@ -37,7 +37,6 @@ def test_usage_error_is_exit_2():
         (["movie", "--seeds"], cli.MAX_SEEDS),
         (["movie", "--raster"], cli.MAX_RASTER),
         (["table", "build", "--out", "t.csv", "--seeds"], cli.MAX_SEEDS),
-        (["table", "build", "--out", "t.csv", "--grid"], table_mod.MAX_GRID),
         (["simulate", "--schedule", "s.csv", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["extremal", "--psi0", "0", "--T", "1", "--samples"], cli.MAX_SAMPLES),
         (["spiral", "--samples"], cli.MAX_SAMPLES),
@@ -46,6 +45,7 @@ def test_usage_error_is_exit_2():
         (["movie", "--T-max"], cli.MAX_HORIZON),
         (["table", "build", "--out", "t.csv", "--T-max"], cli.MAX_HORIZON),
         (["extremal", "--psi0", "0", "--T"], cli.MAX_HORIZON),
+        (["table", "build", "--out", "t.csv", "--grid"], table_mod.MAX_GRID),
     ],
 )
 def test_count_flags_are_bounded(capsys, argv, bound):
