@@ -24,6 +24,7 @@ from .liealg import rank_grid
 from .ode import IntegrationError
 from .params import SystemParams
 from .reachset import (
+    MIN_SEEDS,
     ReachSweep,
     barrier_certificate,
     guaranteed_ball_radius,
@@ -50,7 +51,7 @@ MAX_HORIZON = 1000  # sweep and extremal horizons, in units of 1/omega: samples 
 def count_in(low: int, high: float, text: str) -> int:
     """argparse type of a count flag, given its bounds by functools.partial:
     below low a run cannot make its output (one sample cannot reach T, a
-    mesh needs three angles)."""
+    mesh needs three angles, a sweep its MIN_SEEDS)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     value = int(text)
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reachset", help="reachable set raster at scaled time T")
     _add_param_flags(p)
     p.add_argument("--T", type=horizon, required=True)
-    p.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=1024)
+    p.add_argument("--seeds", type=partial(count_in, MIN_SEEDS, MAX_SEEDS), default=1024)
     p.add_argument("--raster", type=partial(count_in, 1, MAX_RASTER), default=512)
     p.add_argument("--out", default="-", help="CSV of occupied cell centers")
     p.add_argument("--svg", default=None)
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--T-max", type=horizon, default=7.0)
     p.add_argument("--frames", type=partial(count_in, 1, MAX_FRAMES), default=140)
-    p.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=1024)
+    p.add_argument("--seeds", type=partial(count_in, MIN_SEEDS, MAX_SEEDS), default=1024)
     p.add_argument("--raster", type=partial(count_in, 1, MAX_RASTER), default=512)
     p.add_argument("--out-dir", default="frames")
     p.add_argument("--overlay-spiral", action="store_true")
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_command", required=True)
     pb = tsub.add_parser("build")
     _add_param_flags(pb)
-    pb.add_argument("--seeds", type=partial(count_in, 1, MAX_SEEDS), default=4096)
+    pb.add_argument("--seeds", type=partial(count_in, table_mod.MIN_SEEDS, MAX_SEEDS), default=4096)
     pb.add_argument("--T-max", type=horizon, default=10.0)
     pb.add_argument("--grid", type=table_grid, default=256)
     pb.add_argument("--out", required=True)

@@ -22,6 +22,7 @@ from .params import SystemParams
 SWEEP_TOL = 1e-8  # dp45 tolerance of the extremal sweeps of rasters and tables
 REFINE_CELLS = 2.0  # adjacent paths further apart than this many cells get a bisection seed
 MAX_REFINE_ROUNDS = 24
+MIN_SEEDS = 64  # fewest seeds of a ReachSweep
 BIN_BLOCK = 64  # sample columns per block of the first-passage binning
 READ_COLS = 256  # sample columns per read of the paths: amortises the reader's per-block cost
 # widening of the node bounds of a pair gap or a path: covers the rounding of the
@@ -102,6 +103,27 @@ def sample_spacing(cell: float, T_max: float) -> float:
     """Sample spacing of a first-passage sweep to T_max on cells of side
     cell: successive samples at most ~0.45 cell apart (speed <= ~1.3)."""
     return min(0.35 * cell, T_max / 64.0)
+
+
+def folded_cell(z, R, n):
+    """Flat cells i * (n - n // 2) + j of points (z, R) in the R >= 0 half of an
+    n-cell raster of [-1, 1]^2, whose column j is raster column n // 2 + j: row
+    int((z + 1) * inv) and column int((|R| + 1) * inv), inv = 1 / (2 / n), clipped
+    to [0, n - 1] and [n // 2, n - 1].  z and R are fresh arrays, overwritten."""
+    inv, low = 1.0 / (2.0 / n), n // 2
+    z += 1.0
+    z *= inv
+    np.clip(z, 0, n - 1, out=z)
+    cell = z.astype(int)
+    del z  # a caller's temporary is freed before the R column is built
+    cell *= n - low
+    np.abs(R, out=R)
+    R += 1.0
+    R *= inv
+    np.clip(R, low, n - 1, out=R)
+    cell += R.astype(int)
+    cell -= low
+    return cell
 
 
 def first_passage(n_cells: int, blocks) -> np.ndarray:
@@ -350,8 +372,8 @@ class ReachSweep:
         raster: int = 512,
         n_threads: int = 1,
     ):
-        if n_seeds < 64:
-            raise ValueError(f"need at least 64 seeds, got {n_seeds}")
+        if n_seeds < MIN_SEEDS:
+            raise ValueError(f"need at least {MIN_SEEDS} seeds, got {n_seeds}")
         self.T_max = float(T_max)
         self.n = int(raster)
         if self.n < 1:
@@ -457,20 +479,20 @@ class ReachSweep:
     def _rasterize(self, paths, order, gaps):
         """First-passage times of all paths and of the strips between
         neighbours in order; gaps[k] is the gap of pair (order[k], order[k + 1]).
-        Each point is binned once, at |R|; the R < 0 half is the mirror image."""
-        n = self.n
-        inv = 1.0 / self.cell
+        Each point is binned once, by folded_cell, into the R >= 0 half (a point
+        on an edge goes to the cell above it); column c is also column n - 1 - c."""
+        n, half = self.n, self.n - self.n // 2
         # a window's keys exceed all earlier ones, so a row or a pair whose
         # node box lies in cells earlier windows all entered is skipped, and a
         # row is read only if it or a pair of it is not; done is the summed-
         # area table of those settled cells of the folded half, per read
-        done = np.zeros((n + 1, n - n // 2 + 1), dtype=np.int32)
+        done = np.zeros((n + 1, half + 1), dtype=np.int32)
         # strips are bridged by chords only where the two paths run close
         # together; a chord across a wide gap could cut through a genuinely
         # unreachable bay, so wide moments stay unbridged (and recorded)
         fill_limit = 2.0 * REFINE_CELLS * self.cell
         self.unfilled_pairs = list(np.nonzero(gaps > fill_limit)[0])
-        n_sub = np.ceil(np.minimum(gaps, fill_limit) * inv / 0.45).astype(int)
+        n_sub = np.ceil(np.minimum(gaps, fill_limit) * (1.0 / self.cell) / 0.45).astype(int)
         # pairs grouped by chord count k; each chord has the k - 1 inner
         # points lam * a + (1 - lam) * b, lam = 1/k, ..., (k - 1)/k
         groups = []
@@ -479,38 +501,20 @@ class ReachSweep:
             lam = (np.arange(1, k) / k)[:, None]
             groups.append((order[ids], order[(ids + 1) % len(order)], lam, 1 - lam))
 
-        def bins(pz, pr, key):
-            # clip(int((z + 1) / cell)) and the same at |R|, in place on the fresh pz and pr
-            pz += 1.0
-            pz *= inv
-            np.abs(pr, out=pr)
-            pr += 1.0
-            pr *= inv
-            cell = np.clip(pz.astype(int), 0, n - 1)
-            cell *= n
-            cell += np.clip(pr.astype(int), 0, n - 1)
-            return cell, key
-
-        def span(lo, hi, low):
-            # summed-area-table range of the cells bins gives points from lo to hi;
-            # the boxes' GAP_SLACK covers the rounding of chord points
-            i0 = np.clip(((lo + 1.0) * inv).astype(int), low, n - 1)
-            i1 = np.clip(((hi + 1.0) * inv).astype(int), low, n - 1)
-            return i0 - low, i1 - low + 1
-
         def todo(box):
             """Whether each box (-min z, -min R, max z, max R) of node_boxes
             has an unsettled cell; an empty box has none."""
             live = (box[2] >= -box[0]) & (box[3] >= -box[1])
             nzlo, nrlo, zhi, rhi = np.where(live, box, 0.0)
-            i0, i1 = span(-nzlo, zhi, 0)
-            c0, c1 = span(np.maximum(-np.minimum(nrlo, rhi), 0.0), np.maximum(nrlo, rhi), n // 2)
+            # its corners' (z, |R|) cells bound its cells; GAP_SLACK covers chord rounding
+            i0, c0 = divmod(folded_cell(-nzlo, np.maximum(-np.minimum(nrlo, rhi), 0.0), n), half)
+            i1, c1 = (k + 1 for k in divmod(folded_cell(zhi, np.maximum(nrlo, rhi), n), half))
             settled = done[i1, c1] - done[i0, c1] - done[i1, c0] + done[i0, c0]
             return live & (settled < (i1 - i0) * (c1 - c0))
 
         def cells(first):
             for w0 in range(0, len(self.tau), READ_COLS):
-                done[1:, 1:] = first.reshape(n, n)[:, n // 2 :] != NO_PASSAGE
+                done[1:, 1:] = first.reshape(n, half) != NO_PASSAGE
                 done.cumsum(0, out=done).cumsum(1, out=done)
                 # (window, row) and (window, pair) to bin; a pair's box is its ends' union
                 box = node_boxes(paths, w0)
@@ -531,7 +535,7 @@ class ReachSweep:
                     sample = np.arange(w0 + j0, w0 + j0 + zw.shape[1])
                     ok = np.isfinite(zw)
                     ok &= go[i, rows, None]
-                    yield bins(zw[ok], rw[ok], np.broadcast_to(sample, ok.shape)[ok])
+                    yield folded_cell(zw[ok], rw[ok], n), np.broadcast_to(sample, ok.shape)[ok]
                     for (pa, pb, lam, mu), g in zip(groups, pair_go):
                         ia, ib = at[pa[g[i]]], at[pb[g[i]]]
                         za, zb = zw[ia], zw[ib]
@@ -543,17 +547,12 @@ class ReachSweep:
                         pz, pr = lam * za, lam * ra
                         pz += mu * zb
                         pr += mu * rb
-                        yield bins(pz.ravel(), pr.ravel(), key)
+                        yield folded_cell(pz.ravel(), pr.ravel(), n), key
                 del z, r, zw, rw, ok  # free this window before the next read allocates one
 
-        first = first_passage(n * n, cells)
-        # an odd n's middle column is its own mirror image
-        square = first.reshape(n, n)
-        square[:, : n // 2] = square[:, ::-1][:, : n // 2]
-        reached = first != NO_PASSAGE
-        tau_min = np.full(n * n, np.inf)
-        tau_min[reached] = self.tau[first[reached]]
-        return tau_min.reshape(n, n)
+        first = first_passage(n * half, cells).reshape(n, half)
+        tau_min = np.where(first == NO_PASSAGE, np.inf, self.tau[np.minimum(first, len(self.tau) - 1)])
+        return np.hstack((tau_min[:, ::-1][:, : n // 2], tau_min))
 
     def occupancy(self, T: float) -> np.ndarray:
         if not T <= self.T_max + 1e-12:  # NaN too

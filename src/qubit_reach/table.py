@@ -6,6 +6,11 @@ passing through it and the scaled first-passage time.  Optimal controls
 to a target are then recovered by replaying the stored seed, no fresh
 two-point boundary solve required.
 
+A table of grid n is the R >= 0 half of the n-cell raster of ReachSweep:
+its column j is raster column n // 2 + j.  The build bins points at |R| with
+reachset.folded_cell, and query with its one-point twin LookupTable.cell_of:
+a point on an edge goes to the cell above it.
+
 File format: versioned CSV, diffable and language neutral.
 
     #qubit-reach-table v1 gamma_ratio=<val> grid=<N>
@@ -26,7 +31,7 @@ import numpy as np
 from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
 from .reachset import (
-    BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage, sample_spacing,
+    BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage, folded_cell, sample_spacing,
 )
 
 MAGIC = "#qubit-reach-table v1"
@@ -35,6 +40,7 @@ MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210
 # trim threshold to twice its size, which at 256 columns and 4096 seeds (33.6 MB)
 # lay above the 25 MB free heap top the build leaves, so that memory stayed resident
 TABLE_READ_COLS = 128
+MIN_SEEDS = 256  # fewest seeds of a table sweep
 SEARCH_CELLS = 2  # Chebyshev radius of the nearest-cell fallback of query
 
 
@@ -74,11 +80,10 @@ class LookupTable:
         return 2.0 / self.grid_n
 
     def cell_of(self, z: float, R: float) -> tuple[int, int]:
-        # Python float clamps: the same operations as np.clip, without its
-        # per-call overhead on scalars
-        cell, n = 2.0 / self.grid_n, self.grid_n
-        i = int(min(max((z + 1.0) / cell, 0), n - 1))
-        j = int(min(max(R / cell, 0), n // 2 - 1))
+        # reachset.folded_cell on one point with R >= 0, in Python floats
+        n, inv = self.grid_n, 1.0 / (2.0 / self.grid_n)
+        i = int(min(max((z + 1.0) * inv, 0), n - 1))
+        j = int(min(max((R + 1.0) * inv, n // 2), n - 1)) - n // 2
         return i, j
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
@@ -104,11 +109,11 @@ def build_table(
 
     Ties between extremals entering a cell at the same sampled time are
     broken toward the lower seed index, deterministically.  Unreached
-    cells stay empty.  Requires n_seeds >= 256 so the angular spacing of
+    cells stay empty.  Requires n_seeds >= MIN_SEEDS so the angular spacing of
     the sweep stays below the cell size of sensible grids.
     """
-    if n_seeds < 256:
-        raise ValueError(f"need at least 256 seeds, got {n_seeds}")
+    if n_seeds < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds, got {n_seeds}")
     if grid_resolution < 2 or grid_resolution % 2 or grid_resolution > MAX_GRID:
         raise ValueError(f"grid resolution must be even, >= 2 and <= {MAX_GRID}")
     table = LookupTable(params.ratio, grid_resolution)
@@ -117,8 +122,7 @@ def build_table(
         seeds, T_max_scaled, params, n_threads=n_threads, comps=(0, 1), tol=SWEEP_TOL,
         sample_dt=sample_spacing(table.cell, T_max_scaled),
     )
-    ns = len(seeds)
-    nz, nr = grid_resolution, grid_resolution // 2
+    ns, n = len(seeds), grid_resolution
     rows = np.arange(ns)
 
     def cells():
@@ -129,17 +133,14 @@ def build_table(
             for j0 in range(0, z.shape[1], BIN_BLOCK):
                 zb, Rb = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
                 ok = np.isfinite(zb)
-                cell = np.clip(((zb[ok] + 1.0) / table.cell).astype(int), 0, nz - 1)
-                cell *= nr
-                cell += np.clip((np.abs(Rb[ok]) / table.cell).astype(int), 0, nr - 1)
                 col = np.arange(w0 + j0, w0 + j0 + zb.shape[1])
-                yield cell, (col * ns + rows[:, None])[ok]
-            del z, r, zb, Rb, ok, cell  # free this window before the next read allocates one
+                yield folded_cell(zb[ok], Rb[ok], n), (col * ns + rows[:, None])[ok]
+            del z, r, zb, Rb, ok  # free this window before the next read allocates one
 
     # the result goes into the arrays the table was made with, before the
     # sweep: an array made after it could sit above the sweep's freed memory
     # and keep the allocator from returning that memory
-    first = first_passage(nz * nr, lambda first: cells()).reshape(nz, nr)
+    first = first_passage(n * (n // 2), lambda first: cells()).reshape(n, n // 2)
     reached = first != NO_PASSAGE
     tau_idx, seed_of = np.divmod(first[reached], ns)
     table.tmin[reached] = sweep.tau[tau_idx]
@@ -172,8 +173,7 @@ def query(table: LookupTable, z1: float, R1: float):
             if not table.tmin[i, j] < math.inf:
                 continue
             zc, rc = table.cell_center(i, j)
-            d = (zc - z1) ** 2 + (rc - R1) ** 2
-            cand = (d, i, j)
+            cand = ((zc - z1) ** 2 + (rc - R1) ** 2, i, j)
             if best is None or cand < best:
                 best = cand
     if best is None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qubit_reach import SystemParams
-from qubit_reach import cli
+from qubit_reach import cli, reachset
 from qubit_reach import table as table_mod
 from qubit_reach.cli import main
 from qubit_reach.schedule import propagate
@@ -70,6 +70,29 @@ def test_table_grid_is_bounded_and_even_at_parse_time(tmp_path, capsys, grid, ms
     err = capsys.readouterr().err
     assert f"--grid: {msg}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, low, few",
+    [
+        (["table", "build", "--out", "{d}/t.csv", "--seeds"], table_mod.MIN_SEEDS, 100),
+        (["reachset", "--T", "1", "--out", "{d}/c.csv", "--seeds"], reachset.MIN_SEEDS, 10),
+        (["movie", "--out-dir", "{d}/frames", "--seeds"], reachset.MIN_SEEDS, 10),
+    ],
+    ids=["table-build", "reachset", "movie"],
+)
+def test_seed_floors_are_usage_errors(tmp_path, capsys, argv, low, few):
+    # a usage error at parse time, before the sweep, and no output; the
+    # library keeps its own check for its callers
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert cli.build_parser().parse_args([*argv, str(low)]).seeds == low
+    for count in (few, low - 1):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(count), "--gamma-ratio", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--seeds: expected at least {low}, got '{count}'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_param_flag_conflicts():
@@ -152,7 +175,7 @@ def test_lacuna_domain_error_exit_1(capsys):
         ["spiral", "--gamma-ratio", "2"],
         ["spiral", "--gamma-ratio", "2", "--out", "{d}/arcs.csv", "--svg", "{d}/arcs.svg"],
         ["lacuna", "--gamma-ratio", "0.1", "--alpha", "0.4", "--beta", "-1"],
-        ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "32", "--raster", "16",
+        ["reachset", "--gamma-ratio=-0.1", "--T", "0.5", "--seeds", "64", "--raster", "16",
          "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/mesh.obj"],
         ["reachset", "--gamma-ratio", "0.1", "--T", "0.5", "--seeds", "64", "--raster", "16",
          "--out", "{d}/cells.csv", "--svg", "{d}/set.svg", "--obj", "{d}/missing/mesh.obj"],

@@ -663,7 +663,8 @@ def test_refinement_budget_exhaustion_is_reported():
 def rep_rasterize(sweep, paths, order, gaps):
     """Reference: every strip point of every pair built by [rep]-expanding
     the pairs, then masked, and binned in one block with the path points,
-    each point at R and at -R (no mirror step)."""
+    each point in the column c of |R| (the cell above an edge) and its -R
+    copy in the mirror column n - 1 - c (no folded half, no mirror step)."""
     z, r = paths.samples([0, 1], np.arange(len(paths.seeds)), np.s_[:])
     m, n, inv = len(sweep.tau), sweep.n, 1.0 / sweep.cell
     fill_limit = 2.0 * REFINE_CELLS * sweep.cell
@@ -691,10 +692,9 @@ def rep_rasterize(sweep, paths, order, gaps):
                                   np.broadcast_to(sample, good.shape)[good]])
             iz = np.clip(((pz + 1.0) * inv).astype(int), 0, n - 1)
             iz *= n
-            for sign in (1.0, -1.0):
-                ir = np.clip(((sign * pr + 1.0) * inv).astype(int), 0, n - 1)
-                ir += iz
-                yield ir, key
+            ir = np.clip(((np.abs(pr) + 1.0) * inv).astype(int), n // 2, n - 1)
+            for col in (ir, n - 1 - ir):
+                yield iz + col, key
 
     first = first_passage(n * n, lambda first: cells())
     reached = first != NO_PASSAGE
@@ -843,16 +843,31 @@ def test_skipped_windows_keep_the_edge_cases():
         assert 2.56 <= got[iz, ir] < 3.2, (iz, ir)
 
 
+def test_path_parked_at_the_origin_enters_both_middle_columns():
+    # 1 / (2 / 186) rounds below 93, so (0 + 1) * inv truncates to row 92 and
+    # to column 92, left of the folded half; that column is clipped to 93
+    # and mirrored back to 92 instead of being overwritten by the mirror
+    n, tau = 186, np.arange(3) * 0.01
+    assert int(1.0 / (2.0 / n)) == n // 2 - 1
+    paths = linear_sweep(tau, np.zeros((2, 1, 3)), [np.inf])
+    sweep = ReachSweep.__new__(ReachSweep)
+    sweep.n, sweep.cell, sweep.tau = n, 2.0 / n, tau
+    order, gaps = np.arange(1), np.zeros(1)
+    got = sweep._rasterize(paths, order, gaps)
+    assert [tuple(c) for c in np.argwhere(got == 0.0)] == [(92, 92), (92, 93)]
+    assert np.isfinite(got).sum() == 2
+    assert got.tobytes() == rep_rasterize(sweep, paths, order, gaps)[0].tobytes()
+
+
 def test_rasterize_matches_reference_on_drawn_families():
     # drawn families of random walks of an n-cell raster, given to
     # _rasterize through linear_sweep: each path moves only over a drawn
     # interval and waits in its cell before and after, so rows and pairs are
     # skipped and chords still enter new cells late; NaN tails from drawn
     # failures (at tau = 0 too), R changing sign inside a window, pairs too
-    # wide to fill, and odd and even n.  z walks on the cell edges and centres.  R keeps a tenth of a cell
-    # or more off the edges, with an offset per path: the mirrored half puts
-    # a point exactly on an R edge in the mirror image of its cell, where the
-    # reference, binning at R and at -R, puts both in the cell above the edge
+    # wide to fill, and odd and even n.  z walks on the cell edges and
+    # centres, and so does R on about half the paths; on the others R keeps
+    # a drawn offset off them
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -871,7 +886,8 @@ def test_rasterize_matches_reference_on_drawn_families():
         steps[..., (np.arange(m) < on[:, :1]) | (np.arange(m) >= on[:, 1:])] = 0
         steps[..., 0] = rng.integers(0, 2 * n + 1, (2, rows))
         zr = -1.0 + np.clip(np.cumsum(steps, axis=-1), 0, 2 * n) / n
-        zr[1] = np.minimum(zr[1] + (0.5 + rng.uniform(-0.2, 0.2, (rows, 1))) / n, 1.0)
+        off = np.where(rng.random((rows, 1)) < 0.5, 0.0, 0.5 + rng.uniform(-0.2, 0.2, (rows, 1)))
+        zr[1] = np.minimum(zr[1] + off / n, 1.0)
         end = np.array([m if f is None else min(f, m) for f in fails])
         for k, e in enumerate(end):
             zr[:, k, e:] = np.nan

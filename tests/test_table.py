@@ -8,6 +8,7 @@ from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal, seed_gri
 from qubit_reach import table as table_mod
 from qubit_reach.cli import main
 from qubit_reach.extremals import ExtremalSweep, hamiltonian_dtheta
+from qubit_reach.reachset import folded_cell
 from qubit_reach.table import (
     LookupTable,
     UnreachableError,
@@ -283,9 +284,13 @@ def test_binning_matches_naive_loop(monkeypatch):
 
 
 def ref_cell_of(table, z, R):
-    """The np.clip cell lookup that LookupTable.cell_of replaced."""
-    i = int(np.clip((z + 1.0) / table.cell, 0, table.grid_n - 1))
-    j = int(np.clip(R / table.cell, 0, table.grid_n // 2 - 1))
+    """The cell rule of the raster's folded half, with np.clip: row
+    int((z + 1) * inv), column int((R + 1) * inv) - n // 2 of the raster
+    columns n // 2 to n - 1, inv = 1 / cell; a point on an edge goes to
+    the cell above it."""
+    n, inv = table.grid_n, 1.0 / table.cell
+    i = int(np.clip((z + 1.0) * inv, 0, n - 1))
+    j = int(np.clip((R + 1.0) * inv, n // 2, n - 1)) - n // 2
     return i, j
 
 
@@ -330,6 +335,8 @@ def pinned_targets(tbl):
     edges = [-1.0 + k * cell for k in range(n + 1)]
     targets += [(z, R) for z in edges for R in (0.0, 0.25, 0.5)]
     targets += [(0.5, k * cell) for k in range(n // 2 + 1)]
+    # the float neighbours of the R edges, where (R + 1) rounds onto an edge
+    targets += [(0.5, np.nextafter(k * cell, side)) for k in range(n // 2 + 1) for side in (0, 1)]
     targets += [(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.9999, 0.001)]
     for z in np.linspace(-1, 1, 201):
         rim = np.sqrt(1.0 - z * z)
@@ -392,6 +399,33 @@ def test_drawn_tables_round_trip(tmp_path):
             assert answer(query, back, z, R) == answer(ref_query, back, z, R), (z, R)
         with pytest.raises(ValueError, match="read-only"):
             back.mask[0, 0] = True
+
+    check()
+
+
+def test_cell_of_is_the_folded_cell_of_the_raster():
+    # the scalar lookup of a query and the array binning of the table and of
+    # the raster's folded half give every point one cell: on the z and R
+    # edges, on their float neighbours and on uniform points
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hypothesis.given(st.integers(1, table_mod.MAX_GRID // 2), st.integers(0, 2**32 - 1))
+    @hypothesis.example(93, 0)  # 1 / (2 / 186) rounds below 93: R = 0 is clipped into the half
+    def check(half_n, seed):
+        n, rng = 2 * half_n, np.random.default_rng(seed)
+        tbl = LookupTable(0.0, n)
+        zk, rk = rng.integers(0, n + 1, 200), np.append(rng.integers(0, n // 2 + 1, 199), 0)
+        z = np.concatenate([-1.0 + zk * tbl.cell, rng.uniform(-1, 1, 200)])
+        R = np.concatenate([rk * tbl.cell, rng.uniform(0, 1, 200)])
+        z = np.concatenate([z, np.nextafter(z, -2.0), np.nextafter(z, 2.0), z, z])
+        R = np.concatenate([R, R, R, np.nextafter(R, -1.0), np.nextafter(R, 2.0)])
+        R = np.abs(R)  # the neighbour below R = 0
+        flat = folded_cell(z.copy(), R.copy(), n)
+        got = [tbl.cell_of(zz, rr) for zz, rr in zip(z.tolist(), R.tolist())]
+        assert got == [divmod(c, n - n // 2) for c in flat.tolist()]
+        assert got == [ref_cell_of(tbl, zz, rr) for zz, rr in zip(z.tolist(), R.tolist())]
 
     check()
 
