@@ -180,7 +180,7 @@ def _hamiltonian_at_start(st, ct, cpsi, spsi, g):
     return -cpsi * ct - 0.5 * g * spsi * (st - 1.0) ** 2
 
 
-SEED_BLOCK = 256  # psi0 per scan block: bounds the (block, SEED_SCAN) temporaries
+SEED_BLOCK = 32  # psi0 per step of the sign-change scan: bounds its (block, SEED_SCAN) buffers
 
 
 def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[ExtremalSeed]:
@@ -196,23 +196,38 @@ def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[Extrema
     if branch not in ("max", "min"):
         raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")
     psi0s = np.asarray(psi0s, dtype=float).reshape(-1)
-    theta0 = np.concatenate(
-        [_seed_angles(psi0s[k : k + SEED_BLOCK], params.ratio, branch)
-         for k in range(0, len(psi0s), SEED_BLOCK)] or [np.zeros(0)]
-    )
+    theta0 = _seed_angles(psi0s, params.ratio, branch) if len(psi0s) else []
     return [ExtremalSeed(float(p), float(t)) for p, t in zip(psi0s, theta0)]
 
 
 def _seed_angles(psi0, g, branch):
     grid = np.linspace(0.0, 2.0 * np.pi, SEED_SCAN + 1)
     cpsi, spsi = np.cos(psi0)[:, None], np.sin(psi0)[:, None]
-    gspsi = g * spsi
+    gspsi, hspsi = g * spsi, 0.5 * g * spsi
     st, ct = np.sin(grid), np.cos(grid)
-    vals = _seed_residual(st, ct, cpsi, gspsi)  # (n, SEED_SCAN + 1)
-    flo, fhi = vals[:, :-1], vals[:, 1:]
+    st1, sq = st - 1.0, (st[:-1] - 1.0) ** 2
+    # the scan, SEED_BLOCK psi0 at a time in two buffers, with the float
+    # operations of _seed_residual and _hamiltonian_at_start: one pass of
+    # flo * fhi <= 0 finds the brackets (< 0) and the exact zeros (flo == 0)
+    buf, parts = np.empty((2, min(SEED_BLOCK, len(psi0)), SEED_SCAN + 1)), []
+    for k in range(0, len(psi0), SEED_BLOCK):
+        blk = np.s_[k : k + SEED_BLOCK]
+        v, t = buf[:, : len(psi0[blk])]
+        np.multiply(cpsi[blk], st, out=v)
+        np.multiply(gspsi[blk], ct, out=t)
+        t *= st1
+        v -= t
+        flo, prod = v[:, :-1], np.multiply(v[:, :-1], v[:, 1:], out=t[:, :-1])
+        own, at = np.nonzero(prod <= 0.0)
+        fl, cross = flo[own, at], prod[own, at] < 0.0
+        zero = fl == 0.0
+        h = np.multiply(-cpsi[blk], ct[:-1], out=flo)  # H on the scan grid
+        h -= np.multiply(hspsi[blk], sq, out=prod)
+        parts.append((own[cross] + k, at[cross], fl[cross], own[zero] + k, at[zero],
+                      np.argmax(h, axis=1), np.argmin(h, axis=1)))
+    own, at, fl, zero_own, zero_at, hmax, hmin = map(np.concatenate, zip(*parts))
     # bisection of every sign-change bracket of every psi0
-    own, at = np.nonzero(flo * fhi < 0.0)
-    lo, hi, fl = grid[at], grid[at + 1], flo[own, at]
+    lo, hi = grid[at], grid[at + 1]
     c, gs = cpsi[own, 0], gspsi[own, 0]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -223,12 +238,9 @@ def _seed_angles(psi0, g, branch):
         fl = np.where(to_hi, fl, fm)
     # exact zeros on the scan and the dense argmax/argmin of H are
     # candidates too (the latter catch non-crossing roots)
-    zero_own, zero_at = np.nonzero(flo == 0.0)
-    h_grid = _hamiltonian_at_start(st[:-1], ct[:-1], cpsi, spsi, g)
     rows = np.arange(len(psi0))
     own = np.concatenate([own, zero_own, rows, rows])
-    th = np.concatenate([0.5 * (lo + hi), grid[zero_at],
-                         grid[np.argmax(h_grid, axis=1)], grid[np.argmin(h_grid, axis=1)]])
+    th = np.concatenate([0.5 * (lo + hi), grid[zero_at], grid[hmax], grid[hmin]])
     # masked Newton polish: a candidate stops where the scalar iteration breaks
     c, gs = cpsi[own, 0], gspsi[own, 0]
     going = np.ones(len(th), dtype=bool)

@@ -142,6 +142,29 @@ def first_passage(n_cells: int, blocks) -> np.ndarray:
     return first
 
 
+def unsettled(first, n):
+    """The settled test of a first-passage binning into the folded half of an
+    n-cell raster, given first, its minimum keys so far: a function telling
+    whether each box of node_boxes holds a cell no key in first entered (an
+    empty box holds none).  Keys binned later must exceed every key in first,
+    so only such a box can lower a cell's minimum."""
+    half = n - n // 2
+    # summed-area table of the entered cells, with a zero first row and column
+    entered = first.reshape(n, half) != NO_PASSAGE
+    done = np.pad(entered.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32), (1, 0))
+
+    def todo(box):
+        live = (box[2] >= -box[0]) & (box[3] >= -box[1])
+        nzlo, nrlo, zhi, rhi = np.where(live, box, 0.0)
+        # its corners' (z, |R|) cells bound its cells; GAP_SLACK covers chord rounding
+        i0, c0 = divmod(folded_cell(-nzlo, np.maximum(-np.minimum(nrlo, rhi), 0.0), n), half)
+        i1, c1 = (k + 1 for k in divmod(folded_cell(zhi, np.maximum(nrlo, rhi), n), half))
+        settled = done[i1, c1] - done[i0, c1] - done[i1, c0] + done[i0, c0]
+        return live & (settled < (i1 - i0) * (c1 - c0))
+
+    return todo
+
+
 # --- spiral-bounded exact-reachability region ------------------------------
 
 
@@ -482,11 +505,6 @@ class ReachSweep:
         Each point is binned once, by folded_cell, into the R >= 0 half (a point
         on an edge goes to the cell above it); column c is also column n - 1 - c."""
         n, half = self.n, self.n - self.n // 2
-        # a window's keys exceed all earlier ones, so a row or a pair whose
-        # node box lies in cells earlier windows all entered is skipped, and a
-        # row is read only if it or a pair of it is not; done is the summed-
-        # area table of those settled cells of the folded half, per read
-        done = np.zeros((n + 1, half + 1), dtype=np.int32)
         # strips are bridged by chords only where the two paths run close
         # together; a chord across a wide gap could cut through a genuinely
         # unreachable bay, so wide moments stay unbridged (and recorded)
@@ -501,23 +519,11 @@ class ReachSweep:
             lam = (np.arange(1, k) / k)[:, None]
             groups.append((order[ids], order[(ids + 1) % len(order)], lam, 1 - lam))
 
-        def todo(box):
-            """Whether each box (-min z, -min R, max z, max R) of node_boxes
-            has an unsettled cell; an empty box has none."""
-            live = (box[2] >= -box[0]) & (box[3] >= -box[1])
-            nzlo, nrlo, zhi, rhi = np.where(live, box, 0.0)
-            # its corners' (z, |R|) cells bound its cells; GAP_SLACK covers chord rounding
-            i0, c0 = divmod(folded_cell(-nzlo, np.maximum(-np.minimum(nrlo, rhi), 0.0), n), half)
-            i1, c1 = (k + 1 for k in divmod(folded_cell(zhi, np.maximum(nrlo, rhi), n), half))
-            settled = done[i1, c1] - done[i0, c1] - done[i1, c0] + done[i0, c0]
-            return live & (settled < (i1 - i0) * (c1 - c0))
-
         def cells(first):
             for w0 in range(0, len(self.tau), READ_COLS):
-                done[1:, 1:] = first.reshape(n, half) != NO_PASSAGE
-                done.cumsum(0, out=done).cumsum(1, out=done)
-                # (window, row) and (window, pair) to bin; a pair's box is its ends' union
-                box = node_boxes(paths, w0)
+                # (window, row) and (window, pair) to bin, a pair's box being its ends'
+                # union; a row is read if it or a pair of it has a window to bin
+                todo, box = unsettled(first, n), node_boxes(paths, w0)
                 go = todo(box)
                 pair_go = [todo(np.maximum(box[..., pa], box[..., pb])) for pa, pb, _, _ in groups]
                 del box
@@ -533,8 +539,7 @@ class ReachSweep:
                 for i, j0 in enumerate(range(0, z.shape[1], BIN_BLOCK)):
                     zw, rw = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
                     sample = np.arange(w0 + j0, w0 + j0 + zw.shape[1])
-                    ok = np.isfinite(zw)
-                    ok &= go[i, rows, None]
+                    ok = np.isfinite(zw) & go[i, rows, None]
                     yield folded_cell(zw[ok], rw[ok], n), np.broadcast_to(sample, ok.shape)[ok]
                     for (pa, pb, lam, mu), g in zip(groups, pair_go):
                         ia, ib = at[pa[g[i]]], at[pb[g[i]]]

@@ -9,7 +9,9 @@ two-point boundary solve required.
 A table of grid n is the R >= 0 half of the n-cell raster of ReachSweep:
 its column j is raster column n // 2 + j.  The build bins points at |R| with
 reachset.folded_cell, and query with its one-point twin LookupTable.cell_of:
-a point on an edge goes to the cell above it.
+a point on an edge goes to the cell above it.  Like the raster, the build
+reads only the samples whose step nodes may enter a cell not yet entered,
+and it returns the sweep's freed heap to the system when it is done.
 
 File format: versioned CSV, diffable and language neutral.
 
@@ -22,6 +24,8 @@ round trip is lossless and byte identical.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import re
 from dataclasses import dataclass, field
@@ -31,15 +35,12 @@ import numpy as np
 from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
 from .reachset import (
-    BIN_BLOCK, NO_PASSAGE, SWEEP_TOL, first_passage, folded_cell, sample_spacing,
+    BIN_BLOCK, NO_PASSAGE, READ_COLS, SWEEP_TOL, first_passage, folded_cell, node_boxes,
+    sample_spacing, unsettled,
 )
 
 MAGIC = "#qubit-reach-table v1"
 MAX_GRID = 4096  # largest grid a table may have; its arrays then take about 210 MB
-# sample columns per read of build_table: freeing a read window sets glibc's heap
-# trim threshold to twice its size, which at 256 columns and 4096 seeds (33.6 MB)
-# lay above the 25 MB free heap top the build leaves, so that memory stayed resident
-TABLE_READ_COLS = 128
 MIN_SEEDS = 256  # fewest seeds of a table sweep
 SEARCH_CELLS = 2  # Chebyshev radius of the nearest-cell fallback of query
 
@@ -111,6 +112,11 @@ def build_table(
     broken toward the lower seed index, deterministically.  Unreached
     cells stay empty.  Requires n_seeds >= MIN_SEEDS so the angular spacing of
     the sweep stays below the cell size of sensible grids.
+
+    Per READ_COLS sample columns, the binning reads (one sweep block of rows
+    at a time) only the (row, BIN_BLOCK window) entries whose node_boxes box
+    holds a cell no earlier sample entered (reachset.unsettled).  It then
+    drops the sweep and returns the freed heap with glibc's malloc_trim(0).
     """
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds, got {n_seeds}")
@@ -122,30 +128,36 @@ def build_table(
         seeds, T_max_scaled, params, n_threads=n_threads, comps=(0, 1), tol=SWEEP_TOL,
         sample_dt=sample_spacing(table.cell, T_max_scaled),
     )
-    ns, n = len(seeds), grid_resolution
-    rows = np.arange(ns)
+    ns, n, starts = len(seeds), grid_resolution, sweep.starts
 
-    def cells():
-        # key = sample * ns + seed: the earliest passage, lowest seed on ties;
-        # TABLE_READ_COLS columns are read at a time and binned BIN_BLOCK at a time
-        for w0 in range(0, len(sweep.tau), TABLE_READ_COLS):
-            z, r = sweep.samples([0, 1], rows, np.s_[w0 : w0 + TABLE_READ_COLS])
-            for j0 in range(0, z.shape[1], BIN_BLOCK):
-                zb, Rb = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
-                ok = np.isfinite(zb)
-                col = np.arange(w0 + j0, w0 + j0 + zb.shape[1])
-                yield folded_cell(zb[ok], Rb[ok], n), (col * ns + rows[:, None])[ok]
-            del z, r, zb, Rb, ok  # free this window before the next read allocates one
+    def cells(first):
+        # key = sample * ns + seed: the earliest passage, lowest seed on ties
+        for w0 in range(0, len(sweep.tau), READ_COLS):
+            go = unsettled(first, n)(node_boxes(sweep, w0))  # (window, row)
+            for lo, hi in zip(starts, starts[1:]):
+                rows = lo + np.flatnonzero(go[:, lo:hi].any(axis=0))
+                if not len(rows):
+                    continue
+                z, r = sweep.samples([0, 1], rows, np.s_[w0 : w0 + READ_COLS])
+                for i, j0 in enumerate(range(0, z.shape[1], BIN_BLOCK)):
+                    zb, Rb = z[:, j0 : j0 + BIN_BLOCK], r[:, j0 : j0 + BIN_BLOCK]
+                    ok = np.isfinite(zb) & go[i, rows, None]
+                    col = np.arange(w0 + j0, w0 + j0 + zb.shape[1])
+                    yield folded_cell(zb[ok], Rb[ok], n), (col * ns + rows[:, None])[ok]
+                del z, r, zb, Rb, ok  # free this read before the next one allocates
 
     # the result goes into the arrays the table was made with, before the
     # sweep: an array made after it could sit above the sweep's freed memory
     # and keep the allocator from returning that memory
-    first = first_passage(n * (n // 2), lambda first: cells()).reshape(n, n // 2)
+    first = first_passage(n * (n // 2), cells).reshape(n, n // 2)
     reached = first != NO_PASSAGE
     tau_idx, seed_of = np.divmod(first[reached], ns)
     table.tmin[reached] = sweep.tau[tau_idx]
     table.psi0[reached] = np.array([s.psi0 for s in seeds])[seed_of]
     table.theta0[reached] = np.array([s.theta0 for s in seeds])[seed_of]
+    del sweep
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # no malloc_trim
+        ctypes.CDLL(None).malloc_trim(0)
     return table
 
 

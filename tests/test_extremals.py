@@ -148,6 +148,32 @@ def test_seed_min_branch():
     assert hamiltonian(s_max.state0, P) > hamiltonian(s_min.state0, P)
 
 
+# the 4096 grid angles and the quarter turns, where cos or sin of psi0 is 0 or 1
+SEED_ANGLES = np.concatenate([2.0 * np.pi * (np.arange(4096) + 0.5) / 4096, np.pi / 2 * np.arange(4)])
+
+
+@pytest.mark.parametrize("branch", ["max", "min"])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 3.0])
+def test_seed_batch_is_the_same_in_any_batch(ratio, branch):
+    # each seed has the same bits in the whole batch, in a split of it (a lone
+    # angle, pieces around SEED_BLOCK and the rest) and alone: every 41st
+    # angle and the quarter turns, one seed() each
+    params = SystemParams.from_ratio(ratio)
+
+    def thetas(psis):
+        return np.array([s.theta0 for s in extremals.seed_batch(psis, params, branch)])
+
+    whole = thetas(SEED_ANGLES)
+    block = extremals.SEED_BLOCK
+    cuts = np.cumsum([1, block - 1, block, block + 1, 2 * block + 7, 1000])
+    split = np.concatenate([thetas(part) for part in np.split(SEED_ANGLES, cuts)])
+    assert split.tobytes() == whole.tobytes()
+    alone = [*range(0, 4096, 41), *range(4096, 4100)]
+    one = np.array([seed(SEED_ANGLES[k], params, branch).theta0 for k in alone])
+    assert one.tobytes() == whole[alone].tobytes()
+    assert extremals.seed_batch([], params, branch) == []
+
+
 def test_extremal_invariants_along_trajectory():
     traj = integrate_extremal(seed(0.9, P), 7.0, P, sample_dt=7 / 1024)
     H = hamiltonian(traj.ys, P)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +23,7 @@ from qubit_reach.table import (
 )
 
 P = SystemParams.from_ratio(0.1)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -443,8 +448,9 @@ def test_records_match_per_cell_reference(table):
 
 
 def test_binning_holds_at_most_one_sample_window(monkeypatch):
-    # the previous TABLE_READ_COLS window of samples is dropped before the next
-    # one is read, so binning holds one window plus the pieces built from it
+    # binning reads one sweep block of rows at a time and drops each read
+    # before the next; its peak stays within 2.6 windows of 128 columns of
+    # every seed's z and R, the bound of the whole-window reads it replaced
     peaks = []
 
     def traced(n_cells, blocks):
@@ -463,8 +469,110 @@ def test_binning_holds_at_most_one_sample_window(monkeypatch):
     monkeypatch.setattr(table_mod, "first_passage", traced)
     monkeypatch.setattr(table_mod, "sweep_extremals_parallel", swept)
     build_table(P, 1024, 10.0, 256)
-    window = 2 * 1024 * table_mod.TABLE_READ_COLS * 8
+    window = 2 * 1024 * 128 * 8
     assert peaks[0] <= 2.6 * window, peaks[0] / window
     # the sweep keeps only the z and R node rows
     assert sweeps[0].comps == (0, 1)
     assert {blk["nodes"].shape[0] for blk in sweeps[0].blocks} == {6}
+
+
+# entries (rows x columns) build_table hands ExtremalSweep.samples on
+# build_table(P, 256, 10.0, 64), and entries it hands first_passage
+TABLE_SAMPLE_ENTRIES = 202_528
+TABLE_BIN_ENTRIES = 160_632
+
+
+def test_table_reads_are_pinned(monkeypatch):
+    # count the entries build_table reads and bins, and check its table
+    # against an unskipped np.minimum.at binning of every finite sample
+    sweeps, read, handed = [], [], []
+    sweep, samples = table_mod.sweep_extremals_parallel, ExtremalSweep.samples
+    real = table_mod.first_passage
+
+    def swept(*args, **kwargs):
+        sweeps.append(sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    def counting(n_cells, blocks):
+        def counted(first):
+            for cells, keys in blocks(first):
+                handed.append(len(cells))
+                yield cells, keys
+
+        return real(n_cells, counted)
+
+    def reading(self, comps, rows, cols):
+        out = samples(self, comps, rows, cols)
+        read.append(out.shape[1] * out.shape[2])
+        return out
+
+    monkeypatch.setattr(table_mod, "sweep_extremals_parallel", swept)
+    monkeypatch.setattr(table_mod, "first_passage", counting)
+    monkeypatch.setattr(ExtremalSweep, "samples", reading)
+    n = 64
+    got = build_table(P, 256, 10.0, n)
+    assert (sum(read), sum(handed)) == (TABLE_SAMPLE_ENTRIES, TABLE_BIN_ENTRIES)
+
+    paths = sweeps[0]
+    ns = len(paths.seeds)
+    z, R = samples(paths, [0, 1], np.arange(ns), np.s_[:])
+    ok = np.isfinite(z)
+    inv = 1.0 / (2.0 / n)
+    i = np.clip((z[ok] + 1.0) * inv, 0, n - 1).astype(int)
+    j = np.clip((np.abs(R[ok]) + 1.0) * inv, n // 2, n - 1).astype(int) - n // 2
+    first = np.full(n * (n // 2), np.iinfo(np.int64).max)
+    keys = (np.arange(z.shape[1]) * ns + np.arange(ns)[:, None])[ok]
+    np.minimum.at(first, i * (n // 2) + j, keys)
+    want = LookupTable(P.ratio, n)
+    reached = first < np.iinfo(np.int64).max
+    sample, seed_of = np.divmod(first[reached], ns)
+    want.tmin.reshape(-1)[reached] = paths.tau[sample]
+    want.psi0.reshape(-1)[reached] = [paths.seeds[s].psi0 for s in seed_of]
+    want.theta0.reshape(-1)[reached] = [paths.seeds[s].theta0 for s in seed_of]
+    for name in ("tmin", "psi0", "theta0"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    # the share handed over is 0.69 of the finite samples at this size
+    assert sum(handed) < 0.8 * ok.sum(), sum(handed) / ok.sum()
+
+
+class FakeLibc:
+    """A C library with or without malloc_trim, which records its calls."""
+
+    def __init__(self, trims):
+        self.calls = []
+        if trims:
+            self.malloc_trim = self.calls.append
+
+
+@pytest.mark.parametrize("trims", [True, False], ids=["malloc_trim", "no-malloc_trim"])
+def test_build_releases_the_heap_where_it_can(monkeypatch, trims):
+    # build_table calls malloc_trim(0) once where the C library has it, and
+    # builds the same table where it has not
+    want = build_table(P, 256, 2.0, 32)
+    libc = FakeLibc(trims)
+    monkeypatch.setattr(table_mod.ctypes, "CDLL", lambda name: libc)
+    got = build_table(P, 256, 2.0, 32)
+    assert libc.calls == ([0] if trims else [])
+    for name in ("tmin", "psi0", "theta0"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+def test_build_leaves_little_more_resident():
+    # in a fresh interpreter, the CLI-default build returns its freed heap:
+    # it leaves about 4 MB more resident, and 29 MB without malloc_trim
+    code = (
+        "import os\n"
+        "from qubit_reach import SystemParams, build_table\n"
+        "def resident():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "before = resident()\n"
+        "table = build_table(SystemParams.from_ratio(0.1), 4096, 10.0, 256)\n"
+        "print(resident() - before)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    grown = int(done.stdout)
+    assert grown <= 8 * 2**20, grown / 2**20
