@@ -183,12 +183,18 @@ def meridian_rhs_scaled(z, R, theta, g):
 
     with g = gamma / omega.
     """
-    return _meridian_rhs(z, R, np.sin(theta), np.cos(theta), np.cos(2.0 * theta), g)
+    return _meridian_rhs(z, R, *_trig(theta), g)
+
+
+def _trig(theta):
+    """sin, cos and cos 2 = 1 - 2 sin^2 of theta: the trig rule all meridian fields share."""
+    st = np.sin(theta)
+    return st, np.cos(theta), 1.0 - 2.0 * st * st
 
 
 def _meridian_rhs(z, R, st, ct, c2, g):
-    """:func:`meridian_rhs_scaled` from st = sin(theta), ct = cos(theta) and
-    c2 = cos(2 theta), for callers that already hold them."""
+    """:func:`meridian_rhs_scaled` from :func:`_trig` (st, ct, c2), for
+    callers that already hold them."""
     zp = -0.5 * g * z - R * ct
     rp = z * ct - 0.25 * g * R * (3.0 - c2) + g * st
     return zp, rp

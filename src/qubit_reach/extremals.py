@@ -29,6 +29,11 @@ flow, and :func:`integrate_extremal` folds stored samples back to
 R >= 0.  All stationarity and control-recovery formulas used here are
 invariant under that fold.
 
+The field is evaluated from one sine and one cosine of theta (bloch._trig):
+cos 2th = 1 - 2 st^2, 5 sin th + sin 3th = st (8 - 4 st^2) and cos^3 th =
+ct ct ct, in extremal_flow, in the stationarity helper (sin 2th = 2 st ct)
+and in bloch.meridian_rhs_scaled alike, so the three agree bit for bit.
+
 The flow is written once, in :func:`extremal_flow`, which takes the five
 components as separate arrays.  The sweep passes the rows of its (5, n)
 block of seeds; the public functions that take a state array (trailing
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import R_MIN, SingularityError, _meridian_rhs, _theta_balance
+from .bloch import R_MIN, SingularityError, _meridian_rhs, _theta_balance, _trig
 from .ode import HERMITE_WEIGHTS, IntegrationError, Trajectory, dp45, hermite
 from .params import SystemParams
 from .schedule import ControlSchedule, propagate
@@ -71,24 +76,23 @@ def extremal_flow(z, R, p, q, th, g):
     num / den, whose denominator is d^2H/dtheta^2.  Broadcasts; den is
     not guarded.
     """
-    st, ct, c2 = np.sin(th), np.cos(th), np.cos(2.0 * th)
+    st, ct, c2 = _trig(th)
     zp, rp = _meridian_rhs(z, R, st, ct, c2, g)
     pp = 0.5 * g * p - q * ct
     qp = p * ct + 0.25 * g * q * (3.0 - c2)
-    num = 0.125 * g * ((p * R + q * z) * (5.0 * st + np.sin(3.0 * th)) - 8.0 * p - 4.0 * g * q * ct ** 3)
+    num = 0.125 * g * ((p * R + q * z) * (st * (8.0 - 4.0 * st * st)) - 8.0 * p
+                       - 4.0 * g * q * (ct * ct * ct))
     return zp, rp, pp, qp, num, _d2H(z, R, p, q, st, ct, c2, g)
 
 
-def _dH_dtheta(z, R, p, q, th, g):
-    return (p * R - q * z) * np.sin(th) + g * q * (np.cos(th) - 0.5 * R * np.sin(2.0 * th))
-
-
-def _d2H_dtheta2(z, R, p, q, th, g):
-    return _d2H(z, R, p, q, np.sin(th), np.cos(th), np.cos(2.0 * th), g)
+def _stationarity(z, R, p, q, th, g):
+    """dH/dtheta and d^2H/dtheta^2, with sin 2th = 2 st ct."""
+    st, ct, c2 = _trig(th)
+    return (p * R - q * z) * st + g * q * (ct - R * st * ct), _d2H(z, R, p, q, st, ct, c2, g)
 
 
 def _d2H(z, R, p, q, st, ct, c2, g):
-    """:func:`_d2H_dtheta2` from st = sin(th), ct = cos(th) and c2 = cos(2 th)."""
+    """d^2H/dtheta^2 from :func:`bloch._trig` (st, ct, c2)."""
     return (p * R - q * z) * ct - g * q * (st + R * c2)
 
 
@@ -116,12 +120,12 @@ def hamiltonian(state, params: SystemParams):
 
 def hamiltonian_dtheta(state, params: SystemParams):
     """dH/dtheta; zero along extremals (stationarity residual)."""
-    return _dH_dtheta(*_unpack(state), params.ratio)
+    return _stationarity(*_unpack(state), params.ratio)[0]
 
 
 def hamiltonian_dtheta2(state, params: SystemParams):
     """d^2H/dtheta^2; also the denominator of the theta drift."""
-    return _d2H_dtheta2(*_unpack(state), params.ratio)
+    return _stationarity(*_unpack(state), params.ratio)[1]
 
 
 def theta_rhs(state, params: SystemParams):
@@ -180,7 +184,8 @@ def _hamiltonian_at_start(st, ct, cpsi, spsi, g):
     return -cpsi * ct - 0.5 * g * spsi * (st - 1.0) ** 2
 
 
-SEED_BLOCK = 32  # psi0 per step of the sign-change scan: bounds its (block, SEED_SCAN) buffers
+SEED_BLOCK = 32  # psi0 per step of the scan: bounds its (block, SEED_SCAN / SEED_STRIDE) buffers
+SEED_STRIDE = 32  # scan intervals per coarse interval of the two-level scan
 
 
 def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[ExtremalSeed]:
@@ -188,10 +193,14 @@ def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[Extrema
 
     All roots of dH/dtheta = 0 on [0, 2 pi) are located by a sign-change
     scan plus 60 bisection steps, Newton-polished to ~1e-15; the returned
-    root maximizes (or minimizes) H over the root set.  A dense argmax
-    and argmin of H are always added as candidates so tangential roots
-    cannot be missed.  Every step is elementwise over all brackets of all
-    psi0 at once, so each seed is the same whatever batch it comes in.
+    root maximizes (or minimizes) H over the root set.  The argmax and argmin
+    of H on the scan grid are always added as candidates so tangential roots
+    cannot be missed.  The scan has two levels: f = dH/dtheta and H at every
+    SEED_STRIDE-th of its SEED_SCAN + 1 points, then every point of the coarse
+    intervals that a chord-plus-curvature bound cannot rule out, with |f''| <=
+    |cos psi0| + 3 |g sin psi0| and |H''| <= |cos psi0| + 2 |g sin psi0| (H' =
+    f): it finds what a scan of every point finds.  Every step is elementwise
+    over all brackets of all psi0 at once, so a seed has the same bits in any batch.
     """
     if branch not in ("max", "min"):
         raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")
@@ -200,32 +209,51 @@ def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[Extrema
     return [ExtremalSeed(float(p), float(t)) for p, t in zip(psi0s, theta0)]
 
 
+def _chord_bounds(cpsi, gspsi, w):
+    """(|f''|, |H''| bounds) (w^2 / 8 + 1e-12): how far f, H stray from a chord of width w."""
+    return (np.abs(cpsi) + np.abs(gspsi) * [[3.0, 2.0]]) * (w * w / 8.0 + 1e-12)
+
+
+def _seed_scan(grid, cpsi, gspsi, hspsi):
+    """seed_batch's scan of grid, SEED_BLOCK psi0 at a time, for the rows of the
+    columns cos psi0, g sin psi0 and g sin psi0 / 2, with the float operations of
+    _seed_residual and _hamiltonian_at_start: the brackets (row, interval, f at
+    its start) and exact zeros (row, index) of f, and per row the first argmax and
+    argmin of H on grid[:-1].  A coarse interval is read unless its _chord_bounds
+    rule out a sign change of f and an H at or past the best coarse one."""
+    st, ct = np.sin(grid), np.cos(grid)
+    st1, m = st - 1.0, SEED_STRIDE
+    sq, starts = st1 ** 2, np.arange(0, len(grid) - 1, m)
+    curve, parts = _chord_bounds(cpsi, gspsi, np.max(np.diff(grid[::m]))), []
+    for k in range(0, len(cpsi), SEED_BLOCK):
+        blk = np.s_[k : k + SEED_BLOCK]
+        c, gs, hs, (fb, hb) = cpsi[blk], gspsi[blk], hspsi[blk], curve[blk].T[:, :, None]
+        f, h = c * st[::m] - gs * ct[::m] * st1[::m], -c * ct[::m] - hs * sq[::m]
+        lo, hi, hl, hr = f[:, :-1], f[:, 1:], h[:, :-1], h[:, 1:]
+        read = (np.minimum(np.abs(lo), np.abs(hi)) <= fb) | ((lo > 0.0) != (hi > 0.0))
+        read |= np.maximum(hl, hr) + hb >= hl.max(axis=1, keepdims=True)
+        read |= np.minimum(hl, hr) - hb <= hl.min(axis=1, keepdims=True)
+        own, cell = np.nonzero(read)
+        at = starts[cell, None] + np.arange(m + 1)  # the grid points of each read interval
+        v = c[own] * st[at] - gs[own] * ct[at] * st1[at]
+        prod = v[:, :-1] * v[:, 1:]
+        i, j = np.nonzero(prod <= 0.0)  # brackets (< 0) and exact zeros (f == 0 at the start)
+        fl, cross, at_ij = v[i, j], prod[i, j] < 0.0, at[i, j]
+        zero, rows = fl == 0.0, np.arange(len(own))
+        hf, ends = -c[own] * ct[at[:, :-1]] - hs[own] * sq[at[:, :-1]], []
+        for pick in (np.argmax, np.argmin):  # per coarse interval; its start where not read
+            val, idx, best = hl.copy(), np.broadcast_to(starts, hl.shape).copy(), pick(hf, axis=1)
+            val[own, cell], idx[own, cell] = hf[rows, best], at[rows, best]
+            ends.append(idx[np.arange(len(idx)), pick(val, axis=1)])
+        parts.append((own[i[cross]] + k, at_ij[cross], fl[cross], own[i[zero]] + k, at_ij[zero], *ends))
+    return map(np.concatenate, zip(*parts))
+
+
 def _seed_angles(psi0, g, branch):
     grid = np.linspace(0.0, 2.0 * np.pi, SEED_SCAN + 1)
     cpsi, spsi = np.cos(psi0)[:, None], np.sin(psi0)[:, None]
     gspsi, hspsi = g * spsi, 0.5 * g * spsi
-    st, ct = np.sin(grid), np.cos(grid)
-    st1, sq = st - 1.0, (st[:-1] - 1.0) ** 2
-    # the scan, SEED_BLOCK psi0 at a time in two buffers, with the float
-    # operations of _seed_residual and _hamiltonian_at_start: one pass of
-    # flo * fhi <= 0 finds the brackets (< 0) and the exact zeros (flo == 0)
-    buf, parts = np.empty((2, min(SEED_BLOCK, len(psi0)), SEED_SCAN + 1)), []
-    for k in range(0, len(psi0), SEED_BLOCK):
-        blk = np.s_[k : k + SEED_BLOCK]
-        v, t = buf[:, : len(psi0[blk])]
-        np.multiply(cpsi[blk], st, out=v)
-        np.multiply(gspsi[blk], ct, out=t)
-        t *= st1
-        v -= t
-        flo, prod = v[:, :-1], np.multiply(v[:, :-1], v[:, 1:], out=t[:, :-1])
-        own, at = np.nonzero(prod <= 0.0)
-        fl, cross = flo[own, at], prod[own, at] < 0.0
-        zero = fl == 0.0
-        h = np.multiply(-cpsi[blk], ct[:-1], out=flo)  # H on the scan grid
-        h -= np.multiply(hspsi[blk], sq, out=prod)
-        parts.append((own[cross] + k, at[cross], fl[cross], own[zero] + k, at[zero],
-                      np.argmax(h, axis=1), np.argmin(h, axis=1)))
-    own, at, fl, zero_own, zero_at, hmax, hmin = map(np.concatenate, zip(*parts))
+    own, at, fl, zero_own, zero_at, hmax, hmin = _seed_scan(grid, cpsi, gspsi, hspsi)
     # bisection of every sign-change bracket of every psi0
     lo, hi = grid[at], grid[at + 1]
     c, gs = cpsi[own, 0], gspsi[own, 0]
@@ -233,11 +261,8 @@ def _seed_angles(psi0, g, branch):
         mid = 0.5 * (lo + hi)
         fm = _seed_residual(np.sin(mid), np.cos(mid), c, gs)
         to_hi = fl * fm <= 0.0
-        hi = np.where(to_hi, mid, hi)
-        lo = np.where(to_hi, lo, mid)
-        fl = np.where(to_hi, fl, fm)
-    # exact zeros on the scan and the dense argmax/argmin of H are
-    # candidates too (the latter catch non-crossing roots)
+        hi, lo, fl = np.where(to_hi, mid, hi), np.where(to_hi, lo, mid), np.where(to_hi, fl, fm)
+    # exact zeros and the scan's argmax/argmin of H (non-crossing roots) are candidates too
     rows = np.arange(len(psi0))
     own = np.concatenate([own, zero_own, rows, rows])
     th = np.concatenate([0.5 * (lo + hi), grid[zero_at], grid[hmax], grid[hmin]])
@@ -262,20 +287,14 @@ def _seed_angles(psi0, g, branch):
     col = np.arange(len(own)) - np.searchsorted(own, own)
     roots = np.full((len(psi0), int(col.max()) + 1), np.nan)
     roots[own, col] = th
-    keep = np.zeros(roots.shape, dtype=bool)
-    keep[:, 0] = True
-    last = roots[:, 0].copy()
+    keep, last = np.ones(roots.shape, dtype=bool), roots[:, 0]
     for k in range(1, roots.shape[1]):
-        cand = roots[:, k]
-        new = np.minimum(np.abs(cand - last), np.abs(cand - last - 2.0 * np.pi)) > 1e-9
-        keep[:, k] = new
-        last = np.where(new, cand, last)
+        d = roots[:, k] - last
+        keep[:, k] = np.minimum(np.abs(d), np.abs(d - 2.0 * np.pi)) > 1e-9
+        last = np.where(keep[:, k], roots[:, k], last)
     h = _hamiltonian_at_start(np.sin(roots), np.cos(roots), cpsi, spsi, g)
-    if branch == "max":
-        pick = np.argmax(np.where(keep, h, -np.inf), axis=1)
-    else:
-        pick = np.argmin(np.where(keep, h, np.inf), axis=1)
-    return roots[rows, pick]
+    h = h if branch == "max" else -h  # the first argmin of H is the first argmax of -H
+    return roots[rows, np.argmax(np.where(keep, h, -np.inf), axis=1)]
 
 
 def seed(psi0: float, params: SystemParams, branch: str = "max") -> ExtremalSeed:
@@ -471,6 +490,8 @@ def sweep_extremals(
     if not comps or not set(comps) <= set(range(5)):
         raise ValueError(f"comps must name components 0 to 4, got {comps}")
     keep = _kept_rows(comps)
+    # the kept rows of each of y1, f0, theta's y1 before the re-projection and f1
+    pick = [keep[(keep >= a) & (keep < b)] - a for a, b in ((0, 5), (5, 10), (10, 11), (11, 16))]
     seeds = _as_seeds(seeds, params)
     n = len(seeds)
 
@@ -496,15 +517,14 @@ def sweep_extremals(
 
     def accept(groups, cols, steps, y0, f0, y1, f1):
         t_end[groups] = [s[2] for s in steps]
-        th1 = y1[4].copy()
+        th1 = y1[4:].copy() if len(pick[2]) else None
         # keep theta bounded and re-project it onto dH/dtheta = 0
         y1[4] = np.mod(y1[4] + np.pi, 2.0 * np.pi) - np.pi
-        den = _d2H_dtheta2(*y1, g)
+        res, den = _stationarity(*y1, g)
         out = cols[active[cols] & (np.abs(den) < DEN_TOL)]
         fail(out, t_end[out // SWEEP_BLOCK], "denominator degeneracy")
         moved = np.zeros(len(cols))
         for _ in range(2):
-            res = _dH_dtheta(*y1, g)
             need = active[cols] & (np.abs(res) > PROJECT_TOL) & (np.abs(den) > DEN_TOL)
             if not np.any(need):
                 break
@@ -512,10 +532,10 @@ def sweep_extremals(
             step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
             y1[4] -= step
             moved += np.abs(step)
-            den = _d2H_dtheta2(*y1, g)
+            res, den = _stationarity(*y1, g)
         out = cols[active[cols] & (moved > MAX_BRANCH_JUMP)]
         fail(out, t_end[out // SWEEP_BLOCK], "argmax branch jump")
-        rows = np.concatenate([y1, f0, th1[None], f1])[keep]
+        rows = np.concatenate([a[i] for a, i in zip((y1, f0, th1, f1), pick) if len(i)])
         for i, (b, step) in enumerate(zip(groups, steps)):  # only the last block may be short
             times[b].append(step)
             if len(times[b]) == len(bufs[b]):
@@ -525,7 +545,7 @@ def sweep_extremals(
 
     # seeds starting exactly on a degenerate angle are stationary; keep
     # their single valid sample and freeze them
-    stationary = np.flatnonzero(np.abs(_d2H_dtheta2(*y, g)) < DEN_TOL)
+    stationary = np.flatnonzero(np.abs(_stationarity(*y, g)[1]) < DEN_TOL)
     fail(stationary, 0.0, "degenerate start (stationary extremal)")
     counts = dp45(lambda t, yy: _extremal_rhs(yy, g), y, T, tol, edges, active, accept, fail)
     blocks = []
@@ -587,9 +607,7 @@ def integrate_extremal(
     """
     sweep = sweep_extremals([seedv], T_scaled, params, comps=range(5), sample_dt=sample_dt)
     if sweep.fail_tau[0] < T_scaled:
-        raise IntegrationError(
-            f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}"
-        )
+        raise IntegrationError(f"extremal failed at tau={sweep.fail_tau[0]}: {sweep.fail_reason[0]}")
     states = normalize_states(sweep.samples(range(5), [0], slice(None))[:, 0].T.copy())
     return Trajectory(sweep.tau, states)
 

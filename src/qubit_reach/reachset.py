@@ -10,6 +10,7 @@ family the movie frames show.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,13 @@ def unsettled(first, n):
         return live & (settled < (i1 - i0) * (c1 - c0))
 
     return todo
+
+
+def release_heap() -> None:
+    """glibc's malloc_trim(0), its size_t argument typed and its int result
+    ctypes' default: the C heap's free memory back to the system, if it has one."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).malloc_trim(ctypes.c_size_t(0))
 
 
 # --- spiral-bounded exact-reachability region ------------------------------
@@ -467,6 +475,7 @@ class ReachSweep:
         self.seeds = [paths.seeds[i] for i in order]
         self.n_failed = int(np.sum(np.isfinite(paths.fail_tau)))
         self.tau_min = self._rasterize(paths, order, gaps)
+        release_heap()  # the raster's freed reads; the nodes, freed on return, serve later work
 
     @staticmethod
     def _pair_gaps(paths, a, b):

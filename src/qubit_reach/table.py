@@ -24,8 +24,6 @@ round trip is lossless and byte identical.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import math
 import re
 from dataclasses import dataclass, field
@@ -36,7 +34,7 @@ from .extremals import seed_grid, sweep_extremals_parallel
 from .params import SystemParams
 from .reachset import (
     BIN_BLOCK, NO_PASSAGE, READ_COLS, SWEEP_TOL, first_passage, folded_cell, node_boxes,
-    sample_spacing, unsettled,
+    release_heap, sample_spacing, unsettled,
 )
 
 MAGIC = "#qubit-reach-table v1"
@@ -116,7 +114,7 @@ def build_table(
     Per READ_COLS sample columns, the binning reads (one sweep block of rows
     at a time) only the (row, BIN_BLOCK window) entries whose node_boxes box
     holds a cell no earlier sample entered (reachset.unsettled).  It then
-    drops the sweep and returns the freed heap with glibc's malloc_trim(0).
+    drops the sweep and returns the freed heap (reachset.release_heap).
     """
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds, got {n_seeds}")
@@ -156,8 +154,7 @@ def build_table(
     table.psi0[reached] = np.array([s.psi0 for s in seeds])[seed_of]
     table.theta0[reached] = np.array([s.theta0 for s in seeds])[seed_of]
     del sweep
-    with contextlib.suppress(AttributeError, OSError, TypeError):  # no malloc_trim
-        ctypes.CDLL(None).malloc_trim(0)
+    release_heap()
     return table
 
 

@@ -3,7 +3,11 @@
 ``integrate`` keeps every node of a single-column ``ode.dp45`` run,
 ``Dense`` samples such nodes through ``ode.hermite``, and
 ``velocity_to_matrix`` maps a Bloch velocity to its density-matrix
-rate.  Test modules of this directory load it with ``import reference``.
+rate.  ``extremal_flow`` and ``stationarity`` are the extremal field and
+dH/dtheta, d^2H/dtheta^2 from four transcendentals (sin th, cos th,
+cos 2th and sin 3th), and ``dense_seed_scan`` is the seeding scan that
+evaluates every grid point.  Test modules of this directory load it with
+``import reference``.
 """
 
 from __future__ import annotations
@@ -81,3 +85,39 @@ def velocity_to_matrix(v) -> np.ndarray:
     """Map a Bloch velocity to the matrix derivative (v . sigma) / 2."""
     vx, vy, vz = np.asarray(v, dtype=float)
     return 0.5 * (vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z)
+
+
+def extremal_flow(z, R, p, q, th, g):
+    """extremals.extremal_flow with sin th, cos th, cos 2th and sin 3th."""
+    st, ct, c2 = np.sin(th), np.cos(th), np.cos(2.0 * th)
+    zp = -0.5 * g * z - R * ct
+    rp = z * ct - 0.25 * g * R * (3.0 - c2) + g * st
+    pp = 0.5 * g * p - q * ct
+    qp = p * ct + 0.25 * g * q * (3.0 - c2)
+    num = 0.125 * g * ((p * R + q * z) * (5.0 * st + np.sin(3.0 * th)) - 8.0 * p - 4.0 * g * q * ct ** 3)
+    return zp, rp, pp, qp, num, stationarity(z, R, p, q, th, g)[1]
+
+
+def stationarity(z, R, p, q, th, g):
+    """dH/dtheta and d^2H/dtheta^2 with sin th, cos th, sin 2th and cos 2th."""
+    st, ct = np.sin(th), np.cos(th)
+    dH = (p * R - q * z) * st + g * q * (ct - 0.5 * R * np.sin(2.0 * th))
+    return dH, (p * R - q * z) * ct - g * q * (st + R * np.cos(2.0 * th))
+
+
+def dense_seed_scan(grid, cpsi, gspsi, hspsi):
+    """extremals._seed_scan from the residual f and H at every grid point,
+    64 psi0 at a time, with the float operations of the library's scan."""
+    st, ct = np.sin(grid), np.cos(grid)
+    parts = []
+    for k in range(0, len(cpsi), 64):
+        c, gs, hs = cpsi[k : k + 64], gspsi[k : k + 64], hspsi[k : k + 64]
+        v = c * st - gs * ct * (st - 1.0)
+        prod = v[:, :-1] * v[:, 1:]
+        own, at = np.nonzero(prod <= 0.0)
+        fl, cross = v[own, at], prod[own, at] < 0.0
+        zero = fl == 0.0
+        h = -c * ct[:-1] - hs * (st[:-1] - 1.0) ** 2
+        parts.append((own[cross] + k, at[cross], fl[cross], own[zero] + k, at[zero],
+                      np.argmax(h, axis=1), np.argmin(h, axis=1)))
+    return map(np.concatenate, zip(*parts))

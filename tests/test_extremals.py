@@ -22,13 +22,14 @@ from qubit_reach.bloch import SingularityError, _meridian_rhs, cylindrical_field
 from qubit_reach.extremals import (
     ExtremalSeed,
     _d2H,
-    _d2H_dtheta2,
+    _stationarity,
     extremal_flow,
     hamiltonian_dtheta2,
     normalize_states,
     sample_times,
     sweep_extremals_parallel,
 )
+import reference
 from reference import dense_extremal
 
 P = SystemParams.from_ratio(0.1)
@@ -172,6 +173,58 @@ def test_seed_batch_is_the_same_in_any_batch(ratio, branch):
     one = np.array([seed(SEED_ANGLES[k], params, branch).theta0 for k in alone])
     assert one.tobytes() == whole[alone].tobytes()
     assert extremals.seed_batch([], params, branch) == []
+
+
+def ulps_around(x, k):
+    """x and its k float neighbours on either side."""
+    out = [x]
+    for toward in (np.inf, -np.inf):
+        y = x
+        for _ in range(k):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+# the 4096 and 256 grids, the quarter turns and 3 ulp either side of pi/2,
+# pi and 3 pi/2, and random angles
+SCAN_ANGLES = np.concatenate([
+    2.0 * np.pi * (np.arange(4096) + 0.5) / 4096, 2.0 * np.pi * (np.arange(256) + 0.5) / 256,
+    [0.0], *(ulps_around(k * np.pi / 2, 3) for k in (1, 2, 3)),
+    np.random.default_rng(31).uniform(0.0, 2.0 * np.pi, 2000),
+])
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.1, 0.5, 3.0])
+def test_two_level_seed_scan_matches_the_dense_scan(monkeypatch, ratio):
+    # the coarse-to-fine scan finds the brackets, exact zeros and argmax and
+    # argmin indices of the scan of every grid point, so the seeds' bits on
+    # both branches
+    params = SystemParams.from_ratio(ratio)
+    grid = np.linspace(0.0, 2.0 * np.pi, extremals.SEED_SCAN + 1)
+    c, s = np.cos(SCAN_ANGLES)[:, None], np.sin(SCAN_ANGLES)[:, None]
+    scans = [list(scan(grid, c, ratio * s, 0.5 * ratio * s))
+             for scan in (extremals._seed_scan, reference.dense_seed_scan)]
+    for got, want in zip(*scans):
+        assert got.tobytes() == want.tobytes()
+    # the chord bounds it skips by hold: f and H stay that close to the chord
+    # of their coarse end values on every coarse interval
+    m, st, ct = extremals.SEED_STRIDE, np.sin(grid), np.cos(grid)
+    frac = np.arange(m) / m
+    for k in range(0, len(c), 128):
+        cc, gs = c[k : k + 128], ratio * s[k : k + 128]
+        fh = np.stack([cc * st - gs * ct * (st - 1.0), -cc * ct - 0.5 * gs * (st - 1.0) ** 2])
+        lo, hi = fh[..., :-1:m, None], fh[..., m::m, None]
+        off = np.abs(fh[..., :-1].reshape(*lo.shape[:-1], m) - (lo + (hi - lo) * frac)).max(axis=-1)
+        assert np.all(off <= extremals._chord_bounds(cc, gs, grid[m]).T[:, :, None])
+
+    def thetas(branch):
+        return np.array([sd.theta0 for sd in extremals.seed_batch(SCAN_ANGLES, params, branch)])
+
+    two_level = [thetas(branch) for branch in ("max", "min")]
+    monkeypatch.setattr(extremals, "_seed_scan", reference.dense_seed_scan)
+    for branch, got in zip(("max", "min"), two_level):
+        assert got.tobytes() == thetas(branch).tobytes()
 
 
 def test_extremal_invariants_along_trajectory():
@@ -358,13 +411,27 @@ def test_trig_helpers_are_bit_equal():
     rng = np.random.default_rng(11)
     z, R, p, q = rng.uniform(-1.0, 1.0, (4, 1000))
     th = rng.uniform(-10.0, 10.0, 1000)
-    trig = (np.sin(th), np.cos(th), np.cos(2.0 * th))
+    st = np.sin(th)
+    trig = (st, np.cos(th), 1.0 - 2.0 * st * st)
     for g in (0.0, 0.1, 0.7):
-        want = (*meridian_rhs_scaled(z, R, th, g), _d2H_dtheta2(z, R, p, q, th, g))
+        want = (*meridian_rhs_scaled(z, R, th, g), _stationarity(z, R, p, q, th, g)[1])
         got = (*_meridian_rhs(z, R, *trig, g), _d2H(z, R, p, q, *trig, g))
         flow = extremal_flow(z, R, p, q, th, g)
         for w, a, b in zip(want, got, flow[:2] + flow[5:]):
             assert w.tobytes() == a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1, 0.7, 3.0])
+def test_field_from_one_sine_and_cosine_matches_four_transcendentals(g):
+    # the flow and the stationarity helper against the forms with sin th,
+    # cos th, cos 2th and sin 3th (sin 2th for dH/dtheta)
+    rng = np.random.default_rng(12)
+    z, R, p, q = rng.uniform(-1.0, 1.0, (4, 20000))
+    th = rng.uniform(-10.0, 10.0, 20000)
+    got = (*extremal_flow(z, R, p, q, th, g), *_stationarity(z, R, p, q, th, g))
+    want = (*reference.extremal_flow(z, R, p, q, th, g), *reference.stationarity(z, R, p, q, th, g))
+    for a, b in zip(got, want):
+        npt.assert_allclose(a, b, rtol=0.0, atol=1e-14)
 
 
 def test_sweep_keeps_step_nodes_not_samples():

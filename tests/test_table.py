@@ -9,10 +9,11 @@ import numpy.testing as npt
 import pytest
 
 from qubit_reach import ExtremalSeed, SystemParams, integrate_extremal, seed_grid
+from qubit_reach import reachset as reachset_mod
 from qubit_reach import table as table_mod
 from qubit_reach.cli import main
 from qubit_reach.extremals import ExtremalSweep, hamiltonian_dtheta
-from qubit_reach.reachset import folded_cell
+from qubit_reach.reachset import ReachSweep, folded_cell
 from qubit_reach.table import (
     LookupTable,
     UnreachableError,
@@ -541,20 +542,23 @@ class FakeLibc:
     def __init__(self, trims):
         self.calls = []
         if trims:
-            self.malloc_trim = self.calls.append
+            self.malloc_trim = lambda pad: self.calls.append(pad.value)  # pad: a c_size_t
 
 
 @pytest.mark.parametrize("trims", [True, False], ids=["malloc_trim", "no-malloc_trim"])
 def test_build_releases_the_heap_where_it_can(monkeypatch, trims):
-    # build_table calls malloc_trim(0) once where the C library has it, and
-    # builds the same table where it has not
-    want = build_table(P, 256, 2.0, 32)
+    # build_table and a ReachSweep each call malloc_trim(0) once where the C
+    # library has it, and build the same table and raster where it has not
+    want_table, want_raster = build_table(P, 256, 2.0, 32), ReachSweep(P, 2.0, 64, 32)
     libc = FakeLibc(trims)
-    monkeypatch.setattr(table_mod.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(reachset_mod.ctypes, "CDLL", lambda name: libc)
     got = build_table(P, 256, 2.0, 32)
     assert libc.calls == ([0] if trims else [])
     for name in ("tmin", "psi0", "theta0"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(got, name).tobytes() == getattr(want_table, name).tobytes()
+    raster = ReachSweep(P, 2.0, 64, 32)
+    assert libc.calls == ([0, 0] if trims else [])
+    assert raster.tau_min.tobytes() == want_raster.tau_min.tobytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
