@@ -98,7 +98,17 @@ def _d2H(z, R, p, q, st, ct, c2, g):
 
 def _extremal_rhs(y, g):
     """Stacked (z', R', p', q', theta') of a (5, ...) state; theta' is 0
-    where the denominator degenerates."""
+    where the denominator degenerates.
+
+    A (5, 1) state, the sweep of one seed, goes through extremal_flow as
+    Python floats: numpy's per-call cost on arrays of one element was most
+    of that sweep's time.  The bits are the same: + - * / of floats are the
+    IEEE operations of numpy's element loops, np.sin and np.cos of a scalar
+    run their ufunc loop with n = 1, and the guard chooses as np.where does
+    (a NaN den gives 0)."""
+    if y.shape[1:] == (1,):
+        zp, rp, pp, qp, num, den = extremal_flow(*y[:, 0].tolist(), g)
+        return np.array([[zp], [rp], [pp], [qp], [num / den if abs(den) >= DEN_TOL else 0.0]])
     zp, rp, pp, qp, num, den = extremal_flow(*y, g)
     safe = np.abs(den) >= DEN_TOL
     return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])

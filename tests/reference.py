@@ -3,11 +3,12 @@
 ``integrate`` keeps every node of a single-column ``ode.dp45`` run,
 ``Dense`` samples such nodes through ``ode.hermite``, and
 ``velocity_to_matrix`` maps a Bloch velocity to its density-matrix
-rate.  ``extremal_flow`` and ``stationarity`` are the extremal field and
-dH/dtheta, d^2H/dtheta^2 from four transcendentals (sin th, cos th,
-cos 2th and sin 3th), and ``dense_seed_scan`` is the seeding scan that
-evaluates every grid point.  Test modules of this directory load it with
-``import reference``.
+rate.  ``extremal_rhs`` is extremals._extremal_rhs on arrays at every
+width, without its one-column float path.  ``extremal_flow`` and
+``stationarity`` are the extremal field and dH/dtheta, d^2H/dtheta^2
+from four transcendentals (sin th, cos th, cos 2th and sin 3th), and
+``dense_seed_scan`` is the seeding scan that evaluates every grid point.
+Test modules of this directory load it with ``import reference``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qubit_reach import extremals
 from qubit_reach.bloch import SIGMA_X, SIGMA_Y, SIGMA_Z
-from qubit_reach.extremals import _extremal_rhs
 from qubit_reach.ode import IntegrationError, Trajectory, dp45, hermite
 
 
@@ -78,7 +79,14 @@ def integrate(rhs, y0, T: float, tol: float = 1e-10) -> Dense:
 def dense_extremal(traj, params) -> Dense:
     """An integrate_extremal trajectory with the extremal field at its
     samples as fs, the dense output the argmax-slope probes read."""
-    return Dense(traj.ts, traj.ys, _extremal_rhs(traj.ys.T, params.ratio).T)
+    return Dense(traj.ts, traj.ys, extremals._extremal_rhs(traj.ys.T, params.ratio).T)
+
+
+def extremal_rhs(y, g):
+    """extremals._extremal_rhs with its array evaluation for every width."""
+    zp, rp, pp, qp, num, den = extremals.extremal_flow(*y, g)
+    safe = np.abs(den) >= extremals.DEN_TOL
+    return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])
 
 
 def velocity_to_matrix(v) -> np.ndarray:

@@ -545,6 +545,13 @@ def test_replay_bits_pinned():
     assert _sha256(sched.u.tobytes()) == PINNED["replay_psi1_u"]
 
 
+def test_replay_sweep_work_pinned():
+    # the work of the sweep under test_replay_bits_pinned: a change to it
+    # updates these counts in the open
+    sweep = extremals.sweep_extremals([seed(1.0, P)], 7.0, P, comps=range(5), sample_dt=1e-3)
+    assert sweep.counts == {"iterations": 161, "accepted": 161, "rejected": 0, "rhs_columns": 967}
+
+
 def test_lookup_table_bits_pinned(lookup_table, tmp_path):
     path = tmp_path / "table.csv"
     table_mod.save(lookup_table, path)

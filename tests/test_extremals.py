@@ -434,6 +434,52 @@ def test_field_from_one_sine_and_cosine_matches_four_transcendentals(g):
         npt.assert_allclose(a, b, rtol=0.0, atol=1e-14)
 
 
+def _one_column_cases():
+    """(5, k) states: seeded random columns, theta at multiples of pi/2,
+    den exactly 0, |den| exactly DEN_TOL and its float neighbours (theta =
+    0 and q = 0 make den = p R, with R = 1), and non-finite components."""
+    rng = np.random.default_rng(14)
+    cols = list(rng.uniform(-1.0, 1.0, (64, 5)) * [1, 1, 1, 1, 10])
+    cols += [[*rng.uniform(-1.0, 1.0, 4), k * np.pi / 2] for k in range(-4, 5)]
+    cols += [[0.3, 0.0, 1.0, 0.0, th] for th in (0.0, 0.7, -2.0)]  # den = 0, num != 0
+    tol = extremals.DEN_TOL
+    for d in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
+        cols += [[0.3, 1.0, d, 0.0, 0.0], [0.3, 1.0, -d, 0.0, 0.0]]
+    for i in range(5):
+        for bad in (np.inf, -np.inf, np.nan):
+            col = list(rng.uniform(-1.0, 1.0, 5))
+            col[i] = bad
+            cols.append(col)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1, 0.7, 3.0])
+def test_one_column_rhs_is_bit_equal_to_the_array_path(g):
+    y = _one_column_cases()
+    with np.errstate(all="ignore"):
+        tol, den = extremals.DEN_TOL, extremal_flow(*y, g)[5]
+        assert np.isin([np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)], np.abs(den)).all()
+        assert np.sum(den == 0.0) == 3
+        wide = extremals._extremal_rhs(y, g)
+        assert wide.tobytes() == reference.extremal_rhs(y, g).tobytes()
+        for j in range(y.shape[1]):
+            col = y[:, j : j + 1]
+            one = extremals._extremal_rhs(col, g)
+            assert one.shape == (5, 1) and one.dtype == float
+            assert one.tobytes() == reference.extremal_rhs(col, g).tobytes()
+            assert one.tobytes() == wide[:, j : j + 1].tobytes()
+
+
+def test_one_seed_sweep_is_bit_equal_to_the_array_path(monkeypatch):
+    def nodes():
+        sw = sweep_extremals([seed(1.0, P)], 7.0, P, comps=range(5), sample_dt=1e-3)
+        return [blk[k].tobytes() for blk in sw.blocks for k in ("t0", "h", "t1", "nodes")], sw.counts
+
+    want = nodes()
+    monkeypatch.setattr(extremals, "_extremal_rhs", reference.extremal_rhs)
+    assert nodes() == want
+
+
 def test_sweep_keeps_step_nodes_not_samples():
     # numpy reports its buffers to tracemalloc: a 4-block sweep holds its
     # step nodes (47 to 51 steps a block here), under a quarter of the bytes

@@ -158,6 +158,32 @@ def test_propagate_semigroup():
         npt.assert_allclose(one, two, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("seed", [8, 9, 10])
+def test_propagate_matches_a_chain_of_single_segment_maps(seed):
+    # random schedules with n > 0 over several expm blocks, one segment a
+    # spike as strong as replay_extremal's, against exp(h [[M, b], [0, 0]])
+    # of each segment's r' = M r + b applied in turn
+    from qubit_reach.bloch import bloch_rhs
+
+    rng = np.random.default_rng(seed)
+    p = SystemParams.from_ratio(rng.uniform(0.05, 2.0))
+    m = rng.integers(257, 800)
+    h, u, n = rng.uniform(1e-3, 0.2, m), rng.uniform(-5.0, 5.0, m), rng.uniform(0.01, 3.0, m)
+    k = rng.integers(m)
+    u[k], h[k] = 1e6 * p.omega / (2.0 * p.kappa), np.pi / (1e6 * p.omega)
+    edges = np.concatenate([[0.0], np.cumsum(h)])
+    got = propagate([0.3, -0.2, 0.5], edges, u, n, p)
+    h = np.diff(edges)  # the lengths propagate steps: the spike's is rounded at its edges
+    r = np.array([0.3, -0.2, 0.5, 1.0])
+    for j in range(m):
+        b = bloch_rhs(np.zeros(3), u[j], n[j], p)
+        gen = np.zeros((1, 4, 4))
+        gen[0, :3, :3] = np.stack([bloch_rhs(e, u[j], n[j], p) - b for e in np.eye(3)], axis=1)
+        gen[0, :3, 3] = b
+        r = expm(h[j] * gen)[0] @ r
+        npt.assert_allclose(got[j + 1], r[:3], rtol=0, atol=1e-12)
+
+
 def test_propagate_matches_tight_integration_with_incoherent_control():
     from qubit_reach.bloch import bloch_rhs
     from reference import integrate
