@@ -114,6 +114,44 @@ def _extremal_rhs(y, g):
     return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])
 
 
+def _reproject(y, live, g):
+    """Wrap theta of a (5, n) state in place to [-pi, pi) and take up to two
+    Newton steps onto dH/dtheta = 0, each clipped to 0.5, in the live columns
+    whose |dH/dtheta| > PROJECT_TOL and |d2H/dtheta2| > DEN_TOL.  Returns the
+    (column mask, reason) of failures: a degenerate denominator, or a total
+    move over MAX_BRANCH_JUMP.  A live (5, 1) state goes through on Python
+    floats (see _extremal_rhs) with the same bits: np.mod wraps the float,
+    min(max(.)) clips as np.clip does (NaN stays NaN), no step is a step of 0."""
+    if y.shape[1:] == (1,) and live[0]:
+        z, R, p, q, th = y[:, 0].tolist()
+        th, moved = float(np.mod(th + np.pi, 2.0 * np.pi) - np.pi), 0.0
+        res, den = _stationarity(z, R, p, q, th, g)
+        degenerate = abs(den) < DEN_TOL
+        for _ in range(2):
+            if not (abs(res) > PROJECT_TOL and abs(den) > DEN_TOL):
+                break
+            step = min(max(res / den, -0.5), 0.5)
+            th, moved = th - step, moved + abs(step)
+            res, den = _stationarity(z, R, p, q, th, g)
+        y[4, 0] = th
+        marks = (degenerate, "denominator degeneracy"), (moved > MAX_BRANCH_JUMP, "argmax branch jump")
+        return [(live, reason) for bad, reason in marks if bad]
+    y[4] = np.mod(y[4] + np.pi, 2.0 * np.pi) - np.pi
+    res, den = _stationarity(*y, g)
+    degenerate, moved = live & (np.abs(den) < DEN_TOL), np.zeros(y.shape[1])
+    for _ in range(2):
+        need = live & (np.abs(res) > PROJECT_TOL) & (np.abs(den) > DEN_TOL)
+        if not np.any(need):
+            break
+        step = np.zeros(y.shape[1])
+        step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
+        y[4] -= step
+        moved += np.abs(step)
+        res, den = _stationarity(*y, g)
+    jumped = live & (moved > MAX_BRANCH_JUMP)
+    return [(degenerate, "denominator degeneracy"), (jumped, "argmax branch jump")]
+
+
 def _unpack(state):
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != 5:
@@ -528,23 +566,9 @@ def sweep_extremals(
     def accept(groups, cols, steps, y0, f0, y1, f1):
         t_end[groups] = [s[2] for s in steps]
         th1 = y1[4:].copy() if len(pick[2]) else None
-        # keep theta bounded and re-project it onto dH/dtheta = 0
-        y1[4] = np.mod(y1[4] + np.pi, 2.0 * np.pi) - np.pi
-        res, den = _stationarity(*y1, g)
-        out = cols[active[cols] & (np.abs(den) < DEN_TOL)]
-        fail(out, t_end[out // SWEEP_BLOCK], "denominator degeneracy")
-        moved = np.zeros(len(cols))
-        for _ in range(2):
-            need = active[cols] & (np.abs(res) > PROJECT_TOL) & (np.abs(den) > DEN_TOL)
-            if not np.any(need):
-                break
-            step = np.zeros(len(cols))
-            step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
-            y1[4] -= step
-            moved += np.abs(step)
-            res, den = _stationarity(*y1, g)
-        out = cols[active[cols] & (moved > MAX_BRANCH_JUMP)]
-        fail(out, t_end[out // SWEEP_BLOCK], "argmax branch jump")
+        for bad, reason in _reproject(y1, active[cols], g):
+            out = cols[bad]
+            fail(out, t_end[out // SWEEP_BLOCK], reason)
         rows = np.concatenate([a[i] for a, i in zip((y1, f0, th1, f1), pick) if len(i)])
         for i, (b, step) in enumerate(zip(groups, steps)):  # only the last block may be short
             times[b].append(step)

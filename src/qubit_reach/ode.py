@@ -7,7 +7,8 @@ what an accepted step stores and what becomes of a column that fails.
 The extremal sweep runs each block of seeds as one group.  Dense output
 between accepted nodes is cubic Hermite (:func:`hermite`), which is what
 the reachable-set rasterisation samples.  Affine flows with constant
-coefficients need no stepping: :func:`expm` propagates them exactly.
+coefficients need no stepping: :func:`expm` propagates them exactly (Van
+Loan's augmented generators, a Pade degree by norm, 3 x 3 adjugate solves).
 """
 
 from __future__ import annotations
@@ -70,41 +71,65 @@ def hermite(s, h, y0, f0, y1, f1):
 HERMITE_WEIGHTS = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-3, -2, 3, -1], [2, 1, -2, 1]], dtype=float)
 
 
-# Pade-13 coefficients and the 1-norm up to which that approximant needs no
-# scaling (Higham 2005, "The scaling and squaring method for the matrix
-# exponential revisited").
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
+# Pade coefficients b_0 .. b_m of degree m and the 1-norm theta_m up to
+# which that approximant needs no scaling (Higham 2005, "The scaling and
+# squaring method for the matrix exponential revisited").
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponentials of a stack of square matrices, shape (m, k, k).
+    """Exponentials of a stack of affine generators [[M, c], [0, 0]], shape (m, 4, 4).
 
-    Pade-13 scaling and squaring: each matrix is halved s times, with its
-    own s, until its 1-norm is at most theta_13, and the approximant is
-    squared back s times.  Powers of two scale exactly, so a zero column
-    of the input comes out as the exact unit column, which keeps the
-    fixed points of affine flows exact.  A zero row of the input is set
-    to the exact unit row before squaring, so the LU roundoff in it is
-    not doubled by each squaring: affine flows stay exact over long holds.
+    Other input, or input that is not finite, raises ValueError.  The Pade
+    degree is the least of 3, 5, 7 and 9 whose theta_m bounds the largest
+    1-norm of the stack; above theta_9 it is 13, each matrix halved s times,
+    its own s, to a 1-norm of at most theta_13 and the approximant squared
+    back.  With V - U = [[W, w], [0, b_0]] and V + U = [[X, x], [0, b_0]] the
+    quotient is [[W^-1 X, W^-1 (x - w)], [0, 1]], W^-1 from 3 x 3 adjugates
+    over determinants of the whole stack, not a LAPACK call per matrix.  The
+    last row stays exact through every squaring, and where c = 0, x - w is
+    exactly 0, so the fixed points of affine flows stay exact.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite matrix")
-    zero_rows = np.all(a == 0.0, axis=-1)
-    s = np.maximum(np.frexp(np.max(np.sum(np.abs(a), axis=-2), axis=-1) / _THETA13)[1], 0)
-    a, b, eye = np.ldexp(a, -s[:, None, None]), _PADE13, np.eye(a.shape[-1])
+    if a.ndim != 3 or a.shape[1:] != (4, 4) or np.any(a[:, 3]):
+        raise ValueError("expm takes affine generators, shape (m, 4, 4) with a zero last row")
+    col = np.abs(a[:, 0]) + np.abs(a[:, 1]) + np.abs(a[:, 2])  # column 1-norms
+    m = next((m for m in (3, 5, 7, 9) if col.max(initial=0.0) <= _THETA[m]), 13)
+    s = np.maximum(np.frexp(col.max(axis=-1) / _THETA[13])[1], 0) if m == 13 else np.zeros(1, int)
+    a, b, eye = np.ldexp(a, -s[:, None, None]) if m == 13 else a, _PADE[m], np.eye(4)
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    r = np.where(zero_rows[..., None], eye, r)
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    else:
+        u, v, p = b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2, a2
+        for k in range(2, m // 2 + 1):  # the even powers a^2k
+            p = p @ a2
+            u, v = u + b[2 * k + 1] * p, v + b[2 * k] * p
+        u = a @ u
+    den, num = (v - u)[:, :3], (v + u)[:, :3]
+    num[:, :, 3] -= den[:, :, 3]
+    # adj[i, j] = W[j+1, i+1] W[j+2, i+2] - W[j+1, i+2] W[j+2, i+1], indices mod 3
+    i1, i2 = np.array([[1, 2, 0], [2, 0, 1]])  # i + 1 and i + 2 mod 3
+    adj = den[:, i1, i1[:, None]] * den[:, i2, i2[:, None]] - den[:, i1, i2[:, None]] * den[:, i2, i1[:, None]]
+    det = den[:, 0, 0] * adj[:, 0, 0] + den[:, 0, 1] * adj[:, 1, 0] + den[:, 0, 2] * adj[:, 2, 0]
+    r = np.tile(eye, (len(a), 1, 1))
+    r[:, :3] = (adj @ num) / det[:, None, None]
     for k in range(int(s.max(initial=0))):
         sq = s > k
         r[sq] = r[sq] @ r[sq]

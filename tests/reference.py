@@ -8,6 +8,9 @@ width, without its one-column float path.  ``extremal_flow`` and
 ``stationarity`` are the extremal field and dH/dtheta, d^2H/dtheta^2
 from four transcendentals (sin th, cos th, cos 2th and sin 3th), and
 ``dense_seed_scan`` is the seeding scan that evaluates every grid point.
+``expm`` is the general Pade-13 exponential with LAPACK solves that
+ode.expm replaced for affine generators, and ``reproject`` the theta
+re-projection of extremals._reproject on arrays at every width.
 Test modules of this directory load it with ``import reference``.
 """
 
@@ -89,6 +92,25 @@ def extremal_rhs(y, g):
     return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])
 
 
+def reproject(y, live, g):
+    """extremals._reproject with its array evaluation for every width."""
+    y[4] = np.mod(y[4] + np.pi, 2.0 * np.pi) - np.pi
+    res, den = extremals._stationarity(*y, g)
+    degenerate = live & (np.abs(den) < extremals.DEN_TOL)
+    moved = np.zeros(y.shape[1])
+    for _ in range(2):
+        need = live & (np.abs(res) > extremals.PROJECT_TOL) & (np.abs(den) > extremals.DEN_TOL)
+        if not np.any(need):
+            break
+        step = np.zeros(y.shape[1])
+        step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
+        y[4] -= step
+        moved += np.abs(step)
+        res, den = extremals._stationarity(*y, g)
+    jumped = live & (moved > extremals.MAX_BRANCH_JUMP)
+    return [(degenerate, "denominator degeneracy"), (jumped, "argmax branch jump")]
+
+
 def velocity_to_matrix(v) -> np.ndarray:
     """Map a Bloch velocity to the matrix derivative (v . sigma) / 2."""
     vx, vy, vz = np.asarray(v, dtype=float)
@@ -129,3 +151,37 @@ def dense_seed_scan(grid, cpsi, gspsi, hspsi):
         parts.append((own[cross] + k, at[cross], fl[cross], own[zero] + k, at[zero],
                       np.argmax(h, axis=1), np.argmin(h, axis=1)))
     return map(np.concatenate, zip(*parts))
+
+
+# Pade-13 coefficients and the 1-norm up to which that approximant needs no
+# scaling (Higham 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponentials of a stack of square matrices, shape (m, k, k):
+    Pade-13 scaling and squaring, each matrix halved until its 1-norm is at
+    most theta_13, one LAPACK solve per matrix, and zero input rows set to
+    the exact unit row before squaring."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    zero_rows = np.all(a == 0.0, axis=-1)
+    s = np.maximum(np.frexp(np.max(np.sum(np.abs(a), axis=-2), axis=-1) / _THETA13)[1], 0)
+    a, b, eye = np.ldexp(a, -s[:, None, None]), _PADE13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    r = np.where(zero_rows[..., None], eye, r)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r

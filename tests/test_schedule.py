@@ -234,11 +234,65 @@ def test_propagate_long_hold_reaches_the_steady_state():
 
 
 def test_expm_inverts_on_negated_argument():
-    # rotation generators of norm up to ~100 (several squarings) plus a
-    # small non-normal part, so E(A) stays well conditioned
+    # affine generators [[M, c], [0, 0]]: rotation generators of norm up to
+    # ~100 (several squarings) plus a small non-normal part, so E(A) stays
+    # well conditioned, and a shift of the same size
     rng = np.random.default_rng(7)
     k = rng.normal(size=(300, 4, 4)) * np.geomspace(1e-4, 30.0, 300)[:, None, None]
     a = k - k.transpose(0, 2, 1) + 0.1 * rng.normal(size=(300, 4, 4))
+    a[:, 3] = 0.0
     npt.assert_allclose(expm(a) @ expm(-a), np.broadcast_to(np.eye(4), a.shape), rtol=0, atol=1e-12)
+
+
+def bloch_generators(rng, k):
+    """k Bloch generators [[M, b], [0, 0]] of random ratio, u and n, each of 1-norm 1."""
+    from qubit_reach.bloch import bloch_rhs
+
+    out = np.zeros((k, 4, 4))
+    for j in range(k):
+        p = SystemParams.from_ratio(rng.uniform(0.05, 2.0))
+        u, n = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 3.0)
+        b = bloch_rhs(np.zeros(3), u, n, p)
+        out[j, :3, :3] = np.stack([bloch_rhs(e, u, n, p) - b for e in np.eye(3)], axis=1)
+        out[j, :3, 3] = b
+    return out / np.abs(out).sum(axis=1).max(axis=1)[:, None, None]
+
+
+def test_expm_matches_the_general_pade13_reference():
+    # blocks of 16 generators with 1-norms over two decades, topped from
+    # 1e-8 to 1e3: every Pade degree and up to 8 squarings.  The largest
+    # entry difference from the general Pade-13 LAPACK exponential measured
+    # 6.7e-16 to 2.6e-15 over five seeds of this draw (9.2e-16 with this one)
+    import reference
+    from qubit_reach import ode
+
+    rng = np.random.default_rng(21)
+    degrees = set()
+    for top in np.geomspace(1e-8, 1e3, 45):
+        a = bloch_generators(rng, 16) * np.geomspace(top / 100, top, 16)[:, None, None]
+        degrees.add(next((m for m in (3, 5, 7, 9) if top <= ode._THETA[m]), 13))
+        npt.assert_allclose(expm(a), reference.expm(a), rtol=0, atol=1e-14)
+    assert degrees == {3, 5, 7, 9, 13}
+    # one block mixing replay_extremal's alignment spike (1-norm 2.66,
+    # Pade-13 without squaring) with 255 small generators, whose own degree
+    # alone would be 3
+    a = bloch_generators(rng, 256) * rng.uniform(1e-4, 1e-2, 256)[:, None, None]
+    a[100] = 2.66 * bloch_generators(rng, 1)[0]
+    npt.assert_allclose(expm(a), reference.expm(a), rtol=0, atol=1e-14)
+
+
+def test_expm_rejects_what_is_not_a_finite_affine_generator():
+    a = np.zeros((2, 4, 4))
+    a[1, 0, 1] = 1.0
+    assert (expm(a)[:, 3] == [0.0, 0.0, 0.0, 1.0]).all()
+    a[1, 3, 2] = 1e-300
+    with pytest.raises(ValueError, match="zero last row"):
+        expm(a)
+    with pytest.raises(ValueError, match="zero last row"):
+        expm(np.zeros((2, 3, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         expm(np.full((1, 4, 4), np.nan))
+    a = np.zeros((1, 4, 4))
+    a[0, 0, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(a)
