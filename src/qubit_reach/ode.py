@@ -125,7 +125,7 @@ def expm(a) -> np.ndarray:
     den, num = (v - u)[:, :3], (v + u)[:, :3]
     num[:, :, 3] -= den[:, :, 3]
     # adj[i, j] = W[j+1, i+1] W[j+2, i+2] - W[j+1, i+2] W[j+2, i+1], indices mod 3
-    i1, i2 = np.array([[1, 2, 0], [2, 0, 1]])  # i + 1 and i + 2 mod 3
+    i1, i2 = np.array([[1, 2, 0], [2, 0, 1]])
     adj = den[:, i1, i1[:, None]] * den[:, i2, i2[:, None]] - den[:, i1, i2[:, None]] * den[:, i2, i1[:, None]]
     det = den[:, 0, 0] * adj[:, 0, 0] + den[:, 0, 1] * adj[:, 1, 0] + den[:, 0, 2] * adj[:, 2, 0]
     r = np.tile(eye, (len(a), 1, 1))

@@ -470,36 +470,36 @@ def test_one_column_rhs_is_bit_equal_to_the_array_path(g):
             assert one.tobytes() == wide[:, j : j + 1].tobytes()
 
 
-@pytest.mark.parametrize("psi0, jump, at_tol, reason", [
-    (1.0, None, False, None),
-    (np.pi / 2, None, False, "degenerate start (stationary extremal)"),
-    (2.0, 1e-11, False, "argmax branch jump"),
-    (1.0, None, True, None),
-], ids=["psi1", "stationary-start", "branch-jump", "residual-at-tol"])
-def test_one_seed_sweep_is_bit_equal_to_the_array_path(monkeypatch, psi0, jump, at_tol, reason):
+def test_one_seed_sweep_is_bit_equal_to_the_array_path(monkeypatch):
     # the field and the theta re-projection of a one-seed sweep on Python
     # floats against their array forms: the same nodes, work and failures,
     # for a seed that reaches T, one frozen at tau = 0, one that a tiny
     # branch-jump bound ends early, and one whose residual equals
     # PROJECT_TOL at the first step the re-projection would move
-    if jump:
-        monkeypatch.setattr(extremals, "MAX_BRANCH_JUMP", jump)
-
-    def run():
+    def run(psi0):
         sw = sweep_extremals([seed(psi0, P)], 7.0, P, comps=range(5), sample_dt=1e-3)
         nodes = [blk[k].tobytes() for blk in sw.blocks for k in ("t0", "h", "t1", "nodes")]
         return nodes, sw.counts, sw.fail_tau.tobytes(), sw.fail_reason, sw
 
-    if at_tol:  # dH/dtheta before the re-projection (rows 0-3 and 10) at each step's end
-        node = run()[4].blocks[0]["nodes"][:, 0, 1:]
-        th = np.mod(node[10] + np.pi, 2.0 * np.pi) - np.pi
-        res = np.abs(_stationarity(*node[:4], th, P.ratio)[0])
-        monkeypatch.setattr(extremals, "PROJECT_TOL", res[np.argmax(res > extremals.PROJECT_TOL)])
-    want = run()[:4]
-    assert want[3] == [reason]
-    monkeypatch.setattr(extremals, "_extremal_rhs", reference.extremal_rhs)
-    monkeypatch.setattr(extremals, "_reproject", reference.reproject)
-    assert run()[:4] == want
+    for psi0, jump, at_tol, reason in [
+        (1.0, None, False, None),
+        (np.pi / 2, None, False, "degenerate start (stationary extremal)"),
+        (2.0, 1e-11, False, "argmax branch jump"),
+        (1.0, None, True, None),
+    ]:
+        with monkeypatch.context() as mp:
+            if jump:
+                mp.setattr(extremals, "MAX_BRANCH_JUMP", jump)
+            if at_tol:  # dH/dtheta before the re-projection (rows 0-3 and 10) at each step's end
+                node = run(psi0)[4].blocks[0]["nodes"][:, 0, 1:]
+                th = np.mod(node[10] + np.pi, 2.0 * np.pi) - np.pi
+                res = np.abs(_stationarity(*node[:4], th, P.ratio)[0])
+                mp.setattr(extremals, "PROJECT_TOL", res[np.argmax(res > extremals.PROJECT_TOL)])
+            want = run(psi0)[:4]
+            assert want[3] == [reason]
+            mp.setattr(extremals, "_extremal_rhs", reference.extremal_rhs)
+            mp.setattr(extremals, "_reproject", reference.reproject)
+            assert run(psi0)[:4] == want, (psi0, jump, at_tol)
 
 
 def test_sweep_keeps_step_nodes_not_samples():
