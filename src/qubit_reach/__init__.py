@@ -11,28 +11,13 @@ that no trajectory can enter.
 __version__ = "0.1.0"
 
 from .params import SystemParams
-from .bloch import (
-    SingularityError,
-    aux_rhs,
-    ball_norm_derivative,
-    bloch_rhs,
-    bloch_to_density,
-    cylindrical_rhs,
-    density_to_bloch,
-    field_f,
-    from_cylindrical,
-    lindblad_rhs,
-    polar_rhs,
-    to_cylindrical,
-)
+from .bloch import SingularityError, field_f
 from .liealg import AffineField, bracket, canonical_fields, rank_certificate
 from .ode import IntegrationError, Trajectory
 from .schedule import ControlSchedule, simulate
 from .extremals import (
     ExtremalSeed,
-    convexity_margin,
     hamiltonian,
-    hamiltonian_dtheta,
     integrate_extremal,
     recover_control,
     replay_extremal,

@@ -11,8 +11,9 @@ the pointwise maximizer of the control Hamiltonian
         + q (z cos th - g R (3 - cos 2th) / 4 + g sin th).
 
 Because the admissible-velocity curve is strictly convex for 0 < R < 1
-(see :func:`convexity_margin`), the maximizer is a smooth implicit
-function of the state and its drift follows from d/dtau (dH/dtheta) = 0:
+(its curvature signature g R (R sin^3 th - 1) is negative there), the
+maximizer is a smooth implicit function of the state and its drift
+follows from d/dtau (dH/dtheta) = 0:
 
     theta' = (g/8) [ (pR + qz)(5 sin th + sin 3th) - 8 p
                      - 4 g q cos^3 th ]
@@ -31,8 +32,8 @@ invariant under that fold.
 
 The field is evaluated from one sine and one cosine of theta (bloch._trig):
 cos 2th = 1 - 2 st^2, 5 sin th + sin 3th = st (8 - 4 st^2) and cos^3 th =
-ct ct ct, in extremal_flow, in the stationarity helper (sin 2th = 2 st ct)
-and in bloch.meridian_rhs_scaled alike, so the three agree bit for bit.
+ct ct ct, in extremal_flow and in the stationarity helper (sin 2th = 2 st
+ct) alike, so the two agree bit for bit.
 
 The flow is written once, in :func:`extremal_flow`, which takes the five
 components as separate arrays.  The sweep passes the rows of its (5, n)
@@ -166,16 +167,6 @@ def hamiltonian(state, params: SystemParams):
     return y[2] * zp + y[3] * rp
 
 
-def hamiltonian_dtheta(state, params: SystemParams):
-    """dH/dtheta; zero along extremals (stationarity residual)."""
-    return _stationarity(*_unpack(state), params.ratio)[0]
-
-
-def hamiltonian_dtheta2(state, params: SystemParams):
-    """d^2H/dtheta^2; also the denominator of the theta drift."""
-    return _stationarity(*_unpack(state), params.ratio)[1]
-
-
 def theta_rhs(state, params: SystemParams):
     """Drift of the maximizing control angle in rescaled time.
 
@@ -186,17 +177,6 @@ def theta_rhs(state, params: SystemParams):
     if np.any(np.abs(den) < DEN_TOL):
         raise SingularityError("theta dynamics degenerate: |d2H/dtheta2| below tolerance")
     return num / den
-
-
-def convexity_margin(R, theta, params: SystemParams):
-    """Curvature signature g R (R sin^3(theta) - 1) of the velocity curve.
-
-    Strictly negative for 0 < R < 1, which makes the Hamiltonian
-    maximizer unique and smooth there; it vanishes at R = 0 and at the
-    boundary point R = 1, sin(theta) = 1.  Independent of z.
-    """
-    R = np.asarray(R, dtype=float)
-    return params.ratio * R * (R * np.sin(theta) ** 3 - 1.0)
 
 
 # --- seeding --------------------------------------------------------------

@@ -392,7 +392,9 @@ class ReachSweep:
 
     The refinement outcome is kept: ``refine_rounds`` and ``seeds_added``
     count the bisection sweeps and their seeds, and ``budget_exhausted``
-    is True when wide pairs were left as the budget ran out.
+    is True when wide pairs were left as refinement stopped: the budget
+    is the 4 n_seeds seeds and MAX_REFINE_ROUNDS rounds, and a round that
+    finds every midpoint already probed also ends it.
     """
 
     def __init__(
@@ -469,7 +471,7 @@ class ReachSweep:
             touched = np.unique(np.concatenate([at - 1, at]) % len(order))
             gaps[touched] = self._pair_gaps(paths, order[touched], order[(touched + 1) % len(order)])
         self.seeds_added = 4 * n_seeds - budget
-        self.budget_exhausted = budget <= 0 and bool(np.any(gaps > REFINE_CELLS * self.cell))
+        self.budget_exhausted = bool(np.any(gaps > REFINE_CELLS * self.cell))
 
         self.psis = psis[order]
         self.seeds = [paths.seeds[i] for i in order]
@@ -670,7 +672,7 @@ def marching_squares(raster: np.ndarray) -> list[np.ndarray]:
     return np.split(pts, np.cumsum(lengths[:-1]))
 
 
-def revolve_to_3d(set2d: ReachableSet2D, n_angles: int = 64):
+def revolve_to_3d(set2d: ReachableSet2D, n_angles: int):
     """Revolve the R >= 0 half of the boundary about the rx axis.
 
     Returns (vertices, faces): vertices of shape (k * n_angles, 3) where

@@ -26,7 +26,7 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _path(points, stroke: str, width: float = 1.5) -> str:
+def _path(points, stroke: str, width: float) -> str:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     xy = np.stack([_x(pts[:, 0]), _y(pts[:, 1])], axis=1)
     d = " L ".join(["%.3f %.3f"] * len(xy)) % tuple(xy.ravel().tolist())

@@ -1,9 +1,15 @@
 """Test-only references that the library does not run.
 
+``bloch_rhs`` is the controlled Bloch equation from bloch.field_f,
+``lindblad_rhs`` the master equation on density matrices that it mirrors,
+``bloch_to_density`` the map between the two, and ``velocity_to_matrix``
+maps a Bloch velocity to its density-matrix rate.  ``convexity_margin``
+is the curvature signature of the admissible-velocity curve, and
+``hamiltonian_dtheta`` gives dH/dtheta and d^2H/dtheta^2 of
+extremals._stationarity at states with a trailing axis of length 5.
 ``integrate`` keeps every node of a single-column ``ode.dp45`` run,
-``Dense`` samples such nodes through ``ode.hermite``, and
-``velocity_to_matrix`` maps a Bloch velocity to its density-matrix
-rate.  ``extremal_rhs`` is extremals._extremal_rhs on arrays at every
+and ``Dense`` samples such nodes through ``ode.hermite``.
+``extremal_rhs`` is extremals._extremal_rhs on arrays at every
 width, without its one-column float path.  ``extremal_flow`` and
 ``stationarity`` are the extremal field and dH/dtheta, d^2H/dtheta^2
 from four transcendentals (sin th, cos th, cos 2th and sin 3th), and
@@ -21,8 +27,85 @@ from dataclasses import dataclass
 import numpy as np
 
 from qubit_reach import extremals
-from qubit_reach.bloch import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qubit_reach.bloch import field_f
 from qubit_reach.ode import IntegrationError, Trajectory, dp45, hermite
+from qubit_reach.params import SystemParams
+
+# Pauli matrices and the two jump operators (sigma_minus maps the excited
+# pole (0,0,-1) state onto the (0,0,1) ground pole).
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY2 = np.eye(2, dtype=complex)
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_PLUS = SIGMA_MINUS.conj().T
+
+HERM_TOL = 1e-9  # largest |rho - rho^H| entry a density matrix may carry
+
+
+def bloch_rhs(r, u: float, n: float, params: SystemParams) -> np.ndarray:
+    """Full controlled Bloch equation omega*f0 + 2*kappa*u*f1 + gamma*n*f2."""
+    if n < 0:
+        raise ValueError(f"incoherent control must be non-negative, got n={n}")
+    return (
+        params.omega * field_f(0, r, params)
+        + 2.0 * params.kappa * u * field_f(1, r, params)
+        + params.gamma * n * field_f(2, r, params)
+    )
+
+
+def lindblad_rhs(rho, u: float, n: float, params: SystemParams) -> np.ndarray:
+    """Master-equation right-hand side on 2x2 density matrices.
+
+    The Hamiltonian is ``(omega/2) sigma_z + kappa u sigma_x`` and the
+    dissipator splits into a decay channel ``sigma_minus`` of weight
+    ``gamma (1 + n/2)`` and a pump channel ``sigma_plus`` of weight
+    ``gamma n/2``.  These weights make the matrix equation the exact
+    mirror of :func:`bloch_rhs` under ``rho = (I + r.sigma)/2``.
+
+    Returns a Hermitian, traceless 2x2 complex array.
+    """
+    if n < 0:
+        raise ValueError(f"incoherent control must be non-negative, got n={n}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+
+    h = 0.5 * params.omega * SIGMA_Z + params.kappa * u * SIGMA_X
+    out = -1j * (h @ rho - rho @ h)
+    for op, weight in (
+        (SIGMA_MINUS, params.gamma * (1.0 + 0.5 * n)),
+        (SIGMA_PLUS, params.gamma * 0.5 * n),
+    ):
+        opd = op.conj().T
+        opdop = opd @ op
+        out = out + weight * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
+    return out
+
+
+def bloch_to_density(r) -> np.ndarray:
+    """rho = (I + r . sigma) / 2."""
+    rx, ry, rz = np.asarray(r, dtype=float)
+    return 0.5 * (IDENTITY2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
+
+
+def convexity_margin(R, theta, params: SystemParams):
+    """Curvature signature g R (R sin^3(theta) - 1) of the velocity curve.
+
+    Strictly negative for 0 < R < 1, which makes the Hamiltonian
+    maximizer unique and smooth there; it vanishes at R = 0 and at the
+    boundary point R = 1, sin(theta) = 1.  Independent of z.
+    """
+    R = np.asarray(R, dtype=float)
+    return params.ratio * R * (R * np.sin(theta) ** 3 - 1.0)
+
+
+def hamiltonian_dtheta(state, params: SystemParams):
+    """(dH/dtheta, d^2H/dtheta^2) at states with a trailing axis of length 5."""
+    y = np.moveaxis(np.asarray(state, dtype=float), -1, 0)
+    return extremals._stationarity(*y, params.ratio)
 
 
 @dataclass

@@ -17,18 +17,13 @@ import pytest
 from qubit_reach import (
     ExtremalSeed,
     SystemParams,
-    aux_rhs,
-    bloch_rhs,
-    bloch_to_density,
     hamiltonian,
     integrate_extremal,
-    lindblad_rhs,
     seed,
     seed_grid,
 )
+from qubit_reach.bloch import _meridian_rhs, _trig
 from qubit_reach.extremals import (
-    hamiltonian_dtheta,
-    hamiltonian_dtheta2,
     replay_extremal,
     sweep_extremals_parallel,
     theta_rhs,
@@ -47,7 +42,15 @@ from qubit_reach.reachset import (
 from qubit_reach import extremals
 from qubit_reach import svg as svg_mod
 from qubit_reach import table as table_mod
-from reference import dense_extremal, integrate, velocity_to_matrix
+from reference import (
+    bloch_rhs,
+    bloch_to_density,
+    dense_extremal,
+    hamiltonian_dtheta,
+    integrate,
+    lindblad_rhs,
+    velocity_to_matrix,
+)
 
 P = SystemParams.from_ratio(0.1)
 G = P.ratio
@@ -216,11 +219,15 @@ def test_criterion_2_axis_determinant_display():
 # --- criterion 3 -------------------------------------------------------------
 
 
+def meridian(theta):
+    """The engine's meridian field at a fixed theta, in physical time."""
+    st, ct, c2 = _trig(theta)
+    return lambda t, y: P.omega * np.array(_meridian_rhs(y[0], y[1], st, ct, c2, G))
+
+
 def test_criterion_3_spiral_oracle():
     T = 3 * np.pi / P.omega
-    traj = integrate(
-        lambda t, y: np.array(aux_rhs(y[0], y[1], 0.0, P)), np.array([0.0, 1.0]), T
-    )
+    traj = integrate(meridian(0.0), np.array([0.0, 1.0]), T)
     ts = np.linspace(0, T, 400)
     exact = 1j * np.exp((-P.gamma / 2 + 1j * P.omega) * ts)
     got = traj.sample(ts)
@@ -229,11 +236,7 @@ def test_criterion_3_spiral_oracle():
 
     # theta == -pi/2 relaxation onto (0, -1), checked at gamma t = 40
     T2 = 40.0 / P.gamma
-    traj2 = integrate(
-        lambda t, y: np.array(aux_rhs(y[0], y[1], -np.pi / 2, P)),
-        np.array([0.0, 1.0]),
-        T2,
-    )
+    traj2 = integrate(meridian(-np.pi / 2), np.array([0.0, 1.0]), T2)
     dist = float(np.hypot(traj2.ys[-1][0], traj2.ys[-1][1] + 1.0))
     assert dist < 1e-6
     print(
@@ -343,7 +346,7 @@ def test_criterion_7_pmp_health(health_sweep):
     states = np.moveaxis(health_sweep.samples(range(5), np.arange(256), np.s_[:]), 0, -1)
     H = hamiltonian(states, P)
     h_drift = float(np.nanmax(np.abs(H - H[:, :1])))
-    stat = float(np.nanmax(np.abs(hamiltonian_dtheta(states, P))))
+    stat = float(np.nanmax(np.abs(hamiltonian_dtheta(states, P)[0])))
     assert h_drift < 1e-8
     assert stat < 1e-8
 
@@ -356,10 +359,10 @@ def test_criterion_7_pmp_health(health_sweep):
         for _ in range(60):
             probe = s.copy()
             probe[4] = th
-            fp = hamiltonian_dtheta2(probe, P)
+            f, fp = hamiltonian_dtheta(probe, P)
             if abs(fp) < 1e-13:
                 break
-            th -= hamiltonian_dtheta(probe, P) / fp
+            th -= f / fp
         return th
 
     rng = np.random.default_rng(77)
@@ -388,7 +391,7 @@ def test_criterion_8_closed_loop_replay():
     worst = 0.0
     for psi in rng.uniform(0, 2 * np.pi, 32):
         sd = seed(psi, P)
-        if abs(hamiltonian_dtheta2(sd.state0, P)) < 1e-6:
+        if abs(hamiltonian_dtheta(sd.state0, P)[1]) < 1e-6:
             continue  # stationary extremal has no control to recover
         traj = integrate_extremal(sd, 7.0, P, sample_dt=7 / 7000)
         rstates, sched = replay_extremal(traj, P)

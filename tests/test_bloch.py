@@ -2,26 +2,53 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qubit_reach import (
-    SingularityError,
-    SystemParams,
-    aux_rhs,
-    ball_norm_derivative,
+from qubit_reach import SystemParams, field_f
+from qubit_reach.bloch import _meridian_rhs, _theta_balance, _trig, polar_rhs_scaled
+from reference import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     bloch_rhs,
     bloch_to_density,
-    cylindrical_rhs,
-    density_to_bloch,
-    field_f,
-    from_cylindrical,
+    integrate,
     lindblad_rhs,
-    polar_rhs,
-    to_cylindrical,
+    velocity_to_matrix,
 )
-from qubit_reach.bloch import cylindrical_fields
-from reference import integrate, velocity_to_matrix
 
 
 P01 = SystemParams.from_ratio(0.1)
+
+
+def meridian(z, R, theta, p):
+    """(dz/dt, dR/dt) with theta as the control: omega times the engine's
+    meridian field."""
+    zp, rp = _meridian_rhs(z, R, *_trig(theta), p.ratio)
+    return p.omega * zp, p.omega * rp
+
+
+def engine_cylindrical(c, u, p):
+    """(z', R', theta') of the engine at n = 0: the meridian field and the
+    free theta drift -_theta_balance(0, ...) plus 2 kappa u."""
+    z, R, theta = c
+    theta_dot = -p.omega * _theta_balance(0.0, z, R, theta, p.ratio) + 2.0 * p.kappa * u
+    return np.array([*meridian(z, R, theta, p), theta_dot])
+
+
+def pushforward(r, v):
+    """(z', R', theta') of the Bloch velocity v at r by the chain rule, with
+    rx = z, ry = R cos(theta), rz = R sin(theta)."""
+    R2 = r[1] ** 2 + r[2] ** 2
+    return np.array([v[0], (r[1] * v[1] + r[2] * v[2]) / np.sqrt(R2), (r[1] * v[2] - r[2] * v[1]) / R2])
+
+
+def cylindrical(r):
+    return np.array([r[0], np.hypot(r[1], r[2]), np.arctan2(r[2], r[1])])
+
+
+def ball_norm_closed_form(r, n, p):
+    """d|r|^2/dt = -gamma (1+n) (rx^2 + ry^2 + 2 rz^2) + 2 gamma rz, for every u."""
+    rx, ry, rz = r
+    return -p.gamma * (1.0 + n) * (rx * rx + ry * ry + 2.0 * rz * rz) + 2.0 * p.gamma * rz
 
 
 def random_ball_points(rng, n, radius=1.0):
@@ -118,10 +145,8 @@ def test_lindblad_rejects_non_hermitian():
     [
         (lambda: lindblad_rhs(np.diag([1.0, 0.0]), 0.0, -0.1, P01), "non-negative"),
         (lambda: lindblad_rhs(np.eye(3) / 3, 0.0, 0.0, P01), r"must be 2x2, got shape \(3, 3\)"),
-        (lambda: cylindrical_rhs([0.5, 0.5, 0.0], 0.0, -0.1, P01), "non-negative"),
-        (lambda: ball_norm_derivative([0.3, 0.4, 0.5], -0.1, P01), "non-negative"),
     ],
-    ids=["lindblad-negative-n", "lindblad-3x3", "cylindrical-negative-n", "ball-norm-negative-n"],
+    ids=["lindblad-negative-n", "lindblad-3x3"],
 )
 def test_rhs_refusals(call, msg):
     with pytest.raises(ValueError, match=msg):
@@ -129,85 +154,58 @@ def test_rhs_refusals(call, msg):
 
 
 def test_density_round_trip():
+    # r_i = tr(rho sigma_i) recovers the Bloch vector of a unit-trace rho
     rng = np.random.default_rng(3)
     for r in random_ball_points(rng, 100):
-        npt.assert_allclose(density_to_bloch(bloch_to_density(r)), r, atol=1e-14)
+        rho = bloch_to_density(r)
+        assert abs(np.trace(rho) - 1.0) < 1e-15
+        back = [np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        npt.assert_allclose(back, r, atol=1e-14)
     npt.assert_allclose(bloch_to_density((0, 0, 0)), 0.5 * np.eye(2), atol=0)
     npt.assert_allclose(bloch_to_density((0, 0, 1)), np.diag([1.0, 0.0]), atol=0)
 
 
-def test_density_to_bloch_rejects_bad_trace():
-    with pytest.raises(ValueError):
-        density_to_bloch(np.diag([1.0, 0.5]))
-
-
-def test_cylindrical_convention():
-    npt.assert_allclose(to_cylindrical((0, 1, 0)), [0.0, 1.0, 0.0], atol=0)
-    z, R, th = to_cylindrical((0, 0, 1))
-    assert (z, R) == (0.0, 1.0) and abs(th - np.pi / 2) < 1e-15
-    # theta pinned to zero on the axis
-    assert to_cylindrical((0.3, 0, 0))[2] == 0.0
-
-
-def test_cylindrical_round_trip():
-    rng = np.random.default_rng(5)
-    for r in random_ball_points(rng, 50):
-        if np.hypot(r[1], r[2]) < 1e-6:
-            continue
-        npt.assert_allclose(from_cylindrical(to_cylindrical(r)), r, atol=1e-14)
-
-
 def test_cylindrical_rhs_pushforward_oracle():
-    # chain rule applied to the Bloch velocity is the independent route
+    # the chain rule applied to the Bloch velocity is the independent route
+    # to the engine's meridian field and theta drift (n = 0)
     rng = np.random.default_rng(13)
     count = 0
     while count < 100:
         r = random_ball_points(rng, 1)[0]
-        R = np.hypot(r[1], r[2])
-        if R < 0.1:
+        if np.hypot(r[1], r[2]) < 0.1:
             continue
         count += 1
         u = rng.uniform(-3, 3)
-        n = rng.uniform(0, 2)
-        v = bloch_rhs(r, u, n, P01)
-        c = to_cylindrical(r)
-        expected = np.array(
-            [
-                v[0],
-                (r[1] * v[1] + r[2] * v[2]) / R,
-                (r[1] * v[2] - r[2] * v[1]) / R ** 2,
-            ]
-        )
-        npt.assert_allclose(cylindrical_rhs(c, u, n, P01), expected, atol=1e-10)
+        expected = pushforward(r, bloch_rhs(r, u, 0.0, P01))
+        npt.assert_allclose(engine_cylindrical(cylindrical(r), u, P01), expected, atol=1e-12)
 
 
 def test_averaging_identity():
-    # (g0(theta) + g0(theta + pi)) / 2 == (gamma/omega) g2(theta)
+    # the free drift averaged over theta and theta + pi is gamma/omega times
+    # the incoherent field f2, pushed forward to (z, R, theta)
     rng = np.random.default_rng(17)
     for _ in range(100):
-        c = np.array([rng.uniform(-1, 1), rng.uniform(0.05, 1), rng.uniform(0, 2 * np.pi)])
-        g0a, _, g2 = cylindrical_fields(c, P01)
-        g0b, _, _ = cylindrical_fields(c + [0, 0, np.pi], P01)
+        z, R, th = rng.uniform(-1, 1), rng.uniform(0.05, 1), rng.uniform(0, 2 * np.pi)
+        g0a = engine_cylindrical((z, R, th), 0.0, P01)
+        g0b = engine_cylindrical((z, R, th + np.pi), 0.0, P01)
+        r = np.array([z, R * np.cos(th), R * np.sin(th)])
+        g2 = pushforward(r, field_f(2, r, P01))
         npt.assert_allclose(0.5 * (g0a + g0b), P01.ratio * g2, atol=1e-12)
 
 
 def test_g1_constant():
-    _, g1, _ = cylindrical_fields((0.2, 0.5, 1.3), P01)
-    npt.assert_array_equal(g1, [0.0, 0.0, 1.0])
-
-
-def test_cylindrical_singularity_guard():
-    with pytest.raises(SingularityError):
-        cylindrical_rhs((0.5, 1e-9, 0.0), 0.0, 0.0, P01)
+    # the coherent field turns theta at unit rate and leaves (z, R) alone
+    r = np.array([0.2, 0.5 * np.cos(1.3), 0.5 * np.sin(1.3)])
+    npt.assert_allclose(pushforward(r, field_f(1, r, P01)), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_aux_rhs_attracting_point():
-    zd, rd = aux_rhs(0.0, -1.0, -np.pi / 2, P01)
+    zd, rd = meridian(0.0, -1.0, -np.pi / 2, P01)
     assert abs(zd) < 1e-15 and abs(rd) < 1e-15
 
 
 def test_aux_rhs_spiral_tangent():
-    zd, rd = aux_rhs(0.0, 1.0, 0.0, P01)
+    zd, rd = meridian(0.0, 1.0, 0.0, P01)
     npt.assert_allclose([zd, rd], [-1.0, -0.05], atol=1e-15)
 
 
@@ -215,8 +213,8 @@ def test_aux_rhs_mirror_symmetry():
     rng = np.random.default_rng(19)
     for _ in range(50):
         z, R, th = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2 * np.pi)
-        zd, rd = aux_rhs(z, R, th, P01)
-        zd2, rd2 = aux_rhs(z, -R, th + np.pi, P01)
+        zd, rd = meridian(z, R, th, P01)
+        zd2, rd2 = meridian(z, -R, th + np.pi, P01)
         npt.assert_allclose([zd2, rd2], [zd, -rd], atol=1e-14)
 
 
@@ -227,38 +225,36 @@ def test_polar_pushforward_oracle():
         phi = rng.uniform(-np.pi, np.pi)
         th = rng.uniform(0, 2 * np.pi)
         z, R = rho * np.cos(phi), rho * np.sin(phi)
-        zd, rd = aux_rhs(z, R, th, P01)
+        zd, rd = meridian(z, R, th, P01)
         expected = [(z * zd + R * rd) / rho, (z * rd - R * zd) / rho ** 2]
-        npt.assert_allclose(polar_rhs((rho, phi), th, P01), expected, atol=1e-10)
+        got = P01.omega * np.array(polar_rhs_scaled(rho, phi, th, P01.ratio))
+        npt.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_polar_boundary_contraction():
     # radial speed never positive on the unit circle
     th = np.linspace(0, 2 * np.pi, 73)
     for phi in np.linspace(-np.pi, np.pi, 41):
-        for t in th:
-            assert polar_rhs((1.0, phi), t, P01)[0] <= 1e-15
+        assert np.all(polar_rhs_scaled(1.0, phi, th, P01.ratio)[0] <= 1e-15)
     # and it vanishes at the stated tangency
-    assert abs(polar_rhs((1.0, np.pi / 2), np.pi / 2, P01)[0]) < 1e-15
-
-
-def test_polar_singularity_guard():
-    with pytest.raises(SingularityError):
-        polar_rhs((1e-9, 0.0), 0.0, P01)
+    assert abs(polar_rhs_scaled(1.0, np.pi / 2, np.pi / 2, P01.ratio)[0]) < 1e-15
 
 
 def test_ball_norm_derivative_values():
-    assert ball_norm_derivative((0, 0, 1), 0.0, P01) == 0.0
-    # non-positive on the sphere for a grid of directions and pump levels
+    # 2 r . v <= 0 on the unit sphere for every u and n >= 0: the Bloch
+    # ball is forward invariant
+    assert 2.0 * np.dot([0, 0, 1], bloch_rhs((0, 0, 1), 0.0, 0.0, P01)) == 0.0
     rng = np.random.default_rng(29)
     for n in (0.0, 0.5, 2.0):
         for v in rng.normal(size=(60, 3)):
             r = v / np.linalg.norm(v)
-            assert ball_norm_derivative(r, n, P01) <= 1e-15
+            rate = 2.0 * np.dot(r, bloch_rhs(r, rng.uniform(-4, 4), n, P01))
+            assert rate <= 1e-15
+            assert abs(rate - ball_norm_closed_form(r, n, P01)) < 1e-14
 
 
 def test_ball_norm_derivative_finite_difference():
-    # compare against d|r|^2/dt along an integrated trajectory
+    # compare the closed form against d|r|^2/dt along an integrated trajectory
     p = P01
     u, n = 0.7, 0.8
     traj = integrate(
@@ -272,7 +268,7 @@ def test_ball_norm_derivative_finite_difference():
     for t in ts:
         ra, rb = traj.sample(t - h), traj.sample(t + h)
         fd = (np.sum(rb ** 2) - np.sum(ra ** 2)) / (2 * h)
-        val = ball_norm_derivative(traj.sample(t)[0], n, p)
+        val = ball_norm_closed_form(traj.sample(t)[0], n, p)
         assert abs(fd - val) < 1e-6
 
 

@@ -7,9 +7,8 @@ import pytest
 from qubit_reach import extremals
 from qubit_reach import (
     SystemParams,
-    convexity_margin,
+    field_f,
     hamiltonian,
-    hamiltonian_dtheta,
     integrate_extremal,
     recover_control,
     replay_extremal,
@@ -18,19 +17,18 @@ from qubit_reach import (
     sweep_extremals,
     theta_rhs,
 )
-from qubit_reach.bloch import SingularityError, _meridian_rhs, cylindrical_fields, meridian_rhs_scaled
+from qubit_reach.bloch import SingularityError, _meridian_rhs, _trig
 from qubit_reach.extremals import (
     ExtremalSeed,
     _d2H,
     _stationarity,
     extremal_flow,
-    hamiltonian_dtheta2,
     normalize_states,
     sample_times,
     sweep_extremals_parallel,
 )
 import reference
-from reference import dense_extremal
+from reference import convexity_margin, dense_extremal, hamiltonian_dtheta
 
 P = SystemParams.from_ratio(0.1)
 G = P.ratio
@@ -59,7 +57,7 @@ def test_stationarity_gradient_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(30):
         psi, th = rng.uniform(0, 2 * np.pi, 2)
-        got = hamiltonian_dtheta(state(0, 1, np.cos(psi), np.sin(psi), th), P)
+        got = hamiltonian_dtheta(state(0, 1, np.cos(psi), np.sin(psi), th), P)[0]
         expect = np.cos(psi) * np.sin(th) - G * np.sin(psi) * np.cos(th) * (np.sin(th) - 1)
         assert abs(got - expect) < 1e-14
 
@@ -108,14 +106,12 @@ def test_convexity_margin_is_velocity_curvature():
     # differences on the velocity curve itself
     rng = np.random.default_rng(3)
     h = 1e-5
-    from qubit_reach.bloch import aux_rhs
-
     for _ in range(40):
         z, R = rng.uniform(-0.7, 0.7), rng.uniform(0, 1)
         th = rng.uniform(0, 2 * np.pi)
 
         def vel(t):
-            return np.array(aux_rhs(z, R, t, P)) / P.omega
+            return np.array(_meridian_rhs(z, R, *_trig(t), G))
 
         xi = (vel(th + h) - vel(th - h)) / (2 * h)
         xi_p = (vel(th + h) - 2 * vel(th) + vel(th - h)) / h ** 2
@@ -140,7 +136,7 @@ def test_seed_beats_dense_grid():
         sts = np.tile(s.state0, (720, 1))
         sts[:, 4] = grid
         assert hamiltonian(s.state0, P) >= np.max(hamiltonian(sts, P)) - 1e-9
-        assert abs(hamiltonian_dtheta(s.state0, P)) < 1e-12
+        assert abs(hamiltonian_dtheta(s.state0, P)[0]) < 1e-12
 
 
 def test_seed_min_branch():
@@ -231,7 +227,7 @@ def test_extremal_invariants_along_trajectory():
     traj = integrate_extremal(seed(0.9, P), 7.0, P, sample_dt=7 / 1024)
     H = hamiltonian(traj.ys, P)
     assert np.max(np.abs(H - H[0])) < 1e-8
-    assert np.max(np.abs(hamiltonian_dtheta(traj.ys, P))) < 1e-8
+    assert np.max(np.abs(hamiltonian_dtheta(traj.ys, P)[0])) < 1e-8
     assert np.max(traj.ys[:, 0] ** 2 + traj.ys[:, 1] ** 2) <= 1 + 1e-9
     assert traj.ys[:, 1].min() >= 0.0  # folded to R >= 0
 
@@ -249,8 +245,7 @@ def test_theta_rhs_matches_argmax_slope():
         for _ in range(60):
             probe = s.copy()
             probe[4] = th
-            f = hamiltonian_dtheta(probe, P)
-            fp = hamiltonian_dtheta2(probe, P)
+            f, fp = hamiltonian_dtheta(probe, P)
             if abs(fp) < 1e-13:
                 break
             th -= f / fp
@@ -414,7 +409,7 @@ def test_trig_helpers_are_bit_equal():
     st = np.sin(th)
     trig = (st, np.cos(th), 1.0 - 2.0 * st * st)
     for g in (0.0, 0.1, 0.7):
-        want = (*meridian_rhs_scaled(z, R, th, g), _stationarity(z, R, p, q, th, g)[1])
+        want = (*_meridian_rhs(z, R, *_trig(th), g), _stationarity(z, R, p, q, th, g)[1])
         got = (*_meridian_rhs(z, R, *trig, g), _d2H(z, R, p, q, *trig, g))
         flow = extremal_flow(z, R, p, q, th, g)
         for w, a, b in zip(want, got, flow[:2] + flow[5:]):
@@ -548,13 +543,13 @@ def test_normalize_states_is_involution_fixed():
     # Hamiltonian and stationarity residual are fold invariant
     npt.assert_allclose(hamiltonian(out, P), hamiltonian(sts, P), atol=1e-13)
     npt.assert_allclose(
-        hamiltonian_dtheta(out, P), hamiltonian_dtheta(sts, P), atol=1e-13
+        hamiltonian_dtheta(out, P)[0], hamiltonian_dtheta(sts, P)[0], atol=1e-13
     )
 
 
 def test_recover_control_spiral_segment_identity():
-    # a constant-theta synthetic segment must balance the theta component
-    # of the cylindrical drift: 2 kappa u = -omega * g0_theta
+    # a constant-theta synthetic segment must balance the free theta drift,
+    # the chain rule on the Bloch field f0: 2 kappa u = -omega * g0_theta
     taus = np.linspace(0, 0.5, 33)
     z = 0.9 * np.exp(-0.5 * G * taus) * np.sin(taus)
     R = 0.9 * np.exp(-0.5 * G * taus) * np.cos(taus)
@@ -567,8 +562,9 @@ def test_recover_control_spiral_segment_identity():
     # theta identically zero, where theta'_tau of the synthetic path is 0
     u = []
     for zz, rr in zip(z, R):
-        g0, g1, _ = cylindrical_fields((zz, rr, 0.0), P)
-        u.append(-P.omega * g0[2] / (2 * P.kappa))
+        r = np.array([zz, rr, 0.0])  # theta = 0
+        f0 = field_f(0, r, P)
+        u.append(-P.omega * (r[1] * f0[2] - r[2] * f0[1]) / rr ** 2 / (2 * P.kappa))
     u_expected = np.array(u)
     u_formula = P.omega * (0.0 + (z / R) * 0.0 + 0.25 * G * 0.0 - G * 1.0 / R) / (2 * P.kappa)
     npt.assert_allclose(u_formula, u_expected, atol=1e-13)

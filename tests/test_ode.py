@@ -2,11 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qubit_reach import SystemParams, bloch_rhs
-from qubit_reach.bloch import aux_rhs
+from qubit_reach import SystemParams
+from qubit_reach.bloch import _meridian_rhs, _trig
 from qubit_reach import ode
 from qubit_reach.ode import IntegrationError, Trajectory, dp45, dp45_step
-from reference import integrate
+from reference import bloch_rhs, integrate
 
 
 def rk4(rhs, y0, T, step):
@@ -44,8 +44,7 @@ def test_free_bloch_spiral_exponent():
 
 def aux_spiral_rhs(p):
     def rhs(t, y):
-        zd, rd = aux_rhs(y[0], y[1], 0.0, p)
-        return np.array([zd, rd])
+        return p.omega * np.array(_meridian_rhs(y[0], y[1], *_trig(0.0), p.ratio))
 
     return rhs
 

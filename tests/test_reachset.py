@@ -165,10 +165,10 @@ def _set_with(boundary):
     "call, msg",
     [
         (lambda: revolve_to_3d(_set_with([]), n_angles=2), "at least 3 revolution angles"),
-        (lambda: revolve_to_3d(_set_with([])), "empty raster has no boundary"),
+        (lambda: revolve_to_3d(_set_with([]), 64), "empty raster has no boundary"),
         # one closed loop, wholly at R < 0
         (lambda: revolve_to_3d(_set_with([np.array([[0.0, -0.5], [0.1, -0.6], [0.0, -0.6],
-                                                    [0.0, -0.5]])])),
+                                                    [0.0, -0.5]])]), 64),
          "no R >= 0 portion"),
         (lambda: barrier_certificate(0.0, 0.4, 1e-3, SystemParams.from_ratio(0.0)), "gamma > 0"),
         (lambda: barrier_values(BarrierTriangle(0.0, 0.1, 1e-3, G), "top", 0.0, 0.0, P),
@@ -426,7 +426,7 @@ def test_revolve_rejects_open_polyline():
     occ = disc_raster(64, 0.5)
     rset = ReachableSet2D(occ, 1.0, boundary=[np.array([[0.0, 0.0], [0.5, 0.5]])])
     with pytest.raises(ValueError, match="closed"):
-        revolve_to_3d(rset)
+        revolve_to_3d(rset, 64)
 
 
 # --- refinement bookkeeping and the first-passage kernel -------------------------
@@ -658,6 +658,15 @@ def test_refinement_budget_exhaustion_is_reported():
     sweep = ReachSweep(P, 7.0, n_seeds=64, raster=64)
     assert sweep.budget_exhausted is True
     assert sweep.seeds_added == 4 * 64
+
+
+def test_refinement_stopped_by_the_round_cap_is_reported(monkeypatch):
+    # seeds to spare, but the round cap ends refinement with wide pairs left
+    monkeypatch.setattr(reachset, "MAX_REFINE_ROUNDS", 1)
+    sweep = ReachSweep(P, 7.0, n_seeds=64, raster=64)
+    assert sweep.refine_rounds == 1 and sweep.seeds_added < 4 * 64
+    assert len(sweep.unfilled_pairs) > 0
+    assert sweep.budget_exhausted is True
 
 
 def rep_rasterize(sweep, paths, order, gaps):

@@ -5,6 +5,7 @@ import pytest
 from qubit_reach import ControlSchedule, SystemParams, simulate
 from qubit_reach.ode import expm
 from qubit_reach.schedule import propagate
+from reference import bloch_rhs, integrate
 
 P = SystemParams.from_ratio(0.1)
 
@@ -163,7 +164,6 @@ def test_propagate_matches_a_chain_of_single_segment_maps(seed):
     # random schedules with n > 0 over several expm blocks, one segment a
     # spike as strong as replay_extremal's, against exp(h [[M, b], [0, 0]])
     # of each segment's r' = M r + b applied in turn
-    from qubit_reach.bloch import bloch_rhs
 
     rng = np.random.default_rng(seed)
     p = SystemParams.from_ratio(rng.uniform(0.05, 2.0))
@@ -185,8 +185,6 @@ def test_propagate_matches_a_chain_of_single_segment_maps(seed):
 
 
 def test_propagate_matches_tight_integration_with_incoherent_control():
-    from qubit_reach.bloch import bloch_rhs
-    from reference import integrate
 
     p = SystemParams(omega=1.0, kappa=0.5, gamma=0.2)
     rng = np.random.default_rng(6)
@@ -202,7 +200,6 @@ def test_propagate_matches_tight_integration_with_incoherent_control():
 
 def test_propagate_alignment_spike():
     # the 1e6-scaled spike replay_extremal uses to leave the north pole
-    from qubit_reach.bloch import bloch_rhs
     from test_ode import rk4
 
     u_max = 1e6 * P.omega / (2 * P.kappa)
@@ -223,7 +220,6 @@ def test_propagate_pole_is_bit_exact_fixed_point():
 def test_propagate_long_hold_reaches_the_steady_state():
     # the zero last row of the augmented generator must stay the exact unit
     # row through every squaring, or a long hold drifts back to its start
-    from qubit_reach.bloch import bloch_rhs
 
     b = bloch_rhs(np.zeros(3), 1.0, 0.0, P)
     M = np.stack([bloch_rhs(e, 1.0, 0.0, P) - b for e in np.eye(3)], axis=1)
@@ -246,7 +242,6 @@ def test_expm_inverts_on_negated_argument():
 
 def bloch_generators(rng, k):
     """k Bloch generators [[M, b], [0, 0]] of random ratio, u and n, each of 1-norm 1."""
-    from qubit_reach.bloch import bloch_rhs
 
     out = np.zeros((k, 4, 4))
     for j in range(k):

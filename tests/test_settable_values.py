@@ -18,7 +18,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qubit_reach"
 # tests/reference.py
 # 30: ControlSchedule.from_csv needs its params, which every caller passes:
 # scaled times and the default |u| cap both read them
-SETTABLE_VALUES = 30
+# 28: the width of svg._path and the n_angles of revolve_to_3d, which only
+# tests left unset: figure passes both stroke widths, and the CLI and the
+# benchmark pass the revolution angles
+SETTABLE_VALUES = 28
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
