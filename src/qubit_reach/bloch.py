@@ -59,9 +59,15 @@ def field_f(index: int, r, params: SystemParams) -> np.ndarray:
 
 
 def _trig(theta):
-    """sin, cos and cos 2 = 1 - 2 sin^2 of theta: the trig rule all meridian fields share."""
-    st = np.sin(theta)
-    return st, np.cos(theta), 1.0 - 2.0 * st * st
+    """sin, cos and cos 2 = 1 - 2 sin^2 of theta: the trig rule all meridian fields share.
+
+    A Python float theta gives Python floats, the values of np.sin and
+    np.cos, so the fields of a one-seed sweep run on floats, not on numpy
+    scalars with their per-operation cost."""
+    st, ct = np.sin(theta), np.cos(theta)
+    if type(theta) is float:
+        st, ct = float(st), float(ct)
+    return st, ct, 1.0 - 2.0 * st * st
 
 
 def _meridian_rhs(z, R, st, ct, c2, g):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
+import stat
 import sys
 from functools import partial
 from pathlib import Path
@@ -142,6 +144,21 @@ def _outputs(*paths):
         yield files
 
 
+def _check_dirs(*paths):
+    """Raise, before any work, the OSError that opening an output path would
+    raise because its directory is missing or not a directory ('-' and None
+    are not paths); the subcommands open their outputs only after the work."""
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        try:
+            is_dir = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        if not is_dir:
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _write_rows(out, header, rows):
     """CSV rows to the open file out."""
     out.write(",".join(header) + "\n")
@@ -222,9 +239,9 @@ def _cmd_reachset(args, parser):
 
 def _cmd_movie(args, parser):
     params = _params(args, parser)
-    sweep = _sweep(args, params, args.T_max)
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)  # before the sweep, so a bad path fails first
+    sweep = _sweep(args, params, args.T_max)
     overlay = _spiral_overlay(args, params)
     for k in range(1, args.frames + 1):
         T = args.T_max * k / args.frames
@@ -393,6 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_dirs(*(getattr(args, name, None) for name in ("out", "svg", "obj")))
         return args.func(args, parser)
     except (ValueError, SingularityError, IntegrationError, UnreachableError, OSError,
             MemoryError) as exc:

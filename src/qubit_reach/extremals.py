@@ -36,9 +36,10 @@ ct ct ct, in extremal_flow and in the stationarity helper (sin 2th = 2 st
 ct) alike, so the two agree bit for bit.
 
 The flow is written once, in :func:`extremal_flow`, which takes the five
-components as separate arrays.  The sweep passes the rows of its (5, n)
-block of seeds; the public functions that take a state array (trailing
-axis of length 5, like the rows of ``Trajectory.ys``) pass its columns.
+components as separate arrays or floats.  The sweep passes the rows of its
+(5, n) block of seeds, or the five floats of a one-seed sweep; the public
+functions that take a state array (trailing axis of length 5, like the
+rows of ``Trajectory.ys``) pass its columns.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ def _extremal_rhs(y, g):
     """Stacked (z', R', p', q', theta') of a (5, ...) state; theta' is 0
     where the denominator degenerates.
 
-    A (5, 1) state, the sweep of one seed, goes through extremal_flow as
-    Python floats: numpy's per-call cost on arrays of one element was most
-    of that sweep's time.  The bits are the same: + - * / of floats are the
-    IEEE operations of numpy's element loops, np.sin and np.cos of a scalar
-    run their ufunc loop with n = 1, and the guard chooses as np.where does
-    (a NaN den gives 0)."""
-    if y.shape[1:] == (1,):
-        zp, rp, pp, qp, num, den = extremal_flow(*y[:, 0].tolist(), g)
-        return np.array([[zp], [rp], [pp], [qp], [num / den if abs(den) >= DEN_TOL else 0.0]])
+    A list of five floats, the state of a one-seed sweep (see ode.dp45),
+    gives the list of their floats, with the bits of the array form: + - *
+    / of floats are the IEEE operations of numpy's element loops,
+    bloch._trig gives the floats of np.sin and np.cos, and the guard
+    chooses as np.where does (a NaN den gives 0)."""
     zp, rp, pp, qp, num, den = extremal_flow(*y, g)
+    if isinstance(y, list):
+        return [zp, rp, pp, qp, num / den if abs(den) >= DEN_TOL else 0.0]
     safe = np.abs(den) >= DEN_TOL
     return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])
 
@@ -120,11 +119,12 @@ def _reproject(y, live, g):
     Newton steps onto dH/dtheta = 0, each clipped to 0.5, in the live columns
     whose |dH/dtheta| > PROJECT_TOL and |d2H/dtheta2| > DEN_TOL.  Returns the
     (column mask, reason) of failures: a degenerate denominator, or a total
-    move over MAX_BRANCH_JUMP.  A live (5, 1) state goes through on Python
-    floats (see _extremal_rhs) with the same bits: np.mod wraps the float,
-    min(max(.)) clips as np.clip does (NaN stays NaN), no step is a step of 0."""
-    if y.shape[1:] == (1,) and live[0]:
-        z, R, p, q, th = y[:, 0].tolist()
+    move over MAX_BRANCH_JUMP.  A list of five floats, the live state of a
+    one-seed sweep, goes through on floats (see _extremal_rhs) with the same
+    bits: np.mod wraps the float, min(max(.)) clips as np.clip does (NaN
+    stays NaN), no step is a step of 0."""
+    if isinstance(y, list):
+        z, R, p, q, th = y
         th, moved = float(np.mod(th + np.pi, 2.0 * np.pi) - np.pi), 0.0
         res, den = _stationarity(z, R, p, q, th, g)
         degenerate = abs(den) < DEN_TOL
@@ -134,7 +134,7 @@ def _reproject(y, live, g):
             step = min(max(res / den, -0.5), 0.5)
             th, moved = th - step, moved + abs(step)
             res, den = _stationarity(z, R, p, q, th, g)
-        y[4, 0] = th
+        y[4] = th
         marks = (degenerate, "denominator degeneracy"), (moved > MAX_BRANCH_JUMP, "argmax branch jump")
         return [(live, reason) for bad, reason in marks if bad]
     y[4] = np.mod(y[4] + np.pi, 2.0 * np.pi) - np.pi
@@ -544,12 +544,14 @@ def sweep_extremals(
                 fail_reason[c] = reason
 
     def accept(groups, cols, steps, y0, f0, y1, f1):
+        # (5, len(cols)) arrays, or lists of five floats in a one-seed sweep
         t_end[groups] = [s[2] for s in steps]
-        th1 = y1[4:].copy() if len(pick[2]) else None
+        th1 = np.array(y1[4:]) if len(pick[2]) else None
         for bad, reason in _reproject(y1, active[cols], g):
             out = cols[bad]
             fail(out, t_end[out // SWEEP_BLOCK], reason)
-        rows = np.concatenate([a[i] for a, i in zip((y1, f0, th1, f1), pick) if len(i)])
+        rows = np.concatenate([np.asarray(a)[i] for a, i in zip((y1, f0, th1, f1), pick) if len(i)])
+        rows = rows.reshape(len(keep), -1)
         for i, (b, step) in enumerate(zip(groups, steps)):  # only the last block may be short
             times[b].append(step)
             if len(times[b]) == len(bufs[b]):

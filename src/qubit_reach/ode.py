@@ -4,9 +4,14 @@ One adaptive loop, :func:`dp45`, steps the embedded Dormand-Prince 5(4)
 pair on contiguous column groups of a (d, n) state in lockstep, each
 group with its own time, step size and controller; two hooks decide
 what an accepted step stores and what becomes of a column that fails.
-The extremal sweep runs each block of seeds as one group.  Dense output
-between accepted nodes is cubic Hermite (:func:`hermite`), which is what
-the reachable-set rasterisation samples.  Affine flows with constant
+The extremal sweep runs each block of seeds as one group.  A state of
+one column runs on Python floats instead: numpy's cost per call, not the
+arithmetic, was most of the time of a step on a (d, 1) array, so the rhs
+and the accept hook then get and return lists of d floats.  Both forms
+make the same IEEE operations in the same order and share one step-size
+controller, so a column takes the same steps, to the bit, either way.
+Dense output between accepted nodes is cubic Hermite (:func:`hermite`),
+which is what the reachable-set rasterisation samples.  Affine flows with constant
 coefficients need no stepping: :func:`expm` propagates them exactly (Van
 Loan's augmented generators, a Pade degree by norm, 3 x 3 adjugate solves).
 """
@@ -151,6 +156,97 @@ def dp45_step(rhs: Callable, t, y: np.ndarray, h, f0: np.ndarray):
     return y_new, ks[6], err
 
 
+def _dp45_step_floats(rhs: Callable, t: float, y: list, h: float, k0: list):
+    """:func:`dp45_step` on one column, a list of floats: the same IEEE
+    operations in the same order.  Each stage's sum is the left-to-right
+    chain of dp45_step's accumulator, and the 5th-order and error sums
+    start from 0 as sum() does there; builtin sum of floats itself is
+    compensated from Python 3.12 on, so it would change bits."""
+    (a1,), (a2, b2), (a3, b3, c3), (a4, b4, c4, d4), (a5, b5, c5, d5, e5), (a6, b6, c6, d6, e6, f6) = DP_A[1:]
+    k1 = rhs(t + DP_C[1] * h, [v + h * (a1 * p) for v, p in zip(y, k0)])
+    k2 = rhs(t + DP_C[2] * h, [v + h * (a2 * p + b2 * q) for v, p, q in zip(y, k0, k1)])
+    k3 = rhs(t + DP_C[3] * h, [v + h * (a3 * p + b3 * q + c3 * r) for v, p, q, r in zip(y, k0, k1, k2)])
+    k4 = rhs(t + DP_C[4] * h, [v + h * (a4 * p + b4 * q + c4 * r + d4 * s)
+                               for v, p, q, r, s in zip(y, k0, k1, k2, k3)])
+    k5 = rhs(t + DP_C[5] * h, [v + h * (a5 * p + b5 * q + c5 * r + d5 * s + e5 * u)
+                               for v, p, q, r, s, u in zip(y, k0, k1, k2, k3, k4)])
+    ks = list(zip(k0, k1, k2, k3, k4, k5))
+    k6 = rhs(t + DP_C[6] * h, [v + h * (a6 * p + b6 * q + c6 * r + d6 * s + e6 * u + f6 * w)
+                               for v, (p, q, r, s, u, w) in zip(y, ks)])
+    w0, w1, w2, w3, w4, w5, _ = DP_B5
+    y_new = [v + h * (0 + w0 * p + w1 * q + w2 * r + w3 * s + w4 * u + w5 * w)
+             for v, (p, q, r, s, u, w) in zip(y, ks)]
+    e0, e1, e2, e3, e4, e5, e6 = DP_ERR
+    err = [h * (0 + e0 * p + e1 * q + e2 * r + e3 * s + e4 * u + e5 * w + e6 * x)
+           for (p, q, r, s, u, w), x in zip(ks, k6)]
+    return y_new, k6, err
+
+
+def _error_norms(y: np.ndarray, y1: np.ndarray, err: np.ndarray, tol: float) -> np.ndarray:
+    """The error norm of each column of a step from y to y1 with error
+    estimate err: the RMS of err / (tol + tol max(|y|, |y1|)) over rows, in
+    np.mean's own arithmetic."""
+    scale = tol + tol * np.maximum(np.abs(y), np.abs(y1))
+    q = (err / scale) ** 2
+    return np.sqrt(np.add.reduce(q, axis=0) / q.shape[0])
+
+
+def _error_norm_floats(y: list, y1: list, err: list, tol: float) -> float:
+    """:func:`_error_norms` of one column given as lists of floats, to the
+    bit: max(|y|, |y1|) keeps a NaN as np.maximum does, and the squares add
+    up from the first row on as np.add.reduce does along axis 0."""
+    total = 0.0  # 0.0 + x is x for the squares x >= 0
+    for a, b, e in zip(y, y1, err):
+        a, b = abs(a), abs(b)
+        x = e / (tol + tol * (b if b > a or b != b else a))
+        total = total + x * x
+    return math.sqrt(total / len(y))
+
+
+def _control(norm: float, t: float, h: float, T: float):
+    """The step-size controller of one group on floats, after an attempt
+    of h from t with error norm norm: (t1, the next h, a drop reason).
+    t1 is the end of an accepted step and None for a rejected one; the
+    reason is "non-finite step", "step collapse" or None.
+
+    A step is accepted when norm <= 1 and h is 10 ulp of t (of T at t = 0)
+    or more, or reaches T; a step within 1e-15 T of T ends at T.  A
+    non-finite norm keeps h; a collapse restarts at min(1e-3, T - t); else
+    h changes by 0.9 norm^-0.2, between 0.2 and 5, and at most reaches T."""
+    collapse = h < 10 * math.ulp(t or T) and h < T - t
+    if not math.isfinite(norm):
+        return None, h, "non-finite step"
+    if collapse:
+        return None, min(1e-3, T - t), "step collapse"
+    t1 = None if norm > 1.0 else T if (T - t - h) < 1e-15 * T else t + h
+    h *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
+    return t1, min(h, T - (t if t1 is None else t1)), None
+
+
+def _dp45_column(rhs: Callable, y: np.ndarray, T: float, tol: float, live: np.ndarray,
+                 accept: Callable, drop: Callable) -> dict:
+    """:func:`dp45` on a state of one column, on Python floats (see there)."""
+    y, T, tol, col = y[:, 0].tolist(), float(T), float(tol), np.zeros(1, dtype=int)
+    f = rhs(0.0, y)
+    t, h, steps, iterations, evals = 0.0, min(1e-3, T), 0, 0, 1
+    while t < T and live[0]:
+        if steps >= MAX_STEPS:
+            raise IntegrationError(f"step budget exceeded at t={t}")
+        iterations += 1
+        y1, f1, err = _dp45_step_floats(rhs, t, y, h, f)
+        evals += 6
+        t1, h_next, reason = _control(_error_norm_floats(y, y1, err, tol), t, h, T)
+        if reason:  # the array loop's retry from rhs(t, y), with its count
+            drop(col, t, reason)
+            f = rhs(t, y)
+            evals += 1
+        elif t1 is not None:
+            f = accept([0], col, [(t, h, t1)], y, f, y1, f1)
+            y, t, steps = y1, t1, steps + 1
+        h = h_next
+    return dict(iterations=iterations, accepted=steps, rejected=iterations - steps, rhs_columns=evals)
+
+
 def dp45(
     rhs: Callable, y: np.ndarray, T: float, tol: float, edges, live: np.ndarray,
     accept: Callable, drop: Callable,
@@ -179,14 +275,23 @@ def dp45(
     raises :class:`IntegrationError`.  A tol or T that is not finite and
     positive raises ValueError.  Returns the iterations, and the accepted
     and rejected attempts and rhs columns summed over the groups.
+
+    A state of one column (one group) runs on Python floats, as numpy's
+    cost per call on arrays of d elements would be most of its time: rhs
+    then gets the state as a list of d floats and returns a list of d
+    floats, and accept gets y0, f0, y1 and f1 as such lists, may edit the
+    list y1 and returns a list.  It takes the same steps to the bit as the
+    same column in a group of the array loop.
     """
     for name, v in (("tolerance", tol), ("T", T)):
         if not (np.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and positive, got {v}")
+    y = np.asarray(y, dtype=float)
+    if y.shape[1] == 1:
+        return _dp45_column(rhs, y, T, tol, live, accept, drop)
     n_groups, size = len(edges) - 1, np.diff(edges)
     t, h = [0.0] * n_groups, [min(1e-3, T)] * n_groups
     steps = [0] * n_groups
-    y = np.asarray(y, dtype=float)
     f = rhs(0.0, y) * live
     iterations, attempts, evals = 0, 0, y.shape[1]
     # y and f hold the columns cols of the running groups run, in order
@@ -202,7 +307,6 @@ def dp45(
         iterations += 1
         attempts += len(run)
         for k in run:
-            h[k] = min(h[k], T - t[k])
             if steps[k] >= MAX_STEPS:
                 raise IntegrationError(f"step budget exceeded at t={t[k]}")
         if len(run) == 1:
@@ -213,28 +317,25 @@ def dp45(
         masked = rhs if lv.all() else lambda tt, yy: rhs(tt, yy) * lv  # x * 1.0 is x
         y1, f1, err = dp45_step(masked, tc, y, hc, f)
         evals += 6 * len(cols)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y1))
-        q = (err / scale) ** 2
-        err_col = np.sqrt(np.add.reduce(q, axis=0) / q.shape[0])  # np.mean's own arithmetic
+        err_col = _error_norms(y, y1, err, tol)
         bad = lv & ~np.isfinite(err_col)
         live_err = np.where(lv, err_col, -np.inf)
         worst = np.maximum.reduceat(live_err, offs)  # not finite where a live column is not
         took, stepped = [], []  # whether each running group accepted, and its (t0, h, t1)
         for i, k in enumerate(run):
-            norm, g = float(worst[i]), slice(offs[i], offs[i] + size[k])
-            collapse = h[k] < 10 * math.ulp(t[k] or T) and h[k] < T - t[k]
-            took.append(norm <= 1.0 and not collapse)
-            if took[-1]:
-                stepped.append((t[k], h[k], T if (T - t[k] - h[k]) < 1e-15 * T else t[k] + h[k]))
-                t[k] = stepped[-1][2]
+            g = slice(offs[i], offs[i] + size[k])
+            t1, h_next, reason = _control(float(worst[i]), t[k], h[k], T)
+            took.append(t1 is not None)
+            if t1 is not None:
+                stepped.append((t[k], h[k], t1))
+                t[k] = t1
                 steps[k] += 1
-            if not np.isfinite(norm):
-                drop(cols[g][bad[g]], t[k], "non-finite step")
-            elif collapse:
-                drop(cols[g][[np.argmax(live_err[g])]], t[k], "step collapse")
-                h[k] = min(1e-3, T - t[k])
+            h[k] = h_next
+            if reason == "non-finite step":
+                drop(cols[g][bad[g]], t[k], reason)
+            elif reason:
+                drop(cols[g][[np.argmax(live_err[g])]], t[k], reason)
             else:
-                h[k] *= max(0.2, 5.0 if norm == 0 else min(5.0, 0.9 * norm ** -0.2))
                 continue
             # a column dropped: retry from the derivative without it
             f[:, g] = rhs(t[k], y[:, g]) * live[cols[g]]
@@ -248,4 +349,3 @@ def dp45(
         ended = any(s[2] >= T for s in stepped) or not np.logical_or.reduceat(live[cols], offs).all()
     return dict(iterations=iterations, accepted=sum(steps), rejected=attempts - sum(steps),
                 rhs_columns=int(evals))
-

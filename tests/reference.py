@@ -10,13 +10,12 @@ extremals._stationarity at states with a trailing axis of length 5.
 ``integrate`` keeps every node of a single-column ``ode.dp45`` run,
 and ``Dense`` samples such nodes through ``ode.hermite``.
 ``extremal_rhs`` is extremals._extremal_rhs on arrays at every
-width, without its one-column float path.  ``extremal_flow`` and
+width.  ``extremal_flow`` and
 ``stationarity`` are the extremal field and dH/dtheta, d^2H/dtheta^2
 from four transcendentals (sin th, cos th, cos 2th and sin 3th), and
 ``dense_seed_scan`` is the seeding scan that evaluates every grid point.
 ``expm`` is the general Pade-13 exponential with LAPACK solves that
-ode.expm replaced for affine generators, and ``reproject`` the theta
-re-projection of extremals._reproject on arrays at every width.
+ode.expm replaced for affine generators.
 Test modules of this directory load it with ``import reference``.
 """
 
@@ -133,24 +132,26 @@ def integrate(rhs, y0, T: float, tol: float = 1e-10) -> Dense:
     """Integrate dy/dt = rhs(t, y) from t = 0 to t = T, keeping every node.
 
     y0 may have any shape; it is the one column of ode.dp45, run at
-    tolerance tol.  Raises IntegrationError with the failure time in the
-    message when the step budget is exhausted, a step is not finite, the
-    step size collapses or the right-hand side raises.
+    tolerance tol, which passes it to the hooks as a list of floats; rhs
+    gets and returns arrays of y0's shape.  Raises IntegrationError with
+    the failure time in the message when the step budget is exhausted, a
+    step is not finite, the step size collapses or the right-hand side
+    raises.
     """
     y0 = np.asarray(y0, dtype=float)
     nodes = []
 
     def column_rhs(t, y):
         try:
-            return np.asarray(rhs(t, y.reshape(y0.shape)), dtype=float).reshape(-1, 1)
+            return np.asarray(rhs(t, np.reshape(y, y0.shape)), dtype=float).ravel().tolist()
         except Exception as exc:
             raise IntegrationError(f"right-hand side failed at t={t}: {exc}") from exc
 
     def accept(groups, cols, steps, ya, fa, yb, fb):
         (t0, _, t1), = steps
         if not nodes:
-            nodes.append((t0, ya.copy(), fa.copy()))
-        nodes.append((t1, yb.copy(), fb.copy()))
+            nodes.append((t0, ya, fa))
+        nodes.append((t1, yb, fb))  # lists that dp45 does not edit
         return fb
 
     def drop(cols, t, reason):
@@ -173,25 +174,6 @@ def extremal_rhs(y, g):
     zp, rp, pp, qp, num, den = extremals.extremal_flow(*y, g)
     safe = np.abs(den) >= extremals.DEN_TOL
     return np.array([zp, rp, pp, qp, np.where(safe, num / np.where(safe, den, 1.0), 0.0)])
-
-
-def reproject(y, live, g):
-    """extremals._reproject with its array evaluation for every width."""
-    y[4] = np.mod(y[4] + np.pi, 2.0 * np.pi) - np.pi
-    res, den = extremals._stationarity(*y, g)
-    degenerate = live & (np.abs(den) < extremals.DEN_TOL)
-    moved = np.zeros(y.shape[1])
-    for _ in range(2):
-        need = live & (np.abs(res) > extremals.PROJECT_TOL) & (np.abs(den) > extremals.DEN_TOL)
-        if not np.any(need):
-            break
-        step = np.zeros(y.shape[1])
-        step[need] = np.clip(res[need] / den[need], -0.5, 0.5)
-        y[4] -= step
-        moved += np.abs(step)
-        res, den = extremals._stationarity(*y, g)
-    jumped = live & (moved > extremals.MAX_BRANCH_JUMP)
-    return [(degenerate, "denominator degeneracy"), (jumped, "argmax branch jump")]
 
 
 def velocity_to_matrix(v) -> np.ndarray:

@@ -204,6 +204,37 @@ def test_unwritable_path_keeps_existing_output(tmp_path, capsys):
     assert code == 0 and arcs.read_text().startswith("arc,z,R\n0,0.0,1.0\n")
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["reachset", "--gamma-ratio", "0.1", "--T", "7", "--out", "{d}/missing/c.csv"], "c.csv"),
+        (["reachset", "--gamma-ratio", "0.1", "--T", "7", "--svg", "{d}/missing/s.svg"], "s.svg"),
+        (["reachset", "--gamma-ratio", "0.1", "--T", "7", "--obj", "{d}/missing/m.obj"], "m.obj"),
+        (["movie", "--gamma-ratio", "0.1", "--out-dir", "{d}/file/frames"], "frames"),
+        (["table", "build", "--gamma-ratio", "0.1", "--out", "{d}/missing/t.csv"], "t.csv"),
+        (["extremal", "--gamma-ratio", "0.1", "--psi0", "1", "--T", "7", "--out", "{d}/missing/e.csv"],
+         "e.csv"),
+        (["simulate", "--gamma-ratio", "0.1", "--schedule", "{d}/file", "--T", "1", "--out",
+          "{d}/missing/r.csv"], "r.csv"),
+    ],
+    ids=["reachset", "reachset-svg", "reachset-obj", "movie", "table-build", "extremal", "simulate"],
+)
+def test_missing_output_directory_fails_before_the_work(monkeypatch, tmp_path, capsys, argv, out):
+    # an output that cannot be opened is reported at once, not after a sweep
+    def no_work(*args, **kwargs):
+        raise AssertionError("the subcommand started its work")
+
+    for name in ("ReachSweep", "integrate_extremal", "simulate"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(table_mod, "build_table", no_work)
+    (tmp_path / "file").write_text("t,u,n\n0,0,0\n")
+    code, stdout, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    reason = "Not a directory" if argv[0] == "movie" else "No such file or directory"
+    assert err.startswith("error: [Errno") and reason in err and err.rstrip().endswith(f"{out}'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 @pytest.mark.parametrize("angles", ["1", "2"])
 def test_obj_angles_below_three_is_a_usage_error_before_the_sweep(
     monkeypatch, tmp_path, capsys, angles

@@ -448,6 +448,20 @@ def _one_column_cases():
     return np.array(cols).T
 
 
+def test_one_column_trig_gives_floats_with_the_array_bits():
+    # a one-seed sweep's theta is a Python float: _trig gives Python floats
+    # with the bits of an array's sin, cos and cos 2
+    sub = np.nextafter(0.0, 1.0)
+    thetas = [0.0, -0.0, sub, -sub, 1e-310, -1e-310, np.pi, -np.pi, 1e300, -1e300,
+              np.inf, -np.inf, np.nan]
+    with np.errstate(invalid="ignore"):
+        wide = np.array(_trig(np.array(thetas)))
+        for j, th in enumerate(thetas):
+            one = _trig(float(th))
+            assert [type(v) for v in one] == [float] * 3, th
+            assert np.array(one).tobytes() == wide[:, j].tobytes(), th
+
+
 @pytest.mark.parametrize("g", [0.0, 0.1, 0.7, 3.0])
 def test_one_column_rhs_is_bit_equal_to_the_array_path(g):
     y = _one_column_cases()
@@ -458,23 +472,23 @@ def test_one_column_rhs_is_bit_equal_to_the_array_path(g):
         wide = extremals._extremal_rhs(y, g)
         assert wide.tobytes() == reference.extremal_rhs(y, g).tobytes()
         for j in range(y.shape[1]):
-            col = y[:, j : j + 1]
-            one = extremals._extremal_rhs(col, g)
-            assert one.shape == (5, 1) and one.dtype == float
-            assert one.tobytes() == reference.extremal_rhs(col, g).tobytes()
-            assert one.tobytes() == wide[:, j : j + 1].tobytes()
+            one = extremals._extremal_rhs(y[:, j].tolist(), g)  # the state of a one-seed sweep
+            assert [type(v) for v in one] == [float] * 5
+            assert np.array(one).tobytes() == wide[:, j].tobytes()
 
 
 def test_one_seed_sweep_is_bit_equal_to_the_array_path(monkeypatch):
-    # the field and the theta re-projection of a one-seed sweep on Python
-    # floats against their array forms: the same nodes, work and failures,
-    # for a seed that reaches T, one frozen at tau = 0, one that a tiny
-    # branch-jump bound ends early, and one whose residual equals
-    # PROJECT_TOL at the first step the re-projection would move
-    def run(psi0):
-        sw = sweep_extremals([seed(psi0, P)], 7.0, P, comps=range(5), sample_dt=1e-3)
-        nodes = [blk[k].tobytes() for blk in sw.blocks for k in ("t0", "h", "t1", "nodes")]
-        return nodes, sw.counts, sw.fail_tau.tobytes(), sw.fail_reason, sw
+    # a one-seed sweep runs dp45, the field and the theta re-projection on
+    # Python floats; the same seed twice runs their array forms in one group
+    # whose error norm is the seed's own, so each copy must have the nodes,
+    # steps, failures and work (per column) of the one-seed sweep: for a seed
+    # that reaches T, one frozen at tau = 0, one that a tiny branch-jump bound
+    # ends early, and one whose residual equals PROJECT_TOL at the first step
+    # the re-projection would move
+    def run(psi0, copies):
+        sw = sweep_extremals([seed(psi0, P)] * copies, 7.0, P, comps=range(5), sample_dt=1e-3)
+        (blk,) = sw.blocks
+        return blk, sw.counts, sw.fail_tau, sw.fail_reason
 
     for psi0, jump, at_tol, reason in [
         (1.0, None, False, None),
@@ -486,15 +500,20 @@ def test_one_seed_sweep_is_bit_equal_to_the_array_path(monkeypatch):
             if jump:
                 mp.setattr(extremals, "MAX_BRANCH_JUMP", jump)
             if at_tol:  # dH/dtheta before the re-projection (rows 0-3 and 10) at each step's end
-                node = run(psi0)[4].blocks[0]["nodes"][:, 0, 1:]
+                node = run(psi0, 1)[0]["nodes"][:, 0, 1:]
                 th = np.mod(node[10] + np.pi, 2.0 * np.pi) - np.pi
                 res = np.abs(_stationarity(*node[:4], th, P.ratio)[0])
                 mp.setattr(extremals, "PROJECT_TOL", res[np.argmax(res > extremals.PROJECT_TOL)])
-            want = run(psi0)[:4]
-            assert want[3] == [reason]
-            mp.setattr(extremals, "_extremal_rhs", reference.extremal_rhs)
-            mp.setattr(extremals, "_reproject", reference.reproject)
-            assert run(psi0)[:4] == want, (psi0, jump, at_tol)
+            one, counts, fail_tau, fail_reason = run(psi0, 1)
+            assert fail_reason == [reason]
+            two, counts2, fail_tau2, fail_reason2 = run(psi0, 2)
+            case = (psi0, jump, at_tol)
+            for k in ("t0", "h", "t1"):
+                assert one[k].tobytes() == two[k].tobytes(), case
+            for c in (0, 1):
+                assert one["nodes"][:, 0].tobytes() == two["nodes"][:, c].tobytes(), case
+            assert counts2 == {**counts, "rhs_columns": 2 * counts["rhs_columns"]}, case
+            assert fail_tau2.tobytes() == np.repeat(fail_tau, 2).tobytes() and fail_reason2 == [reason] * 2
 
 
 def test_sweep_keeps_step_nodes_not_samples():

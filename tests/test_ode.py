@@ -250,3 +250,105 @@ def test_integrate_blow_up_raises_with_time():
 
     with pytest.raises(IntegrationError, match=r"step collapse at t=0\.99999999"):
         integrate(log_rhs, np.array([0.0]), 2.0)
+
+
+def one_column_run(rhs, y0, T, tol=1e-10, copies=1, dead=0):
+    """dp45 from the state y0 (d values) under rhs(t, y), an array field of
+    (d, n) states: on one column (copies = 1, dead = 0), the Python-float
+    loop, where rhs gets and returns lists, or in one group of that many
+    live copies of y0 and columns not live from the start, the array loop.
+    Returns the accepted steps (t0, h, t1 and the bytes of the first
+    column's y1 and f1), the drops (columns, t, reason) and the counts."""
+    n = copies + dead
+    y = np.repeat(np.asarray(y0, dtype=float)[:, None], n, axis=1)
+    live = np.arange(n) < copies
+    steps, drops = [], []
+
+    def accept(groups, cols, stepped, ya, fa, yb, fb):
+        ends = (np.array(yb), np.array(fb)) if n == 1 else (yb[:, 0], fb[:, 0])
+        steps.append((*stepped[0], *(e.tobytes() for e in ends)))
+        return fb
+
+    def drop(cols, t, reason):
+        live[cols] = False
+        drops.append((cols.tolist(), t, reason))
+
+    def floats(t, y):
+        assert type(t) is float and [type(v) for v in y] == [float] * len(y)
+        return rhs(t, np.array(y)[:, None])[:, 0].tolist()
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        counts = dp45(floats if n == 1 else rhs, y, T, tol, [0, n], live, accept, drop)
+    return steps, drops, counts
+
+
+@pytest.mark.parametrize(
+    "rhs, y0, T, tol, dropped, rejects",
+    [
+        (lambda t, y: -y, [1.0], 2.0, 1e-10, None, False),
+        (lambda t, y: np.array([y[1], -100.0 * y[0]]), [1.0, 0.0], 3.0, 1e-6, None, True),
+        (lambda t, y: -y, [1.0], 4e-4, 1e-10, None, False),
+        (lambda t, y: -0.5 / np.sqrt(y), [1.0], 2.0, 1e-8, "non-finite step", True),
+    ],
+    ids=["decay", "oscillator-with-rejections", "T-below-first-step", "blow-up"],
+)
+def test_one_column_run_is_bit_equal_to_two_copies(rhs, y0, T, tol, dropped, rejects):
+    # two copies of a column in one group have the column's own error norm,
+    # so the array loop must take the float loop's steps to the bit; the
+    # square root's slope blows up where y reaches 0 and the step past it is NaN
+    steps, drops, counts = one_column_run(rhs, y0, T, tol)
+    steps2, drops2, counts2 = one_column_run(rhs, y0, T, tol, copies=2)
+    assert steps2 == steps and len(steps) > 0
+    assert counts2 == {**counts, "rhs_columns": 2 * counts["rhs_columns"]}
+    if dropped is None:
+        assert drops == drops2 == [] and steps[-1][2] == T
+    else:
+        ((cols, t, reason),) = drops
+        assert cols == [0] and reason == dropped and drops2 == [([0, 1], t, reason)]
+    assert (counts["rejected"] > 0) == rejects
+    if T < 1e-3:
+        assert [s[:3] for s in steps] == [(0.0, T, T)]
+
+
+def test_one_column_step_collapse_is_bit_equal_to_a_dead_partner():
+    # a collapse drops only the group's worst column, so a live copy would
+    # go on; a partner column that is not live leaves the group the norm and
+    # the worst column of the live one: y' = y^2 blows up at t = 1
+    run = one_column_run(lambda t, y: y * y, [1.0], 2.0)
+    steps, drops, counts = run
+    assert one_column_run(lambda t, y: y * y, [1.0], 2.0, dead=1)[:2] == run[:2]
+    ((cols, t, reason),) = drops
+    assert cols == [0] and reason == "step collapse" and abs(t - 1.0) < 1e-9
+    # the retry after the drop is an rhs call of the column
+    assert counts["rhs_columns"] == 1 + 6 * counts["iterations"] + 1
+
+
+def test_one_column_step_budget(monkeypatch):
+    # the float loop raises at the attempt after MAX_STEPS accepted steps,
+    # at the time the array loop reports
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    messages = []
+    for dead in (0, 1):
+        with pytest.raises(IntegrationError, match="step budget exceeded") as err:
+            one_column_run(lambda t, y: -y, [1.0], 1.0, dead=dead)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_one_column_error_norm_is_the_array_norm():
+    # the float norm of a one-column run against the array loop's, row
+    # values from 0 to overflow, with NaN and inf in each of y, y1 and err
+    rng = np.random.default_rng(3)
+    cols = list(rng.uniform(-1.0, 1.0, (200, 3, 5)) * 10.0 ** rng.integers(-300, 300, (200, 3, 5)))
+    for k in range(3):
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+            col = rng.uniform(-1.0, 1.0, (3, 5))
+            col[k, rng.integers(5)] = bad
+            cols.append(col)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tol in (1e-10, 1e-6):
+            wide = ode._error_norms(*np.stack(cols, axis=-1), tol)
+            one = [ode._error_norm_floats(*c.tolist(), tol) for c in cols]
+            assert [type(v) for v in one] == [float] * len(cols)
+            assert np.array(one).tobytes() == wide.tobytes()
+            assert np.isnan(wide).sum() == 3  # a NaN in y, y1 or err
