@@ -480,15 +480,6 @@ def sample_times(T: float, sample_dt) -> np.ndarray:
     return np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
 
 
-def _as_seeds(seeds, params):
-    """A list of ExtremalSeed objects kept, or one of bare psi0 angles
-    seeded in one batch."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return seeds if isinstance(seeds[0], ExtremalSeed) else seed_batch(seeds, params)
-
-
 def sweep_extremals(
     seeds,
     T: float,
@@ -500,7 +491,7 @@ def sweep_extremals(
 ) -> ExtremalSweep:
     """Integrate a family of extremals, each block of seeds on its own adaptive grid.
 
-    seeds are ExtremalSeed objects or all bare psi0 angles.  Each run of
+    seeds is a non-empty list of ExtremalSeed objects.  Each run of
     SWEEP_BLOCK consecutive seeds is a block, one group of a single
     :func:`ode.dp45` run at tolerance tol that steps them in lockstep.
     The result keeps their step nodes, only the rows of the components
@@ -520,7 +511,8 @@ def sweep_extremals(
     keep = _kept_rows(comps)
     # the kept rows of each of y1, f0, theta's y1 before the re-projection and f1
     pick = [keep[(keep >= a) & (keep < b)] - a for a, b in ((0, 5), (5, 10), (10, 11), (11, 16))]
-    seeds = _as_seeds(seeds, params)
+    if not seeds:
+        raise ValueError("need at least one seed")
     n = len(seeds)
 
     g = params.ratio
@@ -586,11 +578,10 @@ def sweep_extremals_parallel(
     contiguous chunk of whole SWEEP_BLOCK blocks, merged in order.  A
     block's steps do not depend on its chunk, so the result is the same
     for any n_threads.  options (comps, tol, sample_dt) go to sweep_extremals."""
-    seeds = _as_seeds(seeds, params)
     n_blocks = -(-len(seeds) // SWEEP_BLOCK)
     k = min(max(1, n_threads), n_blocks)
     sweep = functools.partial(sweep_extremals, T=T, params=params, **options)
-    if k == 1:  # on this thread, whose memory the caller then reuses
+    if k <= 1:  # on this thread, whose memory the caller then reuses (k = 0: no seeds, refused there)
         return sweep(seeds)
     from concurrent.futures import ThreadPoolExecutor
     cuts = [SWEEP_BLOCK * (n_blocks * i // k) for i in range(k + 1)]

@@ -97,8 +97,9 @@ class RankCertificate:
     point: np.ndarray
 
 
-def rank_certificate(r, params: SystemParams, fields: dict | None = None) -> RankCertificate:
-    """Certify the rank of the bracket distribution of (f0, f1) at ``r``.
+def rank_certificate(r, params: SystemParams, fields: dict) -> RankCertificate:
+    """Certify the rank of the bracket distribution of (f0, f1) at ``r``,
+    given the canonical_fields of params.
 
     Tries the standard witness triples first; when all of them degenerate
     (e.g. on the rx-axis) falls back to the numeric span of the whole
@@ -109,7 +110,6 @@ def rank_certificate(r, params: SystemParams, fields: dict | None = None) -> Ran
     if params.gamma <= 0:
         raise ValueError("rank certificates require gamma > 0")
     r = np.asarray(r, dtype=float)
-    fields = fields or canonical_fields(params)
     for names in WITNESS_TRIPLES:
         det = det_triple(fields, names, r)
         if abs(det) > DET_TOL:

@@ -63,7 +63,8 @@ class Trajectory:
 
 def hermite(s, h, y0, f0, y1, f1):
     """Cubic Hermite interpolant at fraction s of a step of length h."""
-    s2, s3 = s * s, s ** 3
+    s2 = s * s
+    s3 = s2 * s  # not s ** 3: numpy's power loop rounds by the CPU's SIMD level
     return (
         (2 * s3 - 3 * s2 + 1) * y0
         + (s3 - 2 * s2 + s) * h * f0

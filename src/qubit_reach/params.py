@@ -23,9 +23,9 @@ class SystemParams:
         Cached dimensionless gamma/omega.
     """
 
-    omega: float = 1.0
-    kappa: float = 0.5
-    gamma: float = 0.0
+    omega: float
+    kappa: float
+    gamma: float
     ratio: float = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ READ_COLS = 256  # sample columns per read of the paths: amortises the reader's 
 # reader's and the bound's Hermite sums, and of chord points
 GAP_SLACK = 1e-12
 NO_PASSAGE = np.iinfo(np.int64).max  # key of a cell no path enters
-SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 BARRIER_PHI_GRID = 2048  # edge samples of the barrier-certificate grid check
 BARRIER_THETA_GRID = 720  # control angles of the barrier-certificate grid check
 BARRIER_CHUNK = 64  # edge samples per evaluation: bounds the (chunk, theta) temporaries
@@ -184,31 +184,21 @@ class SpiralRegion:
     s in [0, pi/2] and the four sign choices (s1, s2); they join the
     poles (0, +-1) to the points (+-e^{-g pi/4}, 0) on the z axis.  In
     polar form each arc is rho(a) = e^{-g a/2} with a the angular
-    distance to the nearest pole, which gives an exact ray test for
-    membership.  The region contains the origin-centred disc of radius
-    1 - (pi/4) g.
+    distance to the nearest pole.  The region contains the origin-centred
+    disc of radius 1 - (pi/4) g.
     """
 
     gamma_ratio: float
 
     def arcs(self, n: int) -> list[np.ndarray]:
         s = np.linspace(0.0, 0.5 * np.pi, n)
-        rad = np.exp(-0.5 * self.gamma_ratio * s)
+        # math.exp, not np.exp: numpy's exp loop rounds by the CPU's SIMD level
+        rad = np.array([math.exp(v) for v in (-0.5 * self.gamma_ratio * s).tolist()])
         out = []
         for sz in (1.0, -1.0):
             for sr in (1.0, -1.0):
                 out.append(np.column_stack([sz * rad * np.sin(s), sr * rad * np.cos(s)]))
         return out
-
-    def contains(self, z, R):
-        """Vectorized membership test of meridian points (z, R)."""
-        z = np.asarray(z, dtype=float)
-        R = np.asarray(R, dtype=float)
-        rho = np.hypot(z, R)
-        safe_rho = np.where(rho > 0.0, rho, 1.0)
-        a = np.arccos(np.clip(np.abs(R) / safe_rho, -1.0, 1.0))
-        bound = np.exp(-0.5 * self.gamma_ratio * a)
-        return (rho <= SPIRAL_TOL) | (rho <= bound + SPIRAL_TOL)
 
 
 def spiral_region(params: SystemParams) -> SpiralRegion:
@@ -267,14 +257,6 @@ class BarrierTriangle:
             return self.phi0, self.phi0 + self.beta
         return self.phi0 - self.beta, self.phi0
 
-    def contains(self, rho, phi):
-        rho = np.asarray(rho, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        lower = np.where(
-            phi >= self.phi0, self.edge_rho("plus", phi), self.edge_rho("minus", phi)
-        )
-        return (np.abs(phi - self.phi0) <= self.beta) & (rho <= 1.0) & (rho >= lower)
-
 
 def _edge_sign(edge: str) -> float:
     if edge not in ("plus", "minus"):
@@ -282,18 +264,14 @@ def _edge_sign(edge: str) -> float:
     return 1.0 if edge == "plus" else -1.0
 
 
-def barrier_values(
-    tri: BarrierTriangle, edge: str, phi, theta, params: SystemParams, rho=None
-):
+def barrier_values(tri: BarrierTriangle, edge: str, phi, theta, params: SystemParams):
     """Outward-normal velocity component G on a non-vertical triangle edge.
 
     G_edge = <(rho', phi'), (-1, s alpha g)> in rescaled time, with the
-    polar velocity evaluated on the edge line (or at an explicit ``rho``,
-    e.g. the formal value at the middle of the vertical edge rho = 1).
-    Positive values mean the admissible velocity points out of the
-    triangle.  The two edge labels trade places under a clockwise angle
-    convention; the certified quantity min(G_plus, G_minus) does not
-    depend on the labelling.
+    polar velocity evaluated on the edge line.  Positive values mean the
+    admissible velocity points out of the triangle.  The two edge labels
+    trade places under a clockwise angle convention; the certified
+    quantity min(G_plus, G_minus) does not depend on the labelling.
     """
     phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -301,7 +279,7 @@ def barrier_values(
     if np.any(phi < lo - 1e-12) or np.any(phi > hi + 1e-12):
         raise ValueError(f"phi outside the {edge} edge range [{lo}, {hi}]")
     s = _edge_sign(edge)
-    rho = tri.edge_rho(edge, phi) if rho is None else np.asarray(rho, dtype=float)
+    rho = tri.edge_rho(edge, phi)
     if np.any(rho <= RHO_MIN):
         raise SingularityError(f"polar system is singular at rho={np.min(rho)} <= {RHO_MIN}")
     g = params.ratio
@@ -401,8 +379,8 @@ class ReachSweep:
         self,
         params: SystemParams,
         T_max: float,
-        n_seeds: int = 1024,
-        raster: int = 512,
+        n_seeds: int,
+        raster: int,
         n_threads: int = 1,
     ):
         if n_seeds < MIN_SEEDS:
@@ -461,7 +439,7 @@ class ReachSweep:
                 break
             budget -= len(new_psis)
             self.refine_rounds += 1
-            rows = run(new_psis)  # the sweep seeds the bare angles
+            rows = run(extremals.seed_batch(new_psis, params))
             # at most one new seed per pair: only the pairs on either side
             # of a new seed change, and only their gaps are computed
             at = np.searchsorted(psi_sorted, psis[rows])

@@ -23,13 +23,13 @@ _E_Z = np.array([0.0, 0.0, 1.0])
 
 @dataclass
 class ControlSchedule:
-    """Piecewise-constant (u, n) on a strictly increasing time grid; T
-    defaults to the last breakpoint."""
+    """Piecewise-constant (u, n) on a strictly increasing time grid, held
+    until the final time T."""
 
     times: np.ndarray
     u: np.ndarray
     n: np.ndarray
-    T: float | None = None
+    T: float
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -39,8 +39,6 @@ class ControlSchedule:
             raise ValueError("schedule needs at least one breakpoint")
         if len(self.u) != len(self.times) or len(self.n) != len(self.times):
             raise ValueError("times, u and n must have equal length")
-        if self.T is None:
-            self.T = float(self.times[-1])
         if not all(np.all(np.isfinite(a)) for a in (self.times, self.u, self.n, self.T)):
             raise ValueError("schedule times, u, n and T must be finite")
         if self.times[0] != 0.0:
@@ -60,21 +58,21 @@ class ControlSchedule:
         cls,
         path,
         params: SystemParams,
-        scaled: bool = False,
-        duration: float | None = None,
-        u_max: float | None = None,
+        scaled: bool,
+        duration: float,
+        u_max: float | None,
     ) -> "ControlSchedule":
-        """Read a t,u,n schedule; header row is required, and every other
-        non-blank row holds exactly three numbers.
+        """Read a t,u,n schedule held until duration: the header row is
+        exactly t,u,n, and every other non-blank row holds exactly three numbers.
 
-        The ingestion cap on |u| defaults to params.u_max_default; pass
+        The ingestion cap on |u| is params.u_max_default for u_max=None; pass
         u_max=np.inf to disable it.
         """
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:3]] != ["t", "u", "n"]:
+            if header is None or [h.strip().lower() for h in header] != ["t", "u", "n"]:
                 raise ValueError(f"{path}: expected header 't,u,n'")
             for row in reader:
                 if not row or not "".join(row).strip():

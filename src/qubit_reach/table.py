@@ -99,9 +99,9 @@ class LookupTable:
 
 def build_table(
     params: SystemParams,
-    n_seeds: int = 4096,
-    T_max_scaled: float = 10.0,
-    grid_resolution: int = 256,
+    n_seeds: int,
+    T_max_scaled: float,
+    grid_resolution: int,
     n_threads: int = 1,
 ) -> LookupTable:
     """Sweep extremals and record the first passage through every cell.

@@ -15,7 +15,9 @@ width.  ``extremal_flow`` and
 from four transcendentals (sin th, cos th, cos 2th and sin 3th), and
 ``dense_seed_scan`` is the seeding scan that evaluates every grid point.
 ``expm`` is the general Pade-13 exponential with LAPACK solves that
-ode.expm replaced for affine generators.
+ode.expm replaced for affine generators.  ``spiral_contains`` and
+``triangle_contains`` are the point-membership tests of a
+reachset.SpiralRegion and a reachset.BarrierTriangle.
 Test modules of this directory load it with ``import reference``.
 """
 
@@ -40,6 +42,7 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 HERM_TOL = 1e-9  # largest |rho - rho^H| entry a density matrix may carry
+SPIRAL_TOL = 1e-12  # slack of the spiral-region membership test
 
 
 def bloch_rhs(r, u: float, n: float, params: SystemParams) -> np.ndarray:
@@ -250,3 +253,23 @@ def expm(a) -> np.ndarray:
         sq = s > k
         r[sq] = r[sq] @ r[sq]
     return r
+
+
+def spiral_contains(region, z, R):
+    """Membership of meridian points (z, R) in a reachset.SpiralRegion: the
+    ray test rho <= e^{-g a/2}, a the angular distance to the nearest pole."""
+    z = np.asarray(z, dtype=float)
+    R = np.asarray(R, dtype=float)
+    rho = np.hypot(z, R)
+    safe_rho = np.where(rho > 0.0, rho, 1.0)
+    a = np.arccos(np.clip(np.abs(R) / safe_rho, -1.0, 1.0))
+    bound = np.exp(-0.5 * region.gamma_ratio * a)
+    return (rho <= SPIRAL_TOL) | (rho <= bound + SPIRAL_TOL)
+
+
+def triangle_contains(tri, rho, phi):
+    """Membership of polar points (rho, phi) in a reachset.BarrierTriangle."""
+    rho = np.asarray(rho, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    lower = np.where(phi >= tri.phi0, tri.edge_rho("plus", phi), tri.edge_rho("minus", phi))
+    return (np.abs(phi - tri.phi0) <= tri.beta) & (rho <= 1.0) & (rho >= lower)

@@ -59,15 +59,15 @@ def random_ball_points(rng, n, radius=1.0):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SystemParams(omega=0.0)
+        SystemParams(omega=0.0, kappa=0.5, gamma=0.0)
     with pytest.raises(ValueError):
-        SystemParams(kappa=-1.0)
+        SystemParams(omega=1.0, kappa=-1.0, gamma=0.0)
     with pytest.raises(ValueError):
-        SystemParams(gamma=-0.1)
+        SystemParams(omega=1.0, kappa=0.5, gamma=-0.1)
     for name in ("omega", "kappa", "gamma"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
-                SystemParams(**{name: bad})
+                SystemParams(**{"omega": 1.0, "kappa": 0.5, "gamma": 0.0, name: bad})
     p = SystemParams(omega=2.0, kappa=1.0, gamma=0.5)
     assert p.ratio == 0.5 / 2.0
 

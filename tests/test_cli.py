@@ -407,6 +407,15 @@ def test_simulate_schedule_errors(tmp_path, capsys):
     )
     assert code == 1
     assert "header" in err
+    # the header is exactly t,u,n: a fourth column is not read past
+    for body in ("t,u,n,extra\n0,0.5,0\n1,0,0\n", "t,u,n,\n0,0.5,0\n1,0,0\n"):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(body)
+        code, out, err = run(
+            capsys, "simulate", "--gamma-ratio", "0.1", "--schedule", str(wide), "--T", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {wide}: expected header 't,u,n'\n"
     good = tmp_path / "zero.csv"
     good.write_text("t,u,n\n0,0,0\n")
     for r0, msg in (("nan,0,1", "finite"), ("2,0,0", "|r| <= 1"), ("a,b,c", "invalid")):

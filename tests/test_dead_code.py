@@ -1,12 +1,14 @@
-"""Every top-level name of ``src/`` is used in ``src/``.
+"""Every top-level name and every class member of ``src/`` is used in ``src/``.
 
 A top-level function, class or constant of a module of the package
 (``__init__.py`` aside, whose exports are not uses) must be read somewhere
 in the package outside its own definition: as a name, as the attribute
 of a module, or imported by another module (``import ... as`` included).
-A name that only tests call belongs in ``tests/reference.py``.  A name
-kept on purpose without a caller in ``src/`` is listed in EXEMPT with its
-reason.
+A method, property or annotated field of a top-level class (dunders aside)
+must be read as an attribute somewhere in the package outside its own
+definition; being assigned is not being read.  What only tests call
+belongs in ``tests/reference.py``.  A name or member kept on purpose
+without a reader in ``src/`` is listed in EXEMPT with its reason.
 """
 
 import ast
@@ -17,6 +19,9 @@ EXEMPT = {
     # the closed-loop replay of acceptance criterion 8 and of the benchmark's
     # replay workload; no subcommand runs it
     "extremals.replay_extremal",
+    # the benchmark's tracer reads it to size a sweep's output; only a change
+    # to the benchmark may drop it
+    "extremals.ExtremalSweep.data",
 }
 
 
@@ -61,6 +66,51 @@ def unused_names(modules: dict) -> list:
     return unused
 
 
+def members(tree: ast.Module):
+    """(Class.member, member, first line, last line) of each method, property
+    and annotated field of each top-level class, dunders excluded."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{cls.name}.{name}", name, node.lineno, node.end_lineno
+
+
+def attribute_reads(tree: ast.Module):
+    """(name, line) of each attribute read, ``x.name`` in a load."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def unused_members(modules: dict) -> list:
+    """Module-qualified class members of ``modules`` (name -> source) that no
+    module reads as an attribute outside their own definition."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    read = {mod: list(attribute_reads(tree)) for mod, tree in trees.items()}
+    unused = []
+    for mod, tree in trees.items():
+        for qualname, name, first, last in members(tree):
+            if not any(
+                used == name and (other != mod or not first <= line <= last)
+                for other, names in read.items()
+                for used, line in names
+            ):
+                unused.append(f"{mod}.{qualname}")
+    return unused
+
+
+def src_modules() -> dict:
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
 def test_finder_sees_each_kind_of_use():
     modules = {
         "a": "X = 1\nY, Z = 2, 3\n\ndef f():\n    return f()\n\nclass C:\n    pass\n",
@@ -70,8 +120,31 @@ def test_finder_sees_each_kind_of_use():
     assert unused_names(modules) == ["a.Y", "a.f", "b.g"]
 
 
+def test_member_finder_sees_each_kind_of_use():
+    modules = {
+        "a": (
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\nclass C:\n    x: int\n    y: int\n\n"
+            "    def __post_init__(self):\n        self.y = self.x\n\n"
+            "    def f(self):\n        return self.f()\n\n"
+            "    @property\n    def p(self):\n        return 1\n\n"
+            "    def g(self):\n        return 2\n"
+        ),
+        "b": "def h(c):\n    return c.p + c.g()\n",
+    }
+    # x is read in __post_init__, p and g in b; f reads only itself, y is
+    # only assigned, and __post_init__ is a dunder
+    assert unused_members(modules) == ["a.C.y", "a.C.f"]
+
+
 def test_every_top_level_name_is_used_in_src():
-    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    assert sorted(set(unused_names(modules)) - EXEMPT) == []
+    unused = set(unused_names(src_modules()))
+    assert sorted(unused - EXEMPT) == []
     # an exemption that gained a caller is no longer one
-    assert EXEMPT <= set(unused_names(modules))
+    assert {name for name in EXEMPT if name.count(".") == 1} <= unused
+
+
+def test_every_class_member_is_read_in_src():
+    unused = set(unused_members(src_modules()))
+    assert sorted(unused - EXEMPT) == []
+    assert {name for name in EXEMPT if name.count(".") == 2} <= unused

@@ -545,9 +545,10 @@ def test_sweep_rejects_bad_tol(tol):
         (lambda: sweep_extremals([], 1.0, P, comps=(0, 1)), "at least one seed"),
         (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=(0, 5)), "components 0 to 4"),
         (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=()), "components 0 to 4"),
+        (lambda: sweep_extremals_parallel([], 1.0, P, n_threads=2, comps=(0, 1)), "at least one seed"),
     ],
     ids=["hamiltonian-trailing-axis", "sweep-without-seeds", "sweep-comps-past-theta",
-         "sweep-without-comps"],
+         "sweep-without-comps", "parallel-sweep-without-seeds"],
 )
 def test_extremal_refusals(call, msg):
     with pytest.raises(ValueError, match=msg):

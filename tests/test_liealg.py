@@ -127,16 +127,17 @@ def test_axis_determinants():
 
 
 def test_rank_certificate_generic_and_axis():
-    cert = rank_certificate(np.array([0.2, 0.3, -0.4]), P)
+    cert = rank_certificate(np.array([0.2, 0.3, -0.4]), P, canonical_fields(P))
     assert cert.rank == 3 and cert.witness == ("f1", "f3", "f5")
-    axis = rank_certificate(np.array([0.5, 0.0, 0.0]), P)
+    axis = rank_certificate(np.array([0.5, 0.0, 0.0]), P, canonical_fields(P))
     assert axis.rank == 3
     assert abs(axis.determinant) > 1e-12
 
 
 def test_rank_certificate_rejects_closed_system():
     with pytest.raises(ValueError):
-        rank_certificate(np.zeros(3), SystemParams.from_ratio(0.0))
+        closed = SystemParams.from_ratio(0.0)
+        rank_certificate(np.zeros(3), closed, canonical_fields(closed))
 
 
 def test_rank_grid_small():

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from qubit_reach import SystemParams, extremals, integrate_extremal, reachset, seed
-from qubit_reach.bloch import SingularityError
+from qubit_reach.bloch import SingularityError, polar_rhs_scaled
 from qubit_reach.extremals import sample_times
 from qubit_reach.reachset import (
     BIN_BLOCK,
@@ -27,6 +27,7 @@ from qubit_reach.reachset import (
     revolve_to_3d,
     spiral_region,
 )
+from reference import spiral_contains, triangle_contains
 
 P = SystemParams.from_ratio(0.1)
 G = P.ratio
@@ -37,13 +38,13 @@ G = P.ratio
 
 def test_spiral_region_membership_basics():
     reg = spiral_region(P)
-    assert reg.contains(0.0, 0.0)
-    assert reg.contains(0.0, 1.0 - 1e-9)
-    assert reg.contains(0.0, -1.0 + 1e-9)
+    assert spiral_contains(reg, 0.0, 0.0)
+    assert spiral_contains(reg, 0.0, 1.0 - 1e-9)
+    assert spiral_contains(reg, 0.0, -1.0 + 1e-9)
     # just outside the z-axis waist
     waist = np.exp(-G * np.pi / 4)
-    assert reg.contains(waist - 1e-6, 0.0)
-    assert not reg.contains(waist + 1e-3, 0.0)
+    assert spiral_contains(reg, waist - 1e-6, 0.0)
+    assert not spiral_contains(reg, waist + 1e-3, 0.0)
 
 
 def test_spiral_arcs_endpoints():
@@ -65,7 +66,7 @@ def test_spiral_region_contains_guaranteed_ball():
     ax = np.linspace(-1, 1, n)
     Z, R = np.meshgrid(ax, ax, indexing="ij")
     disc = np.hypot(Z, R) <= radius
-    assert np.all(reg.contains(Z[disc], R[disc]))
+    assert np.all(spiral_contains(reg, Z[disc], R[disc]))
 
 
 def test_guaranteed_ball_radius_values():
@@ -95,10 +96,17 @@ def test_barrier_triangle_geometry():
     npt.assert_allclose(tri.edge_rho("plus", 0.2 + 1e-2), 1.0)
     npt.assert_allclose(tri.edge_rho("minus", 0.2 - 1e-2), 1.0)
     npt.assert_allclose(tri.edge_rho("plus", 0.2), 1 - 0.4 * 1e-2 * G)
-    assert tri.contains(1.0 - 1e-9, 0.2)
-    assert not tri.contains(1.0 - 1e-3, 0.2)
+    assert triangle_contains(tri, 1.0 - 1e-9, 0.2)
+    assert not triangle_contains(tri, 1.0 - 1e-3, 0.2)
     with pytest.raises(ValueError):
         BarrierTriangle(0.0, -0.1, 1e-2, G)
+
+
+def formal_barrier_value(tri, s, phi, theta):
+    """barrier_values' G for the edge of sign s, with the polar velocity taken
+    at rho = 1 (the middle of the vertical edge), not on the edge line."""
+    rho_dot, phi_dot = polar_rhs_scaled(1.0, phi, theta, G)
+    return -rho_dot + s * tri.alpha * G * phi_dot
 
 
 def test_barrier_values_formal_closed_form():
@@ -112,16 +120,14 @@ def test_barrier_values_formal_closed_form():
         base = (1 - s0 * np.sin(th)) ** 2
         slope = alpha * (2 * np.cos(th) + G * c0 * np.sin(th) * (2 - s0 * np.sin(th)))
         expected = sorted([0.5 * G * (base - slope), 0.5 * G * (base + slope)])
-        got = sorted(
-            float(barrier_values(tri, e, phi0, th, P, rho=1.0)) for e in ("plus", "minus")
-        )
+        got = sorted(float(formal_barrier_value(tri, s, phi0, th)) for s in (1.0, -1.0))
         npt.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_barrier_values_alpha_zero_limit():
     tri = BarrierTriangle(0.0, 1e-12, 1e-3, G)
     for th in np.linspace(0, 2 * np.pi, 13):
-        val = float(barrier_values(tri, "plus", 0.0, th, P, rho=1.0))
+        val = float(formal_barrier_value(tri, 1.0, 0.0, th))
         npt.assert_allclose(val, 0.5 * G, atol=1e-11)
 
 
@@ -131,15 +137,16 @@ def test_barrier_values_lower_bound():
         tri = BarrierTriangle(phi0, 1e-12, 1e-3, G)
         bound = 0.5 * G * (1 - abs(np.sin(phi0))) ** 2
         for th in np.linspace(0, 2 * np.pi, 37):
-            assert float(barrier_values(tri, "plus", phi0, th, P, rho=1.0)) >= bound - 1e-12
+            assert float(formal_barrier_value(tri, 1.0, phi0, th)) >= bound - 1e-12
 
 
 def test_barrier_values_edge_range_check():
     tri = BarrierTriangle(0.0, 0.1, 1e-3, G)
     with pytest.raises(ValueError):
         barrier_values(tri, "plus", -0.5e-3, 0.0, P)
+    # alpha beta g = 1: the apex phi = phi0 of the plus edge sits at rho = 0
     with pytest.raises(SingularityError, match="singular at rho=0.0"):
-        barrier_values(tri, "plus", 0.5e-3, 0.0, P, rho=0.0)
+        barrier_values(BarrierTriangle(0.0, 10.0, 1.0, G), "plus", 0.0, 0.0, P)
 
 
 def test_barrier_certificate_brackets_alpha_bound():
@@ -249,10 +256,10 @@ def test_reachable_set_object(small_sweep):
 
 def test_sweep_input_validation():
     with pytest.raises(ValueError):
-        ReachSweep(P, 1.0, n_seeds=32)
+        ReachSweep(P, 1.0, n_seeds=32, raster=512)
     with pytest.raises(ValueError):
-        ReachSweep(P, -1.0)
-    swept = ReachSweep(P, 1.0, n_seeds=64)
+        ReachSweep(P, -1.0, n_seeds=1024, raster=512)
+    swept = ReachSweep(P, 1.0, n_seeds=64, raster=512)
     for T in (2.0, np.nan):  # beyond T_max, and a horizon NaN that compares False
         with pytest.raises(ValueError, match="asked for T="):
             swept.occupancy(T)
@@ -260,7 +267,7 @@ def test_sweep_input_validation():
             swept.reachable_set(T)
     for T in (np.nan, np.inf):
         with pytest.raises(ValueError, match="T must be finite and positive"):
-            ReachSweep(P, T)
+            ReachSweep(P, T, n_seeds=1024, raster=512)
     with pytest.raises(ValueError, match="raster needs at least 1 cell"):
         ReachSweep(P, 1.0, n_seeds=64, raster=0)
     for dt in (0.0, -0.1, np.nan, np.inf):
@@ -504,7 +511,7 @@ def gap_family():
         failing = extremals.sweep_extremals(seeds, 7.0, P, comps=range(5), sample_dt=7 / 512)
     others = 2.0 * np.pi * (np.arange(40) + 0.25) / 40
     parts = [failing] + [extremals.sweep_extremals(s, 7.0, P, comps=range(5), sample_dt=7 / 512)
-                         for s in (list(others), [seed(np.pi / 2, P)])]
+                         for s in (extremals.seed_batch(others, P), [seed(np.pi / 2, P)])]
     return extremals.merge_sweeps(parts)
 
 

@@ -12,14 +12,15 @@ P = SystemParams.from_ratio(0.1)
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        ControlSchedule([0.0, 0.0], [0, 0], [0, 0])
+        ControlSchedule([0.0, 0.0], [0, 0], [0, 0], T=1.0)
     with pytest.raises(ValueError):
-        ControlSchedule([0.5, 1.0], [0, 0], [0, 0])
+        ControlSchedule([0.5, 1.0], [0, 0], [0, 0], T=1.0)
     with pytest.raises(ValueError):
-        ControlSchedule([0.0, 1.0], [0, 0], [0, -1])
+        ControlSchedule([0.0, 1.0], [0, 0], [0, -1], T=1.0)
     with pytest.raises(ValueError, match="positive"):
         ControlSchedule([0.0, 1.0], [0, 0], [0, 0], T=0.0)
-    assert ControlSchedule([0.0, 1.0], [2.0, -3.0], [0.0, 0.5]).T == 1.0
+    with pytest.raises(TypeError, match="T"):  # the final time has no default
+        ControlSchedule([0.0, 1.0], [2.0, -3.0], [0.0, 0.5])
 
 
 def test_simulate_holds_each_control_until_the_next_breakpoint():
@@ -34,7 +35,7 @@ def test_schedule_csv_round_trip(tmp_path):
     s = ControlSchedule([0.0, 0.25, 1.5], [1.0, -2.0, 0.5], [0.0, 0.1, 0.0], T=2.0)
     rows = zip(s.times.tolist(), s.u.tolist(), s.n.tolist())
     path.write_text("t,u,n\n" + "".join(f"{t!r},{u!r},{n!r}\n" for t, u, n in rows))
-    back = ControlSchedule.from_csv(path, params=P, duration=2.0)
+    back = ControlSchedule.from_csv(path, params=P, scaled=False, duration=2.0, u_max=None)
     npt.assert_array_equal(back.times, s.times)
     npt.assert_array_equal(back.u, s.u)
     npt.assert_array_equal(back.n, s.n)
@@ -44,32 +45,32 @@ def test_schedule_csv_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,0,0\n")
     with pytest.raises(ValueError, match="header"):
-        ControlSchedule.from_csv(path, params=P)
+        ControlSchedule.from_csv(path, params=P, scaled=False, duration=1.0, u_max=None)
 
 
 def test_schedule_scaled_times(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,u,n\n0,1,0\n2,0,0\n")
     p = SystemParams(omega=4.0, kappa=0.5, gamma=0.0)
-    s = ControlSchedule.from_csv(path, params=p, scaled=True)
+    s = ControlSchedule.from_csv(path, params=p, scaled=True, duration=1.0, u_max=None)
     npt.assert_allclose(s.times, [0.0, 0.5])
 
 
 def test_schedule_u_cap(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,u,n\n0,1e9,0\n")
-    s = ControlSchedule.from_csv(path, params=P, duration=1.0)
+    s = ControlSchedule.from_csv(path, params=P, scaled=False, duration=1.0, u_max=None)
     assert np.max(np.abs(s.u)) == P.u_max_default
     for cap in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="u_max"):
-            ControlSchedule.from_csv(path, params=P, duration=1.0, u_max=cap)
+            ControlSchedule.from_csv(path, params=P, scaled=False, duration=1.0, u_max=cap)
 
 
 @pytest.mark.parametrize(
     "call, msg",
     [
-        (lambda path: ControlSchedule([], [], []), "at least one breakpoint"),
-        (lambda path: ControlSchedule([0.0, 1.0], [0.0], [0.0, 0.0]), "equal length"),
+        (lambda path: ControlSchedule([], [], [], T=1.0), "at least one breakpoint"),
+        (lambda path: ControlSchedule([0.0, 1.0], [0.0], [0.0, 0.0], T=1.0), "equal length"),
         (lambda path: propagate([0, 0, 1], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], P),
          "one more entry"),
     ],

@@ -21,7 +21,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qubit_reach"
 # 28: the width of svg._path and the n_angles of revolve_to_3d, which only
 # tests left unset: figure passes both stroke widths, and the CLI and the
 # benchmark pass the revolution angles
-SETTABLE_VALUES = 28
+# 14: defaults that every caller outside the tests overrides, and an input
+# no src caller gives, are gone: ReachSweep's n_seeds and raster,
+# build_table's n_seeds, T_max_scaled and grid_resolution, the scaled, duration
+# and u_max of ControlSchedule.from_csv with ControlSchedule.T, the fields of
+# rank_certificate, SystemParams' omega, kappa and gamma, and barrier_values' rho
+SETTABLE_VALUES = 14
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -35,14 +35,14 @@ def table():
 
 def test_build_validation():
     with pytest.raises(ValueError):
-        build_table(P, n_seeds=100)
+        build_table(P, n_seeds=100, T_max_scaled=10.0, grid_resolution=256)
     with pytest.raises(ValueError):
-        build_table(P, n_seeds=256, grid_resolution=33)
+        build_table(P, n_seeds=256, T_max_scaled=10.0, grid_resolution=33)
     with pytest.raises(ValueError, match=f"<= {table_mod.MAX_GRID}"):
-        build_table(P, n_seeds=256, grid_resolution=table_mod.MAX_GRID + 2)
+        build_table(P, n_seeds=256, T_max_scaled=10.0, grid_resolution=table_mod.MAX_GRID + 2)
     for T in (np.nan, np.inf, 0.0):
         with pytest.raises(ValueError, match="T must be finite and positive"):
-            build_table(P, n_seeds=256, T_max_scaled=T)
+            build_table(P, n_seeds=256, T_max_scaled=T, grid_resolution=256)
 
 
 def test_start_cell_has_zero_time(table):
