@@ -471,13 +471,13 @@ def _kept_rows(comps) -> np.ndarray:
     return np.unique(_NODE_ROWS[list(comps)])
 
 
-def sample_times(T: float, sample_dt) -> np.ndarray:
-    """The sample grid of a sweep to T, spaced about sample_dt (T / 2048 if None)."""
-    dt = T / 2048.0 if sample_dt is None else sample_dt
-    for name, v in (("T", T), ("sample_dt", dt)):
+def sample_times(T: float, sample_dt: float) -> np.ndarray:
+    """The sample grid linspace(0, T, max(2, ceil(T / sample_dt) + 1)) of a
+    sweep to T; a T or sample_dt that is not finite and positive raises ValueError."""
+    for name, v in (("T", T), ("sample_dt", sample_dt)):
         if not (np.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and positive, got {name}={v}")
-    return np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
+    return np.linspace(0.0, T, max(2, int(np.ceil(T / sample_dt)) + 1))
 
 
 def sweep_extremals(
@@ -487,7 +487,7 @@ def sweep_extremals(
     *,
     comps,
     tol: float = 1e-10,
-    sample_dt: float | None = None,
+    sample_dt: float,
 ) -> ExtremalSweep:
     """Integrate a family of extremals, each block of seeds on its own adaptive grid.
 
@@ -535,7 +535,7 @@ def sweep_extremals(
             for c in cols:
                 fail_reason[c] = reason
 
-    def accept(groups, cols, steps, y0, f0, y1, f1):
+    def accept(groups, cols, steps, f0, y1, f1):
         # (5, len(cols)) arrays, or lists of five floats in a one-seed sweep
         t_end[groups] = [s[2] for s in steps]
         th1 = np.array(y1[4:]) if len(pick[2]) else None
@@ -604,9 +604,10 @@ def integrate_extremal(
     seedv: ExtremalSeed,
     T_scaled: float,
     params: SystemParams,
-    sample_dt: float | None = None,
+    sample_dt: float,
 ) -> Trajectory:
-    """Integrate one extremal and return a Trajectory of (z,R,p,q,theta).
+    """Integrate one extremal and return a Trajectory of (z,R,p,q,theta)
+    on the grid :func:`sample_times` (T_scaled, sample_dt).
 
     Stored samples are folded to R >= 0.  Failures of the theta dynamics
     (degenerate denominator, branch jump) raise IntegrationError with the

@@ -44,14 +44,6 @@ def bracket(f: AffineField, g: AffineField) -> AffineField:
     return AffineField(f.A @ g.A - g.A @ f.A, f.A @ g.b - g.A @ f.b)
 
 
-def ad_power(f: AffineField, g: AffineField, k: int) -> AffineField:
-    """(ad f)^k g = [f, [f, ... [f, g]]] with k brackets."""
-    out = g
-    for _ in range(k):
-        out = bracket(f, out)
-    return out
-
-
 def _affine_from_field(index: int, params: SystemParams) -> AffineField:
     # Recover (A, b) by evaluating the field at 0 and the basis points.
     b = field_f(index, np.zeros(3), params)
@@ -66,7 +58,7 @@ def canonical_fields(params: SystemParams) -> dict[str, AffineField]:
     f3 = bracket(f0, f1)
     f5 = bracket(f1, f3)
     return {"f0": f0, "f1": f1, "f2": f2, "f3": f3, "f4": bracket(f0, f3),
-            "f5": f5, "f6": bracket(f1, f5), "f7": ad_power(f1, f0, 4)}
+            "f5": f5, "f6": bracket(f1, f5), "f7": bracket(f1, bracket(f1, bracket(f1, bracket(f1, f0))))}
 
 
 def det_triple(fields, names, r) -> float:

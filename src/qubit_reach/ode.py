@@ -98,10 +98,11 @@ def expm(a) -> np.ndarray:
     """Exponentials of a stack of affine generators [[M, c], [0, 0]], shape (m, 4, 4).
 
     Other input, or input that is not finite, raises ValueError.  The Pade
-    degree is the least of 3, 5, 7 and 9 whose theta_m bounds the largest
-    1-norm of the stack; above theta_9 it is 13, each matrix halved s times,
-    its own s, to a 1-norm of at most theta_13 and the approximant squared
-    back.  With V - U = [[W, w], [0, b_0]] and V + U = [[X, x], [0, b_0]] the
+    degree m is the least of 3, 5, 7, 9 and 13 whose theta_m bounds the
+    largest 1-norm of the stack; at 13 each matrix is halved s times, its
+    own s, to a 1-norm of at most theta_13 and the approximant squared back.
+    U and V of every degree come from one loop over the even powers of a up
+    to a^(m - 1).  With V - U = [[W, w], [0, b_0]] and V + U = [[X, x], [0, b_0]] the
     quotient is [[W^-1 X, W^-1 (x - w)], [0, 1]], W^-1 from 3 x 3 adjugates
     over determinants of the whole stack, not a LAPACK call per matrix.  The
     last row stays exact through every squaring, and where c = 0, x - w is
@@ -117,17 +118,11 @@ def expm(a) -> np.ndarray:
     s = np.maximum(np.frexp(col.max(axis=-1) / _THETA[13])[1], 0) if m == 13 else np.zeros(1, int)
     a, b, eye = np.ldexp(a, -s[:, None, None]) if m == 13 else a, _PADE[m], np.eye(4)
     a2 = a @ a
-    if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    else:
-        u, v, p = b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2, a2
-        for k in range(2, m // 2 + 1):  # the even powers a^2k
-            p = p @ a2
-            u, v = u + b[2 * k + 1] * p, v + b[2 * k] * p
-        u = a @ u
+    u, v, p = b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2, a2
+    for k in range(2, m // 2 + 1):  # the even powers a^2k
+        p = p @ a2
+        u, v = u + b[2 * k + 1] * p, v + b[2 * k] * p
+    u = a @ u
     den, num = (v - u)[:, :3], (v + u)[:, :3]
     num[:, :, 3] -= den[:, :, 3]
     # adj[i, j] = W[j+1, i+1] W[j+2, i+2] - W[j+1, i+2] W[j+2, i+1], indices mod 3
@@ -242,7 +237,7 @@ def _dp45_column(rhs: Callable, y: np.ndarray, T: float, tol: float, live: np.nd
             f = rhs(t, y)
             evals += 1
         elif t1 is not None:
-            f = accept([0], col, [(t, h, t1)], y, f, y1, f1)
+            f = accept([0], col, [(t, h, t1)], f, y1, f1)
             y, t, steps = y1, t1, steps + 1
         h = h_next
     return dict(iterations=iterations, accepted=steps, rejected=iterations - steps, rhs_columns=evals)
@@ -256,9 +251,8 @@ def dp45(
 
     Group k is columns edges[k]:edges[k + 1].  Each iteration makes one
     step attempt for every running group, with one rhs(t, y) call per
-    stage over their columns (t is a float while one group runs, else one
-    per column); each group keeps its own t, step size and controller, so
-    its bits do not depend on the other groups.  Columns not in the mask
+    stage over their columns, t one time per column; each group keeps its
+    own t, step size and controller, so its bits do not depend on the other groups.  Columns not in the mask
     ``live`` get zero derivative.  A step is accepted when, in each live
     column of the group, the RMS of the error estimate over tol + tol *
     max(|y0|, |y1|) is at most 1 and h is 10 ulp of t (of T at t = 0) or
@@ -268,11 +262,11 @@ def dp45(
     which takes it out of ``live`` or raises; the group retries from
     rhs(t, y), after a collapse at h = min(1e-3, T - t).  Each rejection
     shrinks h by 10 % or more, so a group whose t stalls ends.  The groups
-    that accepted make one call ``accept(groups, cols, steps, y0, f0, y1, f1)`` with
-    their (t0, h, t1) and both ends on their columns cols; it may edit y1,
-    copies what it keeps and returns the derivative to go on from.  A
-    group ends at T or with no live column; its first trial step is
-    min(1e-3, T), and one that needs more than MAX_STEPS accepted steps
+    that accepted make one call ``accept(groups, cols, steps, f0, y1, f1)``
+    with their (t0, h, t1), and on their columns cols the start slope f0
+    and the end state y1 and slope f1; it may edit y1, copies what it keeps
+    and returns the derivative to go on from.  A group ends at T or with no
+    live column; its first trial step is min(1e-3, T), and one that needs more than MAX_STEPS accepted steps
     raises :class:`IntegrationError`.  A tol or T that is not finite and
     positive raises ValueError.  Returns the iterations, and the accepted
     and rejected attempts and rhs columns summed over the groups.
@@ -280,7 +274,7 @@ def dp45(
     A state of one column (one group) runs on Python floats, as numpy's
     cost per call on arrays of d elements would be most of its time: rhs
     then gets the state as a list of d floats and returns a list of d
-    floats, and accept gets y0, f0, y1 and f1 as such lists, may edit the
+    floats, and accept gets f0, y1 and f1 as such lists, may edit the
     list y1 and returns a list.  It takes the same steps to the bit as the
     same column in a group of the array loop.
     """
@@ -310,10 +304,7 @@ def dp45(
         for k in run:
             if steps[k] >= MAX_STEPS:
                 raise IntegrationError(f"step budget exceeded at t={t[k]}")
-        if len(run) == 1:
-            tc, hc = t[run[0]], h[run[0]]
-        else:
-            tc, hc = (np.repeat([v[k] for k in run], size[run]) for v in (t, h))
+        tc, hc = (np.repeat([v[k] for k in run], size[run]) for v in (t, h))
         lv = live[cols]
         masked = rhs if lv.all() else lambda tt, yy: rhs(tt, yy) * lv  # x * 1.0 is x
         y1, f1, err = dp45_step(masked, tc, y, hc, f)
@@ -345,7 +336,7 @@ def dp45(
             sel = slice(None) if all(took) else np.repeat(took, size[run])
             ya = y1[:, sel]
             groups = [k for k, a in zip(run, took) if a]
-            fa = accept(groups, cols[sel], stepped, y[:, sel], f[:, sel], ya, f1[:, sel])
+            fa = accept(groups, cols[sel], stepped, f[:, sel], ya, f1[:, sel])
             y[:, sel], f[:, sel] = ya, fa * live[cols[sel]]
         ended = any(s[2] >= T for s in stepped) or not np.logical_or.reduceat(live[cols], offs).all()
     return dict(iterations=iterations, accepted=sum(steps), rejected=attempts - sum(steps),

@@ -451,7 +451,6 @@ class ReachSweep:
         self.seeds_added = 4 * n_seeds - budget
         self.budget_exhausted = bool(np.any(gaps > REFINE_CELLS * self.cell))
 
-        self.psis = psis[order]
         self.seeds = [paths.seeds[i] for i in order]
         self.n_failed = int(np.sum(np.isfinite(paths.fail_tau)))
         self.tau_min = self._rasterize(paths, order, gaps)

@@ -50,9 +50,6 @@ class ControlSchedule:
         if self.T <= 0:
             raise ValueError("final time must be positive")
 
-    def clipped(self, u_max: float) -> "ControlSchedule":
-        return ControlSchedule(self.times, np.clip(self.u, -u_max, u_max), self.n, self.T)
-
     @classmethod
     def from_csv(
         cls,
@@ -94,7 +91,9 @@ class ControlSchedule:
         cap = u_max if u_max is not None else params.u_max_default
         if not cap > 0:
             raise ValueError(f"u_max must be positive, got {cap}")
-        return sched.clipped(cap) if np.isfinite(cap) else sched
+        if np.isfinite(cap):
+            sched.u = np.clip(sched.u, -cap, cap)
+        return sched
 
 
 def _affine_parts(u, n, params: SystemParams):

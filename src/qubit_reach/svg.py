@@ -36,8 +36,8 @@ def _path(points, stroke: str, width: float) -> str:
     )
 
 
-def figure(boundaries=(), spiral_arcs=(), title: str = "") -> str:
-    """Unit circle plus boundary polylines plus optional spiral overlay."""
+def figure(spiral_arcs, title: str, boundaries=()) -> str:
+    """Unit circle plus boundary polylines plus spiral arcs, titled unless title is empty."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
@@ -58,8 +58,8 @@ def figure(boundaries=(), spiral_arcs=(), title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def reachset_figure(set2d, spiral=None, label: str | None = None) -> str:
+def reachset_figure(set2d, spiral, label: str | None = None) -> str:
     arcs = spiral.arcs(256) if spiral is not None else ()
     title = label if label is not None else f"wT = {set2d.T_scaled:g}"
-    return figure(boundaries=set2d.boundary, spiral_arcs=arcs, title=title)
+    return figure(arcs, title, boundaries=set2d.boundary)
 

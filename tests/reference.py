@@ -150,10 +150,10 @@ def integrate(rhs, y0, T: float, tol: float = 1e-10) -> Dense:
         except Exception as exc:
             raise IntegrationError(f"right-hand side failed at t={t}: {exc}") from exc
 
-    def accept(groups, cols, steps, ya, fa, yb, fb):
+    def accept(groups, cols, steps, fa, yb, fb):
         (t0, _, t1), = steps
         if not nodes:
-            nodes.append((t0, ya, fa))
+            nodes.append((t0, y0.ravel().tolist(), fa))
         nodes.append((t1, yb, fb))  # lists that dp45 does not edit
         return fb
 

@@ -535,17 +535,18 @@ def test_sweep_keeps_step_nodes_not_samples():
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_sweep_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        sweep_extremals_parallel(seed_grid(4, P), 1.0, P, comps=(0, 1), tol=tol)
+        sweep_extremals_parallel(seed_grid(4, P), 1.0, P, comps=(0, 1), tol=tol, sample_dt=0.01)
 
 
 @pytest.mark.parametrize(
     "call, msg",
     [
         (lambda: hamiltonian(np.zeros((3, 4)), P), r"trailing axis of length 5, got \(3, 4\)"),
-        (lambda: sweep_extremals([], 1.0, P, comps=(0, 1)), "at least one seed"),
-        (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=(0, 5)), "components 0 to 4"),
-        (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=()), "components 0 to 4"),
-        (lambda: sweep_extremals_parallel([], 1.0, P, n_threads=2, comps=(0, 1)), "at least one seed"),
+        (lambda: sweep_extremals([], 1.0, P, comps=(0, 1), sample_dt=0.01), "at least one seed"),
+        (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=(0, 5), sample_dt=0.01), "components 0 to 4"),
+        (lambda: sweep_extremals(seed_grid(4, P), 1.0, P, comps=(), sample_dt=0.01), "components 0 to 4"),
+        (lambda: sweep_extremals_parallel([], 1.0, P, n_threads=2, comps=(0, 1), sample_dt=0.01),
+         "at least one seed"),
     ],
     ids=["hamiltonian-trailing-axis", "sweep-without-seeds", "sweep-comps-past-theta",
          "sweep-without-comps", "parallel-sweep-without-seeds"],
@@ -616,7 +617,7 @@ def test_integrate_extremal_raises_on_degenerate_seed():
     from qubit_reach.ode import IntegrationError
 
     with pytest.raises(IntegrationError):
-        integrate_extremal(ExtremalSeed(np.pi / 2, np.pi / 2), 1.0, P)
+        integrate_extremal(ExtremalSeed(np.pi / 2, np.pi / 2), 1.0, P, sample_dt=1 / 2048)
 
 
 def test_replay_with_physical_units():

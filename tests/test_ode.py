@@ -169,7 +169,7 @@ def run_columns(kinds, edges=None, tol=1e-10):
     steps = [[] for _ in edges[1:]]
     dropped = [[] for _ in edges[1:]]
 
-    def accept(groups, cols, stepped, ya, fa, yb, fb):
+    def accept(groups, cols, stepped, fa, yb, fb):
         assert list(cols) == [c for k in groups for c in range(edges[k], edges[k + 1])]
         for k, step in zip(groups, stepped):
             steps[k].append((*step, yb[0, group[cols] == k].copy()))
@@ -264,7 +264,7 @@ def one_column_run(rhs, y0, T, tol=1e-10, copies=1, dead=0):
     live = np.arange(n) < copies
     steps, drops = [], []
 
-    def accept(groups, cols, stepped, ya, fa, yb, fb):
+    def accept(groups, cols, stepped, fa, yb, fb):
         ends = (np.array(yb), np.array(fb)) if n == 1 else (yb[:, 0], fb[:, 0])
         steps.append((*stepped[0], *(e.tobytes() for e in ends)))
         return fb

@@ -26,7 +26,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qubit_reach"
 # build_table's n_seeds, T_max_scaled and grid_resolution, the scaled, duration
 # and u_max of ControlSchedule.from_csv with ControlSchedule.T, the fields of
 # rank_certificate, SystemParams' omega, kappa and gamma, and barrier_values' rho
-SETTABLE_VALUES = 14
+# 9: defaults that every non-test caller overrides are gone: the sample_dt of
+# sweep_extremals and of integrate_extremal, the spiral_arcs and title of
+# svg.figure and the spiral of svg.reachset_figure
+SETTABLE_VALUES = 9
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
