@@ -146,11 +146,14 @@ def _outputs(*paths):
 
 def _check_dirs(*paths):
     """Raise, before any work, the OSError that opening an output path would
-    raise because its directory is missing or not a directory ('-' and None
-    are not paths); the subcommands open their outputs only after the work."""
+    raise because it is a directory, or its directory is missing or not a
+    directory ('-' and None are not paths); the subcommands open their
+    outputs only after the work."""
     for path in paths:
         if path in (None, "-"):
             continue
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         try:
             is_dir = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
         except OSError as exc:

@@ -229,6 +229,9 @@ def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[Extrema
     |cos psi0| + 3 |g sin psi0| and |H''| <= |cos psi0| + 2 |g sin psi0| (H' =
     f): it finds what a scan of every point finds.  Every step is elementwise
     over all brackets of all psi0 at once, so a seed has the same bits in any batch.
+    A psi0 with no candidate whose |dH/dtheta| is at most 1e-12 raises
+    ValueError: from gamma/omega near 3e6 on, the residual's rounding alone
+    exceeds that absolute bound for some psi0.
     """
     if branch not in ("max", "min"):
         raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")
@@ -307,7 +310,9 @@ def _seed_angles(psi0, g, branch):
     ok = np.abs(_seed_residual(np.sin(th), np.cos(th), c, gs)) <= 1e-12
     found = np.bincount(own[ok], minlength=len(psi0)) > 0
     if not found.all():
-        raise RuntimeError(f"no stationary control angle found for psi0={psi0[np.argmin(found)]}")
+        raise ValueError(f"no stationary control angle found for psi0={float(psi0[np.argmin(found)])!r} at "
+                         f"gamma/omega={g!r}: the seed residual, of order |cos psi0| + "
+                         f"gamma/omega |sin psi0|, stays above its bound 1e-12")
     # per psi0: sorted roots, 1e-9 duplicates dropped against the last kept one
     own, th = own[ok], th[ok] % (2.0 * np.pi)
     order = np.lexsort((th, own))

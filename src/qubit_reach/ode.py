@@ -92,6 +92,7 @@ _PADE = {
 }
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
           9: 2.097847961257068, 13: 5.371920351148152}
+MAX_NORM = 1e-6 * 2.0 ** 52  # damped 1-norm above which expm refuses a generator (see there)
 
 
 def expm(a) -> np.ndarray:
@@ -107,6 +108,14 @@ def expm(a) -> np.ndarray:
     over determinants of the whole stack, not a LAPACK call per matrix.  The
     last row stays exact through every squaring, and where c = 0, x - w is
     exactly 0, so the fixed points of affine flows stay exact.
+
+    A generator whose exponential would be lost to the rounding of its own
+    entries raises ValueError, before any arithmetic.  Those entries carry a
+    relative error of 2^-52, and a change dA of A moves exp(A) by at most
+    |dA| / max(1, -mu), with mu >= the logarithmic 2-norm of M (Gershgorin
+    on (M + M^T) / 2): a damped flow forgets it.  So the refusal is at
+    |A|_1 / max(1, -mu) > MAX_NORM = 1e-6 2^52, about 4.5e9, where that error
+    passes 1e-6; an undamped rotation there is lost to its own rounding.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -114,6 +123,15 @@ def expm(a) -> np.ndarray:
     if a.ndim != 3 or a.shape[1:] != (4, 4) or np.any(a[:, 3]):
         raise ValueError("expm takes affine generators, shape (m, 4, 4) with a zero last row")
     col = np.abs(a[:, 0]) + np.abs(a[:, 1]) + np.abs(a[:, 2])  # column 1-norms
+    if col.max(initial=0.0) > MAX_NORM:
+        m3 = a[:, :3, :3]
+        sym = np.abs(m3 / 2.0 + m3.transpose(0, 2, 1) / 2.0)
+        mu = (np.diagonal(m3, 0, 1, 2) - np.diagonal(sym, 0, 1, 2) + sym.sum(axis=-1)).max(axis=-1)
+        damp = np.maximum(1.0, -mu)
+        k = np.argmax(col.max(axis=-1) / damp)
+        if col[k].max() / damp[k] > MAX_NORM:
+            raise ValueError(f"matrix exponential lost to the rounding of its generator: 1-norm "
+                             f"{col[k].max():.3g} over damping {damp[k]:.3g} passes {MAX_NORM:.3g}")
     m = next((m for m in (3, 5, 7, 9) if col.max(initial=0.0) <= _THETA[m]), 13)
     s = np.maximum(np.frexp(col.max(axis=-1) / _THETA[13])[1], 0) if m == 13 else np.zeros(1, int)
     a, b, eye = np.ldexp(a, -s[:, None, None]) if m == 13 else a, _PADE[m], np.eye(4)

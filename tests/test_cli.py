@@ -235,6 +235,78 @@ def test_missing_output_directory_fails_before_the_work(monkeypatch, tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reachset", "--gamma-ratio", "0.1", "--T", "7", "--out", "{d}/dir"],
+        ["reachset", "--gamma-ratio", "0.1", "--T", "7", "--svg", "{d}/dir"],
+        ["reachset", "--gamma-ratio", "0.1", "--T", "7", "--obj", "{d}/dir"],
+        ["table", "build", "--gamma-ratio", "0.1", "--out", "{d}/dir"],
+    ],
+    ids=["reachset", "reachset-svg", "reachset-obj", "table-build"],
+)
+def test_output_path_that_is_a_directory_fails_before_the_work(monkeypatch, tmp_path, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the subcommand started its work")
+
+    monkeypatch.setattr(cli, "ReachSweep", no_work)
+    monkeypatch.setattr(table_mod, "build_table", no_work)
+    (tmp_path / "dir").mkdir()
+    code, stdout, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error: [Errno 21] Is a directory") and err.rstrip().endswith("dir'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"] and not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--psi0", "1", "--T", "0.01", "--samples", "3"],
+        ["reachset", "--T", "0.01", "--seeds", "64", "--raster", "8", "--out", "{d}/c.csv"],
+        ["table", "build", "--T-max", "0.01", "--seeds", "256", "--grid", "8", "--out", "{d}/t.csv"],
+    ],
+    ids=["extremal", "reachset", "table-build"],
+)
+def test_seeding_failure_at_large_gamma_ratio_is_a_domain_error(tmp_path, capsys, argv):
+    # near gamma/omega = 3e6 on, the seed residual's rounding alone passes
+    # its absolute bound for some psi0: a one-line error naming psi0 and the ratio
+    code, stdout, err = run(capsys, *(a.format(d=tmp_path) for a in argv), "--gamma-ratio", "1e8")
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error: no stationary control angle found for psi0=")
+    assert "gamma/omega=100000000.0" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "u, params",
+    [
+        ("1e20", ["--gamma-ratio", "0.1", "--u-max", "inf"]),
+        ("1e30", ["--gamma-ratio", "0.1", "--u-max", "inf"]),
+        ("1", ["--omega", "1e300", "--kappa", "1", "--gamma", "1"]),
+    ],
+    ids=["u-1e20", "u-1e30", "omega-1e300"],
+)
+def test_simulate_refuses_a_rotation_lost_to_its_rounding(tmp_path, capsys, u, params):
+    # these wrote NaN rows or rows of size 1e-15 and exited 0, after
+    # overflow warnings from the squarings of the matrix exponential
+    sched = tmp_path / "s.csv"
+    sched.write_text(f"t,u,n\n0,{u},0\n")
+    code, stdout, err = run(capsys, "simulate", "--schedule", str(sched), "--T", "1", *params)
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error: matrix exponential lost to the rounding of its generator")
+
+
+def test_simulate_takes_u_of_a_million(tmp_path, capsys):
+    # the replay's spike strength: 1-norm 2500 per sample step, well below the refusal
+    sched = tmp_path / "s.csv"
+    sched.write_text("t,u,n\n0,1e6,0\n")
+    code, stdout, _ = run(capsys, "simulate", "--schedule", str(sched), "--T", "1",
+                          "--gamma-ratio", "0.1", "--u-max", "inf")
+    rows = np.array([line.split(",") for line in stdout.splitlines()[1:]], dtype=float)
+    assert code == 0 and rows.shape == (401, 4) and np.isfinite(rows).all()
+    assert np.all(np.linalg.norm(rows[:, 1:], axis=1) <= 1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("angles", ["1", "2"])
 def test_obj_angles_below_three_is_a_usage_error_before_the_sweep(
     monkeypatch, tmp_path, capsys, angles

@@ -4,9 +4,10 @@ A top-level function, class or constant of a module of the package
 (``__init__.py`` aside, whose exports are not uses) must be read somewhere
 in the package outside its own definition: as a name, as the attribute
 of a module, or imported by another module (``import ... as`` included).
-A method, property or annotated field of a top-level class (dunders aside)
-must be read as an attribute somewhere in the package outside its own
-definition; being assigned is not being read.  What only tests call
+A method, property or annotated field of a top-level class (dunders aside),
+and each attribute that its methods assign on ``self``, must be read as an
+attribute somewhere in the package outside its own definition and its
+assignments; being assigned is not being read.  What only tests call
 belongs in ``tests/reference.py``.  A name or member kept on purpose
 without a reader in ``src/`` is listed in EXEMPT with its reason.
 """
@@ -22,6 +23,8 @@ EXEMPT = {
     # the benchmark's tracer reads it to size a sweep's output; only a change
     # to the benchmark may drop it
     "extremals.ExtremalSweep.data",
+    # the tests read it, and a run report's refinement record will
+    "reachset.ReachSweep.refine_rounds",
 }
 
 
@@ -67,11 +70,13 @@ def unused_names(modules: dict) -> list:
 
 
 def members(tree: ast.Module):
-    """(Class.member, member, first line, last line) of each method, property
-    and annotated field of each top-level class, dunders excluded."""
+    """(Class.member, member, lines) of each method, property, annotated
+    field and attribute assigned on self of each top-level class, dunders
+    excluded: lines are those of its definition and of its assignments."""
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
+        found = {}
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
@@ -79,8 +84,17 @@ def members(tree: ast.Module):
                 name = node.target.id
             else:
                 continue
+            found.setdefault(name, set()).update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for t in ast.walk(target):
+                        if (isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                                and isinstance(t.value, ast.Name) and t.value.id == "self"):
+                            found.setdefault(t.attr, set()).update(range(node.lineno, node.end_lineno + 1))
+        for name, lines in found.items():
             if not (name.startswith("__") and name.endswith("__")):
-                yield f"{cls.name}.{name}", name, node.lineno, node.end_lineno
+                yield f"{cls.name}.{name}", name, lines
 
 
 def attribute_reads(tree: ast.Module):
@@ -97,9 +111,9 @@ def unused_members(modules: dict) -> list:
     read = {mod: list(attribute_reads(tree)) for mod, tree in trees.items()}
     unused = []
     for mod, tree in trees.items():
-        for qualname, name, first, last in members(tree):
+        for qualname, name, lines in members(tree):
             if not any(
-                used == name and (other != mod or not first <= line <= last)
+                used == name and (other != mod or line not in lines)
                 for other, names in read.items()
                 for used, line in names
             ):
@@ -128,13 +142,15 @@ def test_member_finder_sees_each_kind_of_use():
             "    def __post_init__(self):\n        self.y = self.x\n\n"
             "    def f(self):\n        return self.f()\n\n"
             "    @property\n    def p(self):\n        return 1\n\n"
-            "    def g(self):\n        return 2\n"
+            "    def g(self):\n        self.z = 2\n        self.w = self.w + 1\n"
+            "        self.v = 0\n        return self.v\n"
         ),
         "b": "def h(c):\n    return c.p + c.g()\n",
     }
-    # x is read in __post_init__, p and g in b; f reads only itself, y is
-    # only assigned, and __post_init__ is a dunder
-    assert unused_members(modules) == ["a.C.y", "a.C.f"]
+    # x is read in __post_init__, p and g in b, v in g; f reads only itself,
+    # y and z are only assigned, w is read only in its own assignment, and
+    # __post_init__ is a dunder
+    assert unused_members(modules) == ["a.C.y", "a.C.f", "a.C.z", "a.C.w"]
 
 
 def test_every_top_level_name_is_used_in_src():

@@ -352,3 +352,41 @@ def test_one_column_error_norm_is_the_array_norm():
             assert [type(v) for v in one] == [float] * len(cols)
             assert np.array(one).tobytes() == wide.tobytes()
             assert np.isnan(wide).sum() == 3  # a NaN in y, y1 or err
+
+
+def rotation_generator(w, damping=0.0):
+    """An affine generator [[M, 0], [0, 0]]: a rotation by w about the z axis
+    (1-norm |w|, from rows 0 and 1 of M) with -damping on the diagonal of M."""
+    a = np.zeros((1, 4, 4))
+    a[0, :3, :3] = np.array([[0.0, -w, 0.0], [w, 0.0, 0.0], [0.0, 0.0, 0.0]]) - damping * np.eye(3)
+    return a
+
+
+def test_expm_refuses_a_generator_lost_to_its_own_rounding():
+    # at the bound the rotation is still taken: a unit row stays a unit
+    # row; twice the bound is refused before any squaring (the squarings of
+    # a 1e17 rotation used to give NaN, with overflow warnings)
+    r = ode.expm(rotation_generator(ode.MAX_NORM))[0]
+    npt.assert_allclose(np.hypot(r[0, 0], r[0, 1]), 1.0, rtol=0, atol=1e-6)
+    assert (r[3] == [0.0, 0.0, 0.0, 1.0]).all()
+    for w in (2.0 * ode.MAX_NORM, 2.5e17, 1e300):
+        with pytest.raises(ValueError, match="lost to the rounding of its generator"):
+            ode.expm(np.concatenate([rotation_generator(1.0), rotation_generator(w)]))
+    # damping makes the flow forget the rounding: a 1e12 rotation damped by
+    # 1e11 decays to 0, one damped by 10 (1e11 over the bound) is refused
+    assert not ode.expm(rotation_generator(1e12, damping=1e11))[0, :3, :3].any()
+    with pytest.raises(ValueError, match="damping 10 passes"):
+        ode.expm(rotation_generator(1e12, damping=10.0))
+
+
+def test_expm_takes_the_replay_spike_strength():
+    # a Bloch generator at |u| = 1e6 over a step of 1/400 (1-norm 2500,
+    # far below the bound) is propagated to the general Pade-13 reference
+    from reference import expm as reference_expm
+
+    p = SystemParams.from_ratio(0.1)
+    b = bloch_rhs(np.zeros(3), 1e6, 0.0, p)
+    a = np.zeros((1, 4, 4))
+    a[0, :3, :3] = np.stack([bloch_rhs(e, 1e6, 0.0, p) - b for e in np.eye(3)], axis=1) / 400.0
+    a[0, :3, 3] = bloch_rhs(np.array([0.0, 0.0, 1.0]), 1e6, 0.0, p) / 400.0
+    npt.assert_allclose(ode.expm(a), reference_expm(a), rtol=0, atol=1e-12)
