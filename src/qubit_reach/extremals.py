@@ -230,8 +230,8 @@ def seed_batch(psi0s, params: SystemParams, branch: str = "max") -> list[Extrema
     f): it finds what a scan of every point finds.  Every step is elementwise
     over all brackets of all psi0 at once, so a seed has the same bits in any batch.
     A psi0 with no candidate whose |dH/dtheta| is at most 1e-12 raises
-    ValueError: from gamma/omega near 3e6 on, the residual's rounding alone
-    exceeds that absolute bound for some psi0.
+    ValueError: from gamma/omega of a few million on, the residual's rounding
+    alone exceeds that absolute bound for some psi0.
     """
     if branch not in ("max", "min"):
         raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")

@@ -267,27 +267,27 @@ def dp45(
 ) -> dict:
     """Adaptive Dormand-Prince 5(4) on column groups of a (d, n) state, t = 0 to T.
 
-    Group k is columns edges[k]:edges[k + 1].  Each iteration makes one
-    step attempt for every running group, with one rhs(t, y) call per
-    stage over their columns, t one time per column; each group keeps its
-    own t, step size and controller, so its bits do not depend on the other groups.  Columns not in the mask
-    ``live`` get zero derivative.  A step is accepted when, in each live
-    column of the group, the RMS of the error estimate over tol + tol *
-    max(|y0|, |y1|) is at most 1 and h is 10 ulp of t (of T at t = 0) or
-    more, or reaches T (scipy's RK45 minimum step).  A live column whose
-    step is not finite, or the group's worst when h is below that minimum
-    (a step collapse), goes to ``drop(cols, t, reason)`` (column indices),
-    which takes it out of ``live`` or raises; the group retries from
-    rhs(t, y), after a collapse at h = min(1e-3, T - t).  Each rejection
-    shrinks h by 10 % or more, so a group whose t stalls ends.  The groups
-    that accepted make one call ``accept(groups, cols, steps, f0, y1, f1)``
-    with their (t0, h, t1), and on their columns cols the start slope f0
-    and the end state y1 and slope f1; it may edit y1, copies what it keeps
-    and returns the derivative to go on from.  A group ends at T or with no
-    live column; its first trial step is min(1e-3, T), and one that needs more than MAX_STEPS accepted steps
-    raises :class:`IntegrationError`.  A tol or T that is not finite and
-    positive raises ValueError.  Returns the iterations, and the accepted
-    and rejected attempts and rhs columns summed over the groups.
+    Group k is columns edges[k]:edges[k + 1].  Each iteration makes one step
+    attempt for every running group, with one rhs(t, y) call per stage over
+    their columns, t one time per column; each group keeps its own t, step size
+    and controller, so its bits do not depend on the other groups.  Columns not
+    in the mask ``live`` get zero derivative.  A step is accepted when, in each
+    live column of the group, the RMS of the error estimate over tol + tol *
+    max(|y0|, |y1|) is at most 1 and h is 10 ulp of t (of T at t = 0) or more,
+    or reaches T (scipy's RK45 minimum step).  A live column whose step is not
+    finite, or the group's worst when h is below that minimum (a step
+    collapse), goes to ``drop(cols, t, reason)`` (column indices), which takes
+    it out of ``live`` or raises; the group retries from rhs(t, y), after a
+    collapse at h = min(1e-3, T - t).  Each rejection shrinks h by 10 % or
+    more, so a group whose t stalls ends.  The groups that accepted make one
+    call ``accept(groups, cols, steps, f0, y1, f1)`` with their (t0, h, t1),
+    and on their columns cols the start slope f0 and the end state y1 and slope
+    f1; it may edit y1, copies what it keeps and returns the derivative to go
+    on from.  A group ends at T or with no live column; its first trial step is
+    min(1e-3, T), and one that needs more than MAX_STEPS accepted steps raises
+    :class:`IntegrationError`.  A tol or T that is not finite and positive
+    raises ValueError.  Returns the iterations, and the accepted and rejected
+    attempts and rhs columns summed over the groups.
 
     A state of one column (one group) runs on Python floats, as numpy's
     cost per call on arrays of d elements would be most of its time: rhs

@@ -216,11 +216,17 @@ def test_unwritable_path_keeps_existing_output(tmp_path, capsys):
          "e.csv"),
         (["simulate", "--gamma-ratio", "0.1", "--schedule", "{d}/file", "--T", "1", "--out",
           "{d}/missing/r.csv"], "r.csv"),
+        (["reachset", "--gamma-ratio", "0.1", "--T", "7", "--out", "{d}/dir"], "dir"),
+        (["reachset", "--gamma-ratio", "0.1", "--T", "7", "--svg", "{d}/dir"], "dir"),
+        (["reachset", "--gamma-ratio", "0.1", "--T", "7", "--obj", "{d}/dir"], "dir"),
+        (["table", "build", "--gamma-ratio", "0.1", "--out", "{d}/dir"], "dir"),
     ],
-    ids=["reachset", "reachset-svg", "reachset-obj", "movie", "table-build", "extremal", "simulate"],
+    ids=["reachset", "reachset-svg", "reachset-obj", "movie", "table-build", "extremal", "simulate",
+         "reachset-is-dir", "reachset-svg-is-dir", "reachset-obj-is-dir", "table-build-is-dir"],
 )
 def test_missing_output_directory_fails_before_the_work(monkeypatch, tmp_path, capsys, argv, out):
-    # an output that cannot be opened is reported at once, not after a sweep
+    # an output that cannot be opened, in a missing directory or being an
+    # existing directory, is reported at once, not after a sweep
     def no_work(*args, **kwargs):
         raise AssertionError("the subcommand started its work")
 
@@ -228,34 +234,14 @@ def test_missing_output_directory_fails_before_the_work(monkeypatch, tmp_path, c
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setattr(table_mod, "build_table", no_work)
     (tmp_path / "file").write_text("t,u,n\n0,0,0\n")
-    code, stdout, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
-    assert code == 1 and stdout == "" and "Traceback" not in err
-    reason = "Not a directory" if argv[0] == "movie" else "No such file or directory"
-    assert err.startswith("error: [Errno") and reason in err and err.rstrip().endswith(f"{out}'")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["reachset", "--gamma-ratio", "0.1", "--T", "7", "--out", "{d}/dir"],
-        ["reachset", "--gamma-ratio", "0.1", "--T", "7", "--svg", "{d}/dir"],
-        ["reachset", "--gamma-ratio", "0.1", "--T", "7", "--obj", "{d}/dir"],
-        ["table", "build", "--gamma-ratio", "0.1", "--out", "{d}/dir"],
-    ],
-    ids=["reachset", "reachset-svg", "reachset-obj", "table-build"],
-)
-def test_output_path_that_is_a_directory_fails_before_the_work(monkeypatch, tmp_path, capsys, argv):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the subcommand started its work")
-
-    monkeypatch.setattr(cli, "ReachSweep", no_work)
-    monkeypatch.setattr(table_mod, "build_table", no_work)
     (tmp_path / "dir").mkdir()
     code, stdout, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
     assert code == 1 and stdout == "" and "Traceback" not in err
-    assert err.startswith("error: [Errno 21] Is a directory") and err.rstrip().endswith("dir'")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"] and not any((tmp_path / "dir").iterdir())
+    reason = ("Not a directory" if argv[0] == "movie" else "Is a directory" if out == "dir"
+              else "No such file or directory")
+    assert err.startswith("error: [Errno") and reason in err and err.rstrip().endswith(f"{out}'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize(
